@@ -69,7 +69,8 @@ fn value_policies(c: &mut Criterion) {
 }
 
 fn lwd_scaling_with_ports(c: &mut Criterion) {
-    // LWD's victim scan is O(n); confirm the per-arrival cost scales.
+    // `Lwd::new()` scans below 32 ports and switches to the index at 64:
+    // track how the per-arrival cost moves across that crossover.
     let mut group = c.benchmark_group("lwd-port-scaling");
     for k in [4u32, 16, 64] {
         let cfg = WorkSwitchConfig::contiguous(k, 4 * k as usize).expect("valid");

@@ -51,7 +51,8 @@ pub trait CombinedPolicy: std::fmt::Debug + Send {
 
     /// Batch form of [`CombinedPolicy::queue_changed`]: one call per sync
     /// with every port that changed since the last decision, letting indexed
-    /// policies rebuild in O(n) when most ports are dirty.
+    /// policies rebuild in O(n) when most ports are dirty. Runners skip the
+    /// call when no port changed.
     fn queues_changed(&mut self, switch: &CombinedSwitch, ports: &[PortId]) {
         for &port in ports {
             self.queue_changed(switch, port);
@@ -123,7 +124,10 @@ impl<P: CombinedPolicy> CombinedRunner<P> {
     pub fn arrival(&mut self, pkt: CombinedPacket) -> Result<Decision, AdmitError> {
         // Sync incremental indices only when victim selection can run (full
         // buffer); see `WorkRunner::arrival`.
-        if self.switch.is_full() && self.policy.wants_queue_events(self.switch.ports()) {
+        if self.switch.is_full()
+            && self.switch.has_dirty_ports()
+            && self.policy.wants_queue_events(self.switch.ports())
+        {
             self.switch.drain_dirty_into(&mut self.dirty_scratch);
             self.policy
                 .queues_changed(&self.switch, &self.dirty_scratch);
@@ -297,7 +301,8 @@ impl CombinedPolicy for LwdCombined {
 ///
 /// Degenerations (tested): unit values → LWD; unit works → MRD.
 ///
-/// Victim selection is O(log n) by default, via a [`ScoreIndex`] over
+/// Victim selection is O(1) by default (an O(log n) walk when the arrival
+/// owns the current maximum), via a [`ScoreIndex`] over
 /// `(W_j·|Q_j|/S_j, Reverse(min_j))`; [`Wvd::scan`] keeps the original O(n)
 /// scan as the differential oracle.
 #[derive(Debug, Clone, Default)]

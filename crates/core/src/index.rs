@@ -6,8 +6,9 @@
 //! [`ScoreIndex`] maintains that maximum incrementally: the switch reports
 //! which queues changed after each event (see `ValueSwitch::drain_dirty_into`
 //! and friends), the policy recomputes just those ports' keys, and victim
-//! selection becomes an O(log n) tournament-tree query instead of an O(n)
-//! scan.
+//! selection replaces the O(n) scan with a tournament-tree query: O(1)
+//! unless the arrival owns the current maximum, an O(log n) walk otherwise;
+//! index repair costs O(log n) per changed port.
 //!
 //! The structure is a flat complete binary tree (`2m` slots for `m =
 //! ports.next_power_of_two()`): leaves hold `Option<(key, port)>`, internal
@@ -15,9 +16,11 @@
 //! absent ports (`None`) lose to every present key, and including the port
 //! number in the tuple resolves ties toward the larger index for free —
 //! exactly the scans' semantics. Updates rewrite one root-to-leaf path
-//! (~log₂ n small array writes, no allocation); queries read the root or walk
-//! one sibling path, so even the per-slot storm of queue-change events after
-//! a transmission phase stays cheap.
+//! (~log₂ n small array writes, no allocation). A virtual-add query compares
+//! the arrival's key with the root when another port holds the root, and
+//! walks one sibling path only when the arriving port holds it; so even the
+//! per-slot storm of queue-change events after a transmission phase stays
+//! cheap, and the common full-buffer drop costs one comparison.
 //!
 //! The scan loops are kept as `scan()` constructors on each adopting policy
 //! and serve as the differential-test oracle (`tests/slab_differential.rs`).
@@ -141,16 +144,39 @@ impl<K: Ord + Copy> ScoreIndex<K> {
     /// do not participate. Ties go to the larger port index.
     pub fn max_with(&self, port: PortId, virtual_key: K) -> PortId {
         let own = port.index() as u32;
-        // Walk leaf→root, folding in each sibling subtree: together the
-        // siblings cover every port except `port`, whose contribution is the
-        // virtual entry we start from.
-        let mut best = Some((virtual_key, own));
+        let root = self.tree[1];
+        let best = if root.is_some_and(|(_, p)| p == own) {
+            // `port` holds the overall maximum, so the root says nothing
+            // about the other ports — and the virtual key may be smaller
+            // than the stored one (MRD: a high-value arrival lowers the
+            // ratio). Fall back to the sibling walk.
+            self.walk_with(port, virtual_key)
+        } else {
+            // The root is the maximum over every stored key; held by another
+            // port (or absent), it is also the maximum over every port but
+            // `port`, so one comparison decides.
+            let best = Some((virtual_key, own)).max(root);
+            debug_assert_eq!(
+                best.map(|(_, p)| p),
+                self.walk_with(port, virtual_key).map(|(_, p)| p),
+                "root short-circuit disagrees with the sibling walk"
+            );
+            best
+        };
+        PortId::new(best.expect("virtual entry always present").1 as usize)
+    }
+
+    /// The lexicographic maximum with `port`'s entry replaced by
+    /// `virtual_key`, by walking leaf→root and folding in each sibling
+    /// subtree: together the siblings cover every port except `port`.
+    fn walk_with(&self, port: PortId, virtual_key: K) -> Option<(K, u32)> {
+        let mut best = Some((virtual_key, port.index() as u32));
         let mut node = self.leaf_base + port.index();
         while node > 1 {
             best = best.max(self.tree[node ^ 1]);
             node /= 2;
         }
-        PortId::new(best.expect("virtual entry always present").1 as usize)
+        best
     }
 
     /// Rebuilds every leaf from `key` and recomputes the internal nodes
@@ -238,6 +264,61 @@ mod tests {
         let mut idx = ScoreIndex::new(3);
         idx.set(PortId::new(2), Some(9u64));
         assert_eq!(idx.max_with(PortId::new(2), 0), PortId::new(2));
+    }
+
+    #[test]
+    fn max_with_walks_when_the_arrival_owns_a_shrinking_maximum() {
+        // MRD's key is |Q|²/Σv: a high-value arrival to the queue with the
+        // largest ratio lowers that queue's key below its stored one, so
+        // the root (the arrival's own stored key) must not decide.
+        let mut idx = ScoreIndex::new(5);
+        idx.set(PortId::new(0), Some(40u64));
+        idx.set(PortId::new(2), Some(90));
+        idx.set(PortId::new(3), Some(60));
+        assert_eq!(idx.max(), Some(PortId::new(2)));
+        assert_eq!(idx.max_with(PortId::new(2), 10), PortId::new(3));
+        assert_eq!(idx.max_with(PortId::new(2), 60), PortId::new(3));
+        assert_eq!(idx.max_with(PortId::new(2), 61), PortId::new(2));
+    }
+
+    #[test]
+    fn max_with_matches_a_brute_force_argmax() {
+        let mut state = 0x9e3779b97f4a7c15u64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for ports in [1usize, 2, 3, 5, 7, 12, 33, 64] {
+            for _ in 0..40 {
+                // Small key range so exact ties are common; ~1 in 4 absent.
+                let keys: Vec<Option<u64>> = (0..ports)
+                    .map(|_| (!rng().is_multiple_of(4)).then(|| rng() % 10))
+                    .collect();
+                let mut idx = ScoreIndex::new(ports);
+                idx.rebuild_with(|i| keys[i]);
+                for (p, &stored) in keys.iter().enumerate() {
+                    let s = stored.unwrap_or(5);
+                    for vkey in [0, s.saturating_sub(1), s, s + 1, 10] {
+                        let brute = keys
+                            .iter()
+                            .enumerate()
+                            .filter_map(|(i, k)| {
+                                if i == p { Some(vkey) } else { *k }.map(|k| (k, i))
+                            })
+                            .max()
+                            .map(|(_, i)| PortId::new(i))
+                            .unwrap();
+                        assert_eq!(
+                            idx.max_with(PortId::new(p), vkey),
+                            brute,
+                            "ports={ports} p={p} vkey={vkey} keys={keys:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

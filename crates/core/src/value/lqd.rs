@@ -20,7 +20,8 @@ use crate::Decision;
 ///
 /// Theorem 9 shows LQD is at least `∛k`-competitive in this model.
 ///
-/// Victim selection is O(log n) by default, via a [`ScoreIndex`] over
+/// Victim selection is O(1) by default (an O(log n) walk when the arrival
+/// owns the current maximum), via a [`ScoreIndex`] over
 /// `(|Q_j|, Reverse(min_j))`; [`LqdValue::scan`] keeps the original O(n)
 /// scan as the differential oracle.
 #[derive(Debug, Clone, Default)]

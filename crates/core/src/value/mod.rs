@@ -59,7 +59,8 @@ pub trait ValuePolicy: std::fmt::Debug + Send {
     /// Batch form of [`ValuePolicy::queue_changed`]: one call per sync with
     /// every port that changed since the last decision, letting indexed
     /// policies rebuild in O(n) when most ports are dirty (the
-    /// post-transmission storm) instead of n point updates.
+    /// post-transmission storm) instead of n point updates. Runners skip the
+    /// call when no port changed.
     fn queues_changed(&mut self, switch: &ValueSwitch, ports: &[smbm_switch::PortId]) {
         for &port in ports {
             self.queue_changed(switch, port);
@@ -147,7 +148,10 @@ impl<P: ValuePolicy> ValueRunner<P> {
     pub fn arrival(&mut self, pkt: ValuePacket) -> Result<Decision, AdmitError> {
         // Sync incremental indices only when victim selection can run (full
         // buffer); see `WorkRunner::arrival`.
-        if self.switch.is_full() && self.policy.wants_queue_events(self.switch.ports()) {
+        if self.switch.is_full()
+            && self.switch.has_dirty_ports()
+            && self.policy.wants_queue_events(self.switch.ports())
+        {
             self.switch.drain_dirty_into(&mut self.dirty_scratch);
             self.policy
                 .queues_changed(&self.switch, &self.dirty_scratch);

@@ -29,7 +29,8 @@ use crate::Decision;
 /// rule), then the larger index. Ratios are compared exactly via
 /// cross-multiplication ([`smbm_switch::RatioKey`]), not floating point.
 ///
-/// Victim selection is O(log n) by default, via a [`ScoreIndex`] over
+/// Victim selection is O(1) by default (an O(log n) walk when the arrival
+/// owns the current maximum), via a [`ScoreIndex`] over
 /// `(|Q_j|²/S_j, Reverse(min_j))`; [`Mrd::scan`] keeps the original O(n)
 /// scan as the differential oracle.
 #[derive(Debug, Clone, Default)]

@@ -21,7 +21,8 @@ use crate::Decision;
 /// LQD is 2-competitive with homogeneous processing, but Theorem 4 shows it
 /// is at least `sqrt(k)`-competitive in the heterogeneous model.
 ///
-/// Victim selection is O(log n) by default, via a [`ScoreIndex`] over
+/// Victim selection is O(1) by default (an O(log n) walk when the arrival
+/// owns the current maximum), via a [`ScoreIndex`] over
 /// `(|Q_j|, w_j)`; [`Lqd::scan`] keeps the original O(n) scan as the
 /// differential oracle.
 #[derive(Debug, Clone, Default)]

@@ -36,11 +36,12 @@ pub enum LwdTieBreak {
 ///
 /// With homogeneous processing `W_j = w * |Q_j|`, so LWD degenerates to LQD.
 ///
-/// Victim selection is O(log n) by default on large switches, via a
-/// [`ScoreIndex`] over `(W_j, tie_j)` maintained from the switch's
-/// queue-change events; [`Lwd::scan`] keeps the original O(n) scan as the
-/// differential oracle, and small switches scan regardless (the index only
-/// pays off once the scan outgrows a couple of cache lines).
+/// Victim selection on large switches goes through a [`ScoreIndex`] over
+/// `(W_j, tie_j)`, repaired in O(log n) per changed port from the switch's
+/// queue-change events: O(1) unless the arrival owns the current maximum,
+/// an O(log n) walk otherwise. [`Lwd::scan`] keeps the original O(n) scan as
+/// the differential oracle, and small switches scan regardless (the index
+/// only pays off once the scan outgrows a couple of cache lines).
 #[derive(Debug, Clone, Default)]
 pub struct Lwd {
     tie_break: LwdTieBreak,

@@ -62,7 +62,8 @@ pub trait WorkPolicy: std::fmt::Debug + Send {
     /// Batch form of [`WorkPolicy::queue_changed`]: one call per sync with
     /// every port that changed since the last decision, letting indexed
     /// policies rebuild in O(n) when most ports are dirty (the
-    /// post-transmission storm) instead of n point updates.
+    /// post-transmission storm) instead of n point updates. Runners skip the
+    /// call when no port changed.
     fn queues_changed(&mut self, switch: &WorkSwitch, ports: &[smbm_switch::PortId]) {
         for &port in ports {
             self.queue_changed(switch, port);
@@ -155,8 +156,12 @@ impl<P: WorkPolicy> WorkRunner<P> {
         // Queue-change events are only consumed by victim selection, which
         // only runs on a full buffer — so let dirt accumulate (deduplicated,
         // bounded by n) while there is free space and sync just before a
-        // decision that can push out.
-        if self.switch.is_full() && self.policy.wants_queue_events(self.switch.ports()) {
+        // decision that can push out. A drop changes no queue, so a run of
+        // drops into a full buffer finds nothing dirty and skips the sync.
+        if self.switch.is_full()
+            && self.switch.has_dirty_ports()
+            && self.policy.wants_queue_events(self.switch.ports())
+        {
             self.switch.drain_dirty_into(&mut self.dirty_scratch);
             self.policy
                 .queues_changed(&self.switch, &self.dirty_scratch);

@@ -176,6 +176,12 @@ impl CombinedSwitch {
         self.dirty.drain_into(out);
     }
 
+    /// True when some queue changed since the last
+    /// [`drain_dirty_into`](Self::drain_dirty_into).
+    pub fn has_dirty_ports(&self) -> bool {
+        !self.dirty.is_empty()
+    }
+
     fn validate(&self, pkt: CombinedPacket) -> Result<(), AdmitError> {
         if pkt.port().index() >= self.queues.len() {
             return Err(AdmitError::UnknownPort {

@@ -132,6 +132,12 @@ impl ValueSwitch {
         self.dirty.drain_into(out);
     }
 
+    /// True when some queue changed since the last
+    /// [`drain_dirty_into`](Self::drain_dirty_into).
+    pub fn has_dirty_ports(&self) -> bool {
+        !self.dirty.is_empty()
+    }
+
     fn validate(&self, pkt: ValuePacket) -> Result<(), AdmitError> {
         if pkt.port().index() >= self.queues.len() {
             return Err(AdmitError::UnknownPort {

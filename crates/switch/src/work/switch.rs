@@ -147,6 +147,12 @@ impl WorkSwitch {
         self.dirty.drain_into(out);
     }
 
+    /// True when some queue changed since the last
+    /// [`drain_dirty_into`](Self::drain_dirty_into).
+    pub fn has_dirty_ports(&self) -> bool {
+        !self.dirty.is_empty()
+    }
+
     fn validate(&self, pkt: WorkPacket) -> Result<(), AdmitError> {
         let i = pkt.port().index();
         if i >= self.queues.len() {
