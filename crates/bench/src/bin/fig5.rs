@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! fig5 [--panel N] [--scale smoke|default|paper] [--seed S] [--repeats R]
-//!      [--jobs N]            # cap sweep worker threads (default: all cores)
+//!      [--jobs N]            # cap sweep worker threads, nested rosters included (default: all cores)
 //!      [--gnuplot-dir DIR]   # also write panelN.csv + panelN.gp files
 //!      [--metrics-dir DIR]   # also write panelN.POLICY.json metric sidecars
 //! ```

@@ -24,7 +24,8 @@ commands:
   value-run   run the heterogeneous-value roster on MMPP traffic
   bounds      replay theorem lower-bound constructions
   combined-run run the combined work+value roster (extension)
-  panel       regenerate a Fig. 5 panel as CSV (--panel 1..9, --jobs N)
+  panel       regenerate a Fig. 5 panel as CSV (--panel 1..9; --jobs N caps
+              the total number of worker threads, default: all CPUs)
   trace-gen   generate a work-model MMPP trace (text format) on stdout
   trace-stats summarize a work-model trace (--file PATH, or text via stdin)
   serve       replay a trace through the live datapath, lockstep with the

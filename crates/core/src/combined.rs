@@ -541,6 +541,10 @@ pub struct CombinedPqOpt {
     cores: u32,
     /// (value, residual cycles) per resident packet.
     packets: Vec<(u64, u32)>,
+    /// Transmission-phase buffers (packet indices by density, and the
+    /// completed ones), kept to reuse their allocations.
+    order: Vec<usize>,
+    remove: Vec<usize>,
     counters: Counters,
 }
 
@@ -557,6 +561,8 @@ impl CombinedPqOpt {
             buffer,
             cores,
             packets: Vec::new(),
+            order: Vec::new(),
+            remove: Vec::new(),
             counters: Counters::new(),
         }
     }
@@ -579,6 +585,12 @@ impl CombinedPqOpt {
     /// Total value transmitted.
     pub fn transmitted_value(&self) -> u64 {
         self.counters.transmitted_value()
+    }
+
+    /// The resident packets as `(value, residual cycles)`, in buffer
+    /// order (which breaks density ties).
+    pub fn residents(&self) -> &[(u64, u32)] {
+        &self.packets
     }
 
     /// Offers one packet, reporting its fate. The single shared queue has
@@ -620,26 +632,35 @@ impl CombinedPqOpt {
         if served == 0 {
             return 0;
         }
-        // Partial-select the `served` densest packets by v/residual.
-        let mut order: Vec<usize> = (0..self.packets.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (av, ar) = self.packets[a];
-            let (bv, br) = self.packets[b];
-            (bv as u128 * ar as u128).cmp(&(av as u128 * br as u128))
-        });
+        // Partial-select the `served` densest packets by v/residual, ties to
+        // the lower index: the same set a stable sort by density puts first.
+        let packets = &self.packets;
+        self.order.clear();
+        self.order.extend(0..packets.len());
+        if served < packets.len() {
+            self.order.select_nth_unstable_by(served - 1, |&a, &b| {
+                let (av, ar) = packets[a];
+                let (bv, br) = packets[b];
+                (bv as u128 * ar as u128)
+                    .cmp(&(av as u128 * br as u128))
+                    .then(a.cmp(&b))
+            });
+        }
         let mut sent = 0;
-        let mut remove: Vec<usize> = Vec::new();
-        for &i in order.iter().take(served) {
+        self.remove.clear();
+        for &i in &self.order[..served] {
             self.counters.record_cycles(1);
-            self.packets[i].1 -= 1;
-            if self.packets[i].1 == 0 {
-                sent += self.packets[i].0;
-                self.counters.record_transmission(self.packets[i].0, 0);
-                remove.push(i);
+            let (v, residual) = &mut self.packets[i];
+            *residual -= 1;
+            if *residual == 0 {
+                sent += *v;
+                self.counters.record_transmission(*v, 0);
+                self.remove.push(i);
             }
         }
-        remove.sort_unstable_by(|a, b| b.cmp(a));
-        for i in remove {
+        // Highest index first, so no pending index is moved by a swap_remove.
+        self.remove.sort_unstable_by(|a, b| b.cmp(a));
+        for &i in &self.remove {
             self.packets.swap_remove(i);
         }
         sent

@@ -8,10 +8,42 @@
 //! switch. This policy is optimal in the single-queue model, so under
 //! congestion it can even beat the model's true OPT — exactly the stronger
 //! yardstick the paper uses.
-
-use std::collections::BTreeMap;
+//!
+//! Both surrogates keep the buffer as a short list of `(key, count)`
+//! classes sorted by key (residual cycles or value). The key range is small
+//! (the port works or the value range), so a sorted `Vec` beats a tree map
+//! and the hot path allocates nothing once the classes are warm.
 
 use smbm_switch::{ArrivalOutcome, Counters, DropReason, PortId, ValuePacket, Work, WorkPacket};
+
+/// Adds `n` packets to class `key` of a sorted class list.
+fn add<K: Ord + Copy>(classes: &mut Vec<(K, u64)>, key: K, n: u64) {
+    match classes.binary_search_by_key(&key, |&(k, _)| k) {
+        Ok(i) => classes[i].1 += n,
+        Err(i) => classes.insert(i, (key, n)),
+    }
+}
+
+/// Removes `n` packets from the class at index `i`, dropping the class
+/// when it empties.
+fn take_at<K>(classes: &mut Vec<(K, u64)>, i: usize, n: u64) {
+    classes[i].1 -= n;
+    if classes[i].1 == 0 {
+        classes.remove(i);
+    }
+}
+
+/// Checks that a class list is strictly ascending with no empty class and
+/// returns its packet count.
+fn class_sum<K: Ord + Copy>(classes: &[(K, u64)]) -> Result<u64, String> {
+    if classes.windows(2).any(|w| w[0].0 >= w[1].0) {
+        return Err("classes not strictly ascending".into());
+    }
+    if classes.iter().any(|&(_, count)| count == 0) {
+        return Err("empty class kept".into());
+    }
+    Ok(classes.iter().map(|&(_, count)| count).sum())
+}
 
 /// OPT surrogate for the heterogeneous-processing model: one priority queue
 /// over the whole buffer, smallest-residual-first, with a configurable core
@@ -32,8 +64,10 @@ use smbm_switch::{ArrivalOutcome, Counters, DropReason, PortId, ValuePacket, Wor
 pub struct WorkPqOpt {
     buffer: usize,
     cores: u32,
-    /// residual cycles -> packet count.
-    residuals: BTreeMap<u32, u64>,
+    /// `(residual cycles, packet count)` classes, ascending by residual.
+    residuals: Vec<(u32, u64)>,
+    /// The transmission phase's plan, kept to reuse its allocation.
+    plan: Vec<(u32, u64)>,
     occupancy: usize,
     counters: Counters,
 }
@@ -51,7 +85,8 @@ impl WorkPqOpt {
         WorkPqOpt {
             buffer,
             cores,
-            residuals: BTreeMap::new(),
+            residuals: Vec::new(),
+            plan: Vec::new(),
             occupancy: 0,
             counters: Counters::new(),
         }
@@ -82,6 +117,12 @@ impl WorkPqOpt {
         self.counters.transmitted()
     }
 
+    /// The resident packets as `(residual cycles, count)` classes,
+    /// ascending by residual.
+    pub fn residents(&self) -> &[(u32, u64)] {
+        &self.residuals
+    }
+
     /// Offers one packet; the port label is irrelevant to the single queue,
     /// only the work matters.
     pub fn offer(&mut self, pkt: WorkPacket) -> ArrivalOutcome {
@@ -96,38 +137,22 @@ impl WorkPqOpt {
         let w = work.cycles();
         if self.occupancy < self.buffer {
             self.counters.record_admission(1);
-            *self.residuals.entry(w).or_insert(0) += 1;
+            add(&mut self.residuals, w, 1);
             self.occupancy += 1;
             return ArrivalOutcome::Admitted;
         }
         // Full: keep the packet set with the smallest residuals.
-        let (&max_residual, _) = self
-            .residuals
-            .last_key_value()
-            .expect("full buffer is non-empty");
-        if w < max_residual {
-            self.remove_one(max_residual);
+        let last = self.residuals.len() - 1;
+        if w < self.residuals[last].0 {
+            take_at(&mut self.residuals, last, 1);
             self.counters.record_push_out(1);
             self.counters.record_admission(1);
-            *self.residuals.entry(w).or_insert(0) += 1;
-            self.occupancy += 1;
+            add(&mut self.residuals, w, 1);
             ArrivalOutcome::PushedOut(PortId::new(0))
         } else {
             self.counters.record_drop(1);
             ArrivalOutcome::Dropped(DropReason::BufferFull)
         }
-    }
-
-    fn remove_one(&mut self, residual: u32) {
-        let count = self
-            .residuals
-            .get_mut(&residual)
-            .expect("residual class exists");
-        *count -= 1;
-        if *count == 0 {
-            self.residuals.remove(&residual);
-        }
-        self.occupancy -= 1;
     }
 
     /// Runs one transmission phase: each of the `cores` cores gives one
@@ -137,22 +162,22 @@ impl WorkPqOpt {
         // Plan which residual classes receive cycles before mutating, so a
         // decremented packet is not processed twice in the same phase.
         let mut budget = self.cores as u64;
-        let mut plan: Vec<(u32, u64)> = Vec::new();
-        for (&r, &count) in self.residuals.iter() {
+        self.plan.clear();
+        for &(r, count) in &self.residuals {
             if budget == 0 {
                 break;
             }
             let take = count.min(budget);
-            plan.push((r, take));
+            self.plan.push((r, take));
             budget -= take;
         }
         let mut completed = 0;
-        for (r, take) in plan {
-            let count = self.residuals.get_mut(&r).expect("planned class exists");
-            *count -= take;
-            if *count == 0 {
-                self.residuals.remove(&r);
-            }
+        for &(r, take) in &self.plan {
+            let i = self
+                .residuals
+                .binary_search_by_key(&r, |&(k, _)| k)
+                .expect("planned class exists");
+            take_at(&mut self.residuals, i, take);
             self.counters.record_cycles(take);
             if r == 1 {
                 completed += take;
@@ -161,7 +186,7 @@ impl WorkPqOpt {
                     self.counters.record_transmission(1, 0);
                 }
             } else {
-                *self.residuals.entry(r - 1).or_insert(0) += take;
+                add(&mut self.residuals, r - 1, take);
             }
         }
         completed
@@ -182,7 +207,7 @@ impl WorkPqOpt {
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let sum: u64 = self.residuals.values().sum();
+        let sum = class_sum(&self.residuals)?;
         if sum != self.occupancy as u64 {
             return Err(format!("occupancy {} != class sum {}", self.occupancy, sum));
         }
@@ -192,7 +217,7 @@ impl WorkPqOpt {
                 self.occupancy, self.buffer
             ));
         }
-        if self.residuals.contains_key(&0) {
+        if self.residuals.first().is_some_and(|&(r, _)| r == 0) {
             return Err("zero-residual packet left in buffer".into());
         }
         self.counters
@@ -219,8 +244,8 @@ impl WorkPqOpt {
 pub struct ValuePqOpt {
     buffer: usize,
     cores: u32,
-    /// value -> packet count.
-    values: BTreeMap<u64, u64>,
+    /// `(value, packet count)` classes, ascending by value.
+    values: Vec<(u64, u64)>,
     occupancy: usize,
     counters: Counters,
 }
@@ -237,7 +262,7 @@ impl ValuePqOpt {
         ValuePqOpt {
             buffer,
             cores,
-            values: BTreeMap::new(),
+            values: Vec::new(),
             occupancy: 0,
             counters: Counters::new(),
         }
@@ -268,6 +293,12 @@ impl ValuePqOpt {
         self.counters.transmitted_value()
     }
 
+    /// The resident packets as `(value, count)` classes, ascending by
+    /// value.
+    pub fn residents(&self) -> &[(u64, u64)] {
+        &self.values
+    }
+
     /// Offers one packet, reporting its fate; only its value matters to the
     /// single queue, and push-outs name port 0.
     pub fn offer(&mut self, pkt: ValuePacket) -> ArrivalOutcome {
@@ -275,34 +306,21 @@ impl ValuePqOpt {
         self.counters.record_arrival(v);
         if self.occupancy < self.buffer {
             self.counters.record_admission(v);
-            *self.values.entry(v).or_insert(0) += 1;
+            add(&mut self.values, v, 1);
             self.occupancy += 1;
             return ArrivalOutcome::Admitted;
         }
-        let (&min_value, _) = self
-            .values
-            .first_key_value()
-            .expect("full buffer is non-empty");
+        let min_value = self.values[0].0;
         if v > min_value {
-            self.remove_one(min_value);
+            take_at(&mut self.values, 0, 1);
             self.counters.record_push_out(min_value);
             self.counters.record_admission(v);
-            *self.values.entry(v).or_insert(0) += 1;
-            self.occupancy += 1;
+            add(&mut self.values, v, 1);
             ArrivalOutcome::PushedOut(PortId::new(0))
         } else {
             self.counters.record_drop(v);
             ArrivalOutcome::Dropped(DropReason::BufferFull)
         }
-    }
-
-    fn remove_one(&mut self, value: u64) {
-        let count = self.values.get_mut(&value).expect("value class exists");
-        *count -= 1;
-        if *count == 0 {
-            self.values.remove(&value);
-        }
-        self.occupancy -= 1;
     }
 
     /// Runs one transmission phase: the `cores` most valuable packets leave.
@@ -311,15 +329,16 @@ impl ValuePqOpt {
         let mut budget = self.cores as u64;
         let mut sent_value = 0;
         while budget > 0 {
-            let Some((&v, _)) = self.values.last_key_value() else {
+            let Some(&(v, count)) = self.values.last() else {
                 break;
             };
-            let count = self.values[&v];
             let take = count.min(budget);
             budget -= take;
             sent_value += v * take;
+            let last = self.values.len() - 1;
+            take_at(&mut self.values, last, take);
+            self.occupancy -= take as usize;
             for _ in 0..take {
-                self.remove_one(v);
                 self.counters.record_transmission(v, 0);
                 self.counters.record_cycles(1);
             }
@@ -330,7 +349,7 @@ impl ValuePqOpt {
     /// Discards every resident packet (flushout).
     pub fn flush(&mut self) -> u64 {
         let n = self.occupancy as u64;
-        let value: u64 = self.values.iter().map(|(&v, &count)| v * count).sum();
+        let value: u64 = self.values.iter().map(|&(v, count)| v * count).sum();
         self.values.clear();
         self.occupancy = 0;
         self.counters.record_flush(n, value);
@@ -343,7 +362,7 @@ impl ValuePqOpt {
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let sum: u64 = self.values.values().sum();
+        let sum = class_sum(&self.values)?;
         if sum != self.occupancy as u64 {
             return Err(format!("occupancy {} != class sum {}", self.occupancy, sum));
         }

@@ -12,7 +12,7 @@ pub(crate) const BUCKETS: usize = 65;
 /// (clamped to the observed maximum), which is exact for small samples and
 /// within a factor of two for large ones — plenty for latency/occupancy
 /// tail reporting at O(1) memory.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogHistogram {
     counts: [u64; BUCKETS],
     count: u64,
@@ -195,7 +195,7 @@ impl LogHistogram {
 /// * **burst size** — arrivals per trace slot (drain slots excluded);
 ///
 /// plus drop counts per [`DropReason`] and totals for every event kind.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramRecorder {
     latency: LogHistogram,
     occupancy: LogHistogram,

@@ -1,13 +1,16 @@
 //! Experiments: run a roster of policies plus the OPT surrogate over one
 //! trace and report empirical competitive ratios.
 
+use std::sync::Mutex;
+
 use smbm_core::{
     combined_policy_by_name, value_policy_by_name, work_policy_by_name, CappedValue, CappedWork,
     CombinedPqOpt, CombinedRunner, CompetitiveRatio, ValuePqOpt, ValueRunner, WorkPqOpt,
     WorkRunner,
 };
 use smbm_switch::{
-    AdmitError, CombinedPacket, ValuePacket, ValueSwitchConfig, WorkPacket, WorkSwitchConfig,
+    AdmitError, CombinedPacket, Counters, ValuePacket, ValueSwitchConfig, WorkPacket,
+    WorkSwitchConfig,
 };
 use smbm_traffic::adversarial::{ValueConstruction, WorkConstruction};
 use smbm_traffic::Trace;
@@ -16,8 +19,9 @@ use smbm_obs::{NullObserver, Observer};
 
 use crate::engine::{
     run_combined, run_combined_observed, run_value, run_value_observed, run_work,
-    run_work_observed, EngineConfig,
+    run_work_observed, EngineConfig, RunSummary,
 };
+use crate::sweep::{available_parallelism, par_map};
 
 /// One policy's outcome on a trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,10 +111,20 @@ impl WorkExperiment {
 
     /// Runs every policy and the OPT surrogate over `trace`.
     ///
+    /// The roster entries, OPT included, are independent runs over the
+    /// shared trace, so they run as tasks on a scoped pool sized by
+    /// [`std::thread::available_parallelism`], the same pool that
+    /// [`sweep_with_jobs`](crate::sweep_with_jobs) uses. Results are
+    /// collected in roster order, so the report equals a serial run's. A
+    /// run made from inside a pool worker (for example, inside a sweep's
+    /// `measure`) runs its roster inline on that worker, so nested pools
+    /// never oversubscribe.
+    ///
     /// # Errors
     ///
-    /// Returns [`ExperimentError`] for unknown roster entries or invalid
-    /// policy decisions.
+    /// Returns [`ExperimentError`] for unknown roster entries (checked
+    /// before any entry runs) or invalid policy decisions (the first in
+    /// roster order, OPT first).
     pub fn run(&self, trace: &Trace<WorkPacket>) -> Result<ExperimentReport, ExperimentError> {
         let mut nulls = vec![NullObserver; self.policies.len()];
         self.run_observed(trace, &mut nulls)
@@ -128,35 +142,29 @@ impl WorkExperiment {
     ///
     /// Returns [`ExperimentError`] for unknown roster entries or invalid
     /// policy decisions.
-    pub fn run_observed<O: Observer>(
+    pub fn run_observed<O: Observer + Send>(
         &self,
         trace: &Trace<WorkPacket>,
         observers: &mut [O],
     ) -> Result<ExperimentReport, ExperimentError> {
-        assert_eq!(
-            observers.len(),
-            self.policies.len(),
-            "one observer per roster policy"
-        );
         let cores = self.config.ports() as u32 * self.speedup;
-        let mut opt = WorkPqOpt::new(self.config.buffer(), cores);
-        let opt_score = run_work(&mut opt, trace, &self.engine)?.score;
-        let mut rows = Vec::with_capacity(self.policies.len());
-        for (name, obs) in self.policies.iter().zip(observers.iter_mut()) {
-            let policy = work_policy_by_name(name)
-                .ok_or_else(|| ExperimentError::UnknownPolicy(name.clone()))?;
-            let mut runner = WorkRunner::new(self.config.clone(), policy, self.speedup);
-            let score = run_work_observed(&mut runner, trace, &self.engine, obs)?.score;
-            let counters = runner.switch().counters();
-            rows.push(PolicyRow {
-                policy: name.clone(),
-                score,
-                ratio: CompetitiveRatio::new(opt_score, score).ratio(),
-                mean_latency: counters.mean_latency(),
-                goodput: counters.goodput(),
-            });
-        }
-        Ok(ExperimentReport { opt_score, rows })
+        run_roster(
+            &self.policies,
+            observers,
+            work_policy_by_name,
+            || {
+                run_work(
+                    &mut WorkPqOpt::new(self.config.buffer(), cores),
+                    trace,
+                    &self.engine,
+                )
+            },
+            |policy, obs| {
+                let mut runner = WorkRunner::new(self.config.clone(), policy, self.speedup);
+                let score = run_work_observed(&mut runner, trace, &self.engine, obs)?.score;
+                Ok((score, *runner.switch().counters()))
+            },
+        )
     }
 }
 
@@ -187,7 +195,8 @@ impl ValueExperiment {
         }
     }
 
-    /// Runs every policy and the OPT surrogate over `trace`.
+    /// Runs every policy and the OPT surrogate over `trace`, in parallel
+    /// on the roster pool; see [`WorkExperiment::run`].
     ///
     /// # Errors
     ///
@@ -209,35 +218,29 @@ impl ValueExperiment {
     ///
     /// Returns [`ExperimentError`] for unknown roster entries or invalid
     /// policy decisions.
-    pub fn run_observed<O: Observer>(
+    pub fn run_observed<O: Observer + Send>(
         &self,
         trace: &Trace<ValuePacket>,
         observers: &mut [O],
     ) -> Result<ExperimentReport, ExperimentError> {
-        assert_eq!(
-            observers.len(),
-            self.policies.len(),
-            "one observer per roster policy"
-        );
         let cores = self.config.ports() as u32 * self.speedup;
-        let mut opt = ValuePqOpt::new(self.config.buffer(), cores);
-        let opt_score = run_value(&mut opt, trace, &self.engine)?.score;
-        let mut rows = Vec::with_capacity(self.policies.len());
-        for (name, obs) in self.policies.iter().zip(observers.iter_mut()) {
-            let policy = value_policy_by_name(name)
-                .ok_or_else(|| ExperimentError::UnknownPolicy(name.clone()))?;
-            let mut runner = ValueRunner::new(self.config, policy, self.speedup);
-            let score = run_value_observed(&mut runner, trace, &self.engine, obs)?.score;
-            let counters = runner.switch().counters();
-            rows.push(PolicyRow {
-                policy: name.clone(),
-                score,
-                ratio: CompetitiveRatio::new(opt_score, score).ratio(),
-                mean_latency: counters.mean_latency(),
-                goodput: counters.goodput(),
-            });
-        }
-        Ok(ExperimentReport { opt_score, rows })
+        run_roster(
+            &self.policies,
+            observers,
+            value_policy_by_name,
+            || {
+                run_value(
+                    &mut ValuePqOpt::new(self.config.buffer(), cores),
+                    trace,
+                    &self.engine,
+                )
+            },
+            |policy, obs| {
+                let mut runner = ValueRunner::new(self.config, policy, self.speedup);
+                let score = run_value_observed(&mut runner, trace, &self.engine, obs)?.score;
+                Ok((score, *runner.switch().counters()))
+            },
+        )
     }
 }
 
@@ -270,7 +273,8 @@ impl CombinedExperiment {
         }
     }
 
-    /// Runs every policy and the density OPT surrogate over `trace`.
+    /// Runs every policy and the density OPT surrogate over `trace`, in
+    /// parallel on the roster pool; see [`WorkExperiment::run`].
     ///
     /// # Errors
     ///
@@ -292,36 +296,91 @@ impl CombinedExperiment {
     ///
     /// Returns [`ExperimentError`] for unknown roster entries or invalid
     /// policy decisions.
-    pub fn run_observed<O: Observer>(
+    pub fn run_observed<O: Observer + Send>(
         &self,
         trace: &Trace<CombinedPacket>,
         observers: &mut [O],
     ) -> Result<ExperimentReport, ExperimentError> {
-        assert_eq!(
-            observers.len(),
-            self.policies.len(),
-            "one observer per roster policy"
-        );
         let cores = self.config.ports() as u32 * self.speedup;
-        let mut opt = CombinedPqOpt::new(self.config.buffer(), cores);
-        let opt_score = run_combined(&mut opt, trace, &self.engine)?.score;
-        let mut rows = Vec::with_capacity(self.policies.len());
-        for (name, obs) in self.policies.iter().zip(observers.iter_mut()) {
-            let policy = combined_policy_by_name(name)
-                .ok_or_else(|| ExperimentError::UnknownPolicy(name.clone()))?;
-            let mut runner = CombinedRunner::new(self.config.clone(), policy, self.speedup);
-            let score = run_combined_observed(&mut runner, trace, &self.engine, obs)?.score;
-            let counters = runner.switch().counters();
-            rows.push(PolicyRow {
+        run_roster(
+            &self.policies,
+            observers,
+            combined_policy_by_name,
+            || {
+                let mut opt = CombinedPqOpt::new(self.config.buffer(), cores);
+                run_combined(&mut opt, trace, &self.engine)
+            },
+            |policy, obs| {
+                let mut runner = CombinedRunner::new(self.config.clone(), policy, self.speedup);
+                let score = run_combined_observed(&mut runner, trace, &self.engine, obs)?.score;
+                Ok((score, *runner.switch().counters()))
+            },
+        )
+    }
+}
+
+/// Runs one experiment's roster: the OPT surrogate (`opt`) as entry 0 and
+/// `entry(policy, observer)` for every policy in `names`, as independent
+/// tasks on the scoped pool (see [`par_map`]), sized by the machine's
+/// available parallelism. Every name is resolved before any entry runs;
+/// results are collected in roster order, so the report is the serial one.
+fn run_roster<P, O, Opt, Entry>(
+    names: &[String],
+    observers: &mut [O],
+    resolve: fn(&str) -> Option<P>,
+    opt: Opt,
+    entry: Entry,
+) -> Result<ExperimentReport, ExperimentError>
+where
+    P: Send,
+    O: Observer + Send,
+    Opt: Fn() -> Result<RunSummary, AdmitError> + Sync,
+    Entry: Fn(P, &mut O) -> Result<(u64, Counters), AdmitError> + Sync,
+{
+    assert_eq!(
+        observers.len(),
+        names.len(),
+        "one observer per roster policy"
+    );
+    // Each task takes its policy and observer out of its own slot; the
+    // locks are never contended.
+    let tasks = names
+        .iter()
+        .zip(observers.iter_mut())
+        .map(|(name, obs)| {
+            let policy =
+                resolve(name).ok_or_else(|| ExperimentError::UnknownPolicy(name.clone()))?;
+            Ok(Mutex::new(Some((policy, obs))))
+        })
+        .collect::<Result<Vec<_>, ExperimentError>>()?;
+    let mut results = par_map(names.len() + 1, available_parallelism(), |i| match i {
+        0 => opt().map(|summary| (summary.score, Counters::new())),
+        _ => {
+            let (policy, obs) = tasks[i - 1]
+                .lock()
+                .expect("no panics hold the lock")
+                .take()
+                .expect("each entry runs once");
+            entry(policy, obs)
+        }
+    })
+    .into_iter();
+    let (opt_score, _) = results.next().expect("the OPT entry ran")?;
+    let rows = names
+        .iter()
+        .zip(results)
+        .map(|(name, result)| {
+            let (score, counters) = result?;
+            Ok(PolicyRow {
                 policy: name.clone(),
                 score,
                 ratio: CompetitiveRatio::new(opt_score, score).ratio(),
                 mean_latency: counters.mean_latency(),
                 goodput: counters.goodput(),
-            });
-        }
-        Ok(ExperimentReport { opt_score, rows })
-    }
+            })
+        })
+        .collect::<Result<_, ExperimentError>>()?;
+    Ok(ExperimentReport { opt_score, rows })
 }
 
 /// Outcome of replaying a theorem's adversarial construction.
@@ -399,7 +458,9 @@ pub fn measure_value_construction(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smbm_obs::HistogramRecorder;
     use smbm_switch::{PortId, Work};
+    use smbm_traffic::{MmppScenario, PortMix, ValueMix};
 
     #[test]
     fn work_experiment_ranks_policies() {
@@ -437,6 +498,81 @@ mod tests {
         let err = exp.run(&trace).unwrap_err();
         assert_eq!(err, ExperimentError::UnknownPolicy("BOGUS".into()));
         assert!(!err.to_string().is_empty());
+    }
+
+    #[test]
+    fn unknown_policy_is_reported_before_any_entry_runs() {
+        let config = WorkSwitchConfig::contiguous(4, 16).unwrap();
+        let trace = mmpp().work_trace(&config, &PortMix::Uniform).unwrap();
+        let mut exp = WorkExperiment::full_roster(config, 1);
+        exp.policies = ["LWD", "BOGUS", "LQD", "ALSO-BOGUS"]
+            .map(String::from)
+            .to_vec();
+        let mut hists = vec![HistogramRecorder::new(); exp.policies.len()];
+        let err = exp.run_observed(&trace, &mut hists).unwrap_err();
+        assert_eq!(err, ExperimentError::UnknownPolicy("BOGUS".into()));
+        assert!(hists.iter().all(|h| *h == HistogramRecorder::new()));
+    }
+
+    fn mmpp() -> MmppScenario {
+        MmppScenario {
+            sources: 16,
+            slots: 2_000,
+            seed: 5,
+            ..Default::default()
+        }
+    }
+
+    /// Runs a roster at top level (on the pool) and nested in a width-1
+    /// sweep (inline on the calling thread) and checks that the reports
+    /// and every per-entry histogram are identical.
+    fn assert_pool_matches_inline<F>(entries: usize, run: F)
+    where
+        F: Fn(&mut [HistogramRecorder]) -> ExperimentReport + Sync,
+    {
+        let mut top = vec![HistogramRecorder::new(); entries];
+        let report = run(&mut top);
+        let nested = Mutex::new(vec![HistogramRecorder::new(); entries]);
+        let points =
+            crate::sweep_with_jobs(&[0.0], |_| Ok(run(&mut nested.lock().unwrap())), Some(1))
+                .unwrap();
+        assert_eq!(points[0].report, report);
+        assert_eq!(nested.into_inner().unwrap(), top);
+        assert!(top.iter().all(|h| h.arrivals() > 0));
+    }
+
+    #[test]
+    fn work_roster_on_the_pool_matches_inline_run() {
+        let config = WorkSwitchConfig::contiguous(4, 16).unwrap();
+        let trace = mmpp().work_trace(&config, &PortMix::Uniform).unwrap();
+        let exp = WorkExperiment::full_roster(config, 1);
+        assert_pool_matches_inline(exp.policies.len(), |obs| {
+            exp.run_observed(&trace, obs).unwrap()
+        });
+    }
+
+    #[test]
+    fn value_roster_on_the_pool_matches_inline_run() {
+        let config = ValueSwitchConfig::new(16, 4).unwrap();
+        let trace = mmpp()
+            .value_trace(4, &PortMix::Uniform, &ValueMix::Uniform { max: 16 })
+            .unwrap();
+        let exp = ValueExperiment::full_roster(config, 1);
+        assert_pool_matches_inline(exp.policies.len(), |obs| {
+            exp.run_observed(&trace, obs).unwrap()
+        });
+    }
+
+    #[test]
+    fn combined_roster_on_the_pool_matches_inline_run() {
+        let config = WorkSwitchConfig::contiguous(4, 16).unwrap();
+        let trace = mmpp()
+            .combined_trace(&config, &PortMix::Uniform, &ValueMix::Uniform { max: 16 })
+            .unwrap();
+        let exp = CombinedExperiment::full_roster(config, 1);
+        assert_pool_matches_inline(exp.policies.len(), |obs| {
+            exp.run_observed(&trace, obs).unwrap()
+        });
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!   with the paper's periodic flushouts ([`FlushPolicy`]) and optional
 //!   final drain;
 //! * [`WorkExperiment`] / [`ValueExperiment`] — a policy roster compared
-//!   against the paper's single-PQ OPT surrogate on one trace;
+//!   against the paper's single-PQ OPT surrogate on one trace, the entries
+//!   run in parallel on the pool that sweeps use;
 //! * [`measure_work_construction`] / [`measure_value_construction`] —
 //!   replay a theorem's adversarial trace: target policy vs. the proof's
 //!   scripted OPT;

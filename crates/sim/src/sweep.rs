@@ -1,9 +1,81 @@
-//! Parameter sweeps over experiments, parallelised across points with
-//! scoped threads.
+//! Parameter sweeps over experiments, and the one scoped thread pool that
+//! both sweeps and experiment rosters run on.
 
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::experiment::{ExperimentError, ExperimentReport};
+
+thread_local! {
+    /// Set while this thread runs [`par_map`] tasks, so nested calls run
+    /// inline instead of spawning a second pool.
+    static IN_POOL: Cell<bool> = const { Cell::new(false) };
+}
+
+/// The machine's available parallelism, or 1 when it cannot be read.
+pub(crate) fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Marks the current thread as a pool worker until dropped, restoring the
+/// previous mark (also on unwind).
+struct PoolWorker(bool);
+
+impl PoolWorker {
+    fn enter() -> Self {
+        PoolWorker(IN_POOL.with(|c| c.replace(true)))
+    }
+}
+
+impl Drop for PoolWorker {
+    fn drop(&mut self) {
+        IN_POOL.with(|c| c.set(self.0));
+    }
+}
+
+/// Runs `f(0)`, ..., `f(n - 1)` on up to `jobs` scoped worker threads
+/// (clamped to `1..=n`) that claim indices from a shared counter, and
+/// returns the results in index order.
+///
+/// A width-1 pool runs on the calling thread. A call made while the
+/// calling thread is already running `par_map` tasks (at any width) runs
+/// inline on that thread, so nested pools never oversubscribe and a width
+/// given at the outermost call bounds the total number of threads.
+pub(crate) fn par_map<T, F>(n: usize, jobs: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let threads = jobs.clamp(1, n.max(1));
+    if threads == 1 || IN_POOL.with(Cell::get) {
+        let _worker = PoolWorker::enter();
+        return (0..n).map(f).collect();
+    }
+    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| {
+                let _worker = PoolWorker::enter();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let r = f(i);
+                    results.lock().expect("no panics hold the lock")[i] = Some(r);
+                }
+            });
+        }
+    });
+    results
+        .into_inner()
+        .expect("threads joined")
+        .into_iter()
+        .map(|r| r.expect("every index was visited"))
+        .collect()
+}
 
 /// One point of a sweep: the swept parameter's value and the experiment
 /// report measured there.
@@ -43,9 +115,15 @@ where
 
 /// Like [`sweep`], with an explicit worker-thread cap. `jobs = None` uses
 /// the machine's available parallelism; `Some(n)` caps the pool at `n`
-/// threads (`Some(1)` runs the sweep sequentially on one worker, useful for
-/// reproducible timing or constrained CI runners). The cap is clamped to at
-/// least one thread and at most one per sweep point.
+/// threads (`Some(1)` runs the sweep sequentially on the calling thread,
+/// useful for reproducible timing or constrained CI runners). The cap is
+/// clamped to at least one thread and at most one per sweep point.
+///
+/// Points run on the same scoped pool that experiment rosters use (see
+/// [`WorkExperiment::run`](crate::WorkExperiment::run)). An experiment run
+/// inside `measure` sees it is already on a pool worker and runs its roster
+/// inline, so `jobs` caps the total number of worker threads, nested rosters
+/// included. A sweep started from inside a pool worker runs inline too.
 ///
 /// # Errors
 ///
@@ -58,42 +136,19 @@ pub fn sweep_with_jobs<F>(
 where
     F: Fn(f64) -> Result<ExperimentReport, ExperimentError> + Sync,
 {
-    let threads = jobs
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .max(1)
-        .min(xs.len().max(1));
-    let results: Mutex<Vec<Option<Result<ExperimentReport, ExperimentError>>>> =
-        Mutex::new((0..xs.len()).map(|_| None).collect());
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= xs.len() {
-                    break;
-                }
-                let r = measure(xs[i]);
-                results.lock().expect("no panics hold the lock")[i] = Some(r);
-            });
-        }
-    });
-    let results = results.into_inner().expect("threads joined");
-    let mut points = Vec::with_capacity(xs.len());
-    for (i, r) in results.into_iter().enumerate() {
-        let report = r.expect("every index was visited")?;
-        points.push(SweepPoint { x: xs[i], report });
-    }
-    Ok(points)
+    let jobs = jobs.unwrap_or_else(available_parallelism);
+    par_map(xs.len(), jobs, |i| measure(xs[i]))
+        .into_iter()
+        .zip(xs)
+        .map(|(r, &x)| r.map(|report| SweepPoint { x, report }))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiment::PolicyRow;
+    use std::thread;
 
     fn fake_report(x: f64) -> ExperimentReport {
         ExperimentReport {
@@ -106,6 +161,44 @@ mod tests {
                 goodput: 1.0,
             }],
         }
+    }
+
+    #[test]
+    fn par_map_returns_results_in_index_order() {
+        for jobs in [1, 2, 64] {
+            for n in [0, 1, 7, 100] {
+                let got = par_map(n, jobs, |i| i * i);
+                let want: Vec<usize> = (0..n).map(|i| i * i).collect();
+                assert_eq!(got, want, "n={n} jobs={jobs}");
+            }
+        }
+        // jobs = 0 is clamped to one worker rather than deadlocking.
+        assert_eq!(par_map(3, 0, |i| i), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn width_one_runs_on_the_calling_thread() {
+        let me = thread::current().id();
+        assert!(par_map(5, 1, |_| thread::current().id())
+            .iter()
+            .all(|&id| id == me));
+    }
+
+    #[test]
+    fn nested_calls_run_inline_on_the_worker() {
+        for jobs in [1, 2, 4] {
+            let outer = par_map(8, jobs, |_| {
+                let worker = thread::current().id();
+                let inner = par_map(6, 64, |_| thread::current().id());
+                (worker, inner)
+            });
+            for (worker, inner) in outer {
+                assert_eq!(inner.len(), 6);
+                assert!(inner.iter().all(|&id| id == worker), "jobs={jobs}");
+            }
+        }
+        // The mark is cleared once the outer call returns.
+        assert!(!IN_POOL.with(Cell::get));
     }
 
     #[test]
