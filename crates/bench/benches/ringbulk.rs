@@ -53,7 +53,7 @@ macro_rules! single_thread_shapes {
             let items: Vec<u64> = (0..DEPTH as u64).collect();
             let mut out: Vec<u64> = Vec::with_capacity(DEPTH);
             b.iter(|| {
-                tx.try_push_bulk(black_box(items.clone()))
+                tx.try_push_bulk(black_box(&mut items.clone()))
                     .expect("ring has room");
                 out.clear();
                 let claimed = rx.pop_bulk(&mut out, DEPTH);
@@ -67,7 +67,7 @@ macro_rules! single_thread_shapes {
             let mut out: Vec<u64> = Vec::with_capacity(DEPTH);
             b.iter(|| {
                 for _ in 0..DEPTH / BURST {
-                    tx.try_push_bulk(black_box(batch.clone()))
+                    tx.try_push_bulk(black_box(&mut batch.clone()))
                         .expect("ring has room");
                 }
                 out.clear();

@@ -142,38 +142,51 @@ impl<K: Ord + Copy> ScoreIndex<K> {
     /// Equivalent to a scan in which `port` contributes `virtual_key` and
     /// every other port contributes its stored key; ports with no stored key
     /// do not participate. Ties go to the larger port index.
+    ///
+    /// The short-circuit compares plain `(key, port)` pairs read out of the
+    /// root, so the full-buffer check of every arrival stays in registers
+    /// instead of building and re-reading an `Option` tuple.
     pub fn max_with(&self, port: PortId, virtual_key: K) -> PortId {
         let own = port.index() as u32;
-        let root = self.tree[1];
-        let best = if root.is_some_and(|(_, p)| p == own) {
+        let best = match self.tree[1] {
+            // The root is the maximum over every stored key; held by another
+            // port, it is also the maximum over every port but `port`, so
+            // one comparison decides.
+            Some((key, p)) if p != own => {
+                if (virtual_key, own) > (key, p) {
+                    own
+                } else {
+                    p
+                }
+            }
+            // No port holds a key: the arrival is alone.
+            None => own,
             // `port` holds the overall maximum, so the root says nothing
             // about the other ports — and the virtual key may be smaller
             // than the stored one (MRD: a high-value arrival lowers the
             // ratio). Fall back to the sibling walk.
-            self.walk_with(port, virtual_key)
-        } else {
-            // The root is the maximum over every stored key; held by another
-            // port (or absent), it is also the maximum over every port but
-            // `port`, so one comparison decides.
-            let best = Some((virtual_key, own)).max(root);
-            debug_assert_eq!(
-                best.map(|(_, p)| p),
-                self.walk_with(port, virtual_key).map(|(_, p)| p),
-                "root short-circuit disagrees with the sibling walk"
-            );
-            best
+            Some(_) => return PortId::new(self.walk_with(port, virtual_key) as usize),
         };
-        PortId::new(best.expect("virtual entry always present").1 as usize)
+        debug_assert_eq!(
+            best,
+            self.walk_with(port, virtual_key),
+            "root short-circuit disagrees with the sibling walk"
+        );
+        PortId::new(best as usize)
     }
 
-    /// The lexicographic maximum with `port`'s entry replaced by
-    /// `virtual_key`, by walking leaf→root and folding in each sibling
+    /// The port of the lexicographic maximum with `port`'s entry replaced
+    /// by `virtual_key`, by walking leaf→root and folding in each sibling
     /// subtree: together the siblings cover every port except `port`.
-    fn walk_with(&self, port: PortId, virtual_key: K) -> Option<(K, u32)> {
-        let mut best = Some((virtual_key, port.index() as u32));
+    fn walk_with(&self, port: PortId, virtual_key: K) -> u32 {
+        let (mut key, mut best) = (virtual_key, port.index() as u32);
         let mut node = self.leaf_base + port.index();
         while node > 1 {
-            best = best.max(self.tree[node ^ 1]);
+            if let Some((k, p)) = self.tree[node ^ 1] {
+                if (k, p) > (key, best) {
+                    (key, best) = (k, p);
+                }
+            }
             node /= 2;
         }
         best
@@ -264,6 +277,36 @@ mod tests {
         let mut idx = ScoreIndex::new(3);
         idx.set(PortId::new(2), Some(9u64));
         assert_eq!(idx.max_with(PortId::new(2), 0), PortId::new(2));
+    }
+
+    #[test]
+    fn max_with_on_an_all_none_root_returns_own_port() {
+        // Keys set and then cleared leave every node, the root included,
+        // `None`: the short-circuit must answer with the arrival's port.
+        let mut idx = ScoreIndex::new(6);
+        idx.set(PortId::new(1), Some(4u64));
+        idx.set(PortId::new(4), Some(9));
+        idx.set(PortId::new(1), None);
+        idx.set(PortId::new(4), None);
+        assert_eq!(idx.max(), None);
+        for p in 0..6 {
+            assert_eq!(idx.max_with(PortId::new(p), 0), PortId::new(p));
+            assert_eq!(idx.max_with(PortId::new(p), u64::MAX), PortId::new(p));
+        }
+    }
+
+    #[test]
+    fn max_with_tie_with_the_root_goes_to_the_larger_port() {
+        let mut idx = ScoreIndex::new(8);
+        idx.set(PortId::new(2), Some(3u64));
+        idx.set(PortId::new(5), Some(7));
+        assert_eq!(idx.max(), Some(PortId::new(5)));
+        // The arrival's virtual key equals the root's key: the larger of
+        // the two ports wins, whichever side it is on.
+        assert_eq!(idx.max_with(PortId::new(7), 7), PortId::new(7));
+        assert_eq!(idx.max_with(PortId::new(6), 7), PortId::new(6));
+        assert_eq!(idx.max_with(PortId::new(4), 7), PortId::new(5));
+        assert_eq!(idx.max_with(PortId::new(0), 7), PortId::new(5));
     }
 
     #[test]

@@ -49,26 +49,6 @@ pub trait WorkSystem {
     /// Propagates an [`AdmitError`] from an inconsistent policy decision.
     fn offer(&mut self, pkt: WorkPacket) -> Result<ArrivalOutcome, AdmitError>;
 
-    /// Presents a whole arrival burst, appending one outcome per packet to
-    /// `outcomes` in offer order. The default loops over [`WorkSystem::offer`];
-    /// batch-oriented callers (the live runtime's ingress path) get a single
-    /// virtual dispatch per burst instead of one per packet.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first [`AdmitError`]; outcomes already appended stay.
-    fn offer_burst(
-        &mut self,
-        pkts: &[WorkPacket],
-        outcomes: &mut Vec<ArrivalOutcome>,
-    ) -> Result<(), AdmitError> {
-        outcomes.reserve(pkts.len());
-        for &pkt in pkts {
-            outcomes.push(self.offer(pkt)?);
-        }
-        Ok(())
-    }
-
     /// Runs the transmission phase; returns packets transmitted.
     fn transmission_phase(&mut self) -> u64;
 
@@ -128,14 +108,6 @@ impl<S: WorkSystem + ?Sized> WorkSystem for &mut S {
 
     fn offer(&mut self, pkt: WorkPacket) -> Result<ArrivalOutcome, AdmitError> {
         (**self).offer(pkt)
-    }
-
-    fn offer_burst(
-        &mut self,
-        pkts: &[WorkPacket],
-        outcomes: &mut Vec<ArrivalOutcome>,
-    ) -> Result<(), AdmitError> {
-        (**self).offer_burst(pkts, outcomes)
     }
 
     fn transmission_phase(&mut self) -> u64 {
@@ -271,27 +243,6 @@ pub trait ValueSystem {
     /// Propagates an [`AdmitError`] from an inconsistent policy decision.
     fn offer(&mut self, pkt: ValuePacket) -> Result<ArrivalOutcome, AdmitError>;
 
-    /// Presents a whole arrival burst, appending one outcome per packet to
-    /// `outcomes` in offer order. The default loops over
-    /// [`ValueSystem::offer`]; batch-oriented callers (the live runtime's
-    /// ingress path) get a single virtual dispatch per burst instead of one
-    /// per packet.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first [`AdmitError`]; outcomes already appended stay.
-    fn offer_burst(
-        &mut self,
-        pkts: &[ValuePacket],
-        outcomes: &mut Vec<ArrivalOutcome>,
-    ) -> Result<(), AdmitError> {
-        outcomes.reserve(pkts.len());
-        for &pkt in pkts {
-            outcomes.push(self.offer(pkt)?);
-        }
-        Ok(())
-    }
-
     /// Runs the transmission phase; returns the value transmitted.
     fn transmission_phase(&mut self) -> u64;
 
@@ -350,14 +301,6 @@ impl<S: ValueSystem + ?Sized> ValueSystem for &mut S {
 
     fn offer(&mut self, pkt: ValuePacket) -> Result<ArrivalOutcome, AdmitError> {
         (**self).offer(pkt)
-    }
-
-    fn offer_burst(
-        &mut self,
-        pkts: &[ValuePacket],
-        outcomes: &mut Vec<ArrivalOutcome>,
-    ) -> Result<(), AdmitError> {
-        (**self).offer_burst(pkts, outcomes)
     }
 
     fn transmission_phase(&mut self) -> u64 {
@@ -493,27 +436,6 @@ pub trait CombinedSystem {
     /// Propagates an [`AdmitError`] from an inconsistent policy decision.
     fn offer(&mut self, pkt: CombinedPacket) -> Result<ArrivalOutcome, AdmitError>;
 
-    /// Presents a whole arrival burst, appending one outcome per packet to
-    /// `outcomes` in offer order. The default loops over
-    /// [`CombinedSystem::offer`]; batch-oriented callers (the live runtime's
-    /// ingress path) get a single virtual dispatch per burst instead of one
-    /// per packet.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first [`AdmitError`]; outcomes already appended stay.
-    fn offer_burst(
-        &mut self,
-        pkts: &[CombinedPacket],
-        outcomes: &mut Vec<ArrivalOutcome>,
-    ) -> Result<(), AdmitError> {
-        outcomes.reserve(pkts.len());
-        for &pkt in pkts {
-            outcomes.push(self.offer(pkt)?);
-        }
-        Ok(())
-    }
-
     /// Runs the transmission phase; returns the value transmitted.
     fn transmission_phase(&mut self) -> u64;
 
@@ -571,14 +493,6 @@ impl<S: CombinedSystem + ?Sized> CombinedSystem for &mut S {
 
     fn offer(&mut self, pkt: CombinedPacket) -> Result<ArrivalOutcome, AdmitError> {
         (**self).offer(pkt)
-    }
-
-    fn offer_burst(
-        &mut self,
-        pkts: &[CombinedPacket],
-        outcomes: &mut Vec<ArrivalOutcome>,
-    ) -> Result<(), AdmitError> {
-        (**self).offer_burst(pkts, outcomes)
     }
 
     fn transmission_phase(&mut self) -> u64 {
@@ -793,21 +707,19 @@ mod tests {
     }
 
     #[test]
-    fn offer_burst_matches_per_packet_offers() {
+    fn mut_borrow_offers_match_owned_offers() {
         let cfg = WorkSwitchConfig::contiguous(1, 2).unwrap();
-        let mut one = WorkRunner::new(cfg.clone(), Lwd::new(), 1);
-        let mut batch = WorkRunner::new(cfg, Lwd::new(), 1);
-        let burst: Vec<WorkPacket> = (0..4)
-            .map(|_| WorkPacket::new(PortId::new(0), Work::new(1)))
-            .collect();
-        let singles: Vec<ArrivalOutcome> = burst
-            .iter()
-            .map(|&p| WorkSystem::offer(&mut one, p).unwrap())
-            .collect();
-        let mut outcomes = Vec::new();
-        WorkSystem::offer_burst(&mut batch, &burst, &mut outcomes).unwrap();
-        assert_eq!(outcomes, singles);
-        assert_eq!(one.switch().occupancy(), batch.switch().occupancy());
+        let mut owned = WorkRunner::new(cfg.clone(), Lwd::new(), 1);
+        let mut target = WorkRunner::new(cfg, Lwd::new(), 1);
+        let mut borrowed = &mut target;
+        for _ in 0..4 {
+            let p = WorkPacket::new(PortId::new(0), Work::new(1));
+            assert_eq!(
+                WorkSystem::offer(&mut borrowed, p),
+                WorkSystem::offer(&mut owned, p)
+            );
+        }
+        assert_eq!(owned.switch().occupancy(), target.switch().occupancy());
     }
 
     #[test]

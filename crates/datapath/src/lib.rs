@@ -22,7 +22,7 @@
 //! The pieces:
 //!
 //! * [`DatapathSystem`] — the model-erased bundle of switch operations the
-//!   machine drives (burst admission, transmission, flush, occupancy,
+//!   machine drives (per-packet admission, transmission, flush, occupancy,
 //!   score, telemetry gauges), with adapters [`WorkAdapter`] /
 //!   [`ValueAdapter`] / [`CombinedAdapter`] over anything implementing the
 //!   `smbm-core` system traits — owned runners and `&mut` borrows alike;

@@ -25,7 +25,8 @@ pub const MAX_DRAIN_SLOTS: u64 = 100_000_000;
 /// (one slot still means one transmission phase, so an unbounded burst
 /// would distort the slot-pressure model the paper's policies assume),
 /// while staying large enough that a saturated ring amortizes the per-slot
-/// lock round-trip across many batches.
+/// claim (one index advance on the lock-free ring) and the slot's
+/// transmission phase across many batches.
 pub const MAX_BURST_BATCHES: usize = 32;
 
 /// Shared slot accounting, written by the machine as slots complete. The
@@ -187,6 +188,11 @@ impl<S: DatapathSystem> SlotMachine<S> {
     /// arrival events, admission outcomes), the transmission phase, and
     /// end-of-slot accounting.
     ///
+    /// `burst` is any sequence of packet references, so drivers step their
+    /// storage in place: the offline engine passes a trace slot's slice, and
+    /// the freerun shard chains the packets of every ring batch it claimed
+    /// without first copying them into one buffer.
+    ///
     /// # Errors
     ///
     /// Propagates an [`AdmitError`] raised by an inconsistent policy
@@ -194,9 +200,9 @@ impl<S: DatapathSystem> SlotMachine<S> {
     /// outcome events were emitted for every packet that received one, but
     /// the slot is left incomplete: no transmission phase ran and the slot
     /// counter did not advance.
-    pub fn step<O: Observer, H: SlotHook<S>>(
+    pub fn step<'a, O: Observer, H: SlotHook<S>>(
         &mut self,
-        burst: &[S::Packet],
+        burst: impl IntoIterator<Item = &'a S::Packet>,
         obs: &mut O,
         hook: &mut H,
     ) -> Result<(), AdmitError> {

@@ -14,9 +14,9 @@ use smbm_switch::{
     WorkPacket,
 };
 
-/// What the slot machine needs from the system it drives: burst admission,
-/// transmission, slot bookkeeping, flush, and the scalar gauges the
-/// drivers report.
+/// What the slot machine needs from the system it drives: per-packet
+/// admission, transmission, slot bookkeeping, flush, and the scalar gauges
+/// the drivers report.
 ///
 /// `meta` is an associated function (not a method) so callers — the
 /// runtime's producers attributing value to backpressure-rejected packets,
@@ -44,19 +44,6 @@ pub trait DatapathSystem {
     ///
     /// Surfaces an [`AdmitError`] (an inconsistent policy decision).
     fn offer(&mut self, pkt: Self::Packet) -> Result<ArrivalOutcome, AdmitError>;
-
-    /// Offers a whole burst to admission control, appending one outcome per
-    /// packet in offer order.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first [`AdmitError`] (an inconsistent policy decision);
-    /// outcomes already appended stay.
-    fn offer_burst(
-        &mut self,
-        pkts: &[Self::Packet],
-        outcomes: &mut Vec<ArrivalOutcome>,
-    ) -> Result<(), AdmitError>;
 
     /// Runs one transmission phase, appending per-packet completion records
     /// for systems that track them; returns the phase's contribution to the
@@ -123,14 +110,6 @@ impl<S: WorkSystem> DatapathSystem for WorkAdapter<S> {
 
     fn offer(&mut self, pkt: WorkPacket) -> Result<ArrivalOutcome, AdmitError> {
         self.0.offer(pkt)
-    }
-
-    fn offer_burst(
-        &mut self,
-        pkts: &[WorkPacket],
-        outcomes: &mut Vec<ArrivalOutcome>,
-    ) -> Result<(), AdmitError> {
-        self.0.offer_burst(pkts, outcomes)
     }
 
     fn transmission_phase_into(&mut self, out: &mut Vec<Transmitted>) -> u64 {
@@ -202,14 +181,6 @@ impl<S: ValueSystem> DatapathSystem for ValueAdapter<S> {
         self.0.offer(pkt)
     }
 
-    fn offer_burst(
-        &mut self,
-        pkts: &[ValuePacket],
-        outcomes: &mut Vec<ArrivalOutcome>,
-    ) -> Result<(), AdmitError> {
-        self.0.offer_burst(pkts, outcomes)
-    }
-
     fn transmission_phase_into(&mut self, out: &mut Vec<Transmitted>) -> u64 {
         self.0.transmission_phase_into(out)
     }
@@ -279,14 +250,6 @@ impl<S: CombinedSystem> DatapathSystem for CombinedAdapter<S> {
         self.0.offer(pkt)
     }
 
-    fn offer_burst(
-        &mut self,
-        pkts: &[CombinedPacket],
-        outcomes: &mut Vec<ArrivalOutcome>,
-    ) -> Result<(), AdmitError> {
-        self.0.offer_burst(pkts, outcomes)
-    }
-
     fn transmission_phase_into(&mut self, out: &mut Vec<Transmitted>) -> u64 {
         self.0.transmission_phase_into(out)
     }
@@ -340,9 +303,9 @@ mod tests {
             WorkAdapter::<WorkRunner<Lwd>>::meta(pkt),
             (PortId::new(0), 1, 1)
         );
-        let mut outcomes = Vec::new();
-        sys.offer_burst(&[pkt, pkt], &mut outcomes).unwrap();
-        assert_eq!(outcomes.len(), 2);
+        for _ in 0..2 {
+            assert_eq!(sys.offer(pkt), Ok(ArrivalOutcome::Admitted));
+        }
         assert_eq!(sys.occupancy(), 2);
         assert_eq!(sys.buffer_limit(), 4);
         assert_eq!(sys.ports(), 2);
@@ -362,12 +325,8 @@ mod tests {
         let mut runner = ValueRunner::new(cfg, GreedyValue::new(), 1);
         {
             let mut sys = ValueAdapter::new(&mut runner);
-            let mut outcomes = Vec::new();
-            sys.offer_burst(
-                &[ValuePacket::new(PortId::new(0), Value::new(7))],
-                &mut outcomes,
-            )
-            .unwrap();
+            sys.offer(ValuePacket::new(PortId::new(0), Value::new(7)))
+                .unwrap();
             let mut out = Vec::new();
             assert_eq!(sys.transmission_phase_into(&mut out), 7);
             sys.end_slot();

@@ -205,13 +205,18 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn header(kind: u8, count: u16, client: u16) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN);
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.push(VERSION);
-    out.push(kind);
-    out.extend_from_slice(&count.to_le_bytes());
-    out.extend_from_slice(&client.to_le_bytes());
+fn header(kind: u8, count: u16, client: u16) -> [u8; HEADER_LEN] {
+    let [m0, m1] = MAGIC.to_le_bytes();
+    let [n0, n1] = count.to_le_bytes();
+    let [c0, c1] = client.to_le_bytes();
+    [m0, m1, VERSION, kind, n0, n1, c0, c1]
+}
+
+/// A SYNC or SYNC-ACK datagram: the header plus the sequence number.
+fn sync_datagram(kind: u8, client: u16, seq: u64) -> [u8; HEADER_LEN + 8] {
+    let mut out = [0u8; HEADER_LEN + 8];
+    out[..HEADER_LEN].copy_from_slice(&header(kind, 0, client));
+    out[HEADER_LEN..].copy_from_slice(&seq.to_le_bytes());
     out
 }
 
@@ -224,8 +229,8 @@ fn header(kind: u8, count: u16, client: u16) -> Vec<u8> {
 /// datagram can carry anyway).
 pub fn encode_data<P: WirePacket>(client: u16, packets: &[P]) -> Vec<u8> {
     let count = u16::try_from(packets.len()).expect("at most 65535 frames per datagram");
-    let mut out = header(P::KIND, count, client);
-    out.reserve(packets.len() * P::FRAME_LEN);
+    let mut out = Vec::with_capacity(HEADER_LEN + packets.len() * P::FRAME_LEN);
+    out.extend_from_slice(&header(P::KIND, count, client));
     for p in packets {
         p.encode_frame(&mut out);
     }
@@ -234,26 +239,24 @@ pub fn encode_data<P: WirePacket>(client: u16, packets: &[P]) -> Vec<u8> {
 
 /// Encodes a FIN from `client`.
 pub fn encode_fin(client: u16) -> Vec<u8> {
-    header(KIND_FIN, 0, client)
+    header(KIND_FIN, 0, client).to_vec()
 }
 
-/// Encodes a FIN-ACK addressed to `client`.
-pub fn encode_fin_ack(client: u16) -> Vec<u8> {
+/// Encodes a FIN-ACK addressed to `client`. Fixed size, so the server
+/// acknowledges without allocating.
+pub fn encode_fin_ack(client: u16) -> [u8; HEADER_LEN] {
     header(KIND_FIN_ACK, 0, client)
 }
 
 /// Encodes a SYNC barrier `seq` from `client`.
 pub fn encode_sync(client: u16, seq: u64) -> Vec<u8> {
-    let mut out = header(KIND_SYNC, 0, client);
-    out.extend_from_slice(&seq.to_le_bytes());
-    out
+    sync_datagram(KIND_SYNC, client, seq).to_vec()
 }
 
-/// Encodes a SYNC-ACK for barrier `seq`, addressed to `client`.
-pub fn encode_sync_ack(client: u16, seq: u64) -> Vec<u8> {
-    let mut out = header(KIND_SYNC_ACK, 0, client);
-    out.extend_from_slice(&seq.to_le_bytes());
-    out
+/// Encodes a SYNC-ACK for barrier `seq`, addressed to `client`. Fixed
+/// size, so the server acknowledges barriers without allocating.
+pub fn encode_sync_ack(client: u16, seq: u64) -> [u8; HEADER_LEN + 8] {
+    sync_datagram(KIND_SYNC_ACK, client, seq)
 }
 
 /// Decodes one datagram, validating every data frame with `check` (ports in
@@ -269,6 +272,59 @@ pub fn decode<P: WirePacket>(
     buf: &[u8],
     check: impl Fn(&P) -> bool,
 ) -> Result<Datagram<P>, WireError> {
+    match parse(buf)? {
+        Parsed::Control(d) => Ok(d),
+        Parsed::Data {
+            client,
+            count,
+            payload,
+        } => {
+            let mut packets = Vec::with_capacity(count.min(payload.len() / P::FRAME_LEN.max(1)));
+            let mut d = decode_frames(client, count, payload, check, |p| packets.push(p));
+            if let Datagram::Data { packets: out, .. } = &mut d {
+                *out = packets;
+            }
+            Ok(d)
+        }
+    }
+}
+
+/// [`decode`] without collecting: every data frame that passes `check` is
+/// handed to `sink` in wire order, and the returned [`Datagram::Data`]
+/// carries the tallies with an empty `packets`. The server's receive loop
+/// routes frames straight to their shard batches this way, allocating
+/// nothing per datagram.
+///
+/// # Errors
+///
+/// As [`decode`].
+pub fn decode_with<P: WirePacket>(
+    buf: &[u8],
+    check: impl Fn(&P) -> bool,
+    sink: impl FnMut(P),
+) -> Result<Datagram<P>, WireError> {
+    match parse(buf)? {
+        Parsed::Control(d) => Ok(d),
+        Parsed::Data {
+            client,
+            count,
+            payload,
+        } => Ok(decode_frames(client, count, payload, check, sink)),
+    }
+}
+
+/// A datagram with a well-formed header: a complete control datagram, or a
+/// data datagram whose frames are still to be decoded.
+enum Parsed<'a, P> {
+    Control(Datagram<P>),
+    Data {
+        client: u16,
+        count: usize,
+        payload: &'a [u8],
+    },
+}
+
+fn parse<P: WirePacket>(buf: &[u8]) -> Result<Parsed<'_, P>, WireError> {
     if buf.len() < HEADER_LEN {
         return Err(WireError::TooShort { len: buf.len() });
     }
@@ -284,39 +340,23 @@ pub fn decode<P: WirePacket>(
     let client = u16_at(buf, 6);
     let payload = &buf[HEADER_LEN..];
     match kind {
-        k if k == P::KIND => {
-            let mut packets = Vec::with_capacity(count.min(payload.len() / P::FRAME_LEN.max(1)));
-            let mut bad_frames = 0u64;
-            let mut decoded = 0usize;
-            for frame in payload.chunks_exact(P::FRAME_LEN).take(count) {
-                decoded += 1;
-                let p = P::decode_frame(frame);
-                if check(&p) {
-                    packets.push(p);
-                } else {
-                    bad_frames += 1;
-                }
-            }
-            Ok(Datagram::Data {
-                client,
-                packets,
-                bad_frames,
-                missing: (count - decoded) as u64,
-                truncated: payload.len() < count * P::FRAME_LEN,
-            })
-        }
-        KIND_FIN => Ok(Datagram::Fin { client }),
-        KIND_FIN_ACK => Ok(Datagram::FinAck { client }),
+        k if k == P::KIND => Ok(Parsed::Data {
+            client,
+            count,
+            payload,
+        }),
+        KIND_FIN => Ok(Parsed::Control(Datagram::Fin { client })),
+        KIND_FIN_ACK => Ok(Parsed::Control(Datagram::FinAck { client })),
         KIND_SYNC | KIND_SYNC_ACK => {
             if payload.len() < 8 {
                 return Err(WireError::TooShort { len: buf.len() });
             }
             let seq = u64_at(payload, 0);
-            if kind == KIND_SYNC {
-                Ok(Datagram::Sync { client, seq })
+            Ok(Parsed::Control(if kind == KIND_SYNC {
+                Datagram::Sync { client, seq }
             } else {
-                Ok(Datagram::SyncAck { client, seq })
-            }
+                Datagram::SyncAck { client, seq }
+            }))
         }
         // The other model's data kind is a distinct error so a misdirected
         // client shows up in logs as "wrong model", not generic garbage.
@@ -325,6 +365,35 @@ pub fn decode<P: WirePacket>(
             got: kind,
         }),
         other => Err(WireError::BadKind(other)),
+    }
+}
+
+/// Decodes the declared frames of a data datagram into `sink`, tallying the
+/// ones that fail `check` or are missing from a truncated payload.
+fn decode_frames<P: WirePacket>(
+    client: u16,
+    count: usize,
+    payload: &[u8],
+    check: impl Fn(&P) -> bool,
+    mut sink: impl FnMut(P),
+) -> Datagram<P> {
+    let mut bad_frames = 0u64;
+    let mut decoded = 0usize;
+    for frame in payload.chunks_exact(P::FRAME_LEN).take(count) {
+        decoded += 1;
+        let p = P::decode_frame(frame);
+        if check(&p) {
+            sink(p);
+        } else {
+            bad_frames += 1;
+        }
+    }
+    Datagram::Data {
+        client,
+        packets: Vec::new(),
+        bad_frames,
+        missing: (count - decoded) as u64,
+        truncated: payload.len() < count * P::FRAME_LEN,
     }
 }
 

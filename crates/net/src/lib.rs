@@ -40,6 +40,8 @@ mod serve;
 mod server;
 
 pub use client::{run_netgen, ClientReport, NetGenConfig, NetGenError, NetGenReport};
-pub use codec::{decode, encode_data, encode_fin, encode_sync, Datagram, WireError, WirePacket};
+pub use codec::{
+    decode, decode_with, encode_data, encode_fin, encode_sync, Datagram, WireError, WirePacket,
+};
 pub use serve::{run_bound_server, run_server, ServeConfig, ServeError, ServeReport};
 pub use server::{Fanout, NetConfig, NetIngress, RECV_BURST};

@@ -25,17 +25,22 @@
 //!
 //! ## The batched hot path
 //!
-//! The receive loop is allocation- and syscall-frugal:
+//! The receive loop is syscall-frugal and, once warm, allocation-free:
 //!
+//! * frames are decoded straight into their shard's pending batch
+//!   ([`decode_with`](crate::codec::decode_with)), with no per-datagram
+//!   packet vector, and barriers are acknowledged from fixed-size arrays;
 //! * full per-shard batches are staged into *ready* queues and published
 //!   with one bulk ring operation per shard per receive burst
 //!   ([`IngressHandle::send_bulk`] / [`IngressHandle::try_send_bulk`]) —
 //!   the lock-free ring publishes every batch the burst produced with a
-//!   single release store and at most one consumer wake;
+//!   single release store and at most one consumer wake, and the ready
+//!   queues are reused across publishes;
 //! * batch buffers come from a small recycling pool, so a staged batch
-//!   swaps in a pre-sized buffer instead of reallocating from zero
-//!   capacity on every flush (lossy rejects hand their emptied buffers
-//!   back to the pool);
+//!   swaps in a pre-sized buffer instead of allocating one: lossy rejects
+//!   and the emptied buffers each shard hands back over its return ring
+//!   ([`IngressHandle::spare_buffer`]) refill the pool after every
+//!   publish;
 //! * with the `mmsg` cargo feature on Linux, each wakeup drains up to
 //!   [`RECV_BURST`] queued datagrams with a single `recvmmsg(2)` call
 //!   (elsewhere the feature quietly falls back to the portable
@@ -49,7 +54,7 @@ use std::time::{Duration, Instant};
 use smbm_obs::NetCounts;
 use smbm_runtime::{IngressHandle, RuntimeBuilder, Service, ShardId};
 
-use crate::codec::{decode, encode_fin_ack, encode_sync_ack, Datagram, WirePacket};
+use crate::codec::{decode_with, encode_fin_ack, encode_sync_ack, Datagram, WirePacket};
 
 /// Datagrams drained per `recvmmsg` wakeup when the `mmsg` feature is
 /// active. Sized to the client's default SYNC window: one syscall claims a
@@ -277,14 +282,6 @@ impl<P: Copy> Publisher<P> {
             .unwrap_or_else(|| Vec::with_capacity(self.cap))
     }
 
-    /// Returns an emptied buffer to the pool (bounded by [`POOL_DEPTH`]).
-    fn recycle(&mut self, mut buf: Vec<P>) {
-        if self.pool.len() < POOL_DEPTH {
-            buf.clear();
-            self.pool.push(buf);
-        }
-    }
-
     /// Stages every shard's pending batch — the barrier and exit flushes.
     fn stage_all(&mut self, pending: &mut [Vec<P>]) {
         for (shard, batch) in pending.iter_mut().enumerate() {
@@ -308,27 +305,43 @@ impl<P: Copy> Publisher<P> {
         self.ready[shard].push(staged);
     }
 
-    /// Publishes every staged batch, one bulk ring operation per shard.
-    /// Lossy rejects come back as emptied buffers and rejoin the pool.
+    /// Publishes every staged batch, one bulk ring operation per shard,
+    /// then refills the pool: first with lossy rejects, then with the
+    /// emptied buffers each shard has handed back. The ready queues keep
+    /// their capacity, so a publish allocates nothing.
     fn publish(&mut self, handles: &mut [IngressHandle<P>], lossy: bool) {
-        for (shard, handle) in handles.iter_mut().enumerate() {
-            if self.ready[shard].is_empty() {
-                continue;
-            }
-            let batches = std::mem::take(&mut self.ready[shard]);
+        let Publisher { ready, pool, .. } = self;
+        for (ready, handle) in ready.iter_mut().zip(handles.iter_mut()) {
             if lossy {
-                for buf in handle.try_send_bulk(batches) {
-                    self.recycle(buf);
-                }
+                // Rejected batches come back emptied in `ready`.
+                handle.try_send_bulk(ready);
             } else {
                 // `false` means the ring closed (shutdown or supervisor
                 // give-up); the handle counted the remainder as lost. Keep
                 // serving: later sends are counted the same way and
                 // clients still get their acks.
-                let _ = handle.send_bulk(batches);
+                let _ = handle.send_bulk(ready);
+            }
+            let spares = std::iter::from_fn(|| handle.spare_buffer());
+            for buf in ready.drain(..).chain(spares) {
+                if !recycle(pool, buf) {
+                    break;
+                }
             }
         }
     }
+}
+
+/// Keeps an emptied buffer in `pool` for reuse; drops it, returning
+/// `false`, once the pool holds [`POOL_DEPTH`] (a bound, not a
+/// reservation).
+fn recycle<P>(pool: &mut Vec<Vec<P>>, mut buf: Vec<P>) -> bool {
+    if pool.len() >= POOL_DEPTH {
+        return false;
+    }
+    buf.clear();
+    pool.push(buf);
+    true
 }
 
 /// The receive side of the loop: with the `mmsg` feature on Linux, one
@@ -463,25 +476,28 @@ fn serve_socket<P: WirePacket>(
         for d in 0..burst {
             let (payload, from) = source.datagram(d);
             acc.datagrams += 1;
-            match decode::<P>(payload, &check) {
+            // Frames go straight from the wire into their shard's pending
+            // batch; a batch that fills is staged on the spot.
+            let mut frames = 0u64;
+            let decoded = decode_with::<P>(payload, &check, |p| {
+                frames += 1;
+                let shard = config.fanout.route(p.port_index(), shards);
+                pending[shard].push(p);
+                if pending[shard].len() >= config.batch {
+                    publisher.stage(shard, &mut pending[shard]);
+                }
+            });
+            match decoded {
                 Ok(Datagram::Data {
-                    packets,
                     bad_frames,
                     missing,
                     truncated,
                     ..
                 }) => {
-                    acc.frames += packets.len() as u64;
+                    acc.frames += frames;
                     acc.decode_errors += bad_frames + missing;
                     acc.truncations += u64::from(truncated);
                     drops += bad_frames + missing;
-                    for p in packets {
-                        let shard = config.fanout.route(p.port_index(), shards);
-                        pending[shard].push(p);
-                        if pending[shard].len() >= config.batch {
-                            publisher.stage(shard, &mut pending[shard]);
-                        }
-                    }
                 }
                 Ok(Datagram::Sync { client, seq }) => {
                     // Barrier: everything received before this SYNC must
@@ -638,7 +654,7 @@ mod tests {
         assert!(publisher.ready[1].is_empty());
         // Rejected buffers come home and are reused before any allocation.
         let reject: Vec<u32> = Vec::with_capacity(cap * 2);
-        publisher.recycle(reject);
+        assert!(recycle(&mut publisher.pool, reject));
         let reused = publisher.take_buf();
         assert!(reused.capacity() >= cap * 2, "pool must hand back reuses");
         // Staging nothing is a no-op — no empty batches reach the rings.
@@ -648,10 +664,11 @@ mod tests {
 
     #[test]
     fn pool_depth_is_bounded() {
-        let mut publisher: Publisher<u32> = Publisher::new(1, 4);
-        for _ in 0..(POOL_DEPTH + 10) {
-            publisher.recycle(Vec::with_capacity(4));
+        let mut pool: Vec<Vec<u32>> = Vec::new();
+        for i in 0..(POOL_DEPTH + 10) {
+            assert_eq!(recycle(&mut pool, vec![1, 2]), i < POOL_DEPTH);
         }
-        assert_eq!(publisher.pool.len(), POOL_DEPTH);
+        assert_eq!(pool.len(), POOL_DEPTH);
+        assert!(pool.iter().all(Vec::is_empty), "pooled buffers are emptied");
     }
 }

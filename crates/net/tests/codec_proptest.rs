@@ -5,11 +5,13 @@
 //!   loss tallies (the future `NetDecode` drops) account for every
 //!   declared frame exactly;
 //! * flipping arbitrary bytes or feeding pure garbage never panics —
-//!   every datagram either decodes or is rejected whole.
+//!   every datagram either decodes or is rejected whole;
+//! * the streaming `decode_with` hands its sink exactly the frames, in
+//!   order, and the tallies that `decode` collects.
 
 use proptest::prelude::*;
 
-use smbm_net::codec::{decode, encode_data, Datagram, WirePacket, HEADER_LEN};
+use smbm_net::codec::{decode, decode_with, encode_data, Datagram, WirePacket, HEADER_LEN};
 use smbm_switch::{PortId, Value, ValuePacket, Work, WorkPacket};
 
 fn work_batch() -> impl Strategy<Value = Vec<WorkPacket>> {
@@ -122,6 +124,33 @@ proptest! {
         {
             prop_assert!(got.len() as u64 + bad_frames + missing <= u64::from(u16::MAX));
         }
+    }
+
+    #[test]
+    fn decode_with_streams_what_decode_collects(
+        packets in work_batch(),
+        cut_per_mille in 0usize..=1000,
+        flips in proptest::collection::vec((0usize..4096, 0u8..=255), 0..4),
+        limit in 1usize..4096,
+    ) {
+        let mut buf = encode_data(5, &packets);
+        buf.truncate(buf.len() * cut_per_mille / 1000);
+        for (pos, val) in flips {
+            if !buf.is_empty() {
+                let idx = pos % buf.len();
+                buf[idx] = val;
+            }
+        }
+        let check = |p: &WorkPacket| p.port().index() < limit;
+        let mut streamed = Vec::new();
+        let mut got = decode_with::<WorkPacket>(&buf, check, |p| streamed.push(p));
+        if let Ok(Datagram::Data { packets, .. }) = &mut got {
+            prop_assert!(packets.is_empty(), "frames go to the sink, not the datagram");
+            *packets = streamed;
+        } else {
+            prop_assert!(streamed.is_empty());
+        }
+        prop_assert_eq!(got, decode::<WorkPacket>(&buf, check));
     }
 
     #[test]

@@ -138,82 +138,61 @@ pub mod reference {
 
         /// Enqueues every item of `items` in order, blocking whenever the
         /// ring is full; each run that fits is published under one lock
-        /// round-trip.
+        /// round-trip and drained from `items`.
         ///
         /// # Errors
         ///
-        /// Returns [`PushError::Closed`] with the unpushed remainder once
-        /// the consumer is gone; never returns [`PushError::Full`].
-        pub fn push_bulk(&self, items: Vec<T>) -> Result<(), PushError<Vec<T>>> {
-            let mut iter = items.into_iter();
-            // `pending` always holds the next unpushed item, so a full ring
-            // with an exhausted iterator returns instead of blocking.
-            let mut pending = iter.next();
-            if pending.is_none() {
+        /// Returns [`PushError::Closed`] once the consumer is gone, with
+        /// the unpushed remainder left in `items`; never returns
+        /// [`PushError::Full`].
+        pub fn push_bulk(&self, items: &mut Vec<T>) -> Result<(), PushError<()>> {
+            if items.is_empty() {
                 return Ok(());
             }
             let mut st = self.0.lock();
             loop {
                 if st.consumer_closed {
-                    drop(st);
-                    let mut rest: Vec<T> = pending.into_iter().collect();
-                    rest.extend(iter);
-                    return Err(PushError::Closed(rest));
+                    return Err(PushError::Closed(()));
                 }
-                let mut pushed = false;
-                while st.queue.len() < self.0.capacity {
-                    let Some(item) = pending.take() else { break };
-                    st.queue.push_back(item);
-                    pushed = true;
-                    pending = iter.next();
-                }
-                if pending.is_none() {
-                    drop(st);
-                    if pushed {
-                        self.0.not_empty.notify_one();
-                    }
-                    return Ok(());
-                }
-                if pushed {
+                let n = (self.0.capacity - st.queue.len()).min(items.len());
+                st.queue.extend(items.drain(..n));
+                if n > 0 {
                     self.0.not_empty.notify_one();
+                }
+                if items.is_empty() {
+                    return Ok(());
                 }
                 st = self.0.not_full.wait(st).unwrap_or_else(|e| e.into_inner());
             }
         }
 
         /// Enqueues as many leading items of `items` as fit, without
-        /// blocking, in one lock round-trip.
+        /// blocking, in one lock round-trip, draining them from `items`.
         ///
         /// # Errors
         ///
-        /// Returns [`PushError::Full`] with the items that did not fit, or
-        /// [`PushError::Closed`] with every unpushed item once the consumer
-        /// is gone (`Closed` wins when both hold).
-        pub fn try_push_bulk(&self, items: Vec<T>) -> Result<(), PushError<Vec<T>>> {
+        /// Returns [`PushError::Full`] when some items did not fit, or
+        /// [`PushError::Closed`] once the consumer is gone (`Closed` wins
+        /// when both hold); the items that did not enter the ring stay in
+        /// `items`.
+        pub fn try_push_bulk(&self, items: &mut Vec<T>) -> Result<(), PushError<()>> {
             if items.is_empty() {
                 return Ok(());
             }
-            let mut iter = items.into_iter();
             let mut st = self.0.lock();
             if st.consumer_closed {
-                drop(st);
-                return Err(PushError::Closed(iter.collect()));
+                return Err(PushError::Closed(()));
             }
-            let mut pushed = false;
-            while st.queue.len() < self.0.capacity {
-                let Some(item) = iter.next() else { break };
-                st.queue.push_back(item);
-                pushed = true;
-            }
+            let n = (self.0.capacity - st.queue.len()).min(items.len());
+            st.queue.extend(items.drain(..n));
             drop(st);
-            if pushed {
+            if n > 0 {
                 self.0.not_empty.notify_one();
             }
-            let rest: Vec<T> = iter.collect();
-            if rest.is_empty() {
+            if items.is_empty() {
                 Ok(())
             } else {
-                Err(PushError::Full(rest))
+                Err(PushError::Full(()))
             }
         }
 

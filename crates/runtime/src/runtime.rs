@@ -40,7 +40,7 @@ use crate::clock::Clock;
 use crate::faults::{FaultPlan, ShardFaults};
 use crate::ring::{ring, Consumer, Producer, PushError, TryPop};
 use crate::service::Service;
-use crate::shard::{run_shard_core, Batch, ShardConfig, ShardProgress, ShardReport};
+use crate::shard::{run_shard_core, Batch, Ingress, ShardConfig, ShardProgress, ShardReport};
 
 /// Datapath-wide knobs.
 #[derive(Debug, Clone)]
@@ -218,8 +218,15 @@ pub enum SendOutcome {
 /// A producer job's handle to its ingress ring: lossless blocking sends for
 /// replay, lossy non-blocking sends (with explicit backpressure accounting)
 /// for load generation.
+///
+/// The shard hands every stepped batch's emptied buffer back over a second
+/// ring; [`IngressHandle::spare_buffer`] takes one, so a producer that
+/// fills those instead of allocating runs allocation-free in steady state.
 pub struct IngressHandle<P: Copy> {
     producer: Producer<Batch<P>>,
+    spares: Consumer<Vec<P>>,
+    /// Scratch for the bulk sends: the batches of one publish, reused.
+    staged: Vec<Batch<P>>,
     stats: Arc<ProducerStats>,
     meta: fn(P) -> (PortId, u32, u64),
     cell: Option<Arc<StatCell>>,
@@ -279,32 +286,38 @@ impl<P: Copy> IngressHandle<P> {
         }
     }
 
-    /// Sends several batches with one bulk ring publish — a single release
-    /// store and at most one consumer wake per free window — blocking
-    /// while the ring is full, with accounting identical to a
-    /// [`IngressHandle::send`] loop. Empty batches are skipped. Returns
-    /// `false` when the shard is gone: batches already published are
-    /// counted sent (the shard drains or accounts them) and the remainder
-    /// is counted lost.
-    pub fn send_bulk(&mut self, batches: Vec<Vec<P>>) -> bool {
-        let n: u64 = batches.iter().map(|b| b.len() as u64).sum();
+    /// An emptied batch buffer the shard handed back, if one is waiting.
+    /// Its capacity is whatever the buffer had when it was sent.
+    pub fn spare_buffer(&self) -> Option<Vec<P>> {
+        match self.spares.try_pop() {
+            TryPop::Item(buf) => Some(buf),
+            TryPop::Empty | TryPop::Closed => None,
+        }
+    }
+
+    /// Sends the batches in `batches` with one bulk ring publish — a single
+    /// release store and at most one consumer wake per free window —
+    /// blocking while the ring is full, with accounting identical to a
+    /// [`IngressHandle::send`] loop. Empty batches are skipped. `batches`
+    /// is left empty with its capacity, so a caller reusing it allocates
+    /// nothing per publish. Returns `false` when the shard is gone: batches
+    /// already published are counted sent (the shard drains or accounts
+    /// them) and the remainder is counted lost.
+    pub fn send_bulk(&mut self, batches: &mut Vec<Vec<P>>) -> bool {
+        let n = self.stage(batches);
         if n == 0 {
             return true;
         }
         self.stats.offered_packets.fetch_add(n, Ordering::Relaxed);
-        let items: Vec<Batch<P>> = batches
-            .into_iter()
-            .filter(|b| !b.is_empty())
-            .map(Batch::new)
-            .collect();
-        match self.producer.push_bulk(items) {
+        match self.producer.push_bulk(&mut self.staged) {
             Ok(()) => {
                 self.stats.sent_packets.fetch_add(n, Ordering::Relaxed);
                 true
             }
-            Err(PushError::Full(_)) => unreachable!("blocking bulk push never reports full"),
-            Err(PushError::Closed(rest)) => {
-                let (lost, value) = self.weigh(&rest);
+            Err(PushError::Full(())) => unreachable!("blocking bulk push never reports full"),
+            Err(PushError::Closed(())) => {
+                let (lost, value) = self.weigh(&self.staged);
+                self.staged.clear();
                 self.stats
                     .sent_packets
                     .fetch_add(n - lost, Ordering::Relaxed);
@@ -315,58 +328,57 @@ impl<P: Copy> IngressHandle<P> {
         }
     }
 
-    /// Sends several batches without blocking, one bulk ring publish for
-    /// the slice. Per-batch semantics match a [`IngressHandle::try_send`]
-    /// loop against the same ring state: the leading batches that fit are
-    /// sent, the rest are tallied as backpressure (or lost, once the shard
-    /// is gone). Returns the *emptied* buffers of every batch that did not
-    /// enter the ring so callers can recycle their allocations.
-    pub fn try_send_bulk(&mut self, batches: Vec<Vec<P>>) -> Vec<Vec<P>> {
-        let n: u64 = batches.iter().map(|b| b.len() as u64).sum();
+    /// Sends the batches in `batches` without blocking, one bulk ring
+    /// publish for the lot. Per-batch semantics match a
+    /// [`IngressHandle::try_send`] loop against the same ring state: the
+    /// leading batches that fit are sent, the rest are tallied as
+    /// backpressure (or lost, once the shard is gone). On return `batches`
+    /// holds the *emptied* buffers of every batch that did not enter the
+    /// ring, so callers can recycle their allocations.
+    pub fn try_send_bulk(&mut self, batches: &mut Vec<Vec<P>>) {
+        let n = self.stage(batches);
         if n == 0 {
-            return batches;
+            return;
         }
         self.stats.offered_packets.fetch_add(n, Ordering::Relaxed);
-        let items: Vec<Batch<P>> = batches
-            .into_iter()
-            .filter(|b| !b.is_empty())
-            .map(Batch::new)
-            .collect();
-        let rest = match self.producer.try_push_bulk(items) {
-            Ok(()) => {
-                self.stats.sent_packets.fetch_add(n, Ordering::Relaxed);
-                return Vec::new();
-            }
-            Err(PushError::Full(rest)) => {
-                let (rejected, value) = self.weigh(&rest);
-                self.stats
-                    .sent_packets
-                    .fetch_add(n - rejected, Ordering::Relaxed);
+        let result = self.producer.try_push_bulk(&mut self.staged);
+        let (rest, value) = self.weigh(&self.staged);
+        self.stats
+            .sent_packets
+            .fetch_add(n - rest, Ordering::Relaxed);
+        match result {
+            Ok(()) => {}
+            Err(PushError::Full(())) => {
                 self.stats
                     .backpressure_packets
-                    .fetch_add(rejected, Ordering::Relaxed);
+                    .fetch_add(rest, Ordering::Relaxed);
                 self.stats
                     .backpressure_value
                     .fetch_add(value, Ordering::Relaxed);
-                rest
             }
-            Err(PushError::Closed(rest)) => {
-                let (lost, value) = self.weigh(&rest);
-                self.stats
-                    .sent_packets
-                    .fetch_add(n - lost, Ordering::Relaxed);
-                self.stats.lost_packets.fetch_add(lost, Ordering::Relaxed);
+            Err(PushError::Closed(())) => {
+                self.stats.lost_packets.fetch_add(rest, Ordering::Relaxed);
                 self.stats.lost_value.fetch_add(value, Ordering::Relaxed);
-                rest
             }
-        };
-        rest.into_iter()
-            .map(|b| {
-                let mut buf = b.packets;
-                buf.clear();
-                buf
-            })
-            .collect()
+        }
+        batches.extend(self.staged.drain(..).map(|b| {
+            let mut buf = b.packets;
+            buf.clear();
+            buf
+        }));
+    }
+
+    /// Moves the non-empty batches out of `batches` into the staging
+    /// scratch, stamped now; returns how many packets they carry.
+    fn stage(&mut self, batches: &mut Vec<Vec<P>>) -> u64 {
+        let mut n = 0u64;
+        for b in batches.drain(..) {
+            if !b.is_empty() {
+                n += b.len() as u64;
+                self.staged.push(Batch::new(b));
+            }
+        }
+        n
     }
 
     /// Packet count and total value of a slice of batches.
@@ -553,21 +565,30 @@ impl<S: Service + 'static> RuntimeBuilder<S> {
         // producer thread reports as a *group* of (shard, stats) rows: one
         // row for a plain producer, one per target shard for a fanout job.
         let nshards = self.shards.len();
-        let mut consumers_per_shard: Vec<Vec<Consumer<Batch<S::Packet>>>> =
+        let mut ingress_per_shard: Vec<Vec<Ingress<S::Packet>>> =
             (0..nshards).map(|_| Vec::new()).collect();
+        // One ingress ring pair per (producer, shard): the handle goes to
+        // the producer thread, the shard's side to its supervisor.
+        let mut wire = |shard: usize| {
+            let (tx, rx) = ring(self.config.ring_capacity);
+            let (spare_tx, spare_rx) = ring(self.config.ring_capacity);
+            ingress_per_shard[shard].push(Ingress::new(rx, spare_tx));
+            let stats = Arc::new(ProducerStats::default());
+            let handle = IngressHandle {
+                producer: tx,
+                spares: spare_rx,
+                staged: Vec::new(),
+                stats: Arc::clone(&stats),
+                meta: S::meta,
+                cell: cells.as_ref().map(|c| Arc::clone(&c[shard])),
+                errors: Arc::clone(&producer_errors),
+            };
+            (handle, stats)
+        };
         let mut factories = Vec::with_capacity(nshards);
         for (i, slot) in self.shards.into_iter().enumerate() {
             for (j, job) in slot.producers.into_iter().enumerate() {
-                let (tx, rx) = ring(self.config.ring_capacity);
-                consumers_per_shard[i].push(rx);
-                let stats = Arc::new(ProducerStats::default());
-                let mut handle = IngressHandle {
-                    producer: tx,
-                    stats: Arc::clone(&stats),
-                    meta: S::meta,
-                    cell: cells.as_ref().map(|c| Arc::clone(&c[i])),
-                    errors: Arc::clone(&producer_errors),
-                };
+                let (mut handle, stats) = wire(i);
                 let join = thread::Builder::new()
                     .name(format!("smbm-prod-{i}-{j}"))
                     .spawn(move || job(&mut handle))
@@ -580,16 +601,8 @@ impl<S: Service + 'static> RuntimeBuilder<S> {
             let mut handles = Vec::with_capacity(targets.len());
             let mut group = Vec::with_capacity(targets.len());
             for &t in &targets {
-                let (tx, rx) = ring(self.config.ring_capacity);
-                consumers_per_shard[t].push(rx);
-                let stats = Arc::new(ProducerStats::default());
-                handles.push(IngressHandle {
-                    producer: tx,
-                    stats: Arc::clone(&stats),
-                    meta: S::meta,
-                    cell: cells.as_ref().map(|c| Arc::clone(&c[t])),
-                    errors: Arc::clone(&producer_errors),
-                });
+                let (handle, stats) = wire(t);
+                handles.push(handle);
                 group.push((t, stats));
             }
             let join = thread::Builder::new()
@@ -599,8 +612,7 @@ impl<S: Service + 'static> RuntimeBuilder<S> {
             producer_handles.push((group, join));
         }
 
-        for (i, (factory, consumers)) in factories.into_iter().zip(consumers_per_shard).enumerate()
-        {
+        for (i, (factory, ingress)) in factories.into_iter().zip(ingress_per_shard).enumerate() {
             let clock = clock_factory(i);
             let config = shard_config.clone();
             let supervision = supervision.clone();
@@ -625,7 +637,7 @@ impl<S: Service + 'static> RuntimeBuilder<S> {
                     let mut report = supervise_shard(
                         i,
                         &factory,
-                        consumers,
+                        ingress,
                         clock,
                         &config,
                         &supervision,
@@ -737,7 +749,7 @@ impl<S: Service + 'static> RuntimeBuilder<S> {
 fn supervise_shard<S: Service + 'static, C: Clock + Clone, O: Observer>(
     shard_id: usize,
     factory: &ServiceFactory<S>,
-    consumers: Vec<Consumer<Batch<S::Packet>>>,
+    mut rings: Vec<Ingress<S::Packet>>,
     clock: C,
     config: &ShardConfig,
     supervision: &SupervisionConfig,
@@ -748,14 +760,15 @@ fn supervise_shard<S: Service + 'static, C: Clock + Clone, O: Observer>(
     cell: Option<Arc<StatCell>>,
 ) -> ShardReport {
     let started = Instant::now();
-    // The supervisor owns the rings; incarnations only *borrow* them (see
+    // The supervisor owns the rings — both the batch ring and the buffer
+    // return ring of every ingress; incarnations only *borrow* them (see
     // `run_shard_core`), so a panicking incarnation's unwind cannot drop —
     // and thus cannot close — a ring. The backlog survives in place for
     // the replacement, and the supervisor peeks, drains, and finally
     // closes through the same owned handles. This is also what keeps the
     // lock-free ring's SPSC discipline intact across restarts: there is
-    // exactly one consumer handle per ring, ever.
-    let mut rings: Vec<Consumer<Batch<S::Packet>>> = consumers;
+    // exactly one consumer handle per batch ring and one producer handle
+    // per return ring, ever.
 
     let mut acc = ShardProgress::new();
     let mut restarts: u32 = 0;
@@ -800,7 +813,7 @@ fn supervise_shard<S: Service + 'static, C: Clock + Clone, O: Observer>(
                 obs.phase_start(Phase::Recovery);
                 let mut backlog = 0u64;
                 for r in rings.iter() {
-                    r.peek(|b| backlog += b.packets.len() as u64);
+                    r.batches.peek(|b| backlog += b.packets.len() as u64);
                 }
                 orphaned += backlog;
                 obs.shard_panicked(progress.stats.slots, backlog);
@@ -880,12 +893,12 @@ fn supervise_shard<S: Service + 'static, C: Clock + Clone, O: Observer>(
     // as shard-failure drops. A normal completion pruned (and thereby
     // closed) every ring already, so this is a no-op there.
     for r in rings.iter() {
-        r.close();
+        r.batches.close();
     }
     let mut drained_p = 0u64;
     let mut drained_v = 0u64;
     for r in rings.iter() {
-        while let TryPop::Item(b) = r.try_pop() {
+        while let TryPop::Item(b) = r.batches.try_pop() {
             drained_p += b.packets.len() as u64;
             drained_v += b.packets.iter().map(|&p| S::meta(p).2).sum::<u64>();
         }
@@ -1195,7 +1208,9 @@ mod tests {
         let bulk = {
             let (mut b, ids) = builder(1);
             b.add_producer(ids[0], move |h| {
-                assert!(h.send_bulk(feed()));
+                let mut batches = feed();
+                assert!(h.send_bulk(&mut batches));
+                assert!(batches.is_empty(), "a bulk send drains its batches");
             });
             b.run(|_| VirtualClock::new())
         };
@@ -1219,9 +1234,10 @@ mod tests {
             // offer 6 batches bulk, of which the trailing 2 must bounce.
             // (The shard has not started pulling yet only probabilistically,
             // so assert on totals the accounting guarantees regardless.)
-            let batches: Vec<Vec<WorkPacket>> = (0..6).map(|_| vec![wp(0, 1), wp(1, 2)]).collect();
-            let returned = h.try_send_bulk(batches);
-            for buf in &returned {
+            let mut batches: Vec<Vec<WorkPacket>> =
+                (0..6).map(|_| vec![wp(0, 1), wp(1, 2)]).collect();
+            h.try_send_bulk(&mut batches);
+            for buf in &batches {
                 assert!(buf.is_empty(), "returned buffers are cleared");
                 assert!(buf.capacity() >= 2, "returned buffers keep capacity");
             }
@@ -1255,8 +1271,8 @@ mod tests {
             // Keep publishing until the supervisor gives up and the ring
             // closes; the remainder of the failing bulk send is lost.
             loop {
-                let batches: Vec<Vec<WorkPacket>> = (0..4).map(|_| vec![wp(0, 1)]).collect();
-                if !h.send_bulk(batches) {
+                let mut batches: Vec<Vec<WorkPacket>> = (0..4).map(|_| vec![wp(0, 1)]).collect();
+                if !h.send_bulk(&mut batches) {
                     break;
                 }
             }
@@ -1268,6 +1284,30 @@ mod tests {
         let c = report.counters();
         assert!(c.check_conservation(0).is_ok());
         assert!(c.check_value_conservation(0).is_ok());
+    }
+
+    #[test]
+    fn stepped_batches_come_back_as_spare_buffers() {
+        let (mut b, ids) = builder(1);
+        b.add_producer(ids[0], |h| {
+            assert!(h.spare_buffer().is_none(), "nothing stepped yet");
+            let mut batch = Vec::with_capacity(16);
+            batch.extend([wp(0, 1), wp(1, 2)]);
+            assert!(h.send(batch));
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let buf = loop {
+                if let Some(buf) = h.spare_buffer() {
+                    break buf;
+                }
+                assert!(Instant::now() < deadline, "the buffer never came back");
+                thread::yield_now();
+            };
+            assert!(buf.is_empty(), "spare buffers come back emptied");
+            assert_eq!(buf.capacity(), 16, "and keep their allocation");
+        });
+        let report = b.run(|_| VirtualClock::new());
+        assert_eq!(report.producer_panics(), 0);
+        assert_eq!(report.counters().arrived(), 2);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub type CombinedService<P> = CombinedAdapter<CombinedRunner<P>>;
 mod tests {
     use super::*;
     use smbm_core::Lwd;
-    use smbm_switch::{PortId, Work, WorkPacket, WorkSwitchConfig};
+    use smbm_switch::{ArrivalOutcome, PortId, Work, WorkPacket, WorkSwitchConfig};
 
     #[test]
     fn work_service_round_trip() {
@@ -42,9 +42,9 @@ mod tests {
         assert_eq!(svc.label(), "LWD");
         let pkt = WorkPacket::new(PortId::new(0), Work::new(1));
         assert_eq!(WorkService::<Lwd>::meta(pkt), (PortId::new(0), 1, 1));
-        let mut outcomes = Vec::new();
-        svc.offer_burst(&[pkt, pkt], &mut outcomes).unwrap();
-        assert_eq!(outcomes.len(), 2);
+        for _ in 0..2 {
+            assert_eq!(svc.offer(pkt), Ok(ArrivalOutcome::Admitted));
+        }
         assert_eq!(svc.occupancy(), 2);
         assert_eq!(svc.buffer_limit(), 4);
         assert_eq!(svc.ports(), 2);

@@ -25,7 +25,7 @@ use smbm_switch::{Counters, FlushPolicy};
 
 use crate::clock::Clock;
 use crate::faults::{FaultKind, ShardFaults};
-use crate::ring::Consumer;
+use crate::ring::{ring, Consumer, Producer};
 use crate::service::Service;
 
 /// One unit of ingress: a burst of packets plus the instant it entered the
@@ -45,6 +45,36 @@ impl<P> Batch<P> {
             packets,
             enqueued: Instant::now(),
         }
+    }
+}
+
+/// One ingress ring as its shard sees it: the batches it consumes, plus a
+/// second ring of the same capacity that carries each stepped batch's
+/// emptied buffer back to the producer, so a steady-state producer reuses
+/// buffers instead of allocating one per batch.
+#[derive(Debug)]
+pub(crate) struct Ingress<P> {
+    pub(crate) batches: Consumer<Batch<P>>,
+    spares: Producer<Vec<P>>,
+}
+
+impl<P> Ingress<P> {
+    pub(crate) fn new(batches: Consumer<Batch<P>>, spares: Producer<Vec<P>>) -> Self {
+        Ingress { batches, spares }
+    }
+
+    /// An ingress whose producer takes no buffers back: every returned
+    /// buffer is dropped.
+    fn without_spares(batches: Consumer<Batch<P>>) -> Self {
+        let (spares, _) = ring(1);
+        Ingress { batches, spares }
+    }
+
+    /// Hands an emptied batch buffer back to the producer. When the return
+    /// ring is full, or the producer is gone, the buffer is dropped.
+    fn recycle(&self, mut buf: Vec<P>) {
+        buf.clear();
+        let _ = self.spares.try_push(buf);
     }
 }
 
@@ -274,16 +304,18 @@ impl<S: Service> SlotHook<S> for ShardProgress {
 /// the flush schedule against the burst counter, then run the shared
 /// [`SlotMachine`] slot phases — arrival (when a burst was ingested),
 /// transmission, end-of-slot. Closed rings are pruned; the loop exits when
-/// none remain.
+/// none remain. Batch buffers are dropped once stepped: only the
+/// [`crate::RuntimeBuilder`] wiring hands them back to its producers.
 pub fn run_shard<S: Service, C: Clock, O: Observer>(
     service: S,
-    mut rings: Vec<Consumer<Batch<S::Packet>>>,
+    rings: Vec<Consumer<Batch<S::Packet>>>,
     clock: C,
     config: &ShardConfig,
     obs: &mut O,
 ) -> ShardReport {
     let started = Instant::now();
     let mut progress = ShardProgress::new();
+    let mut rings = rings.into_iter().map(Ingress::without_spares).collect();
     run_shard_core(
         service,
         &mut rings,
@@ -302,14 +334,18 @@ pub fn run_shard<S: Service, C: Clock, O: Observer>(
 /// every cycle (before ingest, so an injected panic leaves a zero mid-slot
 /// gap and deterministic counters).
 ///
-/// `rings` is borrowed, not owned: the supervisor keeps the consumers, so
-/// a panicking incarnation's unwind never drops (and thus never closes)
-/// them — the backlog survives in place for the replacement. Rings this
-/// loop observes to be finished are pruned from the vector (and only then
-/// dropped/closed).
+/// `rings` is borrowed, not owned: the supervisor keeps both rings of every
+/// ingress, so a panicking incarnation's unwind never drops (and thus never
+/// closes) them — the backlog survives in place for the replacement, and
+/// so does the buffer return path. Rings this loop observes to be finished
+/// are pruned from the vector (and only then dropped/closed).
+///
+/// Claimed batches are stepped in place: the arrival burst is the chain of
+/// their packet slices, and each batch's buffer goes back to its producer
+/// once the slot has run.
 pub(crate) fn run_shard_core<S: Service, C: Clock, O: Observer>(
     service: S,
-    rings: &mut Vec<Consumer<Batch<S::Packet>>>,
+    rings: &mut Vec<Ingress<S::Packet>>,
     mut clock: C,
     config: &ShardConfig,
     faults: &mut ShardFaults,
@@ -319,12 +355,16 @@ pub(crate) fn run_shard_core<S: Service, C: Clock, O: Observer>(
     progress.label = service.label();
     obs.shard_started(service.buffer_limit(), service.ports());
     let mut machine = SlotMachine::new(service, config.flush).emit_queue_depth(true);
-    let mut burst: Vec<S::Packet> = Vec::new();
     // Batches claimed from one ring this cycle; freerun drains the backlog
     // bulk (one ring claim — a single index advance — per ring, up to
     // `MAX_BURST_BATCHES`), lockstep stays at exactly one blocking pop per
     // ring for determinism.
     let mut claimed: Vec<Batch<S::Packet>> = Vec::new();
+    // Every batch claimed this cycle, with the index of its ring: the
+    // slot's arrival burst, in ring order. Pruning only ever removes the
+    // ring being polled, which has claimed nothing yet, so the indices stay
+    // valid until the buffers go back after the slot.
+    let mut held: Vec<(usize, Batch<S::Packet>)> = Vec::new();
 
     'datapath: while !rings.is_empty() {
         clock.tick();
@@ -357,16 +397,15 @@ pub(crate) fn run_shard_core<S: Service, C: Clock, O: Observer>(
         // the pulls entirely while transmission keeps running, so bounded
         // rings fill and push back on producers.
         obs.phase_start(Phase::Ingress);
-        burst.clear();
-        let mut popped = false;
         // `ingest_paused` burns one pause cycle per call; latch it so the
         // idle branch below sees this cycle's verdict without burning two.
         let paused = faults.ingest_paused();
         if !paused {
             let mut i = 0;
             while i < rings.len() {
+                let batches = &rings[i].batches;
                 match config.mode {
-                    IngestMode::Lockstep => match rings[i].pop() {
+                    IngestMode::Lockstep => match batches.pop() {
                         Some(b) => claimed.push(b),
                         None => {
                             rings.remove(i);
@@ -376,7 +415,7 @@ pub(crate) fn run_shard_core<S: Service, C: Clock, O: Observer>(
                     IngestMode::Freerun => {
                         // Claim the whole backlog (bounded) with one bulk
                         // index advance instead of one `try_pop` per batch.
-                        let r = rings[i].pop_bulk(&mut claimed, MAX_BURST_BATCHES);
+                        let r = batches.pop_bulk(&mut claimed, MAX_BURST_BATCHES);
                         if r.popped == 0 && r.closed {
                             rings.remove(i);
                             continue;
@@ -389,22 +428,15 @@ pub(crate) fn run_shard_core<S: Service, C: Clock, O: Observer>(
                         .ingress_latency_ns
                         .record(waited.as_nanos().min(u64::MAX as u128) as u64);
                     progress.ingested_packets += b.packets.len() as u64;
-                    // One pass over the batch: tally value and append to
-                    // the burst together, instead of iterating the slice
-                    // for the tally and copying it again afterwards.
-                    burst.reserve(b.packets.len());
-                    for &pkt in &b.packets {
-                        progress.ingested_value += S::meta(pkt).2;
-                        burst.push(pkt);
-                    }
-                    popped = true;
+                    progress.ingested_value += b.packets.iter().map(|&p| S::meta(p).2).sum::<u64>();
+                    held.push((i, b));
                 }
                 i += 1;
             }
         }
         obs.phase_end(Phase::Ingress);
 
-        if !popped {
+        if held.is_empty() {
             if rings.is_empty() {
                 break;
             }
@@ -420,9 +452,11 @@ pub(crate) fn run_shard_core<S: Service, C: Clock, O: Observer>(
                 if paused {
                     std::thread::yield_now();
                 } else if rings.len() == 1 {
-                    rings[0].wait_nonempty(None);
+                    rings[0].batches.wait_nonempty(None);
                 } else {
-                    rings[0].wait_nonempty(Some(Duration::from_micros(200)));
+                    rings[0]
+                        .batches
+                        .wait_nonempty(Some(Duration::from_micros(200)));
                 }
                 continue;
             }
@@ -440,7 +474,8 @@ pub(crate) fn run_shard_core<S: Service, C: Clock, O: Observer>(
         }
 
         let slot = machine.stats().slots;
-        if let Err(e) = machine.step(&burst, obs, progress) {
+        let burst = held.iter().flat_map(|(_, b)| &b.packets);
+        if let Err(e) = machine.step(burst, obs, progress) {
             // The slot is left incomplete: emit the end-of-slot events the
             // machine skipped, record the failure, and join.
             progress.error = Some(e.to_string());
@@ -449,6 +484,9 @@ pub(crate) fn run_shard_core<S: Service, C: Clock, O: Observer>(
             let stats = *machine.stats();
             progress.record(machine.system(), &stats);
             break;
+        }
+        for (i, b) in held.drain(..) {
+            rings[i].recycle(b.packets);
         }
     }
 
@@ -471,6 +509,7 @@ mod tests {
     use crate::ring::ring;
     use crate::service::WorkService;
     use smbm_core::{Lwd, WorkRunner};
+    use smbm_datapath::NoHook;
     use smbm_obs::NullObserver;
     use smbm_switch::{PortId, Work, WorkPacket, WorkSwitchConfig};
 
@@ -567,6 +606,128 @@ mod tests {
         assert_eq!(report.score, n as u64);
     }
 
+    /// Records every per-packet outcome event, in order.
+    #[derive(Default)]
+    struct Outcomes(Vec<(u64, &'static str, PortId, u64)>);
+
+    impl Observer for Outcomes {
+        fn arrival(&mut self, slot: u64, port: PortId, work: u32, _value: u64) {
+            self.0.push((slot, "arrival", port, work.into()));
+        }
+        fn admitted(&mut self, slot: u64, port: PortId) {
+            self.0.push((slot, "admitted", port, 0));
+        }
+        fn pushed_out(&mut self, slot: u64, victim: PortId) {
+            self.0.push((slot, "pushed_out", victim, 0));
+        }
+        fn dropped(&mut self, slot: u64, port: PortId, _reason: smbm_switch::DropReason) {
+            self.0.push((slot, "dropped", port, 0));
+        }
+        fn transmitted(&mut self, slot: u64, port: PortId, latency: u64, _value: u64) {
+            self.0.push((slot, "transmitted", port, latency));
+        }
+    }
+
+    #[test]
+    fn freerun_backlog_steps_like_its_concatenated_bursts() {
+        // More batches than one cycle may claim, of uneven sizes (one
+        // empty), into a small LWD buffer so admission, drops and
+        // push-outs all happen: the in-place chained burst must decide
+        // exactly what stepping each concatenated burst would.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let batches: Vec<Vec<WorkPacket>> = (0..MAX_BURST_BATCHES + 7)
+            .map(|b| {
+                let len = if b == 3 { 0 } else { (rng() % 7) as usize };
+                (0..len)
+                    .map(|_| {
+                        let port = (rng() % 4) as usize;
+                        wp(port, port as u32 + 1)
+                    })
+                    .collect()
+            })
+            .collect();
+
+        let (tx, rx) = ring(batches.len());
+        for b in &batches {
+            tx.push(Batch::new(b.clone())).unwrap();
+        }
+        drop(tx);
+        let mut progress = ShardProgress::new();
+        let mut live = Outcomes::default();
+        run_shard_core(
+            service(4, 6),
+            &mut vec![Ingress::without_spares(rx)],
+            VirtualClock::new(),
+            &ShardConfig::freerun(),
+            &mut ShardFaults::none(),
+            &mut progress,
+            &mut live,
+        );
+
+        let mut machine = SlotMachine::new(service(4, 6), None);
+        let mut offline = Outcomes::default();
+        for chunk in batches.chunks(MAX_BURST_BATCHES) {
+            let burst: Vec<WorkPacket> = chunk.concat();
+            machine.step(&burst, &mut offline, &mut NoHook).unwrap();
+        }
+        assert!(machine.drain(&mut offline, &mut NoHook, true));
+
+        let counters = machine.system().counters();
+        assert!(counters.pushed_out() > 0 && counters.dropped_at_switch() > 0);
+        assert_eq!(progress.stats, *machine.stats());
+        assert_eq!(progress.stats.bursts, 2);
+        assert_eq!(progress.counters, counters);
+        assert_eq!(live.0, offline.0);
+    }
+
+    #[test]
+    fn stepped_buffers_go_back_until_the_return_ring_fills() {
+        // Ingress 0 returns into a depth-2 ring nobody drains, so the third
+        // buffer onwards is dropped; ingress 1's producer is gone, so all
+        // of its buffers are dropped. Neither disturbs the datapath.
+        let (tx0, rx0) = ring(8);
+        let (tx1, rx1) = ring(8);
+        let (spare_tx0, spare_rx0) = ring(2);
+        let (spare_tx1, spare_rx1) = ring(2);
+        drop(spare_rx1);
+        for _ in 0..5 {
+            let mut buf = Vec::with_capacity(8);
+            buf.push(wp(0, 1));
+            tx0.push(Batch::new(buf)).unwrap();
+            tx1.push(Batch::new(vec![wp(1, 2)])).unwrap();
+        }
+        drop(tx0);
+        drop(tx1);
+        let mut progress = ShardProgress::new();
+        run_shard_core(
+            service(2, 16),
+            &mut vec![Ingress::new(rx0, spare_tx0), Ingress::new(rx1, spare_tx1)],
+            VirtualClock::new(),
+            &ShardConfig::lockstep(),
+            &mut ShardFaults::none(),
+            &mut progress,
+            &mut NullObserver,
+        );
+        assert_eq!(progress.counters.arrived(), 10);
+        assert_eq!(progress.counters.transmitted(), 10);
+        for _ in 0..2 {
+            match spare_rx0.try_pop() {
+                crate::ring::TryPop::Item(buf) => {
+                    assert!(buf.is_empty());
+                    assert_eq!(buf.capacity(), 8);
+                }
+                other => panic!("expected a returned buffer, got {other:?}"),
+            }
+        }
+        assert!(matches!(spare_rx0.try_pop(), crate::ring::TryPop::Closed));
+    }
+
     #[test]
     fn flush_drop_discards_between_bursts() {
         let (tx, rx) = ring(8);
@@ -623,7 +784,7 @@ mod tests {
         let mut progress = ShardProgress::new();
         run_shard_core(
             service(1, 2),
-            &mut vec![rx],
+            &mut vec![Ingress::without_spares(rx)],
             VirtualClock::new(),
             &ShardConfig::lockstep(),
             &mut faults,
@@ -649,7 +810,7 @@ mod tests {
         let mut progress = ShardProgress::new();
         run_shard_core(
             service(1, 4),
-            &mut vec![rx],
+            &mut vec![Ingress::without_spares(rx)],
             VirtualClock::new(),
             &ShardConfig::lockstep(),
             &mut faults,

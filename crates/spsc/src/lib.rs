@@ -461,90 +461,77 @@ impl<T> Producer<T> {
     /// published with a *single* release store and at most one consumer
     /// wake — this is the bulk counterpart of [`Producer::push`], with
     /// identical per-item semantics: items already enqueued when the
-    /// consumer closes stay queued (the shard drains or accounts them),
-    /// and the unpushed remainder is handed back.
+    /// consumer closes stay queued (the shard drains or accounts them).
+    ///
+    /// Pushed items are drained from the front of `items`, which keeps its
+    /// capacity, so a producer that stages every publish in one scratch
+    /// vector allocates nothing per publish.
     ///
     /// # Errors
     ///
-    /// Returns [`PushError::Closed`] with the items that did *not* enter
-    /// the ring once the consumer is gone; never returns
+    /// Returns [`PushError::Closed`] once the consumer is gone, leaving the
+    /// items that did *not* enter the ring in `items`; never returns
     /// [`PushError::Full`].
-    pub fn push_bulk(&self, items: Vec<T>) -> Result<(), PushError<Vec<T>>> {
-        let mut iter = items.into_iter();
-        let mut pending = iter.next();
-        if pending.is_none() {
-            return Ok(());
-        }
-        loop {
+    pub fn push_bulk(&self, items: &mut Vec<T>) -> Result<(), PushError<()>> {
+        while !items.is_empty() {
             if self.meta().consumer_closed.load(Ordering::Acquire) {
-                let mut rest: Vec<T> = pending.into_iter().collect();
-                rest.extend(iter);
-                return Err(PushError::Closed(rest));
+                return Err(PushError::Closed(()));
             }
             let free = self.free_slots_refreshed();
             if free == 0 {
                 self.wait_not_full();
                 continue;
             }
-            let tail = self.tail.get();
-            let mut n = 0;
-            while n < free {
-                let Some(item) = pending.take() else { break };
-                // SAFETY: `n < free` keeps `tail + n` inside the free
-                // window observed by `free_slots`; unique producer.
-                unsafe { self.shared.write_slot(tail.wrapping_add(n), item) };
-                n += 1;
-                pending = iter.next();
-            }
-            if n > 0 {
-                self.publish(tail.wrapping_add(n));
-            }
-            if pending.is_none() {
-                return Ok(());
-            }
+            self.write_run(items, free);
         }
+        Ok(())
     }
 
     /// Enqueues as many leading items of `items` as fit, without blocking,
-    /// publishing them with a single release store. Per-item semantics
-    /// match a [`Producer::try_push`] loop exactly: the first `k` items
-    /// enter a ring with `k` free slots and the rest come back as
-    /// [`PushError::Full`].
+    /// publishing them with a single release store and draining them from
+    /// `items`. Per-item semantics match a [`Producer::try_push`] loop
+    /// exactly: the first `k` items enter a ring with `k` free slots and
+    /// the rest stay in `items`.
     ///
     /// # Errors
     ///
-    /// Returns [`PushError::Full`] with the items that did not fit, or
-    /// [`PushError::Closed`] with every unpushed item once the consumer is
-    /// gone ([`PushError::Closed`] wins when the ring is both full and
-    /// closed, as with the scalar op).
-    pub fn try_push_bulk(&self, items: Vec<T>) -> Result<(), PushError<Vec<T>>> {
+    /// Returns [`PushError::Full`] when some items did not fit, or
+    /// [`PushError::Closed`] once the consumer is gone ([`PushError::Closed`]
+    /// wins when the ring is both full and closed, as with the scalar op);
+    /// either way the items that did not enter the ring stay in `items`.
+    pub fn try_push_bulk(&self, items: &mut Vec<T>) -> Result<(), PushError<()>> {
         if items.is_empty() {
             return Ok(());
         }
         if self.meta().consumer_closed.load(Ordering::Acquire) {
-            return Err(PushError::Closed(items));
+            return Err(PushError::Closed(()));
         }
         let free = self.free_slots_refreshed();
         if free == 0 {
-            return Err(PushError::Full(items));
+            return Err(PushError::Full(()));
         }
-        let tail = self.tail.get();
-        let mut iter = items.into_iter();
-        let mut n = 0;
-        while n < free {
-            let Some(item) = iter.next() else { break };
-            // SAFETY: `n < free` keeps `tail + n` inside the free window;
-            // unique producer.
-            unsafe { self.shared.write_slot(tail.wrapping_add(n), item) };
-            n += 1;
-        }
-        self.publish(tail.wrapping_add(n));
-        let rest: Vec<T> = iter.collect();
-        if rest.is_empty() {
+        self.write_run(items, free);
+        if items.is_empty() {
             Ok(())
         } else {
-            Err(PushError::Full(rest))
+            Err(PushError::Full(()))
         }
+    }
+
+    /// Moves the leading `min(free, len)` items of `items` into the free
+    /// window and publishes them with one release store. `free` must come
+    /// from [`Producer::free_slots_refreshed`] (or be smaller) and be
+    /// non-zero, and `items` non-empty.
+    #[inline]
+    fn write_run(&self, items: &mut Vec<T>, free: usize) {
+        let tail = self.tail.get();
+        let n = free.min(items.len());
+        for (k, item) in items.drain(..n).enumerate() {
+            // SAFETY: `k < n <= free` keeps `tail + k` inside the free
+            // window observed by `free_slots_refreshed`; unique producer.
+            unsafe { self.shared.write_slot(tail.wrapping_add(k), item) };
+        }
+        self.publish(tail.wrapping_add(n));
     }
 
     /// Marks the stream finished. Queued items stay poppable; afterwards
@@ -906,10 +893,9 @@ mod tests {
         assert_eq!(tx.try_push(2), Err(PushError::Full(2)));
         drop(rx);
         assert_eq!(tx.try_push(3), Err(PushError::Closed(3)));
-        assert_eq!(
-            tx.try_push_bulk(vec![4, 5]),
-            Err(PushError::Closed(vec![4, 5]))
-        );
+        let mut items = vec![4, 5];
+        assert_eq!(tx.try_push_bulk(&mut items), Err(PushError::Closed(())));
+        assert_eq!(items, vec![4, 5]);
     }
 
     #[test]
@@ -944,7 +930,9 @@ mod tests {
     #[test]
     fn push_bulk_publishes_fifo_and_pop_bulk_claims() {
         let (tx, rx) = ring(8);
-        tx.push_bulk((0..5).collect()).unwrap();
+        let mut items: Vec<u32> = (0..5).collect();
+        tx.push_bulk(&mut items).unwrap();
+        assert!(items.is_empty());
         let mut out = Vec::new();
         let r = rx.pop_bulk(&mut out, 16);
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
@@ -961,17 +949,15 @@ mod tests {
     fn push_bulk_empty_is_a_noop_even_when_full() {
         let (tx, _rx) = ring::<u32>(1);
         tx.push(1).unwrap();
-        tx.push_bulk(Vec::new()).unwrap();
+        tx.push_bulk(&mut Vec::new()).unwrap();
     }
 
     #[test]
     fn try_push_bulk_splits_at_the_free_window() {
         let (tx, rx) = ring(4);
-        let rest = match tx.try_push_bulk((0..7).collect()) {
-            Err(PushError::Full(rest)) => rest,
-            other => panic!("expected Full, got {other:?}"),
-        };
-        assert_eq!(rest, vec![4, 5, 6]);
+        let mut items: Vec<u32> = (0..7).collect();
+        assert_eq!(tx.try_push_bulk(&mut items), Err(PushError::Full(())));
+        assert_eq!(items, vec![4, 5, 6]);
         let mut out = Vec::new();
         rx.pop_bulk(&mut out, usize::MAX);
         assert_eq!(out, vec![0, 1, 2, 3]);
@@ -980,7 +966,7 @@ mod tests {
     #[test]
     fn pop_bulk_respects_max_and_reports_close() {
         let (tx, rx) = ring(8);
-        tx.push_bulk(vec![1, 2, 3]).unwrap();
+        tx.push_bulk(&mut vec![1, 2, 3]).unwrap();
         drop(tx);
         let mut out = Vec::new();
         assert_eq!(
@@ -1040,7 +1026,7 @@ mod tests {
     fn works_with_zero_sized_types() {
         let (tx, rx) = ring::<()>(3);
         tx.push(()).unwrap();
-        tx.push_bulk(vec![(), ()]).unwrap();
+        tx.push_bulk(&mut vec![(), ()]).unwrap();
         assert_eq!(tx.try_push(()), Err(PushError::Full(())));
         let mut out = Vec::new();
         assert_eq!(rx.pop_bulk(&mut out, 8).popped, 3);
@@ -1117,7 +1103,7 @@ mod tests {
             let mut size = 1usize;
             while next < total {
                 let end = (next + size as u64).min(total);
-                tx.push_bulk((next..end).collect()).unwrap();
+                tx.push_bulk(&mut (next..end).collect()).unwrap();
                 next = end;
                 size = size % 13 + 1;
             }

@@ -237,12 +237,19 @@ impl BufferCore {
     pub(crate) fn insert_desc(&mut self, list: &mut SlotList, value: Value, arrived: Slot) {
         // Walk from the tail: the first node with `node.value >= value` is
         // the last entry the newcomer must follow. Two O(1) shortcuts cover
-        // the common monotone patterns (new minimum / new maximum).
+        // the common monotone patterns: a new minimum (or a tie with the
+        // tail) stops the walk at the tail, and a new strict maximum goes
+        // straight to the front without walking. A tie with the head still
+        // walks, so the newcomer lands after every equal.
+        let idx = self.alloc(value, arrived);
+        if list.head != NIL && value > self.node(list.head).value {
+            self.link_front(list, idx);
+            return;
+        }
         let mut cur = list.tail;
         while cur != NIL && self.node(cur).value < value {
             cur = self.node(cur).prev;
         }
-        let idx = self.alloc(value, arrived);
         if cur == NIL {
             self.link_front(list, idx);
         } else {

@@ -225,6 +225,29 @@ mod tests {
     }
 
     #[test]
+    fn equal_values_queue_behind_their_equals_at_both_ends() {
+        let (mut core, mut q) = setup();
+        for (x, s) in [(9, 1), (5, 2), (1, 3), (9, 4), (1, 5), (10, 6)] {
+            q.insert(&mut core, v(x), Slot::new(s));
+        }
+        let order: Vec<(u64, u64)> = q
+            .entries(&core)
+            .map(|e| (e.value.get(), e.arrived.get()))
+            .collect();
+        // A strict new maximum goes first; a newcomer tying the head or the
+        // tail goes after its equals.
+        assert_eq!(order, vec![(10, 6), (9, 1), (9, 4), (5, 2), (1, 3), (1, 5)]);
+        assert!(q.invariants_hold(&core));
+        assert_eq!(q.pop_max(&mut core).unwrap().arrived, Slot::new(6));
+        // Among equals, transmission takes the earlier arrival and push-out
+        // the later one.
+        assert_eq!(q.pop_max(&mut core).unwrap().arrived, Slot::new(1));
+        assert_eq!(q.pop_min(&mut core).unwrap().arrived, Slot::new(5));
+        assert_eq!(q.pop_min(&mut core).unwrap().arrived, Slot::new(3));
+        core.check_accounting().unwrap();
+    }
+
+    #[test]
     fn sum_and_average_track_contents() {
         let (mut core, mut q) = setup();
         assert_eq!(q.average_value(), None);

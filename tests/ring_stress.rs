@@ -31,19 +31,19 @@ fn drive_producer(tx: smbm_runtime::Producer<u64>, seed: u64) -> u64 {
     let mut next = 0u64;
     while next < STREAM {
         let batch = rng.random_range(1usize..16).min((STREAM - next) as usize);
-        let items: Vec<u64> = (next..next + batch as u64).collect();
+        let mut items: Vec<u64> = (next..next + batch as u64).collect();
         match rng.random_range(0u32..4) {
             // Blocking bulk: all-or-remainder.
-            0 => match tx.push_bulk(items) {
+            0 => match tx.push_bulk(&mut items) {
                 Ok(()) => next += batch as u64,
-                Err(PushError::Closed(rest)) => return next + (batch - rest.len()) as u64,
-                Err(PushError::Full(_)) => unreachable!("blocking push never reports full"),
+                Err(PushError::Closed(())) => return next + (batch - items.len()) as u64,
+                Err(PushError::Full(())) => unreachable!("blocking push never reports full"),
             },
             // Non-blocking bulk: the accepted prefix advances the stream.
-            1 => match tx.try_push_bulk(items) {
+            1 => match tx.try_push_bulk(&mut items) {
                 Ok(()) => next += batch as u64,
-                Err(PushError::Full(rest)) => next += (batch - rest.len()) as u64,
-                Err(PushError::Closed(rest)) => return next + (batch - rest.len()) as u64,
+                Err(PushError::Full(())) => next += (batch - items.len()) as u64,
+                Err(PushError::Closed(())) => return next + (batch - items.len()) as u64,
             },
             // Blocking scalar.
             2 => match tx.push(next) {
@@ -184,7 +184,7 @@ fn producer_panic_midstream_drains_exactly_the_accepted_prefix() {
                     panic!("injected producer death at {die_at}");
                 }
                 let batch = rng.random_range(1usize..8).min((die_at - next) as usize);
-                match tx.push_bulk((next..next + batch as u64).collect()) {
+                match tx.push_bulk(&mut (next..next + batch as u64).collect()) {
                     Ok(()) => next += batch as u64,
                     Err(_) => unreachable!("consumer never closes in this test"),
                 }

@@ -156,7 +156,9 @@ macro_rules! ring_suite {
             #[test]
             fn push_bulk_publishes_whole_slice_fifo() {
                 let (tx, rx) = mk(8);
-                tx.push_bulk((0..5).collect()).unwrap();
+                let mut items: Vec<u32> = (0..5).collect();
+                tx.push_bulk(&mut items).unwrap();
+                assert!(items.is_empty(), "a full publish drains the vector");
                 let mut out = Vec::new();
                 let r = rx.pop_bulk(&mut out, 16);
                 assert_eq!(out, vec![0, 1, 2, 3, 4]);
@@ -174,13 +176,13 @@ macro_rules! ring_suite {
                 let (tx, _rx) = mk::<u32>(1);
                 tx.push(1).unwrap();
                 // Must not block despite the full ring: nothing to push.
-                tx.push_bulk(Vec::new()).unwrap();
+                tx.push_bulk(&mut Vec::new()).unwrap();
             }
 
             #[test]
             fn push_bulk_blocks_across_capacity_and_wakes_on_pops() {
                 let (tx, rx) = mk(2);
-                let h = thread::spawn(move || tx.push_bulk((0..10).collect()));
+                let h = thread::spawn(move || tx.push_bulk(&mut (0..10).collect::<Vec<_>>()));
                 let mut got = Vec::new();
                 while got.len() < 10 {
                     if let Some(v) = rx.pop() {
@@ -194,18 +196,23 @@ macro_rules! ring_suite {
             #[test]
             fn push_bulk_hands_back_unpushed_remainder_on_close() {
                 let (tx, rx) = mk(2);
-                let h = thread::spawn(move || tx.push_bulk((0..6).collect()));
+                let h = thread::spawn(move || {
+                    let mut items: Vec<u32> = (0..6).collect();
+                    let r = tx.push_bulk(&mut items);
+                    (r, items)
+                });
                 thread::sleep(Duration::from_millis(20));
                 // Two items fit; close with the producer blocked on the
                 // third.
                 assert_eq!(rx.pop(), Some(0));
                 thread::sleep(Duration::from_millis(20));
                 rx.close();
-                let err = h.join().unwrap().unwrap_err();
+                let (r, rest) = h.join().unwrap();
                 // Items already published stay published; only the
-                // remainder comes back. The consumer freed one slot, so 3
-                // entered before the close.
-                assert_eq!(err, PushError::Closed(vec![3, 4, 5]));
+                // remainder stays behind. The consumer freed one slot, so
+                // 3 entered before the close.
+                assert_eq!(r, Err(PushError::Closed(())));
+                assert_eq!(rest, vec![3, 4, 5]);
             }
 
             #[test]
@@ -213,10 +220,8 @@ macro_rules! ring_suite {
                 let (bulk_tx, bulk_rx) = mk(4);
                 let (scalar_tx, scalar_rx) = mk(4);
                 let items: Vec<u32> = (0..7).collect();
-                let rest = match bulk_tx.try_push_bulk(items.clone()) {
-                    Err(PushError::Full(rest)) => rest,
-                    other => panic!("expected Full, got {other:?}"),
-                };
+                let mut rest = items.clone();
+                assert_eq!(bulk_tx.try_push_bulk(&mut rest), Err(PushError::Full(())));
                 let mut scalar_rest = Vec::new();
                 for item in items {
                     if let Err(PushError::Full(it)) = scalar_tx.try_push(item) {
@@ -238,19 +243,22 @@ macro_rules! ring_suite {
             fn bulk_closed_wins_over_full() {
                 let (tx, rx) = mk(1);
                 tx.push(0).unwrap();
-                assert_eq!(tx.try_push_bulk(vec![1]), Err(PushError::Full(vec![1])));
+                let mut items = vec![1];
+                assert_eq!(tx.try_push_bulk(&mut items), Err(PushError::Full(())));
+                assert_eq!(items, vec![1]);
                 drop(rx);
-                assert_eq!(
-                    tx.try_push_bulk(vec![1, 2]),
-                    Err(PushError::Closed(vec![1, 2]))
-                );
-                assert_eq!(tx.push_bulk(vec![3]), Err(PushError::Closed(vec![3])));
+                let mut items = vec![1, 2];
+                assert_eq!(tx.try_push_bulk(&mut items), Err(PushError::Closed(())));
+                assert_eq!(items, vec![1, 2]);
+                let mut items = vec![3];
+                assert_eq!(tx.push_bulk(&mut items), Err(PushError::Closed(())));
+                assert_eq!(items, vec![3]);
             }
 
             #[test]
             fn pop_bulk_respects_max_and_reports_close() {
                 let (tx, rx) = mk(8);
-                tx.push_bulk(vec![1, 2, 3]).unwrap();
+                tx.push_bulk(&mut vec![1, 2, 3]).unwrap();
                 drop(tx);
                 let mut out = Vec::new();
                 assert_eq!(
@@ -296,7 +304,7 @@ macro_rules! ring_suite {
             fn pop_bulk_wakes_a_blocked_producer() {
                 let (tx, rx) = mk(1);
                 tx.push(1).unwrap();
-                let h = thread::spawn(move || tx.push_bulk(vec![2, 3]));
+                let h = thread::spawn(move || tx.push_bulk(&mut vec![2, 3]));
                 thread::sleep(Duration::from_millis(20));
                 let mut out = Vec::new();
                 while out.len() < 3 {
@@ -334,7 +342,7 @@ macro_rules! ring_suite {
                     let mut size = 1usize;
                     while next < total {
                         let end = (next + size as u32).min(total);
-                        tx.push_bulk((next..end).collect()).unwrap();
+                        tx.push_bulk(&mut (next..end).collect()).unwrap();
                         next = end;
                         size = size % 13 + 1;
                     }
@@ -416,11 +424,13 @@ proptest! {
                     );
                 }
                 Op::TryPushBulk(items) => {
+                    let (mut lrest, mut mrest) = (items.clone(), items.clone());
                     prop_assert_eq!(
-                        ltx.try_push_bulk(items.clone()),
-                        mtx.try_push_bulk(items.clone()),
+                        ltx.try_push_bulk(&mut lrest),
+                        mtx.try_push_bulk(&mut mrest),
                         "try_push_bulk diverged at op {}", i
                     );
+                    prop_assert_eq!(&lrest, &mrest, "try_push_bulk remainder diverged at op {}", i);
                 }
                 Op::TryPop => {
                     prop_assert_eq!(
