@@ -17,6 +17,7 @@ use smbm_switch::{
     DropReason, PortId, RatioKey, Transmitted, Value, WorkSwitchConfig,
 };
 
+use crate::decision::check_port;
 use crate::index::{apply_queue_changes, ScoreIndex, SelectMode};
 use crate::Decision;
 
@@ -120,8 +121,11 @@ impl<P: CombinedPolicy> CombinedRunner<P> {
     ///
     /// # Errors
     ///
-    /// Propagates [`AdmitError`] from inconsistent decisions.
+    /// Fails with [`AdmitError::UnknownPort`] before the policy runs if the
+    /// packet's port does not exist. Otherwise propagates [`AdmitError`]
+    /// from inconsistent decisions.
     pub fn arrival(&mut self, pkt: CombinedPacket) -> Result<Decision, AdmitError> {
+        check_port(pkt.port(), self.switch.ports())?;
         // Sync incremental indices only when victim selection can run (full
         // buffer); see `WorkRunner::arrival`.
         if self.switch.is_full()

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use smbm_switch::PortId;
+use smbm_switch::{AdmitError, PortId};
 
 /// A buffer-management policy's verdict on one arriving packet.
 ///
@@ -33,6 +33,17 @@ impl fmt::Display for Decision {
             Decision::Drop => write!(f, "drop"),
             Decision::PushOut(victim) => write!(f, "push-out {victim}"),
         }
+    }
+}
+
+/// Fails with [`AdmitError::UnknownPort`] unless `port` is one of a
+/// switch's `ports`. Runners check it before a policy runs, because
+/// policies index their queues by the arrival's port.
+pub(crate) fn check_port(port: PortId, ports: usize) -> Result<(), AdmitError> {
+    if port.index() < ports {
+        Ok(())
+    } else {
+        Err(AdmitError::UnknownPort { port, ports })
     }
 }
 

@@ -21,6 +21,7 @@ pub use nhst::NhstValue;
 
 use smbm_switch::{AdmitError, Transmitted, ValuePacket, ValuePhaseReport, ValueSwitch};
 
+use crate::decision::check_port;
 use crate::Decision;
 
 /// An online buffer-management policy for the heterogeneous-value model.
@@ -143,9 +144,12 @@ impl<P: ValuePolicy> ValueRunner<P> {
     ///
     /// # Errors
     ///
-    /// Propagates [`AdmitError`] if the decision was inconsistent with the
-    /// switch state. The bundled policies never err.
+    /// Fails with [`AdmitError::UnknownPort`] before the policy runs if the
+    /// packet's port does not exist. Otherwise propagates [`AdmitError`] if
+    /// the decision was inconsistent with the switch state. The bundled
+    /// policies never err.
     pub fn arrival(&mut self, pkt: ValuePacket) -> Result<Decision, AdmitError> {
+        check_port(pkt.port(), self.switch.ports())?;
         // Sync incremental indices only when victim selection can run (full
         // buffer); see `WorkRunner::arrival`.
         if self.switch.is_full()

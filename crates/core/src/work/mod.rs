@@ -23,24 +23,32 @@ pub use nhst::Nhst;
 
 use smbm_switch::{AdmitError, PhaseReport, Transmitted, WorkPacket, WorkSwitch};
 
+use crate::decision::check_port;
 use crate::Decision;
 
 /// An online buffer-management policy for the heterogeneous-processing model.
 ///
 /// A policy observes the current switch state (read-only) and one arriving
-/// packet, and returns a [`Decision`]; the [`WorkRunner`] applies it. Policies
-/// are deterministic given the switch state — all algorithms in the paper
-/// are — but the trait takes `&mut self` so stateful or randomized extensions
-/// remain possible.
+/// packet, and returns a [`Decision`]; the [`WorkRunner`] applies it. The
+/// trait takes `&mut self` so a policy can keep caches (such as a
+/// [`crate::ScoreIndex`]), but the decision itself must be a function of the
+/// switch state and the packet: see [`WorkPolicy::decide`].
 pub trait WorkPolicy: std::fmt::Debug + Send {
     /// Short human-readable identifier, e.g. `"LWD"`.
     fn name(&self) -> &str;
 
     /// Decides the fate of `pkt` given the switch state.
+    ///
+    /// The decision must be a function of `(switch, pkt)` alone — all the
+    /// algorithms in the paper are. The [`WorkRunner`] relies on it: once a
+    /// port's arrival is dropped, it drops that port's later arrivals
+    /// without asking again until [`WorkSwitch::version`] moves.
     fn decide(&mut self, switch: &WorkSwitch, pkt: WorkPacket) -> Decision;
 
-    /// Invoked when the simulator flushes the buffer, for policies that keep
-    /// internal state. The bundled policies are stateless.
+    /// Invoked when the simulator flushes the buffer, so a policy can reset
+    /// internal state. Such state may only cache what the switch state
+    /// already determines (see [`WorkPolicy::decide`]); the bundled
+    /// policies keep nothing but their score indices.
     fn on_flush(&mut self) {}
 
     /// Whether the runner should report queue-change events (see
@@ -117,12 +125,16 @@ pub struct WorkRunner<P> {
     policy: P,
     speedup: u32,
     dirty_scratch: Vec<smbm_switch::PortId>,
+    /// Per port, the switch version at which the policy last dropped an
+    /// arrival to it (`u64::MAX` = never).
+    drop_stamps: Vec<u64>,
 }
 
 impl<P: WorkPolicy> WorkRunner<P> {
     /// Creates a runner over a fresh switch.
     pub fn new(config: smbm_switch::WorkSwitchConfig, policy: P, speedup: u32) -> Self {
         WorkRunner {
+            drop_stamps: vec![u64::MAX; config.ports()],
             switch: WorkSwitch::new(config),
             policy,
             speedup,
@@ -147,12 +159,29 @@ impl<P: WorkPolicy> WorkRunner<P> {
 
     /// Presents one arriving packet to the policy and applies its decision.
     ///
+    /// A valid packet is fully determined by its port, and a decision is a
+    /// function of the switch state and the packet (see
+    /// [`WorkPolicy::decide`]). So when the policy dropped an arrival to the
+    /// same port and [`WorkSwitch::version`] has not moved since, the packet
+    /// goes straight to [`WorkSwitch::reject`] without a decision: the
+    /// counters and the returned [`Decision::Drop`] are exactly what the
+    /// policy would have produced.
+    ///
     /// # Errors
     ///
-    /// Propagates [`AdmitError`] if the policy's decision was inconsistent
-    /// with the switch state (accepting into a full buffer, pushing out from
-    /// an empty queue, ...). The bundled policies never err.
+    /// Fails with [`AdmitError::UnknownPort`] before the policy runs if the
+    /// packet's port does not exist. Otherwise propagates [`AdmitError`] if
+    /// the packet is invalid or the policy's decision was inconsistent with
+    /// the switch state (accepting into a full buffer, pushing out from an
+    /// empty queue, ...). The bundled policies never err.
     pub fn arrival(&mut self, pkt: WorkPacket) -> Result<Decision, AdmitError> {
+        check_port(pkt.port(), self.switch.ports())?;
+        let port = pkt.port().index();
+        let version = self.switch.version();
+        if self.drop_stamps[port] == version {
+            self.switch.reject(pkt)?;
+            return Ok(Decision::Drop);
+        }
         // Queue-change events are only consumed by victim selection, which
         // only runs on a full buffer — so let dirt accumulate (deduplicated,
         // bounded by n) while there is free space and sync just before a
@@ -169,7 +198,12 @@ impl<P: WorkPolicy> WorkRunner<P> {
         let decision = self.policy.decide(&self.switch, pkt);
         match decision {
             Decision::Accept => self.switch.admit(pkt)?,
-            Decision::Drop => self.switch.reject(pkt)?,
+            Decision::Drop => {
+                // Stamp only a valid packet: an invalid one's verdict says
+                // nothing about the port's real arrivals.
+                self.switch.reject(pkt)?;
+                self.drop_stamps[port] = version;
+            }
             Decision::PushOut(victim) => self.switch.push_out_and_admit(victim, pkt)?,
         }
         Ok(decision)

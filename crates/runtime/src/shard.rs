@@ -15,7 +15,9 @@
 //! counter-for-counter equality. In [`IngestMode::Freerun`] the shard never
 //! waits: it grabs whatever is queued and keeps transmitting, which is the
 //! high-throughput loadgen configuration where full rings push back on
-//! producers.
+//! producers. Until its last scripted fault has fired, a freerun shard
+//! takes at most one batch per ring per cycle, so a fault's trigger slot
+//! is reached after the same number of batches on every host.
 
 use std::time::{Duration, Instant};
 
@@ -415,7 +417,15 @@ pub(crate) fn run_shard_core<S: Service, C: Clock, O: Observer>(
                     IngestMode::Freerun => {
                         // Claim the whole backlog (bounded) with one bulk
                         // index advance instead of one `try_pop` per batch.
-                        let r = batches.pop_bulk(&mut claimed, MAX_BURST_BATCHES);
+                        // While a fault is still armed, claim one batch: the
+                        // slot a fault names then counts producer batches,
+                        // not however much backlog scheduling let pile up.
+                        let max = if faults.unfired() > 0 {
+                            1
+                        } else {
+                            MAX_BURST_BATCHES
+                        };
+                        let r = batches.pop_bulk(&mut claimed, max);
                         if r.popped == 0 && r.closed {
                             rings.remove(i);
                             continue;
@@ -821,6 +831,35 @@ mod tests {
         assert_eq!(progress.ingested_packets, 2);
         assert_eq!(progress.counters.arrived(), 2);
         assert_eq!(progress.counters.transmitted(), 2);
+    }
+
+    #[test]
+    fn freerun_takes_one_batch_per_cycle_until_the_last_fault_fires() {
+        use crate::faults::FaultPlan;
+        // Ten batches queued before the shard starts: a bulk claim would
+        // take them as one slot and the slot-4 fault would never come due.
+        let (tx, rx) = ring(16);
+        for _ in 0..10 {
+            tx.push(Batch::new(vec![wp(0, 1)])).unwrap();
+        }
+        drop(tx);
+        let mut faults = FaultPlan::parse("stall@4*1").unwrap().for_shard(0);
+        let mut progress = ShardProgress::new();
+        run_shard_core(
+            service(1, 10),
+            &mut vec![Ingress::without_spares(rx)],
+            VirtualClock::new(),
+            &ShardConfig::freerun(),
+            &mut faults,
+            &mut progress,
+            &mut NullObserver,
+        );
+        assert_eq!(faults.unfired(), 0, "the fault came due");
+        // Four one-batch slots, then the stall fires and the remaining six
+        // batches are claimed in one bulk burst.
+        assert_eq!(progress.stats.bursts, 5);
+        assert_eq!(progress.counters.arrived(), 10);
+        assert_eq!(progress.counters.transmitted(), 10);
     }
 
     #[test]

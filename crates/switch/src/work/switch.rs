@@ -53,6 +53,7 @@ pub struct WorkSwitch {
     completions_scratch: Vec<Slot>,
     transmitted_per_port: Vec<u64>,
     dirty: DirtyPorts,
+    version: u64,
 }
 
 impl WorkSwitch {
@@ -68,6 +69,7 @@ impl WorkSwitch {
             counters: Counters::new(),
             now: Slot::ZERO,
             completions_scratch: Vec::new(),
+            version: 0,
         }
     }
 
@@ -153,6 +155,17 @@ impl WorkSwitch {
         !self.dirty.is_empty()
     }
 
+    /// A counter that changes whenever a queue or the clock may have
+    /// changed: [`admit`](Self::admit),
+    /// [`push_out_and_admit`](Self::push_out_and_admit),
+    /// [`transmit_into`](Self::transmit_into), [`flush`](Self::flush) and
+    /// [`advance_slot`](Self::advance_slot) bump it; [`reject`](Self::reject)
+    /// does not. Two reads that return the same version saw the same queues,
+    /// so a verdict computed from the switch state between them still holds.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
     fn validate(&self, pkt: WorkPacket) -> Result<(), AdmitError> {
         let i = pkt.port().index();
         if i >= self.queues.len() {
@@ -187,6 +200,7 @@ impl WorkSwitch {
         self.counters.record_admission(1);
         self.queues[pkt.port().index()].push_back(&mut self.core, self.now);
         self.dirty.mark(pkt.port().index());
+        self.version += 1;
         Ok(())
     }
 
@@ -235,6 +249,7 @@ impl WorkSwitch {
         self.queues[pkt.port().index()].push_back(&mut self.core, self.now);
         self.dirty.mark(victim.index());
         self.dirty.mark(pkt.port().index());
+        self.version += 1;
         // occupancy unchanged: one out, one in.
         Ok(())
     }
@@ -273,6 +288,7 @@ impl WorkSwitch {
             }
         }
         self.counters.record_cycles(report.cycles_used);
+        self.version += 1;
         report
     }
 
@@ -286,6 +302,7 @@ impl WorkSwitch {
     /// transmission phase.
     pub fn advance_slot(&mut self) {
         self.now = self.now.next();
+        self.version += 1;
     }
 
     /// Discards every resident packet (a "flushout" in the paper's
@@ -298,6 +315,7 @@ impl WorkSwitch {
         }
         self.dirty.mark_all();
         self.counters.record_flush(total, total);
+        self.version += 1;
         total
     }
 
@@ -542,6 +560,34 @@ mod tests {
         assert_eq!(c.admitted(), 6);
         assert_eq!(c.dropped(), 1);
         assert_eq!(c.pushed_out(), 1);
+    }
+
+    #[test]
+    fn version_moves_on_every_mutation_but_reject() {
+        let mut sw = switch(2, 2);
+        let mut last = sw.version();
+        let mut moved = |sw: &WorkSwitch| {
+            let changed = sw.version() != last;
+            last = sw.version();
+            changed
+        };
+        sw.reject(pkt(&sw, 0)).unwrap();
+        assert!(!moved(&sw));
+        sw.admit(pkt(&sw, 1)).unwrap();
+        assert!(moved(&sw));
+        sw.admit(pkt(&sw, 1)).unwrap();
+        assert!(moved(&sw));
+        // A refused mutation changes nothing.
+        assert_eq!(sw.admit(pkt(&sw, 0)), Err(AdmitError::BufferFull));
+        assert!(!moved(&sw));
+        sw.push_out_and_admit(PortId::new(1), pkt(&sw, 0)).unwrap();
+        assert!(moved(&sw));
+        sw.transmit(1);
+        assert!(moved(&sw));
+        sw.advance_slot();
+        assert!(moved(&sw));
+        sw.flush();
+        assert!(moved(&sw));
     }
 
     #[test]

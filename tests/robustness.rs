@@ -6,10 +6,14 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use smbm_core::{Decision, ValuePolicy, ValueRunner, WorkPolicy, WorkRunner};
+use smbm_core::{
+    combined_policy_by_name, value_policy_by_name, work_policy_by_name, CombinedRunner, Decision,
+    ValuePolicy, ValueRunner, WorkPolicy, WorkRunner, COMBINED_POLICY_NAMES, VALUE_POLICY_NAMES,
+    WORK_POLICY_NAMES,
+};
 use smbm_switch::{
-    AdmitError, PortId, ValuePacket, ValueSwitch, ValueSwitchConfig, WorkPacket, WorkSwitch,
-    WorkSwitchConfig,
+    AdmitError, CombinedPacket, PortId, Value, ValuePacket, ValueSwitch, ValueSwitchConfig, Work,
+    WorkPacket, WorkSwitch, WorkSwitchConfig,
 };
 
 /// A policy that answers with arbitrary (frequently invalid) decisions.
@@ -133,7 +137,7 @@ fn engine_propagates_policy_errors() {
     trace.push_slot(vec![
         smbm_switch::WorkPacket::new(
             PortId::new(0),
-            smbm_switch::Work::new(1)
+            Work::new(1)
         );
         64
     ]);
@@ -204,6 +208,86 @@ fn value_throughput_never_exceeds_offered_value() {
             summary.score <= offered,
             "{name}: transmitted value {} exceeds offered {offered}",
             summary.score
+        );
+    }
+}
+
+/// Port count and buffer of the unknown-port check: at 64 ports the indexed
+/// policies look the arrival's queue up before anything validates it.
+const PORTS: usize = 64;
+const BUFFER: usize = 64;
+
+/// Offers `attempts` arrivals round-robin over every port, then checks that
+/// an arrival to a port past the end is refused with `UnknownPort` and
+/// leaves the counters alone: once part-full and once (for policies that
+/// fill it) on a full buffer, where victim selection runs.
+macro_rules! check_unknown_port {
+    ($model:literal, $name:expr, $runner:expr, $valid:expr, $bogus:expr) => {{
+        let mut runner = $runner;
+        for (round, attempts) in [BUFFER / 2, 4 * BUFFER].into_iter().enumerate() {
+            for i in 0..attempts {
+                runner.arrival($valid(i % PORTS)).unwrap();
+            }
+            let before = *runner.switch().counters();
+            let err = runner.arrival($bogus).unwrap_err();
+            assert!(
+                matches!(err, AdmitError::UnknownPort { ports: PORTS, .. }),
+                "{} {} (round {round}): {err}",
+                $model,
+                $name
+            );
+            assert_eq!(*runner.switch().counters(), before, "{} {}", $model, $name);
+            runner.switch().check_invariants().unwrap();
+        }
+    }};
+}
+
+#[test]
+fn unknown_ports_are_refused_before_any_policy_decides() {
+    let bogus = PortId::new(PORTS + 6);
+    let work_cfg = WorkSwitchConfig::contiguous(PORTS as u32, BUFFER).unwrap();
+    // The registries also build extensions their name lists leave out.
+    let work_names =
+        WORK_POLICY_NAMES
+            .iter()
+            .copied()
+            .chain(["GREEDY", "NHDT-W", "LWD-MAXLEN", "LWD-MINWORK"]);
+    for name in work_names {
+        let runner = WorkRunner::new(work_cfg.clone(), work_policy_by_name(name).unwrap(), 1);
+        let valid = |p: usize| WorkPacket::new(PortId::new(p), work_cfg.work(PortId::new(p)));
+        check_unknown_port!(
+            "work",
+            name,
+            runner,
+            valid,
+            WorkPacket::new(bogus, Work::new(1))
+        );
+    }
+    let value_cfg = ValueSwitchConfig::new(BUFFER, PORTS).unwrap();
+    for name in VALUE_POLICY_NAMES.iter().copied().chain(["MRD-STRICT"]) {
+        let runner = ValueRunner::new(value_cfg, value_policy_by_name(name).unwrap(), 1);
+        let valid = |p: usize| ValuePacket::new(PortId::new(p), Value::new(1 + (p as u64 % 7)));
+        check_unknown_port!(
+            "value",
+            name,
+            runner,
+            valid,
+            ValuePacket::new(bogus, Value::new(3))
+        );
+    }
+    for name in COMBINED_POLICY_NAMES {
+        let runner =
+            CombinedRunner::new(work_cfg.clone(), combined_policy_by_name(name).unwrap(), 1);
+        let valid = |p: usize| {
+            let port = PortId::new(p);
+            CombinedPacket::new(port, work_cfg.work(port), Value::new(1 + (p as u64 % 7)))
+        };
+        check_unknown_port!(
+            "combined",
+            name,
+            runner,
+            valid,
+            CombinedPacket::new(bogus, Work::new(1), Value::new(3))
         );
     }
 }
