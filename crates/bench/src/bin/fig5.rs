@@ -11,7 +11,7 @@
 
 use std::process::ExitCode;
 
-use smbm_bench::{Panel, PanelScale};
+use smbm_bench::{fig5_block, Panel, PanelScale, FIG5_DEFAULT_SEED};
 
 fn usage() -> &'static str {
     "usage: fig5 [--panel 1..9] [--scale smoke|default|paper] [--seed N] [--repeats R] [--jobs N] [--gnuplot-dir DIR] [--metrics-dir DIR]"
@@ -20,7 +20,7 @@ fn usage() -> &'static str {
 fn main() -> ExitCode {
     let mut panel: Option<u8> = None;
     let mut scale = PanelScale::Default;
-    let mut seed = 0xB0FFE2u64;
+    let mut seed = FIG5_DEFAULT_SEED;
     let mut repeats = 1u32;
     let mut jobs: Option<usize> = None;
     let mut gnuplot_dir: Option<String> = None;
@@ -116,17 +116,9 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-        let csv = smbm_sim::series_to_csv(p.x_label(), &series);
-        println!(
-            "# Fig.5({}) {} [scale {:?}, seed {}, repeats {}]",
-            p.number(),
-            p.caption(),
-            scale,
-            seed,
-            repeats
-        );
-        println!("{csv}");
+        print!("{}", fig5_block(p, scale, seed, repeats, &series));
         if let Some(dir) = &gnuplot_dir {
+            let csv = smbm_sim::series_to_csv(p.x_label(), &series);
             let base = format!("{dir}/panel{}", p.number());
             let gp = smbm_sim::series_to_gnuplot(
                 p.caption(),

@@ -26,6 +26,7 @@ pub use lower_bounds::{
     all_lower_bounds, lower_bound_by_name, lwd_upper_bound_stress, render_table, LOWER_BOUND_NAMES,
 };
 pub use panels::{
-    panel_point_metrics, render_panel, render_panel_averaged, run_panel, run_panel_averaged,
-    run_panel_averaged_with_jobs, run_panel_with_jobs, Panel, PanelScale,
+    fig5_block, panel_point_metrics, render_panel, render_panel_averaged, run_panel,
+    run_panel_averaged, run_panel_averaged_with_jobs, run_panel_with_jobs, Panel, PanelScale,
+    FIG5_DEFAULT_SEED,
 };

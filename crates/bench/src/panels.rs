@@ -431,6 +431,29 @@ pub fn run_panel_averaged_with_jobs(
     Ok((averaged, spread_max))
 }
 
+/// The seed the `fig5` binary uses when `--seed` is not given.
+pub const FIG5_DEFAULT_SEED: u64 = 0xB0FFE2;
+
+/// One panel exactly as the `fig5` binary prints it to stdout: a caption
+/// comment line, the CSV, and a blank separator line.
+pub fn fig5_block(
+    panel: Panel,
+    scale: PanelScale,
+    seed: u64,
+    repeats: u32,
+    series: &[Series],
+) -> String {
+    format!(
+        "# Fig.5({}) {} [scale {:?}, seed {}, repeats {}]\n{}\n",
+        panel.number(),
+        panel.caption(),
+        scale,
+        seed,
+        repeats,
+        series_to_csv(panel.x_label(), series)
+    )
+}
+
 /// Runs a panel and renders it as CSV with a caption header comment.
 /// With `repeats > 1` the values are means over consecutive seeds and the
 /// header reports the worst relative half-spread observed.

@@ -1,74 +1,27 @@
-//! Regenerates the constants pinned in `tests/golden.rs`.
+//! Regenerates the tables pinned in `tests/golden.rs`.
 //!
 //! Run with `cargo run --release --example regen_golden` after an
 //! *intentional* behaviour change (tie-break fix, sampler swap, ...) and
 //! paste the printed tables into the test, noting the regeneration in the
-//! commit message.
+//! commit message. Each row is `(policy, score, every Counters field,
+//! transmitted per port)`.
 
-use smbm_core::{
-    combined_policy_by_name, value_policy_by_name, work_policy_by_name, CombinedRunner,
-    ValueRunner, WorkRunner,
-};
-use smbm_sim::{run_combined, run_value, run_work, EngineConfig};
-use smbm_switch::{ValueSwitchConfig, WorkSwitchConfig};
-use smbm_traffic::{MmppScenario, PortMix, ValueMix};
+use smbm_repro::golden::{combined_rows, value_rows, work_rows, GoldenRow, Setting};
 
-const SEED: u64 = 0xC0FFEE;
+fn print_table(title: &str, rows: &[GoldenRow]) {
+    println!("{title}:");
+    for row in rows {
+        println!("        {}", row.literal());
+    }
+}
 
 fn main() {
-    let work_cfg = WorkSwitchConfig::contiguous(6, 32).unwrap();
-    let work_trace = MmppScenario {
-        sources: 10,
-        slots: 8_000,
-        seed: SEED,
-        ..Default::default()
-    }
-    .work_trace(&work_cfg, &PortMix::Uniform)
-    .unwrap();
-    println!("work model:");
-    for name in ["NHST", "NEST", "NHDT", "LQD", "BPD", "BPD1", "LWD"] {
-        let policy = work_policy_by_name(name).unwrap();
-        let mut runner = WorkRunner::new(work_cfg.clone(), policy, 1);
-        let score = run_work(&mut runner, &work_trace, &EngineConfig::draining())
-            .unwrap()
-            .score;
-        println!("        (\"{name}\", {score}),");
-    }
-
-    let value_cfg = ValueSwitchConfig::new(32, 6).unwrap();
-    let value_trace = MmppScenario {
-        sources: 24,
-        slots: 8_000,
-        seed: SEED,
-        ..Default::default()
-    }
-    .value_trace(6, &PortMix::Uniform, &ValueMix::Uniform { max: 12 })
-    .unwrap();
-    println!("value model:");
-    for name in ["GREEDY", "NEST-V", "NHST-V", "LQD", "MVD", "MVD1", "MRD"] {
-        let policy = value_policy_by_name(name).unwrap();
-        let mut runner = ValueRunner::new(value_cfg, policy, 1);
-        let score = run_value(&mut runner, &value_trace, &EngineConfig::draining())
-            .unwrap()
-            .score;
-        println!("        (\"{name}\", {score}),");
-    }
-
-    let combined_trace = MmppScenario {
-        sources: 10,
-        slots: 8_000,
-        seed: SEED,
-        ..Default::default()
-    }
-    .combined_trace(&work_cfg, &PortMix::Uniform, &ValueMix::Uniform { max: 12 })
-    .unwrap();
-    println!("combined model:");
-    for name in ["GREEDY", "LQD", "LWD", "MVD-D", "WVD"] {
-        let policy = combined_policy_by_name(name).unwrap();
-        let mut runner = CombinedRunner::new(work_cfg.clone(), policy, 1);
-        let score = run_combined(&mut runner, &combined_trace, &EngineConfig::draining())
-            .unwrap()
-            .score;
-        println!("        (\"{name}\", {score}),");
+    for setting in [Setting::Plain, Setting::Stressed] {
+        print_table(&format!("work model, {setting:?}"), &work_rows(setting));
+        print_table(&format!("value model, {setting:?}"), &value_rows(setting));
+        print_table(
+            &format!("combined model, {setting:?}"),
+            &combined_rows(setting),
+        );
     }
 }

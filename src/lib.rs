@@ -1,1 +1,3 @@
 //! Root package holding the workspace examples and integration tests.
+
+pub mod golden;
