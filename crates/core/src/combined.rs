@@ -13,8 +13,8 @@
 use std::cmp::Reverse;
 
 use smbm_switch::{
-    AdmitError, ArrivalOutcome, CombinedPacket, CombinedPhaseReport, CombinedSwitch, Counters,
-    DropReason, PortId, RatioKey, Transmitted, Value, WorkSwitchConfig,
+    AdmitError, ArrivalOutcome, CombinedPacket, CombinedSwitch, Counters, DropReason, PhaseReport,
+    PortId, RatioKey, Transmitted, Value, WorkSwitchConfig,
 };
 
 use crate::decision::check_port;
@@ -148,13 +148,13 @@ impl<P: CombinedPolicy> CombinedRunner<P> {
     }
 
     /// Runs the transmission phase.
-    pub fn transmission(&mut self) -> CombinedPhaseReport {
+    pub fn transmission(&mut self) -> PhaseReport {
         self.switch.transmit(self.speedup)
     }
 
     /// Like [`CombinedRunner::transmission`], appending per-packet
     /// completion details to `out`.
-    pub fn transmission_into(&mut self, out: &mut Vec<Transmitted>) -> CombinedPhaseReport {
+    pub fn transmission_into(&mut self, out: &mut Vec<Transmitted>) -> PhaseReport {
         self.switch.transmit_into(self.speedup, out)
     }
 

@@ -19,7 +19,7 @@ pub use mvd::Mvd;
 pub use nest::NestValue;
 pub use nhst::NhstValue;
 
-use smbm_switch::{AdmitError, Transmitted, ValuePacket, ValuePhaseReport, ValueSwitch};
+use smbm_switch::{AdmitError, PhaseReport, Transmitted, ValuePacket, ValueSwitch};
 
 use crate::decision::check_port;
 use crate::Decision;
@@ -172,13 +172,13 @@ impl<P: ValuePolicy> ValueRunner<P> {
     }
 
     /// Runs the transmission phase at the configured speedup.
-    pub fn transmission(&mut self) -> ValuePhaseReport {
+    pub fn transmission(&mut self) -> PhaseReport {
         self.switch.transmit(self.speedup)
     }
 
     /// Like [`ValueRunner::transmission`], appending per-packet completion
     /// details to `out`.
-    pub fn transmission_into(&mut self, out: &mut Vec<Transmitted>) -> ValuePhaseReport {
+    pub fn transmission_into(&mut self, out: &mut Vec<Transmitted>) -> PhaseReport {
         self.switch.transmit_into(self.speedup, out)
     }
 

@@ -204,7 +204,9 @@ impl<P: WorkPolicy> WorkRunner<P> {
                 self.switch.reject(pkt)?;
                 self.drop_stamps[port] = version;
             }
-            Decision::PushOut(victim) => self.switch.push_out_and_admit(victim, pkt)?,
+            Decision::PushOut(victim) => {
+                self.switch.push_out_and_admit(victim, pkt)?;
+            }
         }
         Ok(decision)
     }

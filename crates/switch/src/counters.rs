@@ -14,8 +14,7 @@
 
 use std::fmt;
 
-/// Packet-lifetime counters maintained by [`crate::WorkSwitch`] and
-/// [`crate::ValueSwitch`].
+/// Packet-lifetime counters maintained by every [`crate::Switch`].
 ///
 /// ```
 /// use smbm_switch::Counters;

@@ -4,27 +4,35 @@
 //! Buffer Management for Heterogeneous Packet Processing"* (Eugster, Kogan,
 //! Nikolenko, Sirotkin — ICDCS 2014).
 //!
-//! The paper studies an `l × n` switch whose `n` output queues share a single
-//! buffer of `B` unit-sized packet slots, in two flavours:
+//! The paper studies one `l × n` switch whose `n` output queues share a
+//! single buffer of `B` unit-sized packet slots, with a two-phase slot
+//! (arrivals, then transmission). This crate implements it once, as
+//! [`Switch<Q>`](Switch), generic over the per-port [`QueueDiscipline`] —
+//! the only thing in which the models differ:
 //!
-//! * the **heterogeneous-processing model** ([`WorkSwitch`]): each packet
-//!   carries a required amount of processing; all packets destined to the
-//!   same port require the same work; queues are FIFO; throughput is the
-//!   number of transmitted packets;
-//! * the **heterogeneous-value model** ([`ValueSwitch`]): unit-work packets
-//!   carry intrinsic values; queues are priority queues (most valuable
-//!   first); throughput is the total transmitted value.
+//! * the **heterogeneous-processing model** ([`WorkSwitch`] =
+//!   `Switch<WorkQueue>`): each packet carries a required amount of
+//!   processing; all packets destined to the same port require the same
+//!   work; queues are FIFO; throughput is the number of transmitted packets;
+//! * the **heterogeneous-value model** ([`ValueSwitch`] =
+//!   `Switch<ValueQueue>`): unit-work packets carry intrinsic values; queues
+//!   are priority queues (most valuable first); throughput is the total
+//!   transmitted value;
+//! * the **combined model** ([`CombinedSwitch`] = `Switch<CombinedQueue>`,
+//!   an extension): per-port work and per-packet values, served by value
+//!   with run-to-completion.
 //!
 //! This crate owns the *mechanics* — queues, shared-buffer occupancy, the
 //! two-phase slot structure, packet accounting and its conservation laws.
 //! Admission *decisions* (LWD, LQD, MRD, ...) live in the `smbm-core` crate;
-//! traffic lives in `smbm-traffic`; the slot loop lives in `smbm-sim`.
+//! traffic lives in `smbm-traffic`; the slot loop lives in `smbm-datapath`,
+//! driven offline by `smbm-sim` and live by `smbm-runtime`.
 //!
 //! Storage-wise, every switch owns a [`BufferCore`]: one preallocated slab of
 //! exactly `B` packet slots that all queues share. Queues are intrusive
 //! doubly-linked lists threaded through the slab, so admission, push-out and
 //! transmission are O(1) pointer splices with no per-packet allocation, and
-//! buffer occupancy *is* the slab's allocation count. The pre-slab queue
+//! buffer occupancy *is* the slab's allocated count. The pre-slab queue
 //! implementations survive verbatim in [`mod@reference`] as differential-test
 //! oracles.
 //!
@@ -47,7 +55,6 @@
 
 mod combined {
     pub mod queue;
-    pub mod switch;
 }
 mod config;
 mod counters;
@@ -59,17 +66,15 @@ mod outcome;
 mod packet;
 pub mod reference;
 mod slab;
+mod switch;
 mod work {
     pub mod queue;
-    pub mod switch;
 }
 mod value {
     pub mod queue;
-    pub mod switch;
 }
 
 pub use combined::queue::{CombinedQueue, InService};
-pub use combined::switch::{CombinedPacket, CombinedPhaseReport, CombinedSwitch};
 pub use config::{ValueSwitchConfig, WorkSwitchConfig};
 pub use counters::{ConservationError, Counters};
 pub use dirty::DirtyPorts;
@@ -77,9 +82,8 @@ pub use error::{AdmitError, ConfigError};
 pub use flush::{FlushMode, FlushPolicy};
 pub use ids::{PortId, Slot, Value, Work};
 pub use outcome::{ArrivalOutcome, DropReason};
-pub use packet::{Transmitted, ValuePacket, WorkPacket};
+pub use packet::{CombinedPacket, Transmitted, ValuePacket, WorkPacket};
 pub use slab::{BufferCore, SlotList};
+pub use switch::{CombinedSwitch, PhaseReport, QueueDiscipline, Switch, ValueSwitch, WorkSwitch};
 pub use value::queue::{RatioKey, ValueEntry, ValueQueue};
-pub use value::switch::{ValuePhaseReport, ValueSwitch};
 pub use work::queue::WorkQueue;
-pub use work::switch::{PhaseReport, WorkSwitch};

@@ -1,4 +1,4 @@
-//! Packet types for the two switch models.
+//! Packet types for the three switch models.
 
 use std::fmt;
 
@@ -81,9 +81,58 @@ impl fmt::Display for ValuePacket {
     }
 }
 
+/// A packet of the combined model (extension): destination port, the
+/// port's work requirement, and an intrinsic value.
+///
+/// ```
+/// use smbm_switch::{CombinedPacket, PortId, Value, Work};
+/// let p = CombinedPacket::new(PortId::new(0), Work::new(4), Value::new(6));
+/// assert_eq!(p.density(), 1.5);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CombinedPacket {
+    port: PortId,
+    work: Work,
+    value: Value,
+}
+
+impl CombinedPacket {
+    /// Creates a packet.
+    pub const fn new(port: PortId, work: Work, value: Value) -> Self {
+        CombinedPacket { port, work, value }
+    }
+
+    /// Destination output port.
+    pub const fn port(self) -> PortId {
+        self.port
+    }
+
+    /// Required processing.
+    pub const fn work(self) -> Work {
+        self.work
+    }
+
+    /// Intrinsic value.
+    pub const fn value(self) -> Value {
+        self.value
+    }
+
+    /// Value per processing cycle — the natural greedy ordering key of the
+    /// combined model.
+    pub fn density(self) -> f64 {
+        self.value.get() as f64 / f64::from(self.work.cycles())
+    }
+}
+
+impl fmt::Display for CombinedPacket {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "[{}/{} -> {}]", self.value, self.work, self.port)
+    }
+}
+
 /// A packet that has been transmitted, together with timing information.
 ///
-/// Produced by the transmission phase of either switch; useful for latency
+/// Produced by the transmission phase of every switch; useful for latency
 /// accounting in the simulator's metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Transmitted {
@@ -123,6 +172,13 @@ mod tests {
         assert_eq!(p.port(), PortId::new(0));
         assert_eq!(p.value(), Value::new(9));
         assert_eq!(p.to_string(), "[$9 -> port#1]");
+    }
+
+    #[test]
+    fn combined_packet_density_and_display() {
+        let p = CombinedPacket::new(PortId::new(0), Work::new(4), Value::new(6));
+        assert!((p.density() - 1.5).abs() < 1e-12);
+        assert_eq!(p.to_string(), "[$6/4cy -> port#1]");
     }
 
     #[test]

@@ -43,7 +43,9 @@ impl Oracle {
         match decision {
             Decision::Accept => self.switch.admit(pkt)?,
             Decision::Drop => self.switch.reject(pkt)?,
-            Decision::PushOut(victim) => self.switch.push_out_and_admit(victim, pkt)?,
+            Decision::PushOut(victim) => {
+                self.switch.push_out_and_admit(victim, pkt)?;
+            }
         }
         Ok(decision)
     }
