@@ -27,6 +27,7 @@ impl DirtyPorts {
     }
 
     /// Marks port `i` dirty; duplicate marks are ignored.
+    #[inline]
     pub fn mark(&mut self, i: usize) {
         if !self.flags[i] {
             self.flags[i] = true;

@@ -145,6 +145,7 @@ impl BufferCore {
     /// # Panics
     ///
     /// Panics on a double free (the node is already on the free list).
+    #[inline]
     fn release(&mut self, idx: u32) {
         let node = &mut self.nodes[idx as usize];
         assert!(node.prev != FREE, "double free of slab slot {idx}");
@@ -154,6 +155,7 @@ impl BufferCore {
         self.free_len += 1;
     }
 
+    #[inline]
     fn node(&self, idx: u32) -> &SlotNode {
         &self.nodes[idx as usize]
     }
@@ -210,6 +212,7 @@ impl BufferCore {
     }
 
     /// Unlinks `idx` from `list` without freeing it.
+    #[inline]
     fn unlink(&mut self, list: &mut SlotList, idx: u32) {
         let SlotNode { prev, next, .. } = *self.node(idx);
         if prev == NIL {
@@ -259,6 +262,7 @@ impl BufferCore {
 
     /// Removes and frees the front slot (largest value in a descending
     /// list, head-of-line in a FIFO).
+    #[inline]
     pub(crate) fn pop_front(&mut self, list: &mut SlotList) -> Option<(Value, Slot)> {
         let idx = list.head;
         if idx == NIL {
@@ -284,6 +288,7 @@ impl BufferCore {
     }
 
     /// The front slot's `(value, arrived)` without removing it.
+    #[inline]
     pub(crate) fn front(&self, list: &SlotList) -> Option<(Value, Slot)> {
         (list.head != NIL).then(|| {
             let n = self.node(list.head);
