@@ -3,8 +3,8 @@
 //! of the extension policies (AWD(α), NHDT-W, MRD-strict).
 
 use smbm_core::{
-    value_policy_by_name, work_policy_by_name, AlphaWd, CappedWork, Lwd, LwdTieBreak, ValuePqOpt,
-    ValueRunner, WorkPolicy, WorkPqOpt, WorkRunner,
+    value_policy_by_name, work_policy_by_name, AlphaWd, CappedWork, Lwd, LwdTieBreak, Policy,
+    ValuePqOpt, ValueRunner, WorkPqOpt, WorkRunner,
 };
 use smbm_sim::{run_value, run_work, EngineConfig, ExperimentError, FlushMode, FlushPolicy};
 use smbm_switch::{ValueSwitchConfig, WorkSwitchConfig};

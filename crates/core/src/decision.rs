@@ -1,8 +1,8 @@
-//! Admission decisions and the plumbing that applies them to a switch.
+//! Admission decisions.
 
 use std::fmt;
 
-use smbm_switch::{AdmitError, PortId};
+use smbm_switch::PortId;
 
 /// A buffer-management policy's verdict on one arriving packet.
 ///
@@ -33,17 +33,6 @@ impl fmt::Display for Decision {
             Decision::Drop => write!(f, "drop"),
             Decision::PushOut(victim) => write!(f, "push-out {victim}"),
         }
-    }
-}
-
-/// Fails with [`AdmitError::UnknownPort`] unless `port` is one of a
-/// switch's `ports`. Runners check it before a policy runs, because
-/// policies index their queues by the arrival's port.
-pub(crate) fn check_port(port: PortId, ports: usize) -> Result<(), AdmitError> {
-    if port.index() < ports {
-        Ok(())
-    } else {
-        Err(AdmitError::UnknownPort { port, ports })
     }
 }
 

@@ -4,6 +4,16 @@
 //! switches, reproducing *"Shared Memory Buffer Management for Heterogeneous
 //! Packet Processing"* (Eugster, Kogan, Nikolenko, Sirotkin — ICDCS 2014).
 //!
+//! Every policy implements the one [`Policy<Q>`](Policy) trait for the queue
+//! discipline `Q` of its packet model, and one [`Runner<Q, P>`](Runner)
+//! applies its decisions to a [`smbm_switch::Switch<Q>`]. [`WorkRunner`],
+//! [`ValueRunner`] and [`CombinedRunner`] are the per-model aliases;
+//! [`WorkPolicy`], [`ValuePolicy`] and [`CombinedPolicy`] are marker
+//! subtraits naming the registries' trait objects. The runner's drop-verdict
+//! memo is on only where a valid packet is fully determined by its port
+//! ([`smbm_switch::QueueDiscipline::PORT_DETERMINES_PACKET`]): the work
+//! model.
+//!
 //! ## Heterogeneous processing (Section III)
 //!
 //! Packets carry per-port work requirements; throughput is the number of
@@ -63,27 +73,32 @@ mod opt {
     pub mod single_pq;
 }
 mod ratio;
+mod runner;
 mod singleq;
 mod system;
 mod value;
 mod work;
 
 pub use combined::{
-    combined_policy_by_name, CombinedPolicy, CombinedPqOpt, CombinedRunner, DensityMvd,
-    GreedyCombined, LqdCombined, LwdCombined, Wvd, COMBINED_POLICY_NAMES,
+    combined_policy_by_name, CombinedPqOpt, DensityMvd, GreedyCombined, LqdCombined, LwdCombined,
+    Wvd, COMBINED_POLICY_NAMES,
 };
 pub use decision::Decision;
 pub use index::ScoreIndex;
 pub use opt::exact::{exact_value_opt, exact_work_opt, TooLargeError, MAX_EXACT_ARRIVALS};
 pub use opt::single_pq::{ValuePqOpt, WorkPqOpt};
 pub use ratio::CompetitiveRatio;
+pub use runner::{
+    CombinedPolicy, CombinedRunner, Policy, Runner, ValuePolicy, ValueRunner, WorkPolicy,
+    WorkRunner,
+};
 pub use singleq::{FifoAdmission, SingleFifoQueue};
 pub use system::{CombinedSystem, ValueSystem, WorkSystem};
 pub use value::{
     value_policy_by_name, CappedValue, GreedyValue, LqdValue, Mrd, MrdStrict, Mvd, NestValue,
-    NhstValue, ValuePolicy, ValueRunner, VALUE_POLICY_NAMES,
+    NhstValue, VALUE_POLICY_NAMES,
 };
 pub use work::{
     harmonic, work_policy_by_name, AlphaWd, Bpd, CappedWork, GreedyWork, Lqd, Lwd, LwdTieBreak,
-    Nest, Nhdt, NhdtW, Nhst, WorkPolicy, WorkRunner, WORK_POLICY_NAMES,
+    Nest, Nhdt, NhdtW, Nhst, WORK_POLICY_NAMES,
 };

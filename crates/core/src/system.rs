@@ -13,14 +13,11 @@
 //! [`transmission_phase_into`]: WorkSystem::transmission_phase_into
 
 use smbm_switch::{
-    AdmitError, ArrivalOutcome, CombinedPacket, Counters, DropReason, Transmitted, ValuePacket,
-    WorkPacket,
+    AdmitError, ArrivalOutcome, CombinedPacket, CombinedQueue, Counters, DropReason, Transmitted,
+    ValuePacket, ValueQueue, WorkPacket, WorkQueue,
 };
 
-use crate::{
-    CombinedPolicy, CombinedPqOpt, CombinedRunner, Decision, ValuePolicy, ValuePqOpt, ValueRunner,
-    WorkPolicy, WorkPqOpt, WorkRunner,
-};
+use crate::{CombinedPqOpt, Decision, Policy, Runner, ValuePqOpt, WorkPqOpt};
 
 /// Classifies a policy decision as an [`ArrivalOutcome`], distinguishing
 /// drops forced by a full buffer from voluntary policy rejections.
@@ -151,7 +148,7 @@ impl<S: WorkSystem + ?Sized> WorkSystem for &mut S {
     }
 }
 
-impl<P: WorkPolicy> WorkSystem for WorkRunner<P> {
+impl<P: Policy<WorkQueue>> WorkSystem for Runner<WorkQueue, P> {
     fn label(&self) -> String {
         self.policy().name().to_owned()
     }
@@ -170,15 +167,15 @@ impl<P: WorkPolicy> WorkSystem for WorkRunner<P> {
     }
 
     fn end_slot(&mut self) {
-        WorkRunner::end_slot(self);
+        Runner::end_slot(self);
     }
 
     fn flush(&mut self) -> u64 {
-        WorkRunner::flush(self)
+        Runner::flush(self)
     }
 
     fn transmitted(&self) -> u64 {
-        WorkRunner::transmitted(self)
+        Runner::transmitted(self)
     }
 
     fn occupancy(&self) -> usize {
@@ -344,7 +341,7 @@ impl<S: ValueSystem + ?Sized> ValueSystem for &mut S {
     }
 }
 
-impl<P: ValuePolicy> ValueSystem for ValueRunner<P> {
+impl<P: Policy<ValueQueue>> ValueSystem for Runner<ValueQueue, P> {
     fn label(&self) -> String {
         self.policy().name().to_owned()
     }
@@ -363,15 +360,15 @@ impl<P: ValuePolicy> ValueSystem for ValueRunner<P> {
     }
 
     fn end_slot(&mut self) {
-        ValueRunner::end_slot(self);
+        Runner::end_slot(self);
     }
 
     fn flush(&mut self) -> u64 {
-        ValueRunner::flush(self)
+        Runner::flush(self)
     }
 
     fn transmitted_value(&self) -> u64 {
-        ValueRunner::transmitted_value(self)
+        Runner::transmitted_value(self)
     }
 
     fn occupancy(&self) -> usize {
@@ -536,7 +533,7 @@ impl<S: CombinedSystem + ?Sized> CombinedSystem for &mut S {
     }
 }
 
-impl<P: CombinedPolicy> CombinedSystem for CombinedRunner<P> {
+impl<P: Policy<CombinedQueue>> CombinedSystem for Runner<CombinedQueue, P> {
     fn label(&self) -> String {
         self.policy().name().to_owned()
     }
@@ -555,15 +552,15 @@ impl<P: CombinedPolicy> CombinedSystem for CombinedRunner<P> {
     }
 
     fn end_slot(&mut self) {
-        CombinedRunner::end_slot(self);
+        Runner::end_slot(self);
     }
 
     fn flush(&mut self) -> u64 {
-        CombinedRunner::flush(self)
+        Runner::flush(self)
     }
 
     fn transmitted_value(&self) -> u64 {
-        CombinedRunner::transmitted_value(self)
+        Runner::transmitted_value(self)
     }
 
     fn occupancy(&self) -> usize {
@@ -618,7 +615,7 @@ impl CombinedSystem for CombinedPqOpt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GreedyValue, Lwd};
+    use crate::{GreedyValue, Lwd, ValueRunner, WorkRunner};
     use smbm_switch::{PortId, Value, ValueSwitchConfig, Work, WorkSwitchConfig};
 
     #[test]

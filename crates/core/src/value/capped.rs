@@ -3,9 +3,9 @@
 //! Value-model counterpart of [`crate::CappedWork`]: executes the admission
 //! quotas that the Section IV lower-bound proofs prescribe for OPT.
 
-use smbm_switch::{PortId, ValuePacket, ValueSwitch};
+use smbm_switch::{PortId, ValuePacket, ValueQueue, ValueSwitch};
 
-use crate::Decision;
+use crate::{Decision, Policy};
 
 /// Non-push-out policy that accepts a packet for port `i` iff the buffer has
 /// space and `|Q_i|` is below a fixed per-port cap.
@@ -41,7 +41,7 @@ impl CappedValue {
     }
 }
 
-impl super::ValuePolicy for CappedValue {
+impl Policy<ValueQueue> for CappedValue {
     fn name(&self) -> &str {
         "OPT-script"
     }
@@ -58,7 +58,7 @@ impl super::ValuePolicy for CappedValue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::{ValuePolicy, ValueRunner};
+    use crate::ValueRunner;
     use smbm_switch::{Value, ValueSwitchConfig};
 
     fn pkt(port: usize, v: u64) -> ValuePacket {

@@ -1,8 +1,8 @@
 //! Greedy non-push-out admission in the value model.
 
-use smbm_switch::{ValuePacket, ValueSwitch};
+use smbm_switch::{ValuePacket, ValueQueue, ValueSwitch};
 
-use crate::Decision;
+use crate::{Decision, Policy};
 
 /// **Greedy** — accept whenever the buffer has free space, never push out.
 ///
@@ -21,7 +21,7 @@ impl GreedyValue {
     }
 }
 
-impl super::ValuePolicy for GreedyValue {
+impl Policy<ValueQueue> for GreedyValue {
     fn name(&self) -> &str {
         "GREEDY"
     }
@@ -38,7 +38,7 @@ impl super::ValuePolicy for GreedyValue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::{ValuePolicy, ValueRunner};
+    use crate::ValueRunner;
     use smbm_switch::{PortId, Value, ValueSwitchConfig};
 
     fn pkt(port: usize, v: u64) -> ValuePacket {

@@ -2,10 +2,10 @@
 
 use std::cmp::Reverse;
 
-use smbm_switch::{PortId, RatioKey, ValuePacket, ValueSwitch};
+use smbm_switch::{PortId, RatioKey, ValuePacket, ValueQueue, ValueSwitch};
 
 use crate::index::{apply_queue_changes, ScoreIndex, SelectMode};
-use crate::Decision;
+use crate::{Decision, Policy};
 
 /// **MRD** — the policy the paper conjectures to be constant-competitive in
 /// the heterogeneous-value model (the open problem of Goldwasser's survey).
@@ -140,7 +140,7 @@ impl Mrd {
     }
 }
 
-impl super::ValuePolicy for Mrd {
+impl Policy<ValueQueue> for Mrd {
     fn name(&self) -> &str {
         "MRD"
     }
@@ -181,7 +181,7 @@ impl super::ValuePolicy for Mrd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::{ValuePolicy, ValueRunner};
+    use crate::ValueRunner;
     use smbm_switch::{Value, ValueSwitchConfig};
 
     fn pkt(port: usize, v: u64) -> ValuePacket {

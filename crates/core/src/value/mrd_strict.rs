@@ -1,9 +1,9 @@
 //! The *literal* reading of the paper's MRD rule, kept as an ablation
 //! foil for the virtual-add [`crate::Mrd`] actually used.
 
-use smbm_switch::{PortId, ValuePacket, ValueSwitch};
+use smbm_switch::{PortId, ValuePacket, ValueQueue, ValueSwitch};
 
-use crate::Decision;
+use crate::{Decision, Policy};
 
 /// **MRD-strict** — MRD exactly as printed in Section IV: on a full buffer,
 /// push out the minimal-value packet of the maximal-ratio queue **only if
@@ -47,7 +47,7 @@ impl MrdStrict {
     }
 }
 
-impl super::ValuePolicy for MrdStrict {
+impl Policy<ValueQueue> for MrdStrict {
     fn name(&self) -> &str {
         "MRD-strict"
     }
@@ -70,7 +70,7 @@ impl super::ValuePolicy for MrdStrict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::{ValuePolicy, ValueRunner};
+    use crate::ValueRunner;
     use smbm_switch::{Value, ValueSwitchConfig};
 
     fn pkt(port: usize, v: u64) -> ValuePacket {

@@ -2,10 +2,10 @@
 
 use std::cmp::Reverse;
 
-use smbm_switch::{PortId, ValuePacket, ValueSwitch};
+use smbm_switch::{PortId, ValuePacket, ValueQueue, ValueSwitch};
 
 use crate::index::{apply_queue_changes, ScoreIndex, SelectMode};
-use crate::Decision;
+use crate::{Decision, Policy};
 
 /// **MVD** — push-out policy that greedily maximizes admitted value: on
 /// congestion, evict the globally *minimal-value* packet (from the longest
@@ -158,7 +158,7 @@ impl Mvd {
     }
 }
 
-impl super::ValuePolicy for Mvd {
+impl Policy<ValueQueue> for Mvd {
     fn name(&self) -> &str {
         if self.spare_singletons {
             "MVD1"
@@ -208,7 +208,7 @@ impl super::ValuePolicy for Mvd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::{ValuePolicy, ValueRunner};
+    use crate::ValueRunner;
     use smbm_switch::{Value, ValueSwitchConfig};
 
     fn pkt(port: usize, v: u64) -> ValuePacket {

@@ -1,8 +1,8 @@
 //! NEST in the value model: equal static thresholds.
 
-use smbm_switch::{ValuePacket, ValueSwitch};
+use smbm_switch::{ValuePacket, ValueQueue, ValueSwitch};
 
-use crate::Decision;
+use crate::{Decision, Policy};
 
 /// **NEST-V** — the value-model translation of NEST: accept a packet for
 /// port `i` iff the buffer has free space and `|Q_i| < B/n`. A complete
@@ -19,7 +19,7 @@ impl NestValue {
     }
 }
 
-impl super::ValuePolicy for NestValue {
+impl Policy<ValueQueue> for NestValue {
     fn name(&self) -> &str {
         "NEST-V"
     }
@@ -39,7 +39,7 @@ impl super::ValuePolicy for NestValue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::{ValuePolicy, ValueRunner};
+    use crate::ValueRunner;
     use smbm_switch::{PortId, Value, ValueSwitchConfig};
 
     fn pkt(port: usize, v: u64) -> ValuePacket {

@@ -1,8 +1,8 @@
 //! NHST in the value model: reversed harmonic static thresholds.
 
-use smbm_switch::{PortId, ValuePacket, ValueSwitch};
+use smbm_switch::{PortId, ValuePacket, ValueQueue, ValueSwitch};
 
-use crate::Decision;
+use crate::{Decision, Policy};
 
 /// **NHST-V** — the value-model translation of NHST used in Section V-C's
 /// value==port experiments: since high *values* (unlike high *work*) are
@@ -33,7 +33,7 @@ impl NhstValue {
     }
 }
 
-impl super::ValuePolicy for NhstValue {
+impl Policy<ValueQueue> for NhstValue {
     fn name(&self) -> &str {
         "NHST-V"
     }
@@ -53,7 +53,7 @@ impl super::ValuePolicy for NhstValue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::{ValuePolicy, ValueRunner};
+    use crate::ValueRunner;
     use smbm_switch::{Value, ValueSwitchConfig};
 
     fn pkt(port: usize, v: u64) -> ValuePacket {

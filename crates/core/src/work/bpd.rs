@@ -1,8 +1,8 @@
 //! Biggest-Packet-Drop (BPD) and its singleton-sparing variant BPD1.
 
-use smbm_switch::{PortId, WorkPacket, WorkSwitch};
+use smbm_switch::{PortId, WorkPacket, WorkQueue, WorkSwitch};
 
-use crate::Decision;
+use crate::{Decision, Policy};
 
 /// **BPD** — push-out policy that, on congestion, evicts from the non-empty
 /// queue with the *largest processing requirement*, trying to keep the cheap
@@ -73,7 +73,7 @@ impl Bpd {
     }
 }
 
-impl super::WorkPolicy for Bpd {
+impl Policy<WorkQueue> for Bpd {
     fn name(&self) -> &str {
         if self.spare_singletons {
             "BPD1"
@@ -104,7 +104,7 @@ impl super::WorkPolicy for Bpd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::work::{WorkPolicy, WorkRunner};
+    use crate::WorkRunner;
     use smbm_switch::WorkSwitchConfig;
 
     fn runner(policy: Bpd, k: u32, b: usize) -> WorkRunner<Bpd> {

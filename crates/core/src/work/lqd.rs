@@ -1,9 +1,9 @@
 //! Longest-Queue-Drop (LQD) in the heterogeneous-processing model.
 
-use smbm_switch::{PortId, WorkPacket, WorkSwitch};
+use smbm_switch::{PortId, WorkPacket, WorkQueue, WorkSwitch};
 
 use crate::index::{apply_queue_changes, ScoreIndex, SelectMode};
-use crate::Decision;
+use crate::{Decision, Policy};
 
 /// **LQD** — the classic push-out policy of Aiello et al.: when the buffer is
 /// congested, push out the tail of the *longest* queue. Required processing
@@ -100,7 +100,7 @@ impl Lqd {
     }
 }
 
-impl super::WorkPolicy for Lqd {
+impl Policy<WorkQueue> for Lqd {
     fn name(&self) -> &str {
         "LQD"
     }
@@ -145,7 +145,7 @@ impl super::WorkPolicy for Lqd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::work::{WorkPolicy, WorkRunner};
+    use crate::WorkRunner;
     use smbm_switch::WorkSwitchConfig;
 
     fn runner(k: u32, b: usize) -> WorkRunner<Lqd> {

@@ -1,9 +1,9 @@
 //! Longest-Work-Drop (LWD) — the paper's main contribution (Section III).
 
-use smbm_switch::{PortId, WorkPacket, WorkSwitch};
+use smbm_switch::{PortId, WorkPacket, WorkQueue, WorkSwitch};
 
 use crate::index::{apply_queue_changes, ScoreIndex, SelectMode};
-use crate::Decision;
+use crate::{Decision, Policy};
 
 /// Tie-breaking rule used by [`Lwd`] when several queues attain the maximal
 /// total work. The paper picks "maximal among those queues" (we read this as
@@ -167,7 +167,7 @@ impl Lwd {
     }
 }
 
-impl super::WorkPolicy for Lwd {
+impl Policy<WorkQueue> for Lwd {
     fn name(&self) -> &str {
         match self.tie_break {
             LwdTieBreak::MaxWork => "LWD",
@@ -220,7 +220,7 @@ impl super::WorkPolicy for Lwd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::work::{WorkPolicy, WorkRunner};
+    use crate::WorkRunner;
     use smbm_switch::WorkSwitchConfig;
 
     fn runner(k: u32, b: usize) -> WorkRunner<Lwd> {

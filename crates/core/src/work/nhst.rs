@@ -1,8 +1,8 @@
 //! Non-Push-Out-Harmonic-Static-Threshold (NHST).
 
-use smbm_switch::{WorkPacket, WorkSwitch};
+use smbm_switch::{WorkPacket, WorkQueue, WorkSwitch};
 
-use crate::Decision;
+use crate::{Decision, Policy};
 
 /// **NHST** — greedy non-push-out policy with *static* per-queue thresholds
 /// inversely proportional to required processing.
@@ -32,7 +32,7 @@ impl Nhst {
     }
 }
 
-impl super::WorkPolicy for Nhst {
+impl Policy<WorkQueue> for Nhst {
     fn name(&self) -> &str {
         "NHST"
     }
@@ -53,7 +53,7 @@ impl super::WorkPolicy for Nhst {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::work::{WorkPolicy, WorkRunner};
+    use crate::WorkRunner;
     use smbm_switch::{PortId, WorkSwitchConfig};
 
     fn runner(k: u32, b: usize) -> WorkRunner<Nhst> {

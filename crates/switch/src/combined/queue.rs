@@ -150,6 +150,7 @@ impl CombinedQueue {
 impl QueueDiscipline for CombinedQueue {
     type Packet = CombinedPacket;
     type Config = WorkSwitchConfig;
+    const PORT_DETERMINES_PACKET: bool = false;
 
     fn for_ports(config: &WorkSwitchConfig) -> Vec<Self> {
         config
@@ -163,6 +164,7 @@ impl QueueDiscipline for CombinedQueue {
         config.buffer()
     }
 
+    #[inline]
     fn port(pkt: CombinedPacket) -> PortId {
         pkt.port()
     }

@@ -22,6 +22,13 @@ pub trait QueueDiscipline: Clone + fmt::Debug {
     /// The switch configuration: buffer `B` and the ports.
     type Config: Clone + fmt::Debug;
 
+    /// Whether a valid packet is fully determined by its destination port,
+    /// as in the work model, where the port dictates the work label and
+    /// every packet is worth 1. Then a policy's verdict on one arrival
+    /// holds for every arrival to that port until the switch changes, and
+    /// runners may memoise drops; where packets carry values it does not.
+    const PORT_DETERMINES_PACKET: bool;
+
     /// One empty queue per output port of `config`.
     fn for_ports(config: &Self::Config) -> Vec<Self>;
 

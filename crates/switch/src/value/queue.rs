@@ -135,6 +135,7 @@ impl ValueQueue {
 impl QueueDiscipline for ValueQueue {
     type Packet = ValuePacket;
     type Config = ValueSwitchConfig;
+    const PORT_DETERMINES_PACKET: bool = false;
 
     fn for_ports(config: &ValueSwitchConfig) -> Vec<Self> {
         vec![ValueQueue::new(); config.ports()]
@@ -144,6 +145,7 @@ impl QueueDiscipline for ValueQueue {
         config.buffer()
     }
 
+    #[inline]
     fn port(pkt: ValuePacket) -> PortId {
         pkt.port()
     }

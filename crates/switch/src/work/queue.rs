@@ -101,6 +101,7 @@ impl WorkQueue {
 impl QueueDiscipline for WorkQueue {
     type Packet = WorkPacket;
     type Config = WorkSwitchConfig;
+    const PORT_DETERMINES_PACKET: bool = true;
 
     fn for_ports(config: &WorkSwitchConfig) -> Vec<Self> {
         config.works().iter().map(|&w| WorkQueue::new(w)).collect()
@@ -110,6 +111,7 @@ impl QueueDiscipline for WorkQueue {
         config.buffer()
     }
 
+    #[inline]
     fn port(pkt: WorkPacket) -> PortId {
         pkt.port()
     }

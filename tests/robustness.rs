@@ -8,26 +8,35 @@ use rand::{RngExt, SeedableRng};
 
 use smbm_core::{
     combined_policy_by_name, value_policy_by_name, work_policy_by_name, CombinedRunner, Decision,
-    ValuePolicy, ValueRunner, WorkPolicy, WorkRunner, COMBINED_POLICY_NAMES, VALUE_POLICY_NAMES,
+    Policy, Runner, ValueRunner, WorkRunner, COMBINED_POLICY_NAMES, VALUE_POLICY_NAMES,
     WORK_POLICY_NAMES,
 };
 use smbm_switch::{
-    AdmitError, CombinedPacket, PortId, Value, ValuePacket, ValueSwitch, ValueSwitchConfig, Work,
-    WorkPacket, WorkSwitch, WorkSwitchConfig,
+    AdmitError, CombinedPacket, PortId, QueueDiscipline, Switch, Value, ValuePacket,
+    ValueSwitchConfig, Work, WorkPacket, WorkSwitchConfig,
 };
 
-/// A policy that answers with arbitrary (frequently invalid) decisions.
+/// A policy that answers with arbitrary (frequently invalid) decisions, in
+/// every packet model.
 #[derive(Debug)]
-struct ChaosWork {
+struct Chaos {
     rng: StdRng,
 }
 
-impl WorkPolicy for ChaosWork {
+impl Chaos {
+    fn new(seed: u64) -> Self {
+        Chaos {
+            rng: StdRng::seed_from_u64(seed),
+        }
+    }
+}
+
+impl<Q: QueueDiscipline> Policy<Q> for Chaos {
     fn name(&self) -> &str {
         "CHAOS"
     }
 
-    fn decide(&mut self, switch: &WorkSwitch, _pkt: WorkPacket) -> Decision {
+    fn decide(&mut self, switch: &Switch<Q>, _pkt: Q::Packet) -> Decision {
         match self.rng.random_range(0..4u8) {
             0 => Decision::Accept, // invalid when full
             1 => Decision::Drop,
@@ -37,41 +46,18 @@ impl WorkPolicy for ChaosWork {
     }
 }
 
-#[derive(Debug)]
-struct ChaosValue {
-    rng: StdRng,
-}
-
-impl ValuePolicy for ChaosValue {
-    fn name(&self) -> &str {
-        "CHAOS"
-    }
-
-    fn decide(&mut self, switch: &ValueSwitch, _pkt: ValuePacket) -> Decision {
-        match self.rng.random_range(0..4u8) {
-            0 => Decision::Accept,
-            1 => Decision::Drop,
-            2 => Decision::PushOut(PortId::new(self.rng.random_range(0..switch.ports()))),
-            _ => Decision::PushOut(PortId::new(switch.ports() + 7)),
-        }
-    }
-}
-
-#[test]
-fn chaos_work_policy_errors_cleanly_and_preserves_invariants() {
-    let cfg = WorkSwitchConfig::contiguous(3, 6).unwrap();
-    let mut runner = WorkRunner::new(
-        cfg,
-        ChaosWork {
-            rng: StdRng::seed_from_u64(1),
-        },
-        1,
-    );
+/// Offers 500 valid arrivals (`pkt(i)`) to a chaos-driven runner: every
+/// invalid decision must come back as a clean [`AdmitError`], and the switch
+/// must stay internally consistent no matter what the policy attempted. (A
+/// failed arrival is not recorded at all.)
+fn assert_chaos_is_contained<Q: QueueDiscipline>(
+    mut runner: Runner<Q, Chaos>,
+    pkt: impl Fn(u64) -> Q::Packet,
+) {
     let mut errors = 0;
     let mut applied = 0;
     for i in 0..500u64 {
-        let port = PortId::new((i % 3) as usize);
-        match runner.arrival_to(port) {
+        match runner.arrival(pkt(i)) {
             Ok(_) => applied += 1,
             Err(
                 AdmitError::BufferFull
@@ -80,8 +66,6 @@ fn chaos_work_policy_errors_cleanly_and_preserves_invariants() {
             ) => errors += 1,
             Err(other) => panic!("unexpected error class: {other}"),
         }
-        // The switch must stay internally consistent no matter what the
-        // policy attempted. (A failed arrival is not recorded at all.)
         runner.switch().check_invariants().unwrap();
         if i % 5 == 4 {
             runner.transmission();
@@ -93,31 +77,32 @@ fn chaos_work_policy_errors_cleanly_and_preserves_invariants() {
 }
 
 #[test]
+fn chaos_work_policy_errors_cleanly_and_preserves_invariants() {
+    let cfg = WorkSwitchConfig::contiguous(3, 6).unwrap();
+    let runner = WorkRunner::new(cfg.clone(), Chaos::new(1), 1);
+    assert_chaos_is_contained(runner, |i| {
+        let port = PortId::new((i % 3) as usize);
+        WorkPacket::new(port, cfg.work(port))
+    });
+}
+
+#[test]
 fn chaos_value_policy_errors_cleanly_and_preserves_invariants() {
     let cfg = ValueSwitchConfig::new(6, 3).unwrap();
-    let mut runner = ValueRunner::new(
-        cfg,
-        ChaosValue {
-            rng: StdRng::seed_from_u64(2),
-        },
-        1,
-    );
-    let mut errors = 0;
-    for i in 0..500u64 {
-        let pkt = ValuePacket::new(
-            PortId::new((i % 3) as usize),
-            smbm_switch::Value::new(1 + i % 9),
-        );
-        if runner.arrival(pkt).is_err() {
-            errors += 1;
-        }
-        runner.switch().check_invariants().unwrap();
-        if i % 5 == 4 {
-            runner.transmission();
-            runner.end_slot();
-        }
-    }
-    assert!(errors > 0);
+    let runner = ValueRunner::new(cfg, Chaos::new(2), 1);
+    assert_chaos_is_contained(runner, |i| {
+        ValuePacket::new(PortId::new((i % 3) as usize), Value::new(1 + i % 9))
+    });
+}
+
+#[test]
+fn chaos_combined_policy_errors_cleanly_and_preserves_invariants() {
+    let cfg = WorkSwitchConfig::contiguous(3, 6).unwrap();
+    let runner = CombinedRunner::new(cfg.clone(), Chaos::new(3), 1);
+    assert_chaos_is_contained(runner, |i| {
+        let port = PortId::new((i % 3) as usize);
+        CombinedPacket::new(port, cfg.work(port), Value::new(1 + i % 9))
+    });
 }
 
 #[test]
@@ -125,13 +110,7 @@ fn engine_propagates_policy_errors() {
     use smbm_sim::{run_work, EngineConfig};
     use smbm_traffic::Trace;
     let cfg = WorkSwitchConfig::contiguous(2, 2).unwrap();
-    let mut runner = WorkRunner::new(
-        cfg.clone(),
-        ChaosWork {
-            rng: StdRng::seed_from_u64(9),
-        },
-        1,
-    );
+    let mut runner = WorkRunner::new(cfg.clone(), Chaos::new(9), 1);
     let mut trace = Trace::new();
     // Enough arrivals that chaos is guaranteed to emit an invalid decision.
     trace.push_slot(vec![
