@@ -118,12 +118,10 @@ fn value_engine_slot_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Indexed victim selection vs. the retained full-scan oracle, at the
-/// Fig. 5-representative n = 64 scale where the O(n) scan per arrival is
-/// most expensive. `*-indexed` forces the incremental `ScoreIndex` (what
-/// the registry default auto-selects at this port count); `*-scan` is the
-/// original linear scan (`Policy::scan()`).
-fn slab_index_vs_scan(c: &mut Criterion) {
+/// Indexed victim selection at the Fig. 5-representative n = 64 scale,
+/// where the registry-default policies keep the incremental `ScoreIndex`
+/// instead of an O(n) scan per arrival.
+fn slab_indexed(c: &mut Criterion) {
     let cfg64 = WorkSwitchConfig::contiguous(64, 512).expect("valid");
     let scenario64 = MmppScenario {
         sources: 500,
@@ -141,33 +139,17 @@ fn slab_index_vs_scan(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("slab");
     group.throughput(Throughput::Elements(work_trace.slots() as u64));
-    group.bench_function("lwd-n64-indexed", |b| {
+    group.bench_function("lwd-n64", |b| {
         b.iter(|| {
-            let mut runner = WorkRunner::new(cfg64.clone(), Lwd::indexed(), 1);
+            let mut runner = WorkRunner::new(cfg64.clone(), Lwd::new(), 1);
             let s = run_work(&mut runner, &work_trace, &EngineConfig::horizon_only())
                 .expect("LWD never errs");
             black_box(s.score)
         });
     });
-    group.bench_function("lwd-n64-scan", |b| {
+    group.bench_function("mrd-n64", |b| {
         b.iter(|| {
-            let mut runner = WorkRunner::new(cfg64.clone(), Lwd::scan(), 1);
-            let s = run_work(&mut runner, &work_trace, &EngineConfig::horizon_only())
-                .expect("LWD never errs");
-            black_box(s.score)
-        });
-    });
-    group.bench_function("mrd-n64-indexed", |b| {
-        b.iter(|| {
-            let mut runner = ValueRunner::new(vcfg64, Mrd::indexed(), 1);
-            let s = run_value(&mut runner, &value_trace, &EngineConfig::horizon_only())
-                .expect("MRD never errs");
-            black_box(s.score)
-        });
-    });
-    group.bench_function("mrd-n64-scan", |b| {
-        b.iter(|| {
-            let mut runner = ValueRunner::new(vcfg64, Mrd::scan(), 1);
+            let mut runner = ValueRunner::new(vcfg64, Mrd::new(), 1);
             let s = run_value(&mut runner, &value_trace, &EngineConfig::horizon_only())
                 .expect("MRD never errs");
             black_box(s.score)
@@ -291,7 +273,7 @@ criterion_group! {
         .measurement_time(std::time::Duration::from_secs(3));
     targets = engine_slot_throughput,
         value_engine_slot_throughput,
-        slab_index_vs_scan,
+        slab_indexed,
         observer_overhead,
         trace_generation,
         exact_opt_search

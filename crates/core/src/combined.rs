@@ -17,7 +17,7 @@ use smbm_switch::{
     RatioKey, Value,
 };
 
-use crate::index::{apply_queue_changes, ScoreIndex, SelectMode};
+use crate::index::ArgMax;
 use crate::{CombinedPolicy, Decision, Policy};
 
 // ---------------------------------------------------------------------
@@ -150,42 +150,20 @@ impl Policy<CombinedQueue> for LwdCombined {
 ///
 /// Degenerations (tested): unit values → LWD; unit works → MRD.
 ///
-/// Victim selection is O(1) by default (an O(log n) walk when the arrival
-/// owns the current maximum), via a [`ScoreIndex`] over
-/// `(W_j·|Q_j|/S_j, Reverse(min_j))`; [`Wvd::scan`] keeps the original O(n)
-/// scan as the differential oracle.
+/// Victim selection is an O(n) scan of `(W_j·|Q_j|/S_j, Reverse(min_j))`
+/// over the non-empty queues below 32 ports (ties prefer the smaller
+/// minimum value, then the larger index); from 32 ports up it is O(1) (an
+/// O(log n) walk when the arrival owns the current maximum) through a
+/// [`crate::ScoreIndex`] over the same keys.
 #[derive(Debug, Clone, Default)]
 pub struct Wvd {
-    index: Option<ScoreIndex<(RatioKey, Reverse<u64>)>>,
-    mode: SelectMode,
+    select: ArgMax<(RatioKey, Reverse<u64>)>,
 }
 
 impl Wvd {
-    /// Creates the policy. Victim selection picks index or scan automatically
-    /// by port count.
+    /// Creates the policy.
     pub fn new() -> Self {
-        Wvd {
-            index: None,
-            mode: SelectMode::Auto,
-        }
-    }
-
-    /// Creates WVD with victim selection by full scan instead of the
-    /// incremental index (differential-test oracle).
-    pub fn scan() -> Self {
-        Wvd {
-            index: None,
-            mode: SelectMode::Scan,
-        }
-    }
-
-    /// Creates WVD with the incremental index forced on regardless of port
-    /// count.
-    pub fn indexed() -> Self {
-        Wvd {
-            index: None,
-            mode: SelectMode::Indexed,
-        }
+        Self::default()
     }
 
     /// `port`'s resident key, `None` for an empty queue (which does not
@@ -201,70 +179,6 @@ impl Wvd {
         let min = q.min_value().map_or(u64::MAX, Value::get);
         Some((RatioKey::new(num, sum), Reverse(min)))
     }
-
-    /// Indexed equivalent of [`Wvd::max_ratio_queue`].
-    fn indexed_max_ratio(&mut self, switch: &CombinedSwitch, pkt: CombinedPacket) -> PortId {
-        if self
-            .index
-            .as_ref()
-            .is_none_or(|i| i.ports() != switch.ports())
-        {
-            let mut idx = ScoreIndex::new(switch.ports());
-            idx.rebuild_with(|i| Self::port_key(switch, PortId::new(i)));
-            self.index = Some(idx);
-        }
-        let q = switch.queue(pkt.port());
-        let len = q.len() as u128 + 1;
-        let work = (q.total_work() + q.work().as_u64()) as u128;
-        let sum = q.total_value() as u128 + pkt.value().get() as u128;
-        let min = q
-            .min_value()
-            .map_or(u64::MAX, Value::get)
-            .min(pkt.value().get());
-        let virtual_key = (RatioKey::new(work * len, sum), Reverse(min));
-        self.index
-            .as_ref()
-            .expect("index built above")
-            .max_with(pkt.port(), virtual_key)
-    }
-
-    /// The queue maximizing `W_j / a_j = W_j * len_j / sum_j` once `pkt` is
-    /// virtually added; ties prefer the smaller minimum value, then the
-    /// larger index.
-    pub fn max_ratio_queue(switch: &CombinedSwitch, pkt: CombinedPacket) -> PortId {
-        let mut best: Option<(PortId, u128, u128, u64)> = None;
-        for (port, q) in switch.queues() {
-            let own = port == pkt.port();
-            let len = q.len() as u128 + u128::from(own);
-            if len == 0 {
-                continue;
-            }
-            let work = (q.total_work() + if own { q.work().as_u64() } else { 0 }) as u128;
-            let sum = q.total_value() as u128 + if own { pkt.value().get() as u128 } else { 0 };
-            let num = work * len; // ratio = num / sum
-            let min = {
-                let resident = q.min_value().map_or(u64::MAX, Value::get);
-                if own {
-                    resident.min(pkt.value().get())
-                } else {
-                    resident
-                }
-            };
-            let better = match &best {
-                None => true,
-                Some((_, bnum, bsum, bmin)) => {
-                    let lhs = num * bsum;
-                    let rhs = bnum * sum;
-                    lhs > rhs || (lhs == rhs && min <= *bmin)
-                }
-            };
-            if better {
-                best = Some((port, num, sum, min));
-            }
-        }
-        best.map(|(p, _, _, _)| p)
-            .expect("destination queue non-empty after virtual add")
-    }
 }
 
 impl Policy<CombinedQueue> for Wvd {
@@ -276,32 +190,30 @@ impl Policy<CombinedQueue> for Wvd {
         if !switch.is_full() {
             return Decision::Accept;
         }
-        let victim = if self.mode.use_index(switch.ports()) {
-            self.indexed_max_ratio(switch, pkt)
-        } else {
-            Self::max_ratio_queue(switch, pkt)
-        };
-        Decision::PushOut(victim)
+        let q = switch.queue(pkt.port());
+        let len = q.len() as u128 + 1;
+        let work = (q.total_work() + q.work().as_u64()) as u128;
+        let sum = q.total_value() as u128 + pkt.value().get() as u128;
+        let min = q
+            .min_value()
+            .map_or(u64::MAX, Value::get)
+            .min(pkt.value().get());
+        let virtual_key = (RatioKey::new(work * len, sum), Reverse(min));
+        Decision::PushOut(self.select.argmax_with(
+            switch.ports(),
+            |p| Self::port_key(switch, p),
+            pkt.port(),
+            virtual_key,
+        ))
     }
 
     fn wants_queue_events(&self, ports: usize) -> bool {
-        self.mode.use_index(ports)
-    }
-
-    fn queue_changed(&mut self, switch: &CombinedSwitch, port: PortId) {
-        if let Some(idx) = self.index.as_mut() {
-            if idx.ports() == switch.ports() {
-                idx.set(port, Self::port_key(switch, port));
-            }
-        }
+        self.select.wants_events(ports)
     }
 
     fn queues_changed(&mut self, switch: &CombinedSwitch, ports: &[PortId]) {
-        if let Some(idx) = self.index.as_mut() {
-            if idx.ports() == switch.ports() {
-                apply_queue_changes(idx, ports, |i| Self::port_key(switch, PortId::new(i)));
-            }
-        }
+        self.select
+            .changed(switch.ports(), ports, |p| Self::port_key(switch, p));
     }
 }
 

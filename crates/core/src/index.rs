@@ -1,8 +1,8 @@
 //! Incremental argmax index over per-port policy scores.
 //!
-//! Every push-out policy in this crate selects a victim queue as the
-//! lexicographic maximum of `(score, tie, port)` over all ports — the scan
-//! loops all use `>=`-style updates, so the later port wins exact ties.
+//! The score-based push-out policies (LQD, LWD, AWD, MRD, MVD, WVD) select
+//! a victim queue as the lexicographic maximum of `(score, tie, port)` over
+//! all ports, so the later port wins exact ties.
 //! [`ScoreIndex`] maintains that maximum incrementally: the switch reports
 //! which queues changed after each event (see `ValueSwitch::drain_dirty_into`
 //! and friends), the policy recomputes just those ports' keys, and victim
@@ -22,57 +22,151 @@
 //! per-slot storm of queue-change events after a transmission phase stays
 //! cheap, and the common full-buffer drop costs one comparison.
 //!
-//! The scan loops are kept as `scan()` constructors on each adopting policy
-//! and serve as the differential-test oracle (`tests/slab_differential.rs`).
+//! [`ArgMax`] is the one victim selector every indexed push-out policy
+//! shares: the policy supplies its per-port key and the arrival's virtual
+//! key, and the selector picks the index or a plain scan by port count.
+//! Independent scan oracles for each policy live with the differential
+//! tests (`tests/common/`, driven by `tests/slab_differential.rs`).
 
 use smbm_switch::PortId;
 
 /// Port count below which the scan beats the index: updating the tree on
 /// every queue-change event costs more than an 8- or 16-entry linear scan
-/// whose whole working set is two cache lines. Registry-default ("auto")
-/// policies only maintain an index at or above this size.
-pub(crate) const INDEX_MIN_PORTS: usize = 32;
+/// whose whole working set is two cache lines.
+const INDEX_MIN_PORTS: usize = 32;
 
-/// Victim-selection mode of a policy that supports both the incremental
-/// [`ScoreIndex`] and its original O(n) scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) enum SelectMode {
-    /// Index on switches with at least [`INDEX_MIN_PORTS`] ports, scan below
-    /// (the registry default).
-    #[default]
-    Auto,
-    /// Always maintain and use the index (differential tests, benches).
-    Indexed,
-    /// Always scan (the differential-test oracle).
-    Scan,
+/// The arg-max victim selector of a push-out policy.
+///
+/// A policy describes each port by an optional key (`None`: the port does
+/// not take part) and asks for the port with the lexicographically maximal
+/// `(key, port)` pair, so exact key ties go to the larger port index. On a
+/// switch with at least [`INDEX_MIN_PORTS`] ports the selector keeps a
+/// lazily built [`ScoreIndex`] over the keys, repaired from the switch's
+/// queue-change events ([`ArgMax::changed`]); below that it folds `key`
+/// over every port.
+#[derive(Debug, Clone)]
+pub(crate) struct ArgMax<K: Ord + Copy> {
+    index: Option<ScoreIndex<K>>,
+    /// Keeps the index at every port count (the selector's own tests).
+    #[cfg(test)]
+    forced: bool,
 }
 
-impl SelectMode {
-    /// Whether a switch with `ports` ports should use the index.
-    pub(crate) fn use_index(self, ports: usize) -> bool {
-        match self {
-            SelectMode::Auto => ports >= INDEX_MIN_PORTS,
-            SelectMode::Indexed => true,
-            SelectMode::Scan => false,
+impl<K: Ord + Copy> Default for ArgMax<K> {
+    fn default() -> Self {
+        ArgMax {
+            index: None,
+            #[cfg(test)]
+            forced: false,
         }
     }
 }
 
-/// Applies a batch of queue-change events to `idx`: point updates for small
-/// batches, one bottom-up [`ScoreIndex::rebuild_with`] when at least half the
-/// ports changed (the post-transmission storm in a congested switch).
-pub(crate) fn apply_queue_changes<K: Ord + Copy>(
-    idx: &mut ScoreIndex<K>,
-    changed: &[PortId],
-    mut key: impl FnMut(usize) -> Option<K>,
-) {
-    if changed.len() * 2 >= idx.ports() {
-        idx.rebuild_with(key);
-    } else {
-        for &p in changed {
-            idx.set(p, key(p.index()));
+impl<K: Ord + Copy> ArgMax<K> {
+    /// Whether a switch with `ports` ports should report queue-change events
+    /// to the selector: exactly when it selects through the index.
+    #[inline]
+    pub(crate) fn wants_events(&self, ports: usize) -> bool {
+        #[cfg(test)]
+        if self.forced {
+            return true;
+        }
+        ports >= INDEX_MIN_PORTS
+    }
+
+    /// Refreshes the keys of the `dirty` ports, if the index is built for a
+    /// switch with `ports` ports: point updates for small batches, one
+    /// bottom-up [`ScoreIndex::rebuild_with`] when at least half the ports
+    /// changed (the post-transmission storm in a congested switch).
+    pub(crate) fn changed(
+        &mut self,
+        ports: usize,
+        dirty: &[PortId],
+        mut key: impl FnMut(PortId) -> Option<K>,
+    ) {
+        let Some(idx) = self.index.as_mut().filter(|i| i.ports() == ports) else {
+            return;
+        };
+        if dirty.len() * 2 >= ports {
+            idx.rebuild_with(|i| key(PortId::new(i)));
+        } else {
+            for &p in dirty {
+                idx.set(p, key(p));
+            }
         }
     }
+
+    /// The index, built from `key` when absent or sized for another switch.
+    fn built(&mut self, ports: usize, mut key: impl FnMut(PortId) -> Option<K>) -> &ScoreIndex<K> {
+        if self.index.as_ref().is_none_or(|i| i.ports() != ports) {
+            let mut idx = ScoreIndex::new(ports);
+            idx.rebuild_with(|i| key(PortId::new(i)));
+            self.index = Some(idx);
+        }
+        self.index.as_ref().expect("index built above")
+    }
+
+    /// The arg-max port once `arriving`'s key is virtually replaced by
+    /// `virtual_key` (see [`ScoreIndex::max_with`]).
+    #[inline]
+    pub(crate) fn argmax_with(
+        &mut self,
+        ports: usize,
+        mut key: impl FnMut(PortId) -> Option<K>,
+        arriving: PortId,
+        virtual_key: K,
+    ) -> PortId {
+        if self.wants_events(ports) {
+            return self.built(ports, key).max_with(arriving, virtual_key);
+        }
+        scan(ports, |p| {
+            if p == arriving {
+                Some(virtual_key)
+            } else {
+                key(p)
+            }
+        })
+        .expect("the arriving port takes part")
+        .0
+    }
+
+    /// The arg-max port over the resident keys, with its key; `None` when no
+    /// port takes part.
+    #[inline]
+    pub(crate) fn argmax(
+        &mut self,
+        ports: usize,
+        key: impl FnMut(PortId) -> Option<K>,
+    ) -> Option<(PortId, K)> {
+        if self.wants_events(ports) {
+            let idx = self.built(ports, key);
+            let port = idx.max()?;
+            return Some((port, idx.key(port).expect("the maximum has a key")));
+        }
+        scan(ports, key)
+    }
+}
+
+/// The lexicographic maximum of `(key, port)` over ports `0..ports`, skipping
+/// ports whose key is `None`.
+#[inline]
+fn scan<K: Ord + Copy>(
+    ports: usize,
+    mut key: impl FnMut(PortId) -> Option<K>,
+) -> Option<(PortId, K)> {
+    let mut best: Option<(PortId, K)> = None;
+    for port in (0..ports).map(PortId::new) {
+        if let Some(k) = key(port) {
+            // Ports come in increasing order, so "at least the best" hands
+            // exact ties to the larger index. `cmp` rather than `>=`: on
+            // tuple keys it compiles to fewer branches, and MVD's scan at
+            // 8 ports ran about 10% slower with `>=`.
+            if best.is_none_or(|(_, b)| k.cmp(&b).is_ge()) {
+                best = Some((port, k));
+            }
+        }
+    }
+    best
 }
 
 /// An incrementally-maintained argmax over per-port keys.
@@ -218,7 +312,106 @@ impl<K: Ord + Copy> ScoreIndex<K> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    impl<K: Ord + Copy> ArgMax<K> {
+        /// A selector that keeps the index at every port count.
+        fn indexed() -> Self {
+            ArgMax {
+                index: None,
+                forced: true,
+            }
+        }
+    }
+
+    /// One change to the stored keys, applied to the forced selector's index
+    /// and mirrored in the keys both paths read.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// One port's key changes (a point [`ScoreIndex::set`] once there
+        /// are three or more ports).
+        Set(usize, Option<u8>),
+        /// Every key changes ([`ScoreIndex::rebuild_with`]).
+        Rebuild(Vec<Option<u8>>),
+        /// Every key is removed ([`ScoreIndex::clear`]).
+        Clear,
+    }
+
+    /// A key from a small range, so exact ties are common; one in four
+    /// ports does not take part.
+    fn key() -> impl Strategy<Value = Option<u8>> {
+        (0u8..4, 0u8..6).prop_map(|(present, k)| (present != 0).then_some(k))
+    }
+
+    fn case() -> impl Strategy<Value = (usize, Vec<Option<u8>>, Vec<Op>)> {
+        (1usize..=9).prop_flat_map(|n| {
+            let op = prop_oneof![
+                3 => (0..n, key()).prop_map(|(p, k)| Op::Set(p, k)),
+                1 => proptest::collection::vec(key(), n).prop_map(Op::Rebuild),
+                1 => Just(Op::Clear),
+            ];
+            (
+                Just(n),
+                proptest::collection::vec(key(), n),
+                proptest::collection::vec(op, 1..24),
+            )
+        })
+    }
+
+    /// Both paths agree on the resident arg-max and, for every arriving
+    /// port, on the virtual-add arg-max: with the arriving port holding the
+    /// root or not, and with a virtual key below, at and above its stored
+    /// key (below is MRD's case: a valuable arrival lowers its queue's key).
+    fn assert_paths_agree(indexed: &mut ArgMax<u8>, keys: &[Option<u8>]) {
+        let n = keys.len();
+        let key = |p: PortId| keys[p.index()];
+        let mut scanned = ArgMax::default();
+        assert!(!scanned.wants_events(n) && indexed.wants_events(n));
+        let resident = scanned.argmax(n, key);
+        assert_eq!(indexed.argmax(n, key), resident, "keys={keys:?}");
+        for p in 0..n {
+            let stored = keys[p].unwrap_or(3);
+            for vkey in [0, stored.saturating_sub(1), stored, stored + 1, 6] {
+                let arriving = PortId::new(p);
+                assert_eq!(
+                    indexed.argmax_with(n, key, arriving, vkey),
+                    scanned.argmax_with(n, key, arriving, vkey),
+                    "keys={keys:?} arriving={p} virtual={vkey} root={resident:?}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(500))]
+
+        #[test]
+        fn selector_index_and_scan_paths_agree((n, mut keys, ops) in case()) {
+            let mut indexed = ArgMax::indexed();
+            // The first query builds the index from the initial keys.
+            assert_paths_agree(&mut indexed, &keys);
+            let all: Vec<PortId> = (0..n).map(PortId::new).collect();
+            for op in ops {
+                match op {
+                    Op::Set(p, k) => {
+                        keys[p] = k;
+                        indexed.changed(n, &[PortId::new(p)], |q| keys[q.index()]);
+                    }
+                    Op::Rebuild(new) => {
+                        keys = new;
+                        indexed.changed(n, &all, |q| keys[q.index()]);
+                    }
+                    Op::Clear => {
+                        keys.fill(None);
+                        indexed.index.as_mut().expect("built").clear();
+                    }
+                }
+                assert_paths_agree(&mut indexed, &keys);
+            }
+        }
+    }
 
     #[test]
     fn empty_index_has_no_max() {
@@ -412,23 +605,26 @@ mod tests {
     }
 
     #[test]
-    fn apply_queue_changes_rebuilds_large_batches() {
+    fn changed_rebuilds_large_batches_and_updates_small_ones() {
         let ports = 8usize;
-        let keys: Vec<Option<u64>> = (0..ports).map(|i| Some(i as u64 * 3 % 7)).collect();
-        // Large batch (>= half the ports) takes the rebuild path.
-        let mut idx = ScoreIndex::new(ports);
+        let mut keys: Vec<Option<u64>> = (0..ports).map(|i| Some(i as u64 * 3 % 7)).collect();
+        let mut sel = ArgMax::indexed();
+        assert_eq!(
+            sel.argmax(ports, |p| keys[p.index()]),
+            Some((PortId::new(2), 6))
+        );
+        // A large batch (>= half the ports) takes the rebuild path.
+        keys.reverse();
         let all: Vec<PortId> = (0..ports).map(PortId::new).collect();
-        apply_queue_changes(&mut idx, &all, |i| keys[i]);
-        // Small batch takes the point-update path.
-        let mut point = ScoreIndex::new(ports);
-        for (p, &key) in keys.iter().enumerate() {
-            point.set(PortId::new(p), key);
-        }
-        assert_eq!(idx.max(), point.max());
-        apply_queue_changes(&mut idx, &[PortId::new(2)], |_| Some(99));
-        point.set(PortId::new(2), Some(99));
-        assert_eq!(idx.max(), point.max());
-        assert_eq!(idx.max(), Some(PortId::new(2)));
+        sel.changed(ports, &all, |p| keys[p.index()]);
+        assert_eq!(sel.argmax(ports, |_| None), Some((PortId::new(5), 6)));
+        // A small batch takes the point-update path.
+        keys[1] = Some(99);
+        sel.changed(ports, &[PortId::new(1)], |p| keys[p.index()]);
+        assert_eq!(sel.argmax(ports, |_| None), Some((PortId::new(1), 99)));
+        // Events for a switch of another size are ignored.
+        sel.changed(ports + 1, &[PortId::new(3)], |_| Some(100));
+        assert_eq!(sel.argmax(ports, |_| None), Some((PortId::new(1), 99)));
     }
 
     #[test]

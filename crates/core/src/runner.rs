@@ -49,23 +49,15 @@ pub trait Policy<Q: QueueDiscipline>: fmt::Debug + Send {
         false
     }
 
-    /// Notifies the policy that `port`'s queue changed since the last
+    /// Notifies the policy that the queues of `ports` changed since the last
     /// decision, so incremental indices (see [`crate::ScoreIndex`]) can
-    /// refresh that port's score. Only called when
-    /// [`Policy::wants_queue_events`] returns `true`.
-    fn queue_changed(&mut self, switch: &Switch<Q>, port: PortId) {
-        let _ = (switch, port);
-    }
-
-    /// Batch form of [`Policy::queue_changed`]: one call per sync with every
-    /// port that changed since the last decision, letting indexed policies
-    /// rebuild in O(n) when most ports are dirty (the post-transmission
-    /// storm) instead of n point updates. The runner skips the call when no
-    /// port changed.
+    /// refresh those ports' scores: one call per sync, letting indexed
+    /// policies rebuild in O(n) when most ports are dirty (the
+    /// post-transmission storm) instead of n point updates. Only called
+    /// when [`Policy::wants_queue_events`] returns `true`, and skipped when
+    /// no port changed.
     fn queues_changed(&mut self, switch: &Switch<Q>, ports: &[PortId]) {
-        for &port in ports {
-            self.queue_changed(switch, port);
-        }
+        let _ = (switch, ports);
     }
 }
 
@@ -84,10 +76,6 @@ impl<Q: QueueDiscipline, P: Policy<Q> + ?Sized> Policy<Q> for Box<P> {
 
     fn wants_queue_events(&self, ports: usize) -> bool {
         (**self).wants_queue_events(ports)
-    }
-
-    fn queue_changed(&mut self, switch: &Switch<Q>, port: PortId) {
-        (**self).queue_changed(switch, port)
     }
 
     fn queues_changed(&mut self, switch: &Switch<Q>, ports: &[PortId]) {
@@ -348,7 +336,7 @@ mod tests {
     struct Log {
         decided: usize,
         flushed: usize,
-        /// One entry per `queue_changed` / `queues_changed` call.
+        /// One entry per `queues_changed` call.
         synced: Vec<Vec<PortId>>,
     }
 
@@ -389,10 +377,6 @@ mod tests {
 
         fn wants_queue_events(&self, _: usize) -> bool {
             true
-        }
-
-        fn queue_changed(&mut self, _: &Switch<Q>, port: PortId) {
-            self.log.lock().unwrap().synced.push(vec![port]);
         }
 
         fn queues_changed(&mut self, _: &Switch<Q>, ports: &[PortId]) {
@@ -465,10 +449,10 @@ mod tests {
         }
         r.flush();
         assert_eq!(log.lock().unwrap().flushed, 1);
-        // The single-port event is delegated too.
+        // A direct batch call is delegated as is.
         let (policy, log) = probe(&[]);
         let mut boxed: Box<dyn Policy<M>> = Box::new(policy);
-        boxed.queue_changed(r.switch(), p1);
+        boxed.queues_changed(r.switch(), &[p1]);
         assert_eq!(log.lock().unwrap().synced, vec![vec![p1]]);
     }
 

@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 
 use smbm_switch::{PortId, ValuePacket, ValueQueue, ValueSwitch};
 
-use crate::index::{apply_queue_changes, ScoreIndex, SelectMode};
+use crate::index::ArgMax;
 use crate::{Decision, Policy};
 
 /// **LQD** (value model) — on congestion, drop the *lowest-value* packet of
@@ -20,42 +20,19 @@ use crate::{Decision, Policy};
 ///
 /// Theorem 9 shows LQD is at least `∛k`-competitive in this model.
 ///
-/// Victim selection is O(1) by default (an O(log n) walk when the arrival
-/// owns the current maximum), via a [`ScoreIndex`] over
-/// `(|Q_j|, Reverse(min_j))`; [`LqdValue::scan`] keeps the original O(n)
-/// scan as the differential oracle.
+/// Victim selection is an O(n) scan of `(|Q_j|, Reverse(min_j))` below 32
+/// ports; from 32 ports up it is O(1) (an O(log n) walk when the arrival
+/// owns the current maximum) through a [`crate::ScoreIndex`] over the same
+/// keys.
 #[derive(Debug, Clone, Default)]
 pub struct LqdValue {
-    index: Option<ScoreIndex<(usize, Reverse<u64>)>>,
-    mode: SelectMode,
+    select: ArgMax<(usize, Reverse<u64>)>,
 }
 
 impl LqdValue {
-    /// Creates the policy. Victim selection picks index or scan automatically
-    /// by port count.
+    /// Creates the policy.
     pub fn new() -> Self {
-        LqdValue {
-            index: None,
-            mode: SelectMode::Auto,
-        }
-    }
-
-    /// Creates value-LQD with victim selection by full scan instead of the
-    /// incremental index (differential-test oracle).
-    pub fn scan() -> Self {
-        LqdValue {
-            index: None,
-            mode: SelectMode::Scan,
-        }
-    }
-
-    /// Creates value-LQD with the incremental index forced on regardless of
-    /// port count.
-    pub fn indexed() -> Self {
-        LqdValue {
-            index: None,
-            mode: SelectMode::Indexed,
-        }
+        Self::default()
     }
 
     fn port_key(switch: &ValueSwitch, port: PortId) -> (usize, Reverse<u64>) {
@@ -64,59 +41,6 @@ impl LqdValue {
             q.len(),
             Reverse(q.min_value().map_or(u64::MAX, |v| v.get())),
         )
-    }
-
-    /// Indexed equivalent of [`LqdValue::longest_queue`].
-    fn indexed_longest(&mut self, switch: &ValueSwitch, pkt: ValuePacket) -> PortId {
-        if self
-            .index
-            .as_ref()
-            .is_none_or(|i| i.ports() != switch.ports())
-        {
-            let mut idx = ScoreIndex::new(switch.ports());
-            idx.rebuild_with(|i| Some(Self::port_key(switch, PortId::new(i))));
-            self.index = Some(idx);
-        }
-        let (len, Reverse(min)) = Self::port_key(switch, pkt.port());
-        let virtual_key = (len + 1, Reverse(min.min(pkt.value().get())));
-        self.index
-            .as_ref()
-            .expect("index built above")
-            .max_with(pkt.port(), virtual_key)
-    }
-
-    /// The queue LQD considers fullest once `arriving` is virtually added.
-    pub fn longest_queue(switch: &ValueSwitch, pkt: ValuePacket) -> PortId {
-        let mut best = PortId::new(0);
-        let mut best_len = 0usize;
-        let mut best_min = u64::MAX;
-        let mut first = true;
-        for (port, q) in switch.queues() {
-            let own = port == pkt.port();
-            let len = q.len() + usize::from(own);
-            let min = {
-                let resident = q.min_value().map_or(u64::MAX, |v| v.get());
-                if own {
-                    resident.min(pkt.value().get())
-                } else {
-                    resident
-                }
-            };
-            let better = if first {
-                true
-            } else {
-                // Longer queue wins; among equals, the smaller minimum value;
-                // among those, later index.
-                (len > best_len) || (len == best_len && min <= best_min)
-            };
-            if better {
-                best = port;
-                best_len = len;
-                best_min = min;
-                first = false;
-            }
-        }
-        best
     }
 }
 
@@ -129,32 +53,23 @@ impl Policy<ValueQueue> for LqdValue {
         if !switch.is_full() {
             return Decision::Accept;
         }
-        let longest = if self.mode.use_index(switch.ports()) {
-            self.indexed_longest(switch, pkt)
-        } else {
-            Self::longest_queue(switch, pkt)
-        };
-        Decision::PushOut(longest)
+        let (len, Reverse(min)) = Self::port_key(switch, pkt.port());
+        let virtual_key = (len + 1, Reverse(min.min(pkt.value().get())));
+        Decision::PushOut(self.select.argmax_with(
+            switch.ports(),
+            |p| Some(Self::port_key(switch, p)),
+            pkt.port(),
+            virtual_key,
+        ))
     }
 
     fn wants_queue_events(&self, ports: usize) -> bool {
-        self.mode.use_index(ports)
-    }
-
-    fn queue_changed(&mut self, switch: &ValueSwitch, port: PortId) {
-        if let Some(idx) = self.index.as_mut() {
-            if idx.ports() == switch.ports() {
-                idx.set(port, Some(Self::port_key(switch, port)));
-            }
-        }
+        self.select.wants_events(ports)
     }
 
     fn queues_changed(&mut self, switch: &ValueSwitch, ports: &[PortId]) {
-        if let Some(idx) = self.index.as_mut() {
-            if idx.ports() == switch.ports() {
-                apply_queue_changes(idx, ports, |i| Some(Self::port_key(switch, PortId::new(i))));
-            }
-        }
+        self.select
+            .changed(switch.ports(), ports, |p| Some(Self::port_key(switch, p)));
     }
 }
 

@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 
 use smbm_switch::{PortId, RatioKey, ValuePacket, ValueQueue, ValueSwitch};
 
-use crate::index::{apply_queue_changes, ScoreIndex, SelectMode};
+use crate::index::ArgMax;
 use crate::{Decision, Policy};
 
 /// **MRD** — the policy the paper conjectures to be constant-competitive in
@@ -29,41 +29,19 @@ use crate::{Decision, Policy};
 /// rule), then the larger index. Ratios are compared exactly via
 /// cross-multiplication ([`smbm_switch::RatioKey`]), not floating point.
 ///
-/// Victim selection is O(1) by default (an O(log n) walk when the arrival
-/// owns the current maximum), via a [`ScoreIndex`] over
-/// `(|Q_j|²/S_j, Reverse(min_j))`; [`Mrd::scan`] keeps the original O(n)
-/// scan as the differential oracle.
+/// Victim selection is an O(n) scan of `(|Q_j|²/S_j, Reverse(min_j))` over
+/// the non-empty queues below 32 ports; from 32 ports up it is O(1) (an
+/// O(log n) walk when the arrival owns the current maximum) through a
+/// [`crate::ScoreIndex`] over the same keys.
 #[derive(Debug, Clone, Default)]
 pub struct Mrd {
-    index: Option<ScoreIndex<(RatioKey, Reverse<u64>)>>,
-    mode: SelectMode,
+    select: ArgMax<(RatioKey, Reverse<u64>)>,
 }
 
 impl Mrd {
     /// Creates the policy.
     pub fn new() -> Self {
-        Mrd {
-            index: None,
-            mode: SelectMode::Auto,
-        }
-    }
-
-    /// Creates MRD with victim selection by full scan instead of the
-    /// incremental index (differential-test oracle).
-    pub fn scan() -> Self {
-        Mrd {
-            index: None,
-            mode: SelectMode::Scan,
-        }
-    }
-
-    /// Creates MRD that always maintains the incremental index, regardless
-    /// of switch size (differential tests, benches).
-    pub fn indexed() -> Self {
-        Mrd {
-            index: None,
-            mode: SelectMode::Indexed,
-        }
+        Self::default()
     }
 
     /// `port`'s resident key, `None` for an empty queue (which does not
@@ -73,70 +51,6 @@ impl Mrd {
         let key = q.ratio_key()?;
         let min = q.min_value().expect("non-empty queue has a minimum").get();
         Some((key, Reverse(min)))
-    }
-
-    /// Indexed equivalent of [`Mrd::max_ratio_queue`].
-    fn indexed_max_ratio(&mut self, switch: &ValueSwitch, pkt: ValuePacket) -> PortId {
-        if self
-            .index
-            .as_ref()
-            .is_none_or(|i| i.ports() != switch.ports())
-        {
-            let mut idx = ScoreIndex::new(switch.ports());
-            idx.rebuild_with(|i| Self::port_key(switch, PortId::new(i)));
-            self.index = Some(idx);
-        }
-        let q = switch.queue(pkt.port());
-        let len = q.len() as u128 + 1;
-        let sum = q.total_value() as u128 + pkt.value().get() as u128;
-        let min = q
-            .min_value()
-            .map_or(u64::MAX, |v| v.get())
-            .min(pkt.value().get());
-        let virtual_key = (RatioKey::new(len * len, sum), Reverse(min));
-        self.index
-            .as_ref()
-            .expect("index built above")
-            .max_with(pkt.port(), virtual_key)
-    }
-
-    /// The queue with the maximal `|Q|/a` ratio once `pkt` is virtually added
-    /// to its destination queue. Ties prefer the queue with the smaller
-    /// minimum value, then the larger index. Only non-empty (after the
-    /// virtual add) queues participate, so the result always exists.
-    pub fn max_ratio_queue(switch: &ValueSwitch, pkt: ValuePacket) -> PortId {
-        let mut best: Option<(PortId, u128, u128, u64)> = None;
-        for (port, q) in switch.queues() {
-            let own = port == pkt.port();
-            let len = q.len() as u128 + u128::from(own);
-            if len == 0 {
-                continue;
-            }
-            let sum = q.total_value() as u128 + if own { pkt.value().get() as u128 } else { 0 };
-            let len_sq = len * len;
-            let min = {
-                let resident = q.min_value().map_or(u64::MAX, |v| v.get());
-                if own {
-                    resident.min(pkt.value().get())
-                } else {
-                    resident
-                }
-            };
-            let better = match &best {
-                None => true,
-                Some((_, blen_sq, bsum, bmin)) => {
-                    // ratio = len^2 / sum; compare len_sq * bsum vs blen_sq * sum.
-                    let lhs = len_sq * bsum;
-                    let rhs = blen_sq * sum;
-                    lhs > rhs || (lhs == rhs && min <= *bmin)
-                }
-            };
-            if better {
-                best = Some((port, len_sq, sum, min));
-            }
-        }
-        best.map(|(p, _, _, _)| p)
-            .expect("destination queue is non-empty after the virtual add")
     }
 }
 
@@ -149,32 +63,29 @@ impl Policy<ValueQueue> for Mrd {
         if !switch.is_full() {
             return Decision::Accept;
         }
-        let victim = if self.mode.use_index(switch.ports()) {
-            self.indexed_max_ratio(switch, pkt)
-        } else {
-            Self::max_ratio_queue(switch, pkt)
-        };
-        Decision::PushOut(victim)
+        let q = switch.queue(pkt.port());
+        let len = q.len() as u128 + 1;
+        let sum = q.total_value() as u128 + pkt.value().get() as u128;
+        let min = q
+            .min_value()
+            .map_or(u64::MAX, |v| v.get())
+            .min(pkt.value().get());
+        let virtual_key = (RatioKey::new(len * len, sum), Reverse(min));
+        Decision::PushOut(self.select.argmax_with(
+            switch.ports(),
+            |p| Self::port_key(switch, p),
+            pkt.port(),
+            virtual_key,
+        ))
     }
 
     fn wants_queue_events(&self, ports: usize) -> bool {
-        self.mode.use_index(ports)
-    }
-
-    fn queue_changed(&mut self, switch: &ValueSwitch, port: PortId) {
-        if let Some(idx) = self.index.as_mut() {
-            if idx.ports() == switch.ports() {
-                idx.set(port, Self::port_key(switch, port));
-            }
-        }
+        self.select.wants_events(ports)
     }
 
     fn queues_changed(&mut self, switch: &ValueSwitch, ports: &[PortId]) {
-        if let Some(idx) = self.index.as_mut() {
-            if idx.ports() == switch.ports() {
-                apply_queue_changes(idx, ports, |i| Self::port_key(switch, PortId::new(i)));
-            }
-        }
+        self.select
+            .changed(switch.ports(), ports, |p| Self::port_key(switch, p));
     }
 }
 

@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 
 use smbm_switch::{PortId, ValuePacket, ValueQueue, ValueSwitch};
 
-use crate::index::{apply_queue_changes, ScoreIndex, SelectMode};
+use crate::index::ArgMax;
 use crate::{Decision, Policy};
 
 /// **MVD** — push-out policy that greedily maximizes admitted value: on
@@ -18,33 +18,22 @@ use crate::{Decision, Policy};
 /// ([`Mvd::sparing_singletons`]), which never evicts the last packet of a
 /// queue.
 ///
-/// Victim selection is O(log n) by default, via a [`ScoreIndex`] over
-/// `(Reverse(min_j), |Q_j|)` — no virtual add is involved, so the resident
-/// maximum is the victim directly. [`Mvd::scan`] and
-/// [`Mvd::scan_sparing_singletons`] keep the original O(n) scan as the
-/// differential oracle.
-#[derive(Debug, Clone)]
+/// The victim queue holds the globally minimal value among eligible queues
+/// (non-empty; at least two packets for MVD1); ties prefer the longest
+/// queue, then the larger index. Selection is an O(n) scan of
+/// `(Reverse(min_j), |Q_j|)` below 32 ports and an O(1) read of a
+/// [`crate::ScoreIndex`] over the same keys from 32 ports up — no virtual
+/// add is involved, so the resident maximum is the victim directly.
+#[derive(Debug, Clone, Default)]
 pub struct Mvd {
     spare_singletons: bool,
-    index: Option<ScoreIndex<(Reverse<u64>, usize)>>,
-    mode: SelectMode,
-}
-
-impl Default for Mvd {
-    fn default() -> Self {
-        Self::new()
-    }
+    select: ArgMax<(Reverse<u64>, usize)>,
 }
 
 impl Mvd {
-    /// Creates plain MVD. Victim selection picks index or scan automatically
-    /// by port count.
+    /// Creates plain MVD.
     pub fn new() -> Self {
-        Mvd {
-            spare_singletons: false,
-            index: None,
-            mode: SelectMode::Auto,
-        }
+        Self::default()
     }
 
     /// Creates MVD1: like MVD but never pushes out the last packet in a
@@ -52,42 +41,6 @@ impl Mvd {
     pub fn sparing_singletons() -> Self {
         Mvd {
             spare_singletons: true,
-            ..Self::new()
-        }
-    }
-
-    /// Creates MVD with victim selection by full scan instead of the
-    /// incremental index (differential-test oracle).
-    pub fn scan() -> Self {
-        Mvd {
-            mode: SelectMode::Scan,
-            ..Self::new()
-        }
-    }
-
-    /// Scan-based MVD1 (differential-test oracle).
-    pub fn scan_sparing_singletons() -> Self {
-        Mvd {
-            spare_singletons: true,
-            mode: SelectMode::Scan,
-            ..Self::new()
-        }
-    }
-
-    /// Creates MVD with the incremental index forced on regardless of port
-    /// count.
-    pub fn indexed() -> Self {
-        Mvd {
-            mode: SelectMode::Indexed,
-            ..Self::new()
-        }
-    }
-
-    /// Index-forced MVD1.
-    pub fn indexed_sparing_singletons() -> Self {
-        Mvd {
-            spare_singletons: true,
-            mode: SelectMode::Indexed,
             ..Self::new()
         }
     }
@@ -112,50 +65,6 @@ impl Mvd {
         let v = q.min_value().expect("non-empty queue has a min").get();
         Some((Reverse(v), q.len()))
     }
-
-    fn port_key(&self, switch: &ValueSwitch, port: PortId) -> Option<(Reverse<u64>, usize)> {
-        Self::key_for(self.spare_singletons, switch, port)
-    }
-
-    /// Indexed equivalent of [`Mvd::victim`]. No virtual add: the resident
-    /// argmax is the victim.
-    fn indexed_victim(&mut self, switch: &ValueSwitch) -> Option<(PortId, u64)> {
-        if self
-            .index
-            .as_ref()
-            .is_none_or(|i| i.ports() != switch.ports())
-        {
-            let spare = self.spare_singletons;
-            let mut idx = ScoreIndex::new(switch.ports());
-            idx.rebuild_with(|i| Self::key_for(spare, switch, PortId::new(i)));
-            self.index = Some(idx);
-        }
-        let idx = self.index.as_ref().expect("index built above");
-        let port = idx.max()?;
-        let (Reverse(v), _) = idx.key(port).expect("max entry has a key");
-        Some((port, v))
-    }
-
-    /// The victim queue: holds the globally minimal value among eligible
-    /// queues (length >= 2 for MVD1); ties prefer the longest queue.
-    fn victim(&self, switch: &ValueSwitch) -> Option<(PortId, u64)> {
-        let min_len = if self.spare_singletons { 2 } else { 1 };
-        let mut best: Option<(PortId, u64, usize)> = None;
-        for (port, q) in switch.queues() {
-            if q.len() < min_len {
-                continue;
-            }
-            let v = q.min_value().expect("non-empty queue has a min").get();
-            let better = match best {
-                None => true,
-                Some((_, bv, blen)) => v < bv || (v == bv && q.len() >= blen),
-            };
-            if better {
-                best = Some((port, v, q.len()));
-            }
-        }
-        best.map(|(p, v, _)| (p, v))
-    }
 }
 
 impl Policy<ValueQueue> for Mvd {
@@ -171,37 +80,25 @@ impl Policy<ValueQueue> for Mvd {
         if !switch.is_full() {
             return Decision::Accept;
         }
-        let victim = if self.mode.use_index(switch.ports()) {
-            self.indexed_victim(switch)
-        } else {
-            self.victim(switch)
-        };
+        let victim = self.select.argmax(switch.ports(), |p| {
+            Self::key_for(self.spare_singletons, switch, p)
+        });
         match victim {
-            Some((victim, min_value)) if min_value < pkt.value().get() => Decision::PushOut(victim),
+            Some((victim, (Reverse(min_value), _))) if min_value < pkt.value().get() => {
+                Decision::PushOut(victim)
+            }
             _ => Decision::Drop,
         }
     }
 
     fn wants_queue_events(&self, ports: usize) -> bool {
-        self.mode.use_index(ports)
-    }
-
-    fn queue_changed(&mut self, switch: &ValueSwitch, port: PortId) {
-        let key = self.port_key(switch, port);
-        if let Some(idx) = self.index.as_mut() {
-            if idx.ports() == switch.ports() {
-                idx.set(port, key);
-            }
-        }
+        self.select.wants_events(ports)
     }
 
     fn queues_changed(&mut self, switch: &ValueSwitch, ports: &[PortId]) {
-        let spare = self.spare_singletons;
-        if let Some(idx) = self.index.as_mut() {
-            if idx.ports() == switch.ports() {
-                apply_queue_changes(idx, ports, |i| Self::key_for(spare, switch, PortId::new(i)));
-            }
-        }
+        self.select.changed(switch.ports(), ports, |p| {
+            Self::key_for(self.spare_singletons, switch, p)
+        });
     }
 }
 

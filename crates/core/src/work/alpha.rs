@@ -3,7 +3,7 @@
 
 use smbm_switch::{PortId, WorkPacket, WorkQueue, WorkSwitch};
 
-use crate::index::{apply_queue_changes, ScoreIndex, SelectMode};
+use crate::index::ArgMax;
 use crate::{Decision, Policy};
 
 /// **AWD(α)** — push out from the queue maximizing the geometric
@@ -17,11 +17,14 @@ use crate::{Decision, Policy};
 /// *work* end of the spectrum is what buys LWD its constant
 /// competitiveness, supporting the paper's Section III-B argument that "a
 /// good policy has to account for the processing requirements explicitly".
+///
+/// Ties prefer the larger per-packet requirement, then the larger index
+/// (LWD's rule). Victim selection scans below 32 ports and goes through a
+/// [`crate::ScoreIndex`] from 32 ports up.
 #[derive(Debug, Clone)]
 pub struct AlphaWd {
     alpha: f64,
-    index: Option<ScoreIndex<(u64, u64)>>,
-    mode: SelectMode,
+    select: ArgMax<(u64, u64)>,
 }
 
 impl AlphaWd {
@@ -37,25 +40,8 @@ impl AlphaWd {
         );
         AlphaWd {
             alpha,
-            index: None,
-            mode: SelectMode::Auto,
+            select: ArgMax::default(),
         }
-    }
-
-    /// Creates AWD(α) with victim selection by full scan instead of the
-    /// incremental index (differential-test oracle).
-    pub fn scan(alpha: f64) -> Self {
-        let mut p = Self::new(alpha);
-        p.mode = SelectMode::Scan;
-        p
-    }
-
-    /// Creates AWD(α) with the incremental index forced on regardless of
-    /// port count.
-    pub fn indexed(alpha: f64) -> Self {
-        let mut p = Self::new(alpha);
-        p.mode = SelectMode::Indexed;
-        p
     }
 
     /// The interpolation exponent.
@@ -63,69 +49,23 @@ impl AlphaWd {
         self.alpha
     }
 
-    fn score_with(alpha: f64, work: u64, len: usize) -> f64 {
+    fn score(alpha: f64, work: u64, len: usize) -> f64 {
         if work == 0 || len == 0 {
             return 0.0;
         }
         (work as f64).powf(alpha) * (len as f64).powf(1.0 - alpha)
     }
 
-    fn score(&self, work: u64, len: usize) -> f64 {
-        Self::score_with(self.alpha, work, len)
+    /// Packs the `(score, tie)` pair of a queue holding `work` in `len`
+    /// packets of `w` cycles into an ordered key. Scores are non-negative
+    /// finite floats, so `to_bits` orders them.
+    fn key(alpha: f64, work: u64, len: usize, w: u64) -> (u64, u64) {
+        (Self::score(alpha, work, len).to_bits(), w)
     }
 
-    /// Packs the resident `(score, tie)` pair of `port` into an ordered key.
-    /// Scores are non-negative finite floats, so `to_bits` orders them.
-    fn key_for(alpha: f64, switch: &WorkSwitch, port: PortId) -> (u64, u64) {
+    fn port_key(alpha: f64, switch: &WorkSwitch, port: PortId) -> (u64, u64) {
         let q = switch.queue(port);
-        let score = Self::score_with(alpha, q.total_work(), q.len());
-        (score.to_bits(), q.work().as_u64())
-    }
-
-    fn port_key(&self, switch: &WorkSwitch, port: PortId) -> (u64, u64) {
-        Self::key_for(self.alpha, switch, port)
-    }
-
-    /// Indexed equivalent of [`AlphaWd::victim`].
-    fn indexed_victim(&mut self, switch: &WorkSwitch, arriving: PortId) -> PortId {
-        if self
-            .index
-            .as_ref()
-            .is_none_or(|i| i.ports() != switch.ports())
-        {
-            let alpha = self.alpha;
-            let mut idx = ScoreIndex::new(switch.ports());
-            idx.rebuild_with(|i| Some(Self::key_for(alpha, switch, PortId::new(i))));
-            self.index = Some(idx);
-        }
-        let q = switch.queue(arriving);
-        let score = self.score(q.total_work() + q.work().as_u64(), q.len() + 1);
-        let virtual_key = (score.to_bits(), q.work().as_u64());
-        self.index
-            .as_ref()
-            .expect("index built above")
-            .max_with(arriving, virtual_key)
-    }
-
-    /// The victim queue once `arriving` is virtually added; ties prefer the
-    /// larger per-packet requirement, then the larger index (LWD's rule).
-    pub fn victim(&self, switch: &WorkSwitch, arriving: PortId) -> PortId {
-        let mut best = PortId::new(0);
-        let mut best_score = f64::NEG_INFINITY;
-        let mut best_tie = 0u64;
-        for (port, q) in switch.queues() {
-            let own = port == arriving;
-            let work = q.total_work() + if own { q.work().as_u64() } else { 0 };
-            let len = q.len() + usize::from(own);
-            let score = self.score(work, len);
-            let tie = q.work().as_u64();
-            if score > best_score || (score == best_score && tie >= best_tie) {
-                best = port;
-                best_score = score;
-                best_tie = tie;
-            }
-        }
-        best
+        Self::key(alpha, q.total_work(), q.len(), q.work().as_u64())
     }
 }
 
@@ -140,11 +80,15 @@ impl Policy<WorkQueue> for AlphaWd {
         if !switch.is_full() {
             return Decision::Accept;
         }
-        let victim = if self.mode.use_index(switch.ports()) {
-            self.indexed_victim(switch, pkt.port())
-        } else {
-            self.victim(switch, pkt.port())
-        };
+        let q = switch.queue(pkt.port());
+        let w = q.work().as_u64();
+        let virtual_key = Self::key(self.alpha, q.total_work() + w, q.len() + 1, w);
+        let victim = self.select.argmax_with(
+            switch.ports(),
+            |p| Some(Self::port_key(self.alpha, switch, p)),
+            pkt.port(),
+            virtual_key,
+        );
         if victim != pkt.port() {
             Decision::PushOut(victim)
         } else {
@@ -153,27 +97,13 @@ impl Policy<WorkQueue> for AlphaWd {
     }
 
     fn wants_queue_events(&self, ports: usize) -> bool {
-        self.mode.use_index(ports)
-    }
-
-    fn queue_changed(&mut self, switch: &WorkSwitch, port: PortId) {
-        let key = self.port_key(switch, port);
-        if let Some(idx) = self.index.as_mut() {
-            if idx.ports() == switch.ports() {
-                idx.set(port, Some(key));
-            }
-        }
+        self.select.wants_events(ports)
     }
 
     fn queues_changed(&mut self, switch: &WorkSwitch, ports: &[PortId]) {
-        let alpha = self.alpha;
-        if let Some(idx) = self.index.as_mut() {
-            if idx.ports() == switch.ports() {
-                apply_queue_changes(idx, ports, |i| {
-                    Some(Self::key_for(alpha, switch, PortId::new(i)))
-                });
-            }
-        }
+        self.select.changed(switch.ports(), ports, |p| {
+            Some(Self::port_key(self.alpha, switch, p))
+        });
     }
 }
 

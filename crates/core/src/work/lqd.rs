@@ -2,7 +2,7 @@
 
 use smbm_switch::{PortId, WorkPacket, WorkQueue, WorkSwitch};
 
-use crate::index::{apply_queue_changes, ScoreIndex, SelectMode};
+use crate::index::ArgMax;
 use crate::{Decision, Policy};
 
 /// **LQD** — the classic push-out policy of Aiello et al.: when the buffer is
@@ -21,82 +21,23 @@ use crate::{Decision, Policy};
 /// LQD is 2-competitive with homogeneous processing, but Theorem 4 shows it
 /// is at least `sqrt(k)`-competitive in the heterogeneous model.
 ///
-/// Victim selection is O(1) by default (an O(log n) walk when the arrival
-/// owns the current maximum), via a [`ScoreIndex`] over
-/// `(|Q_j|, w_j)`; [`Lqd::scan`] keeps the original O(n) scan as the
-/// differential oracle.
+/// Victim selection is an O(n) scan of `(|Q_j|, w_j)` below 32 ports; from
+/// 32 ports up it is O(1) (an O(log n) walk when the arrival owns the
+/// current maximum) through a [`crate::ScoreIndex`] over the same keys.
 #[derive(Debug, Clone, Default)]
 pub struct Lqd {
-    index: Option<ScoreIndex<(usize, u32)>>,
-    mode: SelectMode,
+    select: ArgMax<(usize, u32)>,
 }
 
 impl Lqd {
-    /// Creates the policy. Victim selection picks index or scan automatically
-    /// by port count.
+    /// Creates the policy.
     pub fn new() -> Self {
-        Lqd {
-            index: None,
-            mode: SelectMode::Auto,
-        }
-    }
-
-    /// Creates LQD with victim selection by full scan instead of the
-    /// incremental index (differential-test oracle).
-    pub fn scan() -> Self {
-        Lqd {
-            index: None,
-            mode: SelectMode::Scan,
-        }
-    }
-
-    /// Creates LQD with the incremental index forced on regardless of port
-    /// count (differential tests exercise it at small `n`).
-    pub fn indexed() -> Self {
-        Lqd {
-            index: None,
-            mode: SelectMode::Indexed,
-        }
+        Self::default()
     }
 
     fn port_key(switch: &WorkSwitch, port: PortId) -> (usize, u32) {
         let q = switch.queue(port);
         (q.len(), q.work().cycles())
-    }
-
-    /// Indexed equivalent of [`Lqd::longest_queue`].
-    fn indexed_longest(&mut self, switch: &WorkSwitch, arriving: PortId) -> PortId {
-        if self
-            .index
-            .as_ref()
-            .is_none_or(|i| i.ports() != switch.ports())
-        {
-            let mut idx = ScoreIndex::new(switch.ports());
-            idx.rebuild_with(|i| Some(Self::port_key(switch, PortId::new(i))));
-            self.index = Some(idx);
-        }
-        let (len, cycles) = Self::port_key(switch, arriving);
-        self.index
-            .as_ref()
-            .expect("index built above")
-            .max_with(arriving, (len + 1, cycles))
-    }
-
-    /// The queue LQD considers fullest once `arriving` is virtually added:
-    /// ties go to the largest required processing, then the largest index.
-    pub fn longest_queue(switch: &WorkSwitch, arriving: PortId) -> PortId {
-        let mut best = PortId::new(0);
-        let mut best_key = (0usize, 0u32);
-        for (port, q) in switch.queues() {
-            let virtual_len = q.len() + usize::from(port == arriving);
-            let key = (virtual_len, q.work().cycles());
-            // `>=` makes later indices win ties, keeping selection total.
-            if key >= best_key {
-                best = port;
-                best_key = key;
-            }
-        }
-        best
     }
 }
 
@@ -109,11 +50,13 @@ impl Policy<WorkQueue> for Lqd {
         if !switch.is_full() {
             return Decision::Accept;
         }
-        let longest = if self.mode.use_index(switch.ports()) {
-            self.indexed_longest(switch, pkt.port())
-        } else {
-            Self::longest_queue(switch, pkt.port())
-        };
+        let (len, cycles) = Self::port_key(switch, pkt.port());
+        let longest = self.select.argmax_with(
+            switch.ports(),
+            |p| Some(Self::port_key(switch, p)),
+            pkt.port(),
+            (len + 1, cycles),
+        );
         if longest != pkt.port() {
             Decision::PushOut(longest)
         } else {
@@ -122,23 +65,12 @@ impl Policy<WorkQueue> for Lqd {
     }
 
     fn wants_queue_events(&self, ports: usize) -> bool {
-        self.mode.use_index(ports)
-    }
-
-    fn queue_changed(&mut self, switch: &WorkSwitch, port: PortId) {
-        if let Some(idx) = self.index.as_mut() {
-            if idx.ports() == switch.ports() {
-                idx.set(port, Some(Self::port_key(switch, port)));
-            }
-        }
+        self.select.wants_events(ports)
     }
 
     fn queues_changed(&mut self, switch: &WorkSwitch, ports: &[PortId]) {
-        if let Some(idx) = self.index.as_mut() {
-            if idx.ports() == switch.ports() {
-                apply_queue_changes(idx, ports, |i| Some(Self::port_key(switch, PortId::new(i))));
-            }
-        }
+        self.select
+            .changed(switch.ports(), ports, |p| Some(Self::port_key(switch, p)));
     }
 }
 

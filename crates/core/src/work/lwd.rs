@@ -2,7 +2,7 @@
 
 use smbm_switch::{PortId, WorkPacket, WorkQueue, WorkSwitch};
 
-use crate::index::{apply_queue_changes, ScoreIndex, SelectMode};
+use crate::index::ArgMax;
 use crate::{Decision, Policy};
 
 /// Tie-breaking rule used by [`Lwd`] when several queues attain the maximal
@@ -36,17 +36,15 @@ pub enum LwdTieBreak {
 ///
 /// With homogeneous processing `W_j = w * |Q_j|`, so LWD degenerates to LQD.
 ///
-/// Victim selection on large switches goes through a [`ScoreIndex`] over
-/// `(W_j, tie_j)`, repaired in O(log n) per changed port from the switch's
-/// queue-change events: O(1) unless the arrival owns the current maximum,
-/// an O(log n) walk otherwise. [`Lwd::scan`] keeps the original O(n) scan as
-/// the differential oracle, and small switches scan regardless (the index
-/// only pays off once the scan outgrows a couple of cache lines).
+/// Victim selection is an O(n) scan of `(W_j, tie_j)` below 32 ports; from
+/// 32 ports up it goes through a [`crate::ScoreIndex`] over the same keys,
+/// repaired in O(log n) per changed port from the switch's queue-change
+/// events: O(1) unless the arrival owns the current maximum, an O(log n)
+/// walk otherwise.
 #[derive(Debug, Clone, Default)]
 pub struct Lwd {
     tie_break: LwdTieBreak,
-    index: Option<ScoreIndex<(u64, u64)>>,
-    mode: SelectMode,
+    select: ArgMax<(u64, u64)>,
 }
 
 impl Lwd {
@@ -59,38 +57,7 @@ impl Lwd {
     pub fn with_tie_break(tie_break: LwdTieBreak) -> Self {
         Lwd {
             tie_break,
-            index: None,
-            mode: SelectMode::Auto,
-        }
-    }
-
-    /// Creates LWD with victim selection by full scan instead of the
-    /// incremental index (differential-test oracle).
-    pub fn scan() -> Self {
-        Self::scan_with_tie_break(LwdTieBreak::MaxWork)
-    }
-
-    /// Scan-based LWD with an explicit tie-breaking rule.
-    pub fn scan_with_tie_break(tie_break: LwdTieBreak) -> Self {
-        Lwd {
-            tie_break,
-            index: None,
-            mode: SelectMode::Scan,
-        }
-    }
-
-    /// Creates LWD that always maintains the incremental index, regardless
-    /// of switch size (differential tests, benches).
-    pub fn indexed() -> Self {
-        Self::indexed_with_tie_break(LwdTieBreak::MaxWork)
-    }
-
-    /// Always-indexed LWD with an explicit tie-breaking rule.
-    pub fn indexed_with_tie_break(tie_break: LwdTieBreak) -> Self {
-        Lwd {
-            tie_break,
-            index: None,
-            mode: SelectMode::Indexed,
+            select: ArgMax::default(),
         }
     }
 
@@ -105,65 +72,10 @@ impl Lwd {
         let tie = match tie_break {
             LwdTieBreak::MaxWork => q.work().as_u64(),
             LwdTieBreak::MaxLen => q.len() as u64,
+            // Invert so that "larger tie value wins" selects min work.
             LwdTieBreak::MinWork => u64::MAX - q.work().as_u64(),
         };
         (q.total_work(), tie)
-    }
-
-    /// The `(score, tie)` key of `port`'s resident queue.
-    fn port_key(&self, switch: &WorkSwitch, port: PortId) -> (u64, u64) {
-        Self::key_for(switch, port, self.tie_break)
-    }
-
-    /// Indexed equivalent of [`Lwd::heaviest_queue`], rebuilding the index
-    /// from scratch when absent or sized for a different switch.
-    fn indexed_heaviest(&mut self, switch: &WorkSwitch, arriving: PortId) -> PortId {
-        if self
-            .index
-            .as_ref()
-            .is_none_or(|i| i.ports() != switch.ports())
-        {
-            let tie_break = self.tie_break;
-            let mut idx = ScoreIndex::new(switch.ports());
-            idx.rebuild_with(|i| Some(Self::key_for(switch, PortId::new(i), tie_break)));
-            self.index = Some(idx);
-        }
-        let (w, tie) = self.port_key(switch, arriving);
-        let virtual_key = (w + switch.queue(arriving).work().as_u64(), tie);
-        self.index
-            .as_ref()
-            .expect("index built above")
-            .max_with(arriving, virtual_key)
-    }
-
-    /// The queue with maximal total work once `arriving` is virtually added.
-    pub fn heaviest_queue(&self, switch: &WorkSwitch, arriving: PortId) -> PortId {
-        let mut best = PortId::new(0);
-        let mut best_work = 0u64;
-        let mut best_tie = 0u64;
-        let mut first = true;
-        for (port, q) in switch.queues() {
-            let w = q.total_work()
-                + if port == arriving {
-                    q.work().as_u64()
-                } else {
-                    0
-                };
-            let tie = match self.tie_break {
-                LwdTieBreak::MaxWork => q.work().as_u64(),
-                LwdTieBreak::MaxLen => q.len() as u64,
-                // Invert so that "larger tie value wins" selects min work.
-                LwdTieBreak::MinWork => u64::MAX - q.work().as_u64(),
-            };
-            // `>=` lets later indices win exact ties, keeping selection total.
-            if first || (w, tie) >= (best_work, best_tie) {
-                best = port;
-                best_work = w;
-                best_tie = tie;
-                first = false;
-            }
-        }
-        best
     }
 }
 
@@ -180,12 +92,16 @@ impl Policy<WorkQueue> for Lwd {
         if !switch.is_full() {
             return Decision::Accept;
         }
-        let heaviest = if self.mode.use_index(switch.ports()) {
-            self.indexed_heaviest(switch, pkt.port())
-        } else {
-            self.heaviest_queue(switch, pkt.port())
-        };
-        if heaviest != pkt.port() {
+        let arriving = pkt.port();
+        let (w, tie) = Self::key_for(switch, arriving, self.tie_break);
+        let virtual_key = (w + switch.queue(arriving).work().as_u64(), tie);
+        let heaviest = self.select.argmax_with(
+            switch.ports(),
+            |p| Some(Self::key_for(switch, p, self.tie_break)),
+            arriving,
+            virtual_key,
+        );
+        if heaviest != arriving {
             Decision::PushOut(heaviest)
         } else {
             Decision::Drop
@@ -193,27 +109,13 @@ impl Policy<WorkQueue> for Lwd {
     }
 
     fn wants_queue_events(&self, ports: usize) -> bool {
-        self.mode.use_index(ports)
-    }
-
-    fn queue_changed(&mut self, switch: &WorkSwitch, port: PortId) {
-        let key = self.port_key(switch, port);
-        if let Some(idx) = self.index.as_mut() {
-            if idx.ports() == switch.ports() {
-                idx.set(port, Some(key));
-            }
-        }
+        self.select.wants_events(ports)
     }
 
     fn queues_changed(&mut self, switch: &WorkSwitch, ports: &[PortId]) {
-        let tie_break = self.tie_break;
-        if let Some(idx) = self.index.as_mut() {
-            if idx.ports() == switch.ports() {
-                apply_queue_changes(idx, ports, |i| {
-                    Some(Self::key_for(switch, PortId::new(i), tie_break))
-                });
-            }
-        }
+        self.select.changed(switch.ports(), ports, |p| {
+            Some(Self::key_for(switch, p, self.tie_break))
+        });
     }
 }
 

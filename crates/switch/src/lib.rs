@@ -33,8 +33,8 @@
 //! doubly-linked lists threaded through the slab, so admission, push-out and
 //! transmission are O(1) pointer splices with no per-packet allocation, and
 //! buffer occupancy *is* the slab's allocated count. The pre-slab queue
-//! implementations survive verbatim in [`mod@reference`] as differential-test
-//! oracles.
+//! implementations survive verbatim as differential-test oracles in the
+//! crate's `tests/oracle/`.
 //!
 //! ## Example
 //!
@@ -64,7 +64,6 @@ mod flush;
 mod ids;
 mod outcome;
 mod packet;
-pub mod reference;
 mod slab;
 mod switch;
 mod work {

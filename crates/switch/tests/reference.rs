@@ -2,7 +2,7 @@
 //! operation sequences against two independent oracles:
 //!
 //! * the pre-slab queue implementations preserved verbatim in
-//!   [`smbm_switch::reference`], compared packet-for-packet;
+//!   the `oracle` module (`tests/oracle/`), compared packet-for-packet;
 //! * naive in-test models (plain vectors of residuals / values), compared on
 //!   aggregates.
 //!
@@ -10,11 +10,11 @@
 //! `allocated + free == B`, the free list is cycle-free and correctly marked
 //! — i.e. no slot is ever leaked or double-freed.
 
+mod oracle;
+
 use proptest::prelude::*;
 
-use smbm_switch::{
-    reference, BufferCore, QueueDiscipline, Slot, Value, ValueQueue, Work, WorkQueue,
-};
+use smbm_switch::{BufferCore, QueueDiscipline, Slot, Value, ValueQueue, Work, WorkQueue};
 
 // ---------------------------------------------------------------------
 // WorkQueue vs the pre-slab queue and a vector of explicit residuals.
@@ -84,7 +84,7 @@ proptest! {
     fn work_queue_matches_reference(work in 1u32..=5, ops in work_ops()) {
         let mut core = BufferCore::new(64);
         let mut q = WorkQueue::new(Work::new(work));
-        let mut pre_slab = reference::WorkQueue::new(Work::new(work));
+        let mut pre_slab = oracle::WorkQueue::new(Work::new(work));
         let mut naive = NaiveWorkQueue::new(work);
         let mut completions = Vec::new();
         let mut ref_completions = Vec::new();
@@ -188,7 +188,7 @@ proptest! {
     fn value_queue_matches_reference(ops in value_ops()) {
         let mut core = BufferCore::new(96);
         let mut q = ValueQueue::new();
-        let mut pre_slab = reference::ValueQueue::new();
+        let mut pre_slab = oracle::ValueQueue::new();
         let mut naive = NaiveValueQueue::default();
         let mut seq = 0u64;
         for op in ops {
@@ -347,7 +347,7 @@ proptest! {
         use smbm_switch::CombinedQueue;
         let mut core = BufferCore::new(64);
         let mut q = CombinedQueue::new(Work::new(work));
-        let mut pre_slab = reference::CombinedQueue::new(Work::new(work));
+        let mut pre_slab = oracle::CombinedQueue::new(Work::new(work));
         let mut naive = NaiveCombinedQueue::new(work);
         let mut done = Vec::new();
         let mut ref_done = Vec::new();

@@ -6,13 +6,20 @@
 //! and applies the matching switch operation. Both are driven through the
 //! same random bursts, with transmissions, slot ends and flushes between
 //! arrivals and invalid packets mixed in, and must agree on every result,
-//! on the counters and on every queue after every step.
+//! on the counters and on every queue after every step. Where a policy
+//! selects its victim through the shared arg-max selector, the oracle runs
+//! the policy's independent scan (`tests/common/`) instead, so the memo and
+//! the selector are checked together: at 8 ports the selector scans, at 40
+//! and 64 it keeps an index.
+
+mod common;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use common::{ScanAlphaWd, ScanLqd, ScanLwd};
 use smbm_core::{
-    work_policy_by_name, AlphaWd, Decision, Lwd, WorkPolicy, WorkRunner, WORK_POLICY_NAMES,
+    work_policy_by_name, AlphaWd, Decision, LwdTieBreak, WorkPolicy, WorkRunner, WORK_POLICY_NAMES,
 };
 use smbm_switch::{AdmitError, PortId, Work, WorkPacket, WorkSwitch, WorkSwitchConfig};
 
@@ -58,23 +65,42 @@ impl Oracle {
 
 type Factory = Box<dyn Fn() -> Box<dyn WorkPolicy>>;
 
-/// Every registry work policy, the LWD tie-break variants, AWD, and LWD
-/// with its index forced on (the default scans below 32 ports).
-fn roster() -> Vec<(String, Factory)> {
-    let mut roster: Vec<(String, Factory)> = WORK_POLICY_NAMES
+/// A policy under test and the memo-less oracle's policy.
+struct Entry {
+    name: String,
+    make: Factory,
+    oracle: Factory,
+}
+
+/// Every registry work policy, the LWD tie-break variants and AWD, each
+/// against its scan oracle where it has one and against itself otherwise.
+fn roster() -> Vec<Entry> {
+    let scan = |name: &str| -> Option<Factory> {
+        Some(match name {
+            "LQD" => Box::new(|| Box::new(ScanLqd)),
+            "LWD" => Box::new(|| Box::new(ScanLwd::new(LwdTieBreak::MaxWork))),
+            "LWD-MAXLEN" => Box::new(|| Box::new(ScanLwd::new(LwdTieBreak::MaxLen))),
+            "LWD-MINWORK" => Box::new(|| Box::new(ScanLwd::new(LwdTieBreak::MinWork))),
+            _ => return None,
+        })
+    };
+    let mut roster: Vec<Entry> = WORK_POLICY_NAMES
         .iter()
         .chain(&["GREEDY", "NHDT-W", "LWD-MAXLEN", "LWD-MINWORK"])
         .map(|&name| {
-            let make: Factory = Box::new(move || work_policy_by_name(name).unwrap());
-            (name.to_owned(), make)
+            let make = move || work_policy_by_name(name).unwrap();
+            Entry {
+                name: name.to_owned(),
+                oracle: scan(name).unwrap_or_else(|| Box::new(make)),
+                make: Box::new(make),
+            }
         })
         .collect();
-    roster.push(("AWD(0.5)".into(), Box::new(|| Box::new(AlphaWd::new(0.5)))));
-    roster.push((
-        "AWD(0.5) indexed".into(),
-        Box::new(|| Box::new(AlphaWd::indexed(0.5))),
-    ));
-    roster.push(("LWD indexed".into(), Box::new(|| Box::new(Lwd::indexed()))));
+    roster.push(Entry {
+        name: "AWD(0.5)".into(),
+        make: Box::new(|| Box::new(AlphaWd::new(0.5))),
+        oracle: Box::new(|| Box::new(ScanAlphaWd::new(0.5))),
+    });
     roster
 }
 
@@ -111,15 +137,16 @@ fn arrival(rng: &mut StdRng, cfg: &WorkSwitchConfig, hot: &[usize]) -> WorkPacke
 /// Drives one policy through `slots` random slots; returns how many
 /// arrivals a memo could have answered (a repeated drop on a port with the
 /// switch unchanged since), so callers can check the memo was exercised.
-fn drive(name: &str, make: &Factory, ports: u32, seed: u64, slots: usize) -> usize {
+fn drive(entry: &Entry, ports: u32, seed: u64, slots: usize) -> usize {
+    let name = &entry.name;
     let mut rng = StdRng::seed_from_u64(seed);
     let buffer = rng.random_range(ports as usize..=4 * ports as usize);
     let cfg = WorkSwitchConfig::contiguous(ports, buffer).unwrap();
     let speedup = rng.random_range(1..=2);
-    let mut runner = WorkRunner::new(cfg.clone(), make(), speedup);
+    let mut runner = WorkRunner::new(cfg.clone(), (entry.make)(), speedup);
     let mut oracle = Oracle {
         switch: WorkSwitch::new(cfg.clone()),
-        policy: make(),
+        policy: (entry.oracle)(),
         speedup,
         dirty: Vec::new(),
     };
@@ -166,17 +193,26 @@ fn drive(name: &str, make: &Factory, ports: u32, seed: u64, slots: usize) -> usi
 }
 
 fn check(ports: u32, seeds: u64, slots: usize) {
-    for (name, make) in roster() {
+    for entry in roster() {
         let repeats: usize = (0..seeds)
-            .map(|seed| drive(&name, &make, ports, seed, slots))
+            .map(|seed| drive(&entry, ports, seed, slots))
             .sum();
-        assert!(repeats > 0, "{name} at {ports} ports never repeated a drop");
+        assert!(
+            repeats > 0,
+            "{} at {ports} ports never repeated a drop",
+            entry.name
+        );
     }
 }
 
 #[test]
 fn memo_matches_a_policy_asked_on_every_arrival_at_8_ports() {
     check(8, 24, 40);
+}
+
+#[test]
+fn memo_matches_a_policy_asked_on_every_arrival_at_40_ports() {
+    check(40, 6, 25);
 }
 
 #[test]
