@@ -8,7 +8,8 @@ use std::time::Duration;
 use smbm_obs::{HistogramRecorder, PhaseProfiler, RingEventLog, TelemetryConfig};
 use smbm_runtime::{FaultPlan, FlightConfig};
 use smbm_sim::{
-    measure_value_construction, measure_work_construction, ValueExperiment, WorkExperiment,
+    measure_value_construction, measure_work_construction, CombinedExperiment, ValueExperiment,
+    WorkExperiment,
 };
 use smbm_switch::{ValueSwitchConfig, WorkSwitchConfig};
 use smbm_traffic::{adversarial, MmppScenario, PortMix, Summarize, Trace, ValueMix};
@@ -314,8 +315,6 @@ fn value_run(args: &Args) -> Result<String, String> {
 }
 
 fn combined_run(args: &Args) -> Result<String, String> {
-    use smbm_core::{combined_policy_by_name, CombinedPqOpt, CombinedRunner};
-    use smbm_sim::{run_combined, run_combined_observed, EngineConfig};
     args.expect_only(&[
         "k",
         "buffer",
@@ -344,12 +343,11 @@ fn combined_run(args: &Args) -> Result<String, String> {
     let trace = scenario_from(args, 12)?
         .combined_trace(&cfg, &PortMix::Uniform, &mix)
         .map_err(err)?;
-    let mut opt = CombinedPqOpt::new(buffer, k * speedup);
-    let engine = EngineConfig::draining();
-    let opt_score = run_combined(&mut opt, &trace, &engine).map_err(err)?.score;
-    let names: Vec<String> = roster(args, smbm_core::COMBINED_POLICY_NAMES);
+    let mut exp = CombinedExperiment::full_roster(cfg, speedup);
+    exp.policies = roster(args, smbm_core::COMBINED_POLICY_NAMES);
     let obs_flags = ObsFlags::from(args);
-    let mut observers = obs_flags.observers(names.len());
+    let mut observers = obs_flags.observers(exp.policies.len());
+    let report = exp.run_observed(&trace, &mut observers).map_err(err)?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -357,23 +355,15 @@ fn combined_run(args: &Args) -> Result<String, String> {
         trace.arrivals()
     );
     let _ = writeln!(out, "{:<8} {:>14} {:>8}", "policy", "value", "ratio");
-    let _ = writeln!(out, "{:<8} {:>14} {:>8}", "OPT(den)", opt_score, 1.0);
-    for (name, obs) in names.iter().zip(observers.iter_mut()) {
-        let policy = combined_policy_by_name(name)
-            .ok_or_else(|| format!("unknown combined policy {name:?}"))?;
-        let mut runner = CombinedRunner::new(cfg.clone(), policy, speedup);
-        let score = run_combined_observed(&mut runner, &trace, &engine, obs)
-            .map_err(err)?
-            .score;
+    let _ = writeln!(out, "{:<8} {:>14} {:>8}", "OPT(den)", report.opt_score, 1.0);
+    for row in &report.rows {
         let _ = writeln!(
             out,
             "{:<8} {:>14} {:>8.4}",
-            name,
-            score,
-            opt_score as f64 / score.max(1) as f64
+            row.policy, row.score, row.ratio
         );
     }
-    obs_flags.finish("combined", &names, &observers, &mut out)?;
+    obs_flags.finish("combined", &exp.policies, &observers, &mut out)?;
     Ok(out)
 }
 

@@ -153,8 +153,8 @@ impl Policy<CombinedQueue> for LwdCombined {
 /// Victim selection is an O(n) scan of `(W_j·|Q_j|/S_j, Reverse(min_j))`
 /// over the non-empty queues below 32 ports (ties prefer the smaller
 /// minimum value, then the larger index); from 32 ports up it is O(1) (an
-/// O(log n) walk when the arrival owns the current maximum) through a
-/// [`crate::ScoreIndex`] over the same keys.
+/// O(log n) walk when the arrival owns the current maximum) through an
+/// incremental score index over the same keys.
 #[derive(Debug, Clone, Default)]
 pub struct Wvd {
     select: ArgMax<(RatioKey, Reverse<u64>)>,

@@ -176,8 +176,8 @@ fn scan<K: Ord + Copy>(
 /// policies that skip them) are simply absent. [`max`](Self::max) and
 /// [`max_with`](Self::max_with) resolve ties toward the larger port index,
 /// mirroring the `>=` update rule of the replaced scan loops.
-#[derive(Debug, Clone, Default)]
-pub struct ScoreIndex<K: Ord + Copy> {
+#[derive(Debug, Clone)]
+pub(crate) struct ScoreIndex<K: Ord + Copy> {
     /// 1-indexed tournament tree; `tree[1]` is the overall maximum and the
     /// leaf for port `i` lives at `leaf_base + i`.
     tree: Vec<Option<(K, u32)>>,
@@ -187,7 +187,7 @@ pub struct ScoreIndex<K: Ord + Copy> {
 
 impl<K: Ord + Copy> ScoreIndex<K> {
     /// Creates an empty index for `ports` ports.
-    pub fn new(ports: usize) -> Self {
+    fn new(ports: usize) -> Self {
         let m = ports.next_power_of_two().max(1);
         ScoreIndex {
             tree: vec![None; 2 * m],
@@ -197,12 +197,12 @@ impl<K: Ord + Copy> ScoreIndex<K> {
     }
 
     /// Number of ports the index was built for.
-    pub fn ports(&self) -> usize {
+    fn ports(&self) -> usize {
         self.ports
     }
 
     /// Sets (or clears, with `None`) the key of `port`.
-    pub fn set(&mut self, port: PortId, key: Option<K>) {
+    fn set(&mut self, port: PortId, key: Option<K>) {
         let i = port.index();
         let entry = key.map(|k| (k, i as u32));
         let mut node = self.leaf_base + i;
@@ -221,12 +221,12 @@ impl<K: Ord + Copy> ScoreIndex<K> {
     }
 
     /// The current key of `port`, if any.
-    pub fn key(&self, port: PortId) -> Option<K> {
+    fn key(&self, port: PortId) -> Option<K> {
         self.tree[self.leaf_base + port.index()].map(|(k, _)| k)
     }
 
     /// The port with the lexicographically maximal `(key, port)` pair.
-    pub fn max(&self) -> Option<PortId> {
+    fn max(&self) -> Option<PortId> {
         self.tree[1].map(|(_, p)| PortId::new(p as usize))
     }
 
@@ -240,7 +240,7 @@ impl<K: Ord + Copy> ScoreIndex<K> {
     /// The short-circuit compares plain `(key, port)` pairs read out of the
     /// root, so the full-buffer check of every arrival stays in registers
     /// instead of building and re-reading an `Option` tuple.
-    pub fn max_with(&self, port: PortId, virtual_key: K) -> PortId {
+    fn max_with(&self, port: PortId, virtual_key: K) -> PortId {
         let own = port.index() as u32;
         let best = match self.tree[1] {
             // The root is the maximum over every stored key; held by another
@@ -294,7 +294,7 @@ impl<K: Ord + Copy> ScoreIndex<K> {
     /// [`set`](Self::set) walks costs O(n log n) comparisons; one batch
     /// rebuild costs 2n. Policies use this from their batch
     /// `queues_changed` hook when most ports are dirty.
-    pub fn rebuild_with<F: FnMut(usize) -> Option<K>>(&mut self, mut key: F) {
+    fn rebuild_with<F: FnMut(usize) -> Option<K>>(&mut self, mut key: F) {
         for i in 0..self.ports {
             self.tree[self.leaf_base + i] = key(i).map(|k| (k, i as u32));
         }
@@ -302,11 +302,6 @@ impl<K: Ord + Copy> ScoreIndex<K> {
         for node in (1..self.leaf_base).rev() {
             self.tree[node] = self.tree[2 * node].max(self.tree[2 * node + 1]);
         }
-    }
-
-    /// Removes every key.
-    pub fn clear(&mut self) {
-        self.tree.fill(None);
     }
 }
 
@@ -335,7 +330,7 @@ mod tests {
         Set(usize, Option<u8>),
         /// Every key changes ([`ScoreIndex::rebuild_with`]).
         Rebuild(Vec<Option<u8>>),
-        /// Every key is removed ([`ScoreIndex::clear`]).
+        /// Every key is removed (a rebuild to an all-absent index).
         Clear,
     }
 
@@ -405,7 +400,7 @@ mod tests {
                     }
                     Op::Clear => {
                         keys.fill(None);
-                        indexed.index.as_mut().expect("built").clear();
+                        indexed.changed(n, &all, |_| None);
                     }
                 }
                 assert_paths_agree(&mut indexed, &keys);
@@ -555,16 +550,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn clear_empties_the_index() {
-        let mut idx = ScoreIndex::new(2);
-        idx.set(PortId::new(0), Some(1u64));
-        idx.set(PortId::new(1), Some(2));
-        idx.clear();
-        assert_eq!(idx.max(), None);
-        assert_eq!(idx.key(PortId::new(1)), None);
     }
 
     #[test]

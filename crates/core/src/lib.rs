@@ -84,7 +84,6 @@ pub use combined::{
     Wvd, COMBINED_POLICY_NAMES,
 };
 pub use decision::Decision;
-pub use index::ScoreIndex;
 pub use opt::exact::{exact_value_opt, exact_work_opt, TooLargeError, MAX_EXACT_ARRIVALS};
 pub use opt::single_pq::{ValuePqOpt, WorkPqOpt};
 pub use ratio::CompetitiveRatio;

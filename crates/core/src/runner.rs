@@ -19,7 +19,7 @@ use crate::Decision;
 /// tail of a FIFO, the minimal value of a priority queue. Naming the
 /// destination queue itself realises the virtual-add semantics described in
 /// DESIGN.md. The trait takes `&mut self` so a policy can keep caches (such
-/// as a [`crate::ScoreIndex`]), but the decision itself must be a function
+/// as an incremental score index), but the decision itself must be a function
 /// of the switch state and the packet: see [`Policy::decide`].
 pub trait Policy<Q: QueueDiscipline>: fmt::Debug + Send {
     /// Short human-readable identifier, e.g. `"LWD"`.
@@ -50,10 +50,10 @@ pub trait Policy<Q: QueueDiscipline>: fmt::Debug + Send {
     }
 
     /// Notifies the policy that the queues of `ports` changed since the last
-    /// decision, so incremental indices (see [`crate::ScoreIndex`]) can
-    /// refresh those ports' scores: one call per sync, letting indexed
-    /// policies rebuild in O(n) when most ports are dirty (the
-    /// post-transmission storm) instead of n point updates. Only called
+    /// decision, so an incremental index (such as the push-out policies'
+    /// score index) can refresh those ports' scores: one call per sync,
+    /// letting indexed policies rebuild in O(n) when most ports are dirty
+    /// (the post-transmission storm) instead of n point updates. Only called
     /// when [`Policy::wants_queue_events`] returns `true`, and skipped when
     /// no port changed.
     fn queues_changed(&mut self, switch: &Switch<Q>, ports: &[PortId]) {

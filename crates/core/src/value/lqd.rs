@@ -22,7 +22,7 @@ use crate::{Decision, Policy};
 ///
 /// Victim selection is an O(n) scan of `(|Q_j|, Reverse(min_j))` below 32
 /// ports; from 32 ports up it is O(1) (an O(log n) walk when the arrival
-/// owns the current maximum) through a [`crate::ScoreIndex`] over the same
+/// owns the current maximum) through an incremental score index over the same
 /// keys.
 #[derive(Debug, Clone, Default)]
 pub struct LqdValue {

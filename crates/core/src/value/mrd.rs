@@ -31,8 +31,8 @@ use crate::{Decision, Policy};
 ///
 /// Victim selection is an O(n) scan of `(|Q_j|²/S_j, Reverse(min_j))` over
 /// the non-empty queues below 32 ports; from 32 ports up it is O(1) (an
-/// O(log n) walk when the arrival owns the current maximum) through a
-/// [`crate::ScoreIndex`] over the same keys.
+/// O(log n) walk when the arrival owns the current maximum) through an
+/// incremental score index over the same keys.
 #[derive(Debug, Clone, Default)]
 pub struct Mrd {
     select: ArgMax<(RatioKey, Reverse<u64>)>,

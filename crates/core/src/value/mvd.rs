@@ -21,8 +21,8 @@ use crate::{Decision, Policy};
 /// The victim queue holds the globally minimal value among eligible queues
 /// (non-empty; at least two packets for MVD1); ties prefer the longest
 /// queue, then the larger index. Selection is an O(n) scan of
-/// `(Reverse(min_j), |Q_j|)` below 32 ports and an O(1) read of a
-/// [`crate::ScoreIndex`] over the same keys from 32 ports up — no virtual
+/// `(Reverse(min_j), |Q_j|)` below 32 ports and an O(1) read of an
+/// incremental score index over the same keys from 32 ports up — no virtual
 /// add is involved, so the resident maximum is the victim directly.
 #[derive(Debug, Clone, Default)]
 pub struct Mvd {

@@ -19,8 +19,8 @@ use crate::{Decision, Policy};
 /// good policy has to account for the processing requirements explicitly".
 ///
 /// Ties prefer the larger per-packet requirement, then the larger index
-/// (LWD's rule). Victim selection scans below 32 ports and goes through a
-/// [`crate::ScoreIndex`] from 32 ports up.
+/// (LWD's rule). Victim selection scans below 32 ports and goes through an
+/// incremental score index from 32 ports up.
 #[derive(Debug, Clone)]
 pub struct AlphaWd {
     alpha: f64,

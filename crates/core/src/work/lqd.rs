@@ -23,7 +23,7 @@ use crate::{Decision, Policy};
 ///
 /// Victim selection is an O(n) scan of `(|Q_j|, w_j)` below 32 ports; from
 /// 32 ports up it is O(1) (an O(log n) walk when the arrival owns the
-/// current maximum) through a [`crate::ScoreIndex`] over the same keys.
+/// current maximum) through an incremental score index over the same keys.
 #[derive(Debug, Clone, Default)]
 pub struct Lqd {
     select: ArgMax<(usize, u32)>,

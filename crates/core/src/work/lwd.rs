@@ -37,7 +37,7 @@ pub enum LwdTieBreak {
 /// With homogeneous processing `W_j = w * |Q_j|`, so LWD degenerates to LQD.
 ///
 /// Victim selection is an O(n) scan of `(W_j, tie_j)` below 32 ports; from
-/// 32 ports up it goes through a [`crate::ScoreIndex`] over the same keys,
+/// 32 ports up it goes through an incremental score index over the same keys,
 /// repaired in O(log n) per changed port from the switch's queue-change
 /// events: O(1) unless the arrival owns the current maximum, an O(log n)
 /// walk otherwise.

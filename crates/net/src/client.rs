@@ -441,9 +441,8 @@ fn client_loop<P: WirePacket>(
     }
 
     // Data flows one SYNC window at a time: encode the whole window, put
-    // it on the wire (one sendmmsg(2) syscall under the `mmsg` feature, a
-    // send-per-datagram loop otherwise), then run the barrier. Frames are
-    // tallied per datagram actually sent, so a mid-window send failure
+    // it on the wire one `send` per datagram, then run the barrier. Frames
+    // are tallied per datagram actually sent, so a mid-window send failure
     // still leaves the declared counts exact.
     let mut window_payloads: Vec<Vec<u8>> = Vec::with_capacity(config.window);
     let mut window_frames: Vec<u64> = Vec::with_capacity(config.window);
@@ -531,27 +530,11 @@ fn client_loop<P: WirePacket>(
     report
 }
 
-/// Puts one window of encoded datagrams on the wire in order, returning
-/// how many were fully sent and the error that stopped the rest (if any).
-///
-/// With the `mmsg` feature on Linux this is a `sendmmsg(2)` loop — the
-/// whole window normally leaves in one syscall, with partial-accept
-/// handling; elsewhere it is one `send` per datagram on the connected
-/// socket. Either way the sent count is datagram-exact, so the caller's
-/// declared-frame tallies stay reconcilable even on a mid-window failure.
-#[cfg(all(feature = "mmsg", target_os = "linux"))]
-fn send_window(socket: &UdpSocket, payloads: &[Vec<u8>]) -> (usize, Option<io::Error>) {
-    let mut sent = 0;
-    while sent < payloads.len() {
-        match smbm_mmsg::send_batch(socket, &payloads[sent..]) {
-            Ok(n) => sent += n,
-            Err(e) => return (sent, Some(e)),
-        }
-    }
-    (sent, None)
-}
-
-#[cfg(not(all(feature = "mmsg", target_os = "linux")))]
+/// Puts one window of encoded datagrams on the wire in order, one `send`
+/// per datagram on the connected socket, returning how many were fully
+/// sent and the error that stopped the rest (if any). The sent count is
+/// datagram-exact, so the caller's declared-frame tallies stay
+/// reconcilable even on a mid-window failure.
 fn send_window(socket: &UdpSocket, payloads: &[Vec<u8>]) -> (usize, Option<io::Error>) {
     for (i, payload) in payloads.iter().enumerate() {
         if let Err(e) = socket.send(payload) {
@@ -660,5 +643,26 @@ mod tests {
         assert_eq!(report.clients[0].datagrams, 0, "no data before handshake");
         assert!(report.clients[0].error.is_some());
         assert!(report.to_json().contains("\"completed\":false"));
+    }
+
+    #[test]
+    fn send_window_stops_at_the_first_failed_datagram() {
+        // A UDP datagram cannot exceed 65,507 payload bytes, so the middle
+        // send fails with EMSGSIZE on any host and the third is never
+        // attempted: the sent count names exactly the datagrams on the wire.
+        let sink = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+        socket.connect(sink.local_addr().unwrap()).unwrap();
+        let window = vec![vec![1u8; 16], vec![0u8; 70_000], vec![2u8; 16]];
+        let (sent, err) = send_window(&socket, &window);
+        assert_eq!(sent, 1);
+        assert!(err.is_some(), "the oversized datagram must fail");
+        // Only the first datagram arrived.
+        sink.set_read_timeout(Some(Duration::from_millis(200)))
+            .unwrap();
+        let mut buf = [0u8; 64];
+        assert_eq!(sink.recv(&mut buf).unwrap(), 16);
+        assert_eq!(buf[0], 1);
+        assert!(sink.recv(&mut buf).is_err(), "nothing after the failure");
     }
 }

@@ -44,4 +44,4 @@ pub use codec::{
     decode, decode_with, encode_data, encode_fin, encode_sync, Datagram, WireError, WirePacket,
 };
 pub use serve::{run_bound_server, run_server, ServeConfig, ServeError, ServeReport};
-pub use server::{Fanout, NetConfig, NetIngress, RECV_BURST};
+pub use server::{Fanout, NetConfig, NetIngress};

@@ -25,26 +25,23 @@
 //!
 //! ## The batched hot path
 //!
-//! The receive loop is syscall-frugal and, once warm, allocation-free:
+//! The receive loop makes one `recv_from` per datagram into a receive
+//! buffer allocated once per socket, and once warm it allocates nothing:
 //!
 //! * frames are decoded straight into their shard's pending batch
 //!   ([`decode_with`](crate::codec::decode_with)), with no per-datagram
 //!   packet vector, and barriers are acknowledged from fixed-size arrays;
 //! * full per-shard batches are staged into *ready* queues and published
-//!   with one bulk ring operation per shard per receive burst
+//!   with one bulk ring operation per shard per received datagram
 //!   ([`IngressHandle::send_bulk`] / [`IngressHandle::try_send_bulk`]) —
-//!   the lock-free ring publishes every batch the burst produced with a
+//!   the lock-free ring publishes every batch the datagram produced with a
 //!   single release store and at most one consumer wake, and the ready
 //!   queues are reused across publishes;
 //! * batch buffers come from a small recycling pool, so a staged batch
 //!   swaps in a pre-sized buffer instead of allocating one: lossy rejects
 //!   and the emptied buffers each shard hands back over its return ring
 //!   ([`IngressHandle::spare_buffer`]) refill the pool after every
-//!   publish;
-//! * with the `mmsg` cargo feature on Linux, each wakeup drains up to
-//!   [`RECV_BURST`] queued datagrams with a single `recvmmsg(2)` call
-//!   (elsewhere the feature quietly falls back to the portable
-//!   one-datagram `recv_from` path).
+//!   publish.
 
 use std::collections::HashSet;
 use std::io;
@@ -55,11 +52,6 @@ use smbm_obs::NetCounts;
 use smbm_runtime::{IngressHandle, RuntimeBuilder, Service, ShardId};
 
 use crate::codec::{decode_with, encode_fin_ack, encode_sync_ack, Datagram, WirePacket};
-
-/// Datagrams drained per `recvmmsg` wakeup when the `mmsg` feature is
-/// active. Sized to the client's default SYNC window: one syscall claims a
-/// whole unacknowledged window.
-pub const RECV_BURST: usize = 32;
 
 /// At most this many idle batch buffers are retained for reuse; beyond it
 /// the pool lets buffers drop (a bound, not a reservation).
@@ -344,63 +336,6 @@ fn recycle<P>(pool: &mut Vec<Vec<P>>, mut buf: Vec<P>) -> bool {
     true
 }
 
-/// The receive side of the loop: with the `mmsg` feature on Linux, one
-/// `recvmmsg(2)` per wakeup drains up to [`RECV_BURST`] datagrams;
-/// otherwise one `recv_from` yields one datagram. Same shape either way:
-/// `fill` blocks for the first datagram (honouring the socket read
-/// timeout) and returns how many arrived; `datagram(i)` reads them back.
-#[cfg(all(feature = "mmsg", target_os = "linux"))]
-struct DatagramSource {
-    batch: smbm_mmsg::RecvBatch,
-}
-
-#[cfg(all(feature = "mmsg", target_os = "linux"))]
-impl DatagramSource {
-    fn new(config: &NetConfig) -> DatagramSource {
-        DatagramSource {
-            batch: smbm_mmsg::RecvBatch::new(RECV_BURST, config.max_datagram.max(64)),
-        }
-    }
-
-    fn fill(&mut self, socket: &UdpSocket) -> io::Result<usize> {
-        self.batch.recv(socket)
-    }
-
-    fn datagram(&self, i: usize) -> (&[u8], Option<SocketAddr>) {
-        self.batch.datagram(i)
-    }
-}
-
-#[cfg(not(all(feature = "mmsg", target_os = "linux")))]
-struct DatagramSource {
-    buf: Vec<u8>,
-    len: usize,
-    from: Option<SocketAddr>,
-}
-
-#[cfg(not(all(feature = "mmsg", target_os = "linux")))]
-impl DatagramSource {
-    fn new(config: &NetConfig) -> DatagramSource {
-        DatagramSource {
-            buf: vec![0u8; config.max_datagram.max(64)],
-            len: 0,
-            from: None,
-        }
-    }
-
-    fn fill(&mut self, socket: &UdpSocket) -> io::Result<usize> {
-        let (len, from) = socket.recv_from(&mut self.buf)?;
-        self.len = len;
-        self.from = Some(from);
-        Ok(1)
-    }
-
-    fn datagram(&self, i: usize) -> (&[u8], Option<SocketAddr>) {
-        debug_assert_eq!(i, 0, "portable source holds one datagram");
-        (&self.buf[..self.len], self.from)
-    }
-}
-
 /// One socket's receive loop. Accounting invariant on exit: every frame
 /// ever declared to this socket in a well-formed data datagram has been
 /// pushed into a ring, tallied as backpressure/lost by its handle, or
@@ -425,7 +360,7 @@ fn serve_socket<P: WirePacket>(
     let mut fins: HashSet<u16> = HashSet::new();
     let mut recv_errors = 0u64;
     let mut last_heard = Instant::now();
-    let mut source = DatagramSource::new(config);
+    let mut buf = vec![0u8; config.max_datagram.max(64)];
     // A socket that cannot poll cannot serve, but the failure must not
     // vanish: surface it on the report and still run the exit flush so the
     // accounting invariant holds trivially (nothing pending, zero tallies).
@@ -440,9 +375,9 @@ fn serve_socket<P: WirePacket>(
         return;
     }
 
-    'serve: loop {
-        let burst = match source.fill(socket) {
-            Ok(n) => n,
+    loop {
+        let (len, from) = match socket.recv_from(&mut buf) {
+            Ok(received) => received,
             Err(e)
                 if matches!(
                     e.kind(),
@@ -473,66 +408,57 @@ fn serve_socket<P: WirePacket>(
             }
         };
         last_heard = Instant::now();
-        for d in 0..burst {
-            let (payload, from) = source.datagram(d);
-            acc.datagrams += 1;
-            // Frames go straight from the wire into their shard's pending
-            // batch; a batch that fills is staged on the spot.
-            let mut frames = 0u64;
-            let decoded = decode_with::<P>(payload, &check, |p| {
-                frames += 1;
-                let shard = config.fanout.route(p.port_index(), shards);
-                pending[shard].push(p);
-                if pending[shard].len() >= config.batch {
-                    publisher.stage(shard, &mut pending[shard]);
-                }
-            });
-            match decoded {
-                Ok(Datagram::Data {
-                    bad_frames,
-                    missing,
-                    truncated,
-                    ..
-                }) => {
-                    acc.frames += frames;
-                    acc.decode_errors += bad_frames + missing;
-                    acc.truncations += u64::from(truncated);
-                    drops += bad_frames + missing;
-                }
-                Ok(Datagram::Sync { client, seq }) => {
-                    // Barrier: everything received before this SYNC must
-                    // be fully accounted before the ACK goes out.
-                    publisher.stage_all(&mut pending);
-                    publisher.publish(handles, config.lossy);
-                    flush_net(handles, &mut acc, &mut drops);
-                    if let Some(from) = from {
-                        let _ = socket.send_to(&encode_sync_ack(client, seq), from);
-                    }
-                }
-                Ok(Datagram::Fin { client }) => {
-                    publisher.stage_all(&mut pending);
-                    publisher.publish(handles, config.lossy);
-                    flush_net(handles, &mut acc, &mut drops);
-                    if let Some(from) = from {
-                        let _ = socket.send_to(&encode_fin_ack(client), from);
-                    }
-                    fins.insert(client);
-                    if fins.len() >= expected_fins {
-                        // Every client on this socket has FINed after its
-                        // final acknowledged barrier; anything left in the
-                        // burst can only be retried barriers.
-                        break 'serve;
-                    }
-                }
-                // Acks are server-to-client; one arriving here is a
-                // confused peer, counted like any other undecodable
-                // datagram.
-                Ok(Datagram::FinAck { .. }) | Ok(Datagram::SyncAck { .. }) | Err(_) => {
-                    acc.decode_errors += 1;
+        acc.datagrams += 1;
+        // Frames go straight from the wire into their shard's pending
+        // batch; a batch that fills is staged on the spot.
+        let mut frames = 0u64;
+        let decoded = decode_with::<P>(&buf[..len], &check, |p| {
+            frames += 1;
+            let shard = config.fanout.route(p.port_index(), shards);
+            pending[shard].push(p);
+            if pending[shard].len() >= config.batch {
+                publisher.stage(shard, &mut pending[shard]);
+            }
+        });
+        match decoded {
+            Ok(Datagram::Data {
+                bad_frames,
+                missing,
+                truncated,
+                ..
+            }) => {
+                acc.frames += frames;
+                acc.decode_errors += bad_frames + missing;
+                acc.truncations += u64::from(truncated);
+                drops += bad_frames + missing;
+            }
+            Ok(Datagram::Sync { client, seq }) => {
+                // Barrier: everything received before this SYNC must be
+                // fully accounted before the ACK goes out.
+                publisher.stage_all(&mut pending);
+                publisher.publish(handles, config.lossy);
+                flush_net(handles, &mut acc, &mut drops);
+                let _ = socket.send_to(&encode_sync_ack(client, seq), from);
+            }
+            Ok(Datagram::Fin { client }) => {
+                publisher.stage_all(&mut pending);
+                publisher.publish(handles, config.lossy);
+                flush_net(handles, &mut acc, &mut drops);
+                let _ = socket.send_to(&encode_fin_ack(client), from);
+                fins.insert(client);
+                if fins.len() >= expected_fins {
+                    // Every client on this socket has FINed after its
+                    // final acknowledged barrier.
+                    break;
                 }
             }
+            // Acks are server-to-client; one arriving here is a confused
+            // peer, counted like any other undecodable datagram.
+            Ok(Datagram::FinAck { .. }) | Ok(Datagram::SyncAck { .. }) | Err(_) => {
+                acc.decode_errors += 1;
+            }
         }
-        // One bulk publish per shard covers every batch the burst filled.
+        // One bulk publish per shard covers every batch the datagram filled.
         publisher.publish(handles, config.lossy);
         // Keep live telemetry fresh even between barriers.
         if acc.datagrams >= 64 {

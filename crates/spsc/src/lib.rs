@@ -6,8 +6,8 @@
 //! pay a lock round-trip (and a potential futex wake) for; the uncontended
 //! push or pop here is a handful of plain loads plus one release store.
 //!
-//! Like `smbm-mmsg` before it, this crate quarantines the feature's entire
-//! `unsafe` surface: every other crate in the workspace keeps
+//! This crate is the workspace's one `unsafe` crate and quarantines the
+//! ring's entire `unsafe` surface: every other crate in the workspace keeps
 //! `#![forbid(unsafe_code)]`, and CI runs this crate's test suite under
 //! Miri so the slot-ownership protocol below is machine-checked, not just
 //! argued.

@@ -1,3 +1,5 @@
 //! Root package holding the workspace examples and integration tests.
 
+#![forbid(unsafe_code)]
+
 pub mod golden;

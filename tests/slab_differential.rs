@@ -6,8 +6,8 @@
 //! traces — including interleaved transmissions and mid-trace flushes,
 //! which force index rebuild/repair paths — and must take identical
 //! decisions and leave identical queues. Each case runs one trace below 32
-//! ports, where the selector scans, and one at 33–40 ports, where it keeps a
-//! [`smbm_core::ScoreIndex`]. A divergence means the selector no longer
+//! ports, where the selector scans, and one at 33–40 ports, where it keeps an
+//! incremental score index. A divergence means the selector no longer
 //! reproduces the scans' exact max-and-tie-break semantics.
 
 mod common;
