@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use smbm_core::{Lwd, Mrd, ValueRunner, WorkRunner};
-use smbm_datapath::{NoHook, SlotHook, SlotMachine, SlotStats, ValueAdapter, WorkAdapter};
+use smbm_datapath::{NoHook, SlotHook, SlotMachine, SlotStats};
 use smbm_obs::NullObserver;
 use smbm_switch::{FlushPolicy, ValueSwitchConfig, WorkSwitchConfig};
 use smbm_traffic::{MmppScenario, PortMix, ValueMix};
@@ -35,7 +35,7 @@ fn slot_machine_step(c: &mut Criterion) {
     group.bench_function("lwd-step-loop", |b| {
         b.iter(|| {
             let runner = WorkRunner::new(cfg.clone(), Lwd::new(), 1);
-            let mut machine = SlotMachine::new(WorkAdapter::new(runner), None);
+            let mut machine = SlotMachine::new(runner, None);
             let mut obs = NullObserver;
             for burst in trace.iter() {
                 machine
@@ -60,7 +60,7 @@ fn slot_machine_step(c: &mut Criterion) {
     group.bench_function("mrd-step-loop", |b| {
         b.iter(|| {
             let runner = ValueRunner::new(vcfg, Mrd::new(), 1);
-            let mut machine = SlotMachine::new(ValueAdapter::new(runner), None);
+            let mut machine = SlotMachine::new(runner, None);
             let mut obs = NullObserver;
             for burst in vtrace.iter() {
                 machine
@@ -104,7 +104,7 @@ fn slot_hook_overhead(c: &mut Criterion) {
     group.bench_function("no-hook", |b| {
         b.iter(|| {
             let runner = WorkRunner::new(cfg.clone(), Lwd::new(), 1);
-            let mut machine = SlotMachine::new(WorkAdapter::new(runner), None);
+            let mut machine = SlotMachine::new(runner, None);
             let mut obs = NullObserver;
             for burst in trace.iter() {
                 machine
@@ -117,7 +117,7 @@ fn slot_hook_overhead(c: &mut Criterion) {
     group.bench_function("recording-hook", |b| {
         b.iter(|| {
             let runner = WorkRunner::new(cfg.clone(), Lwd::new(), 1);
-            let mut machine = SlotMachine::new(WorkAdapter::new(runner), None);
+            let mut machine = SlotMachine::new(runner, None);
             let mut obs = NullObserver;
             let mut hook = RecordingHook {
                 stats: SlotStats::new(),
@@ -159,7 +159,7 @@ fn flush_modes(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let runner = WorkRunner::new(cfg.clone(), Lwd::new(), 1);
-                let mut machine = SlotMachine::new(WorkAdapter::new(runner), flush);
+                let mut machine = SlotMachine::new(runner, flush);
                 let mut obs = NullObserver;
                 for burst in trace.iter() {
                     assert!(machine.flush_check(&mut obs, &mut NoHook));

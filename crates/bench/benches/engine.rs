@@ -4,10 +4,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use smbm_core::WorkSystem;
-use smbm_core::{exact_work_opt, Lwd, Mrd, ValuePqOpt, ValueRunner, WorkPqOpt, WorkRunner};
+use smbm_core::{
+    exact_work_opt, DatapathSystem, Lwd, Mrd, ValuePqOpt, ValueRunner, WorkPqOpt, WorkRunner,
+};
 use smbm_obs::HistogramRecorder;
-use smbm_sim::{run_value, run_work, run_work_observed, EngineConfig};
+use smbm_sim::{run, run_observed, EngineConfig};
 use smbm_switch::{PortId, ValueSwitchConfig, WorkSwitchConfig};
 use smbm_traffic::{MmppScenario, PortMix, ValueMix};
 
@@ -27,16 +28,15 @@ fn engine_slot_throughput(c: &mut Criterion) {
     group.bench_function("lwd-slot-loop", |b| {
         b.iter(|| {
             let mut runner = WorkRunner::new(cfg.clone(), Lwd::new(), 1);
-            let s = run_work(&mut runner, &trace, &EngineConfig::horizon_only())
-                .expect("LWD never errs");
+            let s =
+                run(&mut runner, &trace, &EngineConfig::horizon_only()).expect("LWD never errs");
             black_box(s.score)
         });
     });
     group.bench_function("pq-opt-slot-loop", |b| {
         b.iter(|| {
             let mut opt = WorkPqOpt::new(64, 8);
-            let s =
-                run_work(&mut opt, &trace, &EngineConfig::horizon_only()).expect("OPT never errs");
+            let s = run(&mut opt, &trace, &EngineConfig::horizon_only()).expect("OPT never errs");
             black_box(s.score)
         });
     });
@@ -57,8 +57,8 @@ fn engine_slot_throughput(c: &mut Criterion) {
     group.bench_function("lwd-slot-loop-n64", |b| {
         b.iter(|| {
             let mut runner = WorkRunner::new(cfg64.clone(), Lwd::new(), 1);
-            let s = run_work(&mut runner, &trace64, &EngineConfig::horizon_only())
-                .expect("LWD never errs");
+            let s =
+                run(&mut runner, &trace64, &EngineConfig::horizon_only()).expect("LWD never errs");
             black_box(s.score)
         });
     });
@@ -81,16 +81,15 @@ fn value_engine_slot_throughput(c: &mut Criterion) {
     group.bench_function("mrd-slot-loop", |b| {
         b.iter(|| {
             let mut runner = ValueRunner::new(cfg, Mrd::new(), 1);
-            let s = run_value(&mut runner, &trace, &EngineConfig::horizon_only())
-                .expect("MRD never errs");
+            let s =
+                run(&mut runner, &trace, &EngineConfig::horizon_only()).expect("MRD never errs");
             black_box(s.score)
         });
     });
     group.bench_function("value-pq-opt-slot-loop", |b| {
         b.iter(|| {
             let mut opt = ValuePqOpt::new(64, 8);
-            let s =
-                run_value(&mut opt, &trace, &EngineConfig::horizon_only()).expect("OPT never errs");
+            let s = run(&mut opt, &trace, &EngineConfig::horizon_only()).expect("OPT never errs");
             black_box(s.score)
         });
     });
@@ -110,8 +109,8 @@ fn value_engine_slot_throughput(c: &mut Criterion) {
     group.bench_function("mrd-slot-loop-n64", |b| {
         b.iter(|| {
             let mut runner = ValueRunner::new(cfg64, Mrd::new(), 1);
-            let s = run_value(&mut runner, &trace64, &EngineConfig::horizon_only())
-                .expect("MRD never errs");
+            let s =
+                run(&mut runner, &trace64, &EngineConfig::horizon_only()).expect("MRD never errs");
             black_box(s.score)
         });
     });
@@ -142,7 +141,7 @@ fn slab_indexed(c: &mut Criterion) {
     group.bench_function("lwd-n64", |b| {
         b.iter(|| {
             let mut runner = WorkRunner::new(cfg64.clone(), Lwd::new(), 1);
-            let s = run_work(&mut runner, &work_trace, &EngineConfig::horizon_only())
+            let s = run(&mut runner, &work_trace, &EngineConfig::horizon_only())
                 .expect("LWD never errs");
             black_box(s.score)
         });
@@ -150,7 +149,7 @@ fn slab_indexed(c: &mut Criterion) {
     group.bench_function("mrd-n64", |b| {
         b.iter(|| {
             let mut runner = ValueRunner::new(vcfg64, Mrd::new(), 1);
-            let s = run_value(&mut runner, &value_trace, &EngineConfig::horizon_only())
+            let s = run(&mut runner, &value_trace, &EngineConfig::horizon_only())
                 .expect("MRD never errs");
             black_box(s.score)
         });
@@ -158,7 +157,7 @@ fn slab_indexed(c: &mut Criterion) {
     group.finish();
 }
 
-/// The engine's observer hooks must be free when unused: `run_work` with the
+/// The engine's observer hooks must be free when unused: `run` with the
 /// default `NullObserver` against a hand-rolled replica of the
 /// pre-instrumentation slot loop (same phases, no hooks), plus the fully
 /// instrumented run for scale. The first two must stay within ~2% of each
@@ -179,8 +178,8 @@ fn observer_overhead(c: &mut Criterion) {
     group.bench_function("null-observer", |b| {
         b.iter(|| {
             let mut runner = WorkRunner::new(cfg.clone(), Lwd::new(), 1);
-            let s = run_work(&mut runner, &trace, &EngineConfig::horizon_only())
-                .expect("LWD never errs");
+            let s =
+                run(&mut runner, &trace, &EngineConfig::horizon_only()).expect("LWD never errs");
             black_box(s.score)
         });
     });
@@ -194,21 +193,21 @@ fn observer_overhead(c: &mut Criterion) {
                 for &pkt in burst {
                     let _ = runner.offer(pkt).expect("LWD never errs");
                 }
-                runner.transmission_phase();
+                runner.transmission();
                 runner.end_slot();
                 slots += 1;
                 let occ = runner.occupancy();
                 occ_sum += occ as u64;
                 occ_max = occ_max.max(occ);
             }
-            black_box((WorkSystem::transmitted(&runner), slots, occ_sum, occ_max))
+            black_box((runner.score(), slots, occ_sum, occ_max))
         });
     });
     group.bench_function("histogram-recorder", |b| {
         b.iter(|| {
             let mut runner = WorkRunner::new(cfg.clone(), Lwd::new(), 1);
             let mut hist = HistogramRecorder::new();
-            let s = run_work_observed(
+            let s = run_observed(
                 &mut runner,
                 &trace,
                 &EngineConfig::horizon_only(),

@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use smbm_core::{value_policy_by_name, work_policy_by_name, ValueRunner, WorkRunner};
-use smbm_sim::{run_value, run_work, EngineConfig};
+use smbm_sim::{run, EngineConfig};
 use smbm_switch::{ValueSwitchConfig, WorkSwitchConfig};
 use smbm_traffic::{MmppScenario, PortMix, ValueMix};
 
@@ -31,7 +31,7 @@ fn work_policies(c: &mut Criterion) {
             b.iter(|| {
                 let policy = work_policy_by_name(name).expect("registry name");
                 let mut runner = WorkRunner::new(cfg.clone(), policy, 1);
-                let s = run_work(&mut runner, &trace, &EngineConfig::horizon_only())
+                let s = run(&mut runner, &trace, &EngineConfig::horizon_only())
                     .expect("bundled policies never err");
                 black_box(s.score)
             });
@@ -59,7 +59,7 @@ fn value_policies(c: &mut Criterion) {
             b.iter(|| {
                 let policy = value_policy_by_name(name).expect("registry name");
                 let mut runner = ValueRunner::new(cfg, policy, 1);
-                let s = run_value(&mut runner, &trace, &EngineConfig::horizon_only())
+                let s = run(&mut runner, &trace, &EngineConfig::horizon_only())
                     .expect("bundled policies never err");
                 black_box(s.score)
             });
@@ -86,7 +86,7 @@ fn lwd_scaling_with_ports(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
             b.iter(|| {
                 let mut runner = WorkRunner::new(cfg.clone(), smbm_core::Lwd::new(), 1);
-                let s = run_work(&mut runner, &trace, &EngineConfig::horizon_only())
+                let s = run(&mut runner, &trace, &EngineConfig::horizon_only())
                     .expect("LWD never errs");
                 black_box(s.score)
             });

@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use smbm_core::{Lwd, WorkRunner};
-use smbm_runtime::{RuntimeBuilder, RuntimeConfig, ShardConfig, VirtualClock, WorkService};
+use smbm_runtime::{RuntimeBuilder, RuntimeConfig, ShardConfig, VirtualClock};
 use smbm_switch::{WorkPacket, WorkSwitchConfig};
 use smbm_traffic::{MmppScenario, PortMix};
 
@@ -45,9 +45,7 @@ fn runtime_throughput(c: &mut Criterion) {
                 });
                 for feed in feeds.clone() {
                     let cfg = cfg.clone();
-                    let id = builder.add_shard(move || {
-                        WorkService::new(WorkRunner::new(cfg.clone(), Lwd::new(), 1))
-                    });
+                    let id = builder.add_shard(move || WorkRunner::new(cfg.clone(), Lwd::new(), 1));
                     builder.add_producer(id, move |handle| {
                         for batch in feed {
                             if !handle.send(batch) {

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use smbm_core::{Lwd, WorkRunner};
 use smbm_obs::TelemetryConfig;
-use smbm_runtime::{RuntimeBuilder, RuntimeConfig, ShardConfig, VirtualClock, WorkService};
+use smbm_runtime::{RuntimeBuilder, RuntimeConfig, ShardConfig, VirtualClock};
 use smbm_switch::{WorkPacket, WorkSwitchConfig};
 use smbm_traffic::{MmppScenario, PortMix};
 
@@ -50,8 +50,7 @@ fn run_datapath(
     });
     for feed in feeds.iter().cloned() {
         let cfg = cfg.clone();
-        let id = builder
-            .add_shard(move || WorkService::new(WorkRunner::new(cfg.clone(), Lwd::new(), 1)));
+        let id = builder.add_shard(move || WorkRunner::new(cfg.clone(), Lwd::new(), 1));
         builder.add_producer(id, move |handle| {
             for batch in feed {
                 if !handle.send(batch) {

@@ -6,7 +6,7 @@ use smbm_core::{
     value_policy_by_name, work_policy_by_name, AlphaWd, CappedWork, Lwd, LwdTieBreak, Policy,
     ValuePqOpt, ValueRunner, WorkPqOpt, WorkRunner,
 };
-use smbm_sim::{run_value, run_work, EngineConfig, ExperimentError, FlushMode, FlushPolicy};
+use smbm_sim::{run, EngineConfig, ExperimentError, FlushMode, FlushPolicy};
 use smbm_switch::{ValueSwitchConfig, WorkSwitchConfig};
 use smbm_traffic::{adversarial, MmppScenario, PortMix, Trace, ValueMix};
 
@@ -81,7 +81,7 @@ pub fn flush_ablation(slots: usize, seed: u64) -> Result<Vec<AblationRow>, Exper
     let mut scores = Vec::new();
     for (name, engine) in variants {
         let mut runner = WorkRunner::new(cfg.clone(), Lwd::new(), 1);
-        let score = run_work(&mut runner, &trace, &engine)?.score;
+        let score = run(&mut runner, &trace, &engine)?.score;
         scores.push((name.to_string(), score));
     }
     Ok(rows_from_scores(scores))
@@ -106,7 +106,7 @@ pub fn lwd_tie_break_ablation(
         let policy = Lwd::with_tie_break(tie);
         let name = policy.name().to_string();
         let mut runner = WorkRunner::new(cfg.clone(), policy, 1);
-        let score = run_work(&mut runner, &trace, &EngineConfig::draining())?.score;
+        let score = run(&mut runner, &trace, &EngineConfig::draining())?.score;
         scores.push((name, score));
     }
     Ok(rows_from_scores(scores))
@@ -125,7 +125,7 @@ pub fn opt_cores_ablation(slots: usize, seed: u64) -> Result<Vec<AblationRow>, E
     let mut scores = Vec::new();
     for (name, cores) in [("nC", n), ("nC/2", (n / 2).max(1)), ("2nC", 2 * n)] {
         let mut opt = WorkPqOpt::new(cfg.buffer(), cores);
-        let score = run_work(&mut opt, &trace, &EngineConfig::draining())?.score;
+        let score = run(&mut opt, &trace, &EngineConfig::draining())?.score;
         scores.push((name.to_string(), score));
     }
     Ok(rows_from_scores(scores))
@@ -144,7 +144,7 @@ pub fn awd_alpha_ablation(slots: usize, seed: u64) -> Result<Vec<AblationRow>, E
     let mut scores = Vec::new();
     for alpha in [0.0, 0.25, 0.5, 0.75, 1.0] {
         let mut runner = WorkRunner::new(cfg.clone(), AlphaWd::new(alpha), 1);
-        let score = run_work(&mut runner, &trace, &EngineConfig::draining())?.score;
+        let score = run(&mut runner, &trace, &EngineConfig::draining())?.score;
         scores.push((format!("AWD({alpha})"), score));
     }
     Ok(rows_from_scores(scores))
@@ -163,12 +163,12 @@ pub fn nhdt_generalization_ablation(seed: u64) -> Result<Vec<AblationRow>, Exper
     // Adversarial: Theorem 3's construction.
     let c = adversarial::nhdt_lower_bound(64, 512, 4);
     let mut opt = WorkRunner::new(c.config.clone(), CappedWork::new(c.opt_caps.clone()), 1);
-    let opt_score = run_work(&mut opt, &c.trace, &EngineConfig::horizon_only())?.score;
+    let opt_score = run(&mut opt, &c.trace, &EngineConfig::horizon_only())?.score;
     let mut scores = vec![("thm3:OPT-script".to_string(), opt_score)];
     for name in ["NHDT", "NHDT-W", "LWD"] {
         let policy = work_policy_by_name(name).expect("registry name");
         let mut runner = WorkRunner::new(c.config.clone(), policy, 1);
-        let score = run_work(&mut runner, &c.trace, &EngineConfig::horizon_only())?.score;
+        let score = run(&mut runner, &c.trace, &EngineConfig::horizon_only())?.score;
         scores.push((format!("thm3:{name}"), score));
     }
     rows.extend(rows_from_scores(scores));
@@ -178,7 +178,7 @@ pub fn nhdt_generalization_ablation(seed: u64) -> Result<Vec<AblationRow>, Exper
     for name in ["NHDT", "NHDT-W", "LWD"] {
         let policy = work_policy_by_name(name).expect("registry name");
         let mut runner = WorkRunner::new(cfg.clone(), policy, 1);
-        let score = run_work(&mut runner, &trace, &EngineConfig::draining())?.score;
+        let score = run(&mut runner, &trace, &EngineConfig::draining())?.score;
         scores.push((format!("mmpp:{name}"), score));
     }
     rows.extend(rows_from_scores(scores));
@@ -220,12 +220,12 @@ pub fn mrd_variants_ablation(slots: usize, seed: u64) -> Result<Vec<AblationRow>
             .value_trace(ports, &mix, &ValueMix::EqualsPort)
             .expect("valid scenario");
         let mut opt = ValuePqOpt::new(buffer, ports as u32);
-        let opt_score = run_value(&mut opt, &trace, &EngineConfig::draining())?.score;
+        let opt_score = run(&mut opt, &trace, &EngineConfig::draining())?.score;
         let mut scores = vec![(format!("{label}:OPT(pq)"), opt_score)];
         for name in ["LQD", "MRD", "MRD-STRICT"] {
             let policy = value_policy_by_name(name).expect("registry name");
             let mut runner = ValueRunner::new(cfg, policy, 1);
-            let score = run_value(&mut runner, &trace, &EngineConfig::draining())?.score;
+            let score = run(&mut runner, &trace, &EngineConfig::draining())?.score;
             scores.push((format!("{label}:{name}"), score));
         }
         rows.extend(rows_from_scores(scores));

@@ -10,9 +10,9 @@
 use std::process::ExitCode;
 
 use smbm_core::{
-    work_policy_by_name, FifoAdmission, SingleFifoQueue, WorkPqOpt, WorkRunner, WorkSystem,
+    work_policy_by_name, DatapathSystem, FifoAdmission, SingleFifoQueue, WorkPqOpt, WorkRunner,
 };
-use smbm_sim::{run_work, EngineConfig};
+use smbm_sim::{run, EngineConfig};
 use smbm_switch::WorkSwitchConfig;
 use smbm_traffic::{MmppScenario, PortMix};
 
@@ -65,7 +65,7 @@ fn main() -> ExitCode {
     // Single-queue architecture (top of Fig. 1).
     for adm in [FifoAdmission::Greedy, FifoAdmission::PushOutLargest] {
         let mut q = SingleFifoQueue::new(cfg.buffer(), cores, adm);
-        let score = match run_work(&mut q, &trace, &engine) {
+        let score = match run(&mut q, &trace, &engine) {
             Ok(s) => s.score,
             Err(e) => {
                 eprintln!("{e}");
@@ -81,7 +81,7 @@ fn main() -> ExitCode {
     }
     {
         let mut pq = WorkPqOpt::new(cfg.buffer(), cores);
-        let score = match run_work(&mut pq, &trace, &engine) {
+        let score = match run(&mut pq, &trace, &engine) {
             Ok(s) => s.score,
             Err(e) => {
                 eprintln!("{e}");
@@ -102,7 +102,7 @@ fn main() -> ExitCode {
     for name in ["NEST", "LQD", "LWD"] {
         let policy = work_policy_by_name(name).expect("registry name");
         let mut runner = WorkRunner::new(cfg.clone(), policy, 1);
-        let score = match run_work(&mut runner, &trace, &engine) {
+        let score = match run(&mut runner, &trace, &engine) {
             Ok(s) => s.score,
             Err(e) => {
                 eprintln!("{e}");

@@ -10,7 +10,7 @@
 use std::process::ExitCode;
 
 use smbm_core::{combined_policy_by_name, CombinedPqOpt, CombinedRunner};
-use smbm_sim::{run_combined, EngineConfig};
+use smbm_sim::{run, EngineConfig};
 use smbm_switch::WorkSwitchConfig;
 use smbm_traffic::{MmppScenario, PortMix, ValueMix};
 
@@ -57,7 +57,7 @@ fn main() -> ExitCode {
         .combined_trace(&cfg, &PortMix::Uniform, &mix)
         .expect("valid scenario");
         let mut opt = CombinedPqOpt::new(cfg.buffer(), cfg.ports() as u32);
-        let opt_score = match run_combined(&mut opt, &trace, &EngineConfig::draining()) {
+        let opt_score = match run(&mut opt, &trace, &EngineConfig::draining()) {
             Ok(s) => s.score,
             Err(e) => {
                 eprintln!("{e}");
@@ -70,7 +70,7 @@ fn main() -> ExitCode {
         for name in smbm_core::COMBINED_POLICY_NAMES {
             let policy = combined_policy_by_name(name).expect("registry name");
             let mut runner = CombinedRunner::new(cfg.clone(), policy, 1);
-            let score = match run_combined(&mut runner, &trace, &EngineConfig::draining()) {
+            let score = match run(&mut runner, &trace, &EngineConfig::draining()) {
                 Ok(s) => s.score,
                 Err(e) => {
                     eprintln!("{e}");

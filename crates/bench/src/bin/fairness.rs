@@ -10,7 +10,7 @@
 use std::process::ExitCode;
 
 use smbm_core::{work_policy_by_name, WorkRunner};
-use smbm_sim::{jain_index, max_port_share, run_work, EngineConfig};
+use smbm_sim::{jain_index, max_port_share, run, EngineConfig};
 use smbm_switch::WorkSwitchConfig;
 use smbm_traffic::{MmppScenario, PortMix};
 
@@ -63,7 +63,7 @@ fn main() -> ExitCode {
     for name in roster {
         let policy = work_policy_by_name(name).expect("registry name");
         let mut runner = WorkRunner::new(cfg.clone(), policy, 1);
-        if let Err(e) = run_work(&mut runner, &trace, &EngineConfig::draining()) {
+        if let Err(e) = run(&mut runner, &trace, &EngineConfig::draining()) {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }

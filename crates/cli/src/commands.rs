@@ -567,7 +567,7 @@ fn faults_from(args: &Args, shards: usize, horizon: u64) -> Result<FaultPlan, St
 /// Runs one lockstep shard over per-slot bursts — the live replica of the
 /// offline engine's slot loop (empty slots included, so flush schedules and
 /// counters line up exactly).
-fn serve_trace<S: smbm_runtime::Service + 'static>(
+fn serve_trace<S: smbm_core::DatapathSystem + 'static>(
     slots: Vec<Vec<S::Packet>>,
     hz: Option<f64>,
     faults: FaultPlan,
@@ -686,7 +686,6 @@ fn render_serve(
 }
 
 fn serve(args: &Args, stdin: &str) -> Result<String, String> {
-    use smbm_runtime::{ValueService, WorkService};
     if args.get("listen").is_some() {
         return serve_listen(args);
     }
@@ -749,7 +748,7 @@ fn serve(args: &Args, stdin: &str) -> Result<String, String> {
                 flight,
                 move || {
                     let policy = smbm_core::work_policy_by_name(&factory_name).expect("validated");
-                    WorkService::new(smbm_core::WorkRunner::new(cfg.clone(), policy, speedup))
+                    smbm_core::WorkRunner::new(cfg.clone(), policy, speedup)
                 },
             );
             render_serve(header, "packets", &report).map(|out| out + &sinks)
@@ -777,7 +776,7 @@ fn serve(args: &Args, stdin: &str) -> Result<String, String> {
                 flight,
                 move || {
                     let policy = smbm_core::value_policy_by_name(&factory_name).expect("validated");
-                    ValueService::new(smbm_core::ValueRunner::new(cfg, policy, speedup))
+                    smbm_core::ValueRunner::new(cfg, policy, speedup)
                 },
             );
             render_serve(header, "value", &report).map(|out| out + &sinks)

@@ -14,6 +14,12 @@
 //! ([`smbm_switch::QueueDiscipline::PORT_DETERMINES_PACKET`]): the work
 //! model.
 //!
+//! [`DatapathSystem`] is the one per-packet system trait the slot machine
+//! (`smbm-datapath`) drives, offline and live. `Runner<Q, P>` implements it
+//! once for every packet model, and the OPT surrogates and
+//! [`SingleFifoQueue`] implement it directly, so a policy and its yardstick
+//! run through identical slot phases.
+//!
 //! ## Heterogeneous processing (Section III)
 //!
 //! Packets carry per-port work requirements; throughput is the number of
@@ -92,7 +98,7 @@ pub use runner::{
     WorkRunner,
 };
 pub use singleq::{FifoAdmission, SingleFifoQueue};
-pub use system::{CombinedSystem, ValueSystem, WorkSystem};
+pub use system::{CombinedSystem, DatapathSystem, ValueSystem, WorkSystem};
 pub use value::{
     value_policy_by_name, CappedValue, GreedyValue, LqdValue, Mrd, MrdStrict, Mvd, NestValue,
     NhstValue, VALUE_POLICY_NAMES,

@@ -13,10 +13,12 @@
 use std::collections::VecDeque;
 
 use smbm_switch::{
-    AdmitError, ArrivalOutcome, Counters, DropReason, PortId, Slot, Work, WorkPacket,
+    AdmitError, ArrivalOutcome, Counters, DropReason, PortId, Slot, Transmitted, Work, WorkPacket,
+    WorkQueue,
 };
 
-use crate::WorkSystem;
+use crate::system::meta_of;
+use crate::DatapathSystem;
 
 /// Admission behaviour of the single FIFO queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -34,17 +36,17 @@ pub enum FifoAdmission {
 /// cores: each slot, the first `m` resident packets receive one processing
 /// cycle each; completed packets leave and the window slides forward.
 ///
-/// Implements [`WorkSystem`], so it can be driven by the same engine and
+/// Implements [`DatapathSystem`], so it can be driven by the same engine and
 /// traces as the shared-memory switches.
 ///
 /// ```
-/// use smbm_core::{SingleFifoQueue, FifoAdmission, WorkSystem};
+/// use smbm_core::{DatapathSystem, FifoAdmission, SingleFifoQueue};
 /// use smbm_switch::{PortId, Work, WorkPacket};
 ///
 /// let mut q = SingleFifoQueue::new(4, 2, FifoAdmission::Greedy);
 /// q.offer(WorkPacket::new(PortId::new(0), Work::new(1)))?;
 /// q.offer(WorkPacket::new(PortId::new(0), Work::new(3)))?;
-/// assert_eq!(q.transmission_phase(), 1); // the 1-cycle packet finishes
+/// assert_eq!(q.transmission_phase_into(&mut Vec::new()), 1); // the 1-cycle packet finishes
 /// # Ok::<(), smbm_switch::AdmitError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -157,7 +159,9 @@ impl SingleFifoQueue {
     }
 }
 
-impl WorkSystem for SingleFifoQueue {
+impl DatapathSystem for SingleFifoQueue {
+    type Packet = WorkPacket;
+
     fn label(&self) -> String {
         match self.admission {
             FifoAdmission::Greedy => format!("1Q-FIFO(greedy,{}cores)", self.cores),
@@ -165,11 +169,16 @@ impl WorkSystem for SingleFifoQueue {
         }
     }
 
+    fn meta(pkt: WorkPacket) -> (PortId, u32, u64) {
+        meta_of::<WorkQueue>(pkt)
+    }
+
     fn offer(&mut self, pkt: WorkPacket) -> Result<ArrivalOutcome, AdmitError> {
         Ok(self.offer_work(pkt.work()))
     }
 
-    fn transmission_phase(&mut self) -> u64 {
+    /// Aggregate only: `out` is left untouched.
+    fn transmission_phase_into(&mut self, _: &mut Vec<Transmitted>) -> u64 {
         // The first `cores` packets each receive one cycle, run to
         // completion: no overtaking in dispatch order, but shorter packets
         // deeper in the service window may finish earlier.
@@ -205,12 +214,12 @@ impl WorkSystem for SingleFifoQueue {
         n
     }
 
-    fn transmitted(&self) -> u64 {
-        self.counters.transmitted()
-    }
-
     fn occupancy(&self) -> usize {
         self.residuals.len()
+    }
+
+    fn score(&self) -> u64 {
+        self.counters.transmitted()
     }
 }
 
@@ -221,6 +230,11 @@ mod tests {
 
     fn pkt(w: u32) -> WorkPacket {
         WorkPacket::new(PortId::new(0), Work::new(w))
+    }
+
+    /// One transmission phase; the queue keeps no completion records.
+    fn tx(q: &mut SingleFifoQueue) -> u64 {
+        q.transmission_phase_into(&mut Vec::new())
     }
 
     #[test]
@@ -243,11 +257,11 @@ mod tests {
         assert_eq!(q.counters().pushed_out(), 1);
         assert_eq!(q.occupancy(), 2);
         // Service order is still FIFO: the 3 (now first) is served first.
-        assert_eq!(q.transmission_phase(), 0);
+        assert_eq!(tx(&mut q), 0);
         q.end_slot();
-        assert_eq!(q.transmission_phase(), 0);
+        assert_eq!(tx(&mut q), 0);
         q.end_slot();
-        assert_eq!(q.transmission_phase(), 1); // 3 done after 3 cycles
+        assert_eq!(tx(&mut q), 1); // 3 done after 3 cycles
         q.check_invariants().unwrap();
     }
 
@@ -258,12 +272,12 @@ mod tests {
         q.offer(pkt(1)).unwrap();
         q.offer(pkt(1)).unwrap();
         // Cores serve the 3 and the first 1; the second 1 waits.
-        assert_eq!(q.transmission_phase(), 1);
+        assert_eq!(tx(&mut q), 1);
         q.end_slot();
         // Now window = {3 (res 2), second 1}.
-        assert_eq!(q.transmission_phase(), 1);
+        assert_eq!(tx(&mut q), 1);
         q.end_slot();
-        assert_eq!(q.transmission_phase(), 1); // the 3 finishes
+        assert_eq!(tx(&mut q), 1); // the 3 finishes
         assert_eq!(q.occupancy(), 0);
         q.check_invariants().unwrap();
     }
@@ -278,8 +292,8 @@ mod tests {
             q.offer(pkt(1)).unwrap();
         }
         let mut slots_to_first = 0;
-        while q.transmitted() == 0 {
-            q.transmission_phase();
+        while q.score() == 0 {
+            tx(&mut q);
             q.end_slot();
             slots_to_first += 1;
             assert!(slots_to_first <= 10);
@@ -293,7 +307,7 @@ mod tests {
         q.offer(pkt(1)).unwrap();
         q.end_slot();
         q.end_slot();
-        q.transmission_phase();
+        tx(&mut q);
         assert_eq!(q.counters().max_latency(), 2);
     }
 
@@ -303,8 +317,8 @@ mod tests {
         for w in [1, 2, 3] {
             q.offer(pkt(w)).unwrap();
         }
-        q.transmission_phase();
-        WorkSystem::flush(&mut q);
+        tx(&mut q);
+        q.flush();
         assert_eq!(q.occupancy(), 0);
         q.check_invariants().unwrap();
     }

@@ -7,8 +7,8 @@
 //!
 //! Both datapath drivers are thin shells over this crate:
 //!
-//! * the offline simulation engine (`smbm-sim::run_work` and friends) feeds
-//!   a [`SlotMachine`] one trace slot at a time;
+//! * the offline simulation engine (`smbm_sim::run`) feeds a
+//!   [`SlotMachine`] one trace slot at a time;
 //! * the live runtime shard (`smbm-runtime::run_shard`) feeds it whatever
 //!   its ingress rings deliver each cycle, with ingest, faults, supervision,
 //!   and clock pacing layered around the same machine.
@@ -21,11 +21,10 @@
 //!
 //! The pieces:
 //!
-//! * [`DatapathSystem`] — the model-erased bundle of switch operations the
-//!   machine drives (per-packet admission, transmission, flush, occupancy,
-//!   score, telemetry gauges), with adapters [`WorkAdapter`] /
-//!   [`ValueAdapter`] / [`CombinedAdapter`] over anything implementing the
-//!   `smbm-core` system traits — owned runners and `&mut` borrows alike;
+//! * [`DatapathSystem`] — the one per-packet system trait the machine
+//!   drives (admission, transmission, flush, occupancy, score, telemetry
+//!   gauges), re-exported from `smbm-core`, where every policy runner, OPT
+//!   surrogate and `&mut` borrow of one implements it directly;
 //! * [`SlotMachine`] — the slot loop state: [`step`] runs one
 //!   arrival+transmission slot, [`idle_slot`] a transmission-only slot,
 //!   [`flush_check`] the flush schedule, [`drain`] arrival-free slots until
@@ -46,7 +45,16 @@
 #![warn(missing_docs)]
 
 mod machine;
-mod system;
 
 pub use machine::{NoHook, SlotHook, SlotMachine, SlotStats, MAX_BURST_BATCHES, MAX_DRAIN_SLOTS};
-pub use system::{CombinedAdapter, DatapathSystem, ValueAdapter, WorkAdapter};
+pub use smbm_core::DatapathSystem;
+
+/// A boxed work-model system, kept only because the benchmark crate
+/// (`perfbench/`) names it; in-tree code hands the system itself to
+/// [`SlotMachine::new`].
+pub type WorkAdapter<S> = Box<S>;
+
+/// A boxed value-model system, kept only because the benchmark crate
+/// (`perfbench/`) names it; in-tree code hands the system itself to
+/// [`SlotMachine::new`].
+pub type ValueAdapter<S> = Box<S>;

@@ -11,7 +11,7 @@
 use smbm_obs::{Observer, Phase};
 use smbm_switch::{AdmitError, ArrivalOutcome, FlushMode, FlushPolicy, Transmitted};
 
-use crate::system::DatapathSystem;
+use smbm_core::DatapathSystem;
 
 /// Hard cap on drain slots, guarding against a non-work-conserving system
 /// looping forever. [`SlotMachine::drain`] reports the trip as `false`
@@ -340,17 +340,13 @@ impl<S: DatapathSystem> SlotMachine<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::WorkAdapter;
     use smbm_core::{GreedyWork, WorkRunner};
     use smbm_obs::NullObserver;
     use smbm_switch::{PortId, Work, WorkPacket, WorkSwitchConfig};
 
-    fn machine(ports: u32, buffer: usize) -> SlotMachine<WorkAdapter<WorkRunner<GreedyWork>>> {
+    fn machine(ports: u32, buffer: usize) -> SlotMachine<WorkRunner<GreedyWork>> {
         let cfg = WorkSwitchConfig::contiguous(ports, buffer).unwrap();
-        SlotMachine::new(
-            WorkAdapter::new(WorkRunner::new(cfg, GreedyWork::new(), 1)),
-            None,
-        )
+        SlotMachine::new(WorkRunner::new(cfg, GreedyWork::new(), 1), None)
     }
 
     fn wp(port: usize, w: u32) -> WorkPacket {
@@ -398,7 +394,7 @@ mod tests {
     fn flush_check_fires_on_the_burst_schedule() {
         let cfg = WorkSwitchConfig::contiguous(1, 8).unwrap();
         let mut m = SlotMachine::new(
-            WorkAdapter::new(WorkRunner::new(cfg, GreedyWork::new(), 1)),
+            WorkRunner::new(cfg, GreedyWork::new(), 1),
             Some(FlushPolicy::every(2).dropping()),
         );
         m.step(&[wp(0, 1); 6], &mut NullObserver, &mut NoHook)

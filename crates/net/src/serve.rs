@@ -9,7 +9,7 @@ use smbm_core::{value_policy_by_name, work_policy_by_name};
 use smbm_obs::{NetCounts, TelemetryConfig};
 use smbm_runtime::{
     FaultPlan, FlightConfig, IngestMode, Model, RuntimeBuilder, RuntimeConfig, RuntimeReport,
-    ShardConfig, SupervisionConfig, ValueService, VirtualClock, WorkService,
+    ShardConfig, SupervisionConfig, VirtualClock,
 };
 use smbm_switch::{Counters, PortId, ValuePacket, ValueSwitchConfig, WorkPacket, WorkSwitchConfig};
 
@@ -298,7 +298,7 @@ pub fn run_bound_server(
                     let speedup = config.speedup;
                     builder.add_shard(move || {
                         let policy = work_policy_by_name(&name).expect("validated above");
-                        WorkService::new(smbm_core::WorkRunner::new(cfg.clone(), policy, speedup))
+                        smbm_core::WorkRunner::new(cfg.clone(), policy, speedup)
                     })
                 })
                 .collect();
@@ -336,7 +336,7 @@ pub fn run_bound_server(
                     let speedup = config.speedup;
                     builder.add_shard(move || {
                         let policy = value_policy_by_name(&name).expect("validated above");
-                        ValueService::new(smbm_core::ValueRunner::new(switch_cfg, policy, speedup))
+                        smbm_core::ValueRunner::new(switch_cfg, policy, speedup)
                     })
                 })
                 .collect();

@@ -41,21 +41,21 @@
 //!   swaps in a pre-sized buffer instead of allocating one: lossy rejects
 //!   and the emptied buffers each shard hands back over its return ring
 //!   ([`IngressHandle::spare_buffer`]) refill the pool after every
-//!   publish.
+//!   publish. A lossless loop keeps no more buffers in circulation than a
+//!   return ring holds, so none is ever dropped, and when a lagging shard
+//!   holds them all it waits for one to come back
+//!   ([`IngressHandle::wait_spare_buffer`]) instead of allocating.
 
 use std::collections::HashSet;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
+use smbm_core::DatapathSystem;
 use smbm_obs::NetCounts;
-use smbm_runtime::{IngressHandle, RuntimeBuilder, Service, ShardId};
+use smbm_runtime::{IngressHandle, RuntimeBuilder, ShardId};
 
 use crate::codec::{decode_with, encode_fin_ack, encode_sync_ack, Datagram, WirePacket};
-
-/// At most this many idle batch buffers are retained for reuse; beyond it
-/// the pool lets buffers drop (a bound, not a reservation).
-const POOL_DEPTH: usize = 64;
 
 /// How a socket's receive loop sprays decoded packets across the shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,7 +206,7 @@ impl NetIngress {
         shards: &[ShardId],
         check: impl Fn(&S::Packet) -> bool + Clone + Send + 'static,
     ) where
-        S: Service + 'static,
+        S: DatapathSystem + 'static,
         S::Packet: WirePacket,
     {
         assert!(!shards.is_empty(), "net ingress needs at least one shard");
@@ -248,47 +248,99 @@ fn transient_recv_error(kind: io::ErrorKind) -> bool {
     )
 }
 
+/// How long a receive loop whose batch buffers are all in circulation waits
+/// for a shard to hand one back before it allocates another. A buffer only
+/// fails to come back when a crashed shard incarnation took it down.
+const SPARE_WAIT: Duration = Duration::from_millis(100);
+
 /// The staging area between the decoder and the rings: per-shard queues of
 /// *full* batches awaiting one bulk publish, plus the recycling buffer
 /// pool that batch buffers are drawn from and returned to.
+///
+/// Batch buffers circulate: pool, pending batch, ring, shard, return ring,
+/// pool. A lossless publisher keeps at most `budget` of them in
+/// circulation, the return rings' capacity, so no shard ever drops one for
+/// want of room; once all are out it waits for one to come back instead of
+/// allocating. A lossy publisher must not wait, so it allocates.
 struct Publisher<P> {
     ready: Vec<Vec<Vec<P>>>,
     pool: Vec<Vec<P>>,
     cap: usize,
+    lossy: bool,
+    /// Per shard, the buffers sent to it and not yet handed back.
+    outstanding: Vec<usize>,
+    /// Buffers allocated so far, the shards' pending batches included.
+    allocated: usize,
+    /// How many buffers to allocate before waiting for one instead
+    /// (`usize::MAX`: never wait).
+    budget: usize,
 }
 
 impl<P: Copy> Publisher<P> {
-    fn new(shards: usize, cap: usize) -> Publisher<P> {
+    /// A publisher for `shards` shards whose pending batches, one per shard
+    /// and allocated by the caller, hold `cap` packets.
+    fn new(shards: usize, cap: usize, lossy: bool, budget: usize) -> Publisher<P> {
         Publisher {
             ready: (0..shards).map(|_| Vec::new()).collect(),
             pool: Vec::new(),
             cap,
+            lossy,
+            outstanding: vec![0; shards],
+            allocated: shards,
+            budget: if lossy { usize::MAX } else { budget },
         }
     }
 
-    /// A batch buffer with at least `cap` capacity — recycled if the pool
-    /// has one, freshly sized otherwise.
-    fn take_buf(&mut self) -> Vec<P> {
-        self.pool
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(self.cap))
+    /// A batch buffer with at least `cap` capacity: recycled if the pool
+    /// has one or a shard hands one back in time, freshly sized otherwise.
+    fn take_buf(&mut self, handles: &mut [IngressHandle<P>]) -> Vec<P> {
+        if self.pool.is_empty() && self.allocated >= self.budget {
+            self.await_spare(handles);
+        }
+        self.pool.pop().unwrap_or_else(|| {
+            self.allocated += 1;
+            Vec::with_capacity(self.cap)
+        })
+    }
+
+    /// Publishes the staged batches, then waits for the shard holding the
+    /// most buffers to hand one back. A wait that times out writes that
+    /// shard's buffers off, so a lost buffer costs one wait, not one per
+    /// later batch.
+    fn await_spare(&mut self, handles: &mut [IngressHandle<P>]) {
+        self.publish(handles);
+        while self.pool.is_empty() {
+            let Some(shard) = (0..self.outstanding.len())
+                .filter(|&s| self.outstanding[s] > 0)
+                .max_by_key(|&s| self.outstanding[s])
+            else {
+                return;
+            };
+            match handles[shard].wait_spare_buffer(SPARE_WAIT) {
+                Some(buf) => {
+                    self.outstanding[shard] -= 1;
+                    self.pool.push(buf);
+                }
+                None => self.outstanding[shard] = 0,
+            }
+        }
     }
 
     /// Stages every shard's pending batch — the barrier and exit flushes.
-    fn stage_all(&mut self, pending: &mut [Vec<P>]) {
+    fn stage_all(&mut self, pending: &mut [Vec<P>], handles: &mut [IngressHandle<P>]) {
         for (shard, batch) in pending.iter_mut().enumerate() {
-            self.stage(shard, batch);
+            self.stage(shard, batch, handles);
         }
     }
 
     /// Moves `pending` into shard `shard`'s ready queue, swapping in a
     /// pooled buffer so the caller keeps filling at full capacity — the
     /// hot path never reallocates a batch buffer from zero.
-    fn stage(&mut self, shard: usize, pending: &mut Vec<P>) {
+    fn stage(&mut self, shard: usize, pending: &mut Vec<P>, handles: &mut [IngressHandle<P>]) {
         if pending.is_empty() {
             return;
         }
-        let mut staged = self.take_buf();
+        let mut staged = self.take_buf(handles);
         std::mem::swap(pending, &mut staged);
         debug_assert!(
             pending.capacity() >= self.cap,
@@ -301,39 +353,31 @@ impl<P: Copy> Publisher<P> {
     /// then refills the pool: first with lossy rejects, then with the
     /// emptied buffers each shard has handed back. The ready queues keep
     /// their capacity, so a publish allocates nothing.
-    fn publish(&mut self, handles: &mut [IngressHandle<P>], lossy: bool) {
-        let Publisher { ready, pool, .. } = self;
-        for (ready, handle) in ready.iter_mut().zip(handles.iter_mut()) {
-            if lossy {
+    fn publish(&mut self, handles: &mut [IngressHandle<P>]) {
+        let shards = self.ready.iter_mut().zip(&mut self.outstanding);
+        for ((ready, held), handle) in shards.zip(handles.iter_mut()) {
+            let staged = ready.len();
+            if self.lossy {
                 // Rejected batches come back emptied in `ready`.
                 handle.try_send_bulk(ready);
+                *held += staged - ready.len();
+            } else if handle.send_bulk(ready) {
+                *held += staged;
             } else {
-                // `false` means the ring closed (shutdown or supervisor
-                // give-up); the handle counted the remainder as lost. Keep
-                // serving: later sends are counted the same way and
-                // clients still get their acks.
-                let _ = handle.send_bulk(ready);
+                // The ring closed (shutdown or supervisor give-up); the
+                // handle counted the remainder as lost. Keep serving: later
+                // sends are counted the same way and clients still get
+                // their acks. The shard's buffers will not come back, so
+                // stop waiting for any.
+                self.budget = usize::MAX;
             }
-            let spares = std::iter::from_fn(|| handle.spare_buffer());
-            for buf in ready.drain(..).chain(spares) {
-                if !recycle(pool, buf) {
-                    break;
-                }
+            self.pool.append(ready);
+            while let Some(buf) = handle.spare_buffer() {
+                *held = held.saturating_sub(1);
+                self.pool.push(buf);
             }
         }
     }
-}
-
-/// Keeps an emptied buffer in `pool` for reuse; drops it, returning
-/// `false`, once the pool holds [`POOL_DEPTH`] (a bound, not a
-/// reservation).
-fn recycle<P>(pool: &mut Vec<Vec<P>>, mut buf: Vec<P>) -> bool {
-    if pool.len() >= POOL_DEPTH {
-        return false;
-    }
-    buf.clear();
-    pool.push(buf);
-    true
 }
 
 /// One socket's receive loop. Accounting invariant on exit: every frame
@@ -351,7 +395,13 @@ fn serve_socket<P: WirePacket>(
     let mut pending: Vec<Vec<P>> = (0..shards)
         .map(|_| Vec::with_capacity(config.batch))
         .collect();
-    let mut publisher = Publisher::new(shards, config.batch);
+    // Every return ring can hold all the buffers in circulation.
+    let budget = handles
+        .iter()
+        .map(IngressHandle::spare_capacity)
+        .min()
+        .expect("net ingress feeds at least one shard");
+    let mut publisher = Publisher::new(shards, config.batch, config.lossy, budget);
     // Socket-level tallies accumulate locally and flush through the first
     // handle (the socket's home shard) so hot-path datagrams cost no
     // atomics; `drops` are the NetDecode frames (bad + missing).
@@ -369,8 +419,8 @@ fn serve_socket<P: WirePacket>(
             "net: set_read_timeout failed on {:?}: {e}",
             socket.local_addr()
         ));
-        publisher.stage_all(&mut pending);
-        publisher.publish(handles, config.lossy);
+        publisher.stage_all(&mut pending, handles);
+        publisher.publish(handles);
         flush_net(handles, &mut acc, &mut drops);
         return;
     }
@@ -417,7 +467,7 @@ fn serve_socket<P: WirePacket>(
             let shard = config.fanout.route(p.port_index(), shards);
             pending[shard].push(p);
             if pending[shard].len() >= config.batch {
-                publisher.stage(shard, &mut pending[shard]);
+                publisher.stage(shard, &mut pending[shard], handles);
             }
         });
         match decoded {
@@ -435,14 +485,14 @@ fn serve_socket<P: WirePacket>(
             Ok(Datagram::Sync { client, seq }) => {
                 // Barrier: everything received before this SYNC must be
                 // fully accounted before the ACK goes out.
-                publisher.stage_all(&mut pending);
-                publisher.publish(handles, config.lossy);
+                publisher.stage_all(&mut pending, handles);
+                publisher.publish(handles);
                 flush_net(handles, &mut acc, &mut drops);
                 let _ = socket.send_to(&encode_sync_ack(client, seq), from);
             }
             Ok(Datagram::Fin { client }) => {
-                publisher.stage_all(&mut pending);
-                publisher.publish(handles, config.lossy);
+                publisher.stage_all(&mut pending, handles);
+                publisher.publish(handles);
                 flush_net(handles, &mut acc, &mut drops);
                 let _ = socket.send_to(&encode_fin_ack(client), from);
                 fins.insert(client);
@@ -459,14 +509,14 @@ fn serve_socket<P: WirePacket>(
             }
         }
         // One bulk publish per shard covers every batch the datagram filled.
-        publisher.publish(handles, config.lossy);
+        publisher.publish(handles);
         // Keep live telemetry fresh even between barriers.
         if acc.datagrams >= 64 {
             flush_net(handles, &mut acc, &mut drops);
         }
     }
-    publisher.stage_all(&mut pending);
-    publisher.publish(handles, config.lossy);
+    publisher.stage_all(&mut pending, handles);
+    publisher.publish(handles);
     flush_net(handles, &mut acc, &mut drops);
     if recv_errors > 0 {
         handles[0].record_error(format!(
@@ -564,11 +614,11 @@ mod tests {
     #[test]
     fn staging_retains_batch_capacity_and_recycles_buffers() {
         let cap = 32;
-        let mut publisher: Publisher<u32> = Publisher::new(2, cap);
+        let mut publisher: Publisher<u32> = Publisher::new(2, cap, false, usize::MAX);
         let mut pending: Vec<u32> = Vec::with_capacity(cap);
         for round in 0..4 {
             pending.extend(0..cap as u32);
-            publisher.stage(0, &mut pending);
+            publisher.stage(0, &mut pending, &mut []);
             assert!(pending.is_empty());
             assert!(
                 pending.capacity() >= cap,
@@ -578,23 +628,29 @@ mod tests {
         }
         assert_eq!(publisher.ready[0].len(), 4);
         assert!(publisher.ready[1].is_empty());
+        assert_eq!(
+            publisher.allocated,
+            2 + 4,
+            "two pending buffers, four fresh"
+        );
         // Rejected buffers come home and are reused before any allocation.
-        let reject: Vec<u32> = Vec::with_capacity(cap * 2);
-        assert!(recycle(&mut publisher.pool, reject));
-        let reused = publisher.take_buf();
+        publisher.pool.push(Vec::with_capacity(cap * 2));
+        let reused = publisher.take_buf(&mut []);
         assert!(reused.capacity() >= cap * 2, "pool must hand back reuses");
+        assert_eq!(publisher.allocated, 6);
         // Staging nothing is a no-op — no empty batches reach the rings.
-        publisher.stage(1, &mut pending);
+        publisher.stage(1, &mut pending, &mut []);
         assert!(publisher.ready[1].is_empty());
     }
 
     #[test]
-    fn pool_depth_is_bounded() {
-        let mut pool: Vec<Vec<u32>> = Vec::new();
-        for i in 0..(POOL_DEPTH + 10) {
-            assert_eq!(recycle(&mut pool, vec![1, 2]), i < POOL_DEPTH);
-        }
-        assert_eq!(pool.len(), POOL_DEPTH);
-        assert!(pool.iter().all(Vec::is_empty), "pooled buffers are emptied");
+    fn a_spent_budget_with_nothing_outstanding_allocates_without_waiting() {
+        let mut publisher: Publisher<u32> = Publisher::new(1, 8, false, 1);
+        let started = Instant::now();
+        assert_eq!(publisher.take_buf(&mut []).capacity(), 8);
+        assert!(started.elapsed() < SPARE_WAIT);
+        assert_eq!(publisher.allocated, 2);
+        // A lossy publisher never waits, whatever its budget.
+        assert_eq!(Publisher::<u32>::new(1, 8, true, 1).budget, usize::MAX);
     }
 }

@@ -14,10 +14,9 @@
 //! * [`Clock`] — pacing for the shard loop: [`VirtualClock`] runs cycles
 //!   back-to-back (deterministic tests, replay, throughput measurement),
 //!   [`WallClock`] paces at a fixed cycles-per-second;
-//! * [`Service`] — the model-erased bundle of switch operations a shard
-//!   drives: a re-export of `smbm-datapath`'s `DatapathSystem`, with
-//!   [`WorkService`], [`ValueService`] and [`CombinedService`] aliasing the
-//!   datapath adapters over the corresponding runners;
+//! * the service a shard drives — any `DatapathSystem` (`smbm-core`'s one
+//!   per-packet system trait), in practice a policy runner of any packet
+//!   model, built inside the shard thread by a caller-supplied factory;
 //! * [`run_shard`] — the ring-fed driver: ingest, clock pacing and fault
 //!   polling wrapped around `smbm-datapath`'s `SlotMachine`, which emits
 //!   the flush/arrival/transmission/drain phases — literally the same code
@@ -50,7 +49,6 @@ mod faults;
 mod loadgen;
 mod ring;
 mod runtime;
-mod service;
 mod shard;
 
 pub use clock::{AnyClock, Clock, VirtualClock, WallClock};
@@ -61,5 +59,4 @@ pub use runtime::{
     FlightConfig, IngressHandle, ProducerReport, RuntimeBuilder, RuntimeConfig, RuntimeReport,
     SendOutcome, ShardId, SupervisionConfig,
 };
-pub use service::{CombinedService, Service, ValueService, WorkService};
 pub use shard::{run_shard, Batch, IngestMode, ShardConfig, ShardReport};

@@ -7,7 +7,9 @@
 
 use std::fmt;
 
-use smbm_core::{combined_policy_by_name, value_policy_by_name, work_policy_by_name};
+use smbm_core::{
+    combined_policy_by_name, value_policy_by_name, work_policy_by_name, DatapathSystem,
+};
 use smbm_obs::{LogHistogram, TelemetryConfig};
 use smbm_switch::{FlushPolicy, ValueSwitchConfig, WorkSwitchConfig};
 use smbm_traffic::{MmppScenario, PortMix, ValueMix};
@@ -17,7 +19,6 @@ use crate::faults::FaultPlan;
 use crate::runtime::{
     FlightConfig, RuntimeBuilder, RuntimeConfig, RuntimeReport, SupervisionConfig,
 };
-use crate::service::{CombinedService, Service, ValueService, WorkService};
 use crate::shard::{IngestMode, ShardConfig};
 
 /// Which packet model the datapath serves.
@@ -365,7 +366,7 @@ fn scenario_for(config: &LoadgenConfig, shard: usize) -> MmppScenario {
 
 /// Builds the datapath from per-shard service factories and pregenerated
 /// batch feeds, runs it, and wraps the report.
-fn drive<S: Service + 'static>(
+fn drive<S: DatapathSystem + 'static>(
     config: &LoadgenConfig,
     policy: String,
     factories: Vec<Box<dyn Fn() -> S + Send>>,
@@ -447,7 +448,7 @@ pub fn run_loadgen(config: &LoadgenConfig) -> Result<LoadgenReport, LoadgenError
                 let speedup = config.speedup;
                 factories.push(Box::new(move || {
                     let policy = work_policy_by_name(&name).expect("validated above");
-                    WorkService::new(smbm_core::WorkRunner::new(cfg.clone(), policy, speedup))
+                    smbm_core::WorkRunner::new(cfg.clone(), policy, speedup)
                 }));
             }
             Ok(drive(config, canonical, factories, feeds))
@@ -476,7 +477,7 @@ pub fn run_loadgen(config: &LoadgenConfig) -> Result<LoadgenReport, LoadgenError
                 let speedup = config.speedup;
                 factories.push(Box::new(move || {
                     let policy = value_policy_by_name(&name).expect("validated above");
-                    ValueService::new(smbm_core::ValueRunner::new(switch_cfg, policy, speedup))
+                    smbm_core::ValueRunner::new(switch_cfg, policy, speedup)
                 }));
             }
             Ok(drive(config, canonical, factories, feeds))
@@ -506,11 +507,7 @@ pub fn run_loadgen(config: &LoadgenConfig) -> Result<LoadgenReport, LoadgenError
                 let speedup = config.speedup;
                 factories.push(Box::new(move || {
                     let policy = combined_policy_by_name(&name).expect("validated above");
-                    CombinedService::new(smbm_core::CombinedRunner::new(
-                        cfg.clone(),
-                        policy,
-                        speedup,
-                    ))
+                    smbm_core::CombinedRunner::new(cfg.clone(), policy, speedup)
                 }));
             }
             Ok(drive(config, canonical, factories, feeds))

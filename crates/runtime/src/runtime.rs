@@ -30,6 +30,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use smbm_datapath::DatapathSystem;
 use smbm_obs::{
     FlightRecorder, HistogramRecorder, NetCounts, Observer, Phase, StatCell, TelemetryConfig,
     TelemetryObserver, TelemetryReport, TelemetrySampler,
@@ -39,7 +40,6 @@ use smbm_switch::{Counters, DropReason, PortId};
 use crate::clock::Clock;
 use crate::faults::{FaultPlan, ShardFaults};
 use crate::ring::{ring, Consumer, Producer, PushError, TryPop};
-use crate::service::Service;
 use crate::shard::{run_shard_core, Batch, Ingress, ShardConfig, ShardProgress, ShardReport};
 
 /// Datapath-wide knobs.
@@ -225,6 +225,7 @@ pub enum SendOutcome {
 pub struct IngressHandle<P: Copy> {
     producer: Producer<Batch<P>>,
     spares: Consumer<Vec<P>>,
+    spare_capacity: usize,
     /// Scratch for the bulk sends: the batches of one publish, reused.
     staged: Vec<Batch<P>>,
     stats: Arc<ProducerStats>,
@@ -293,6 +294,20 @@ impl<P: Copy> IngressHandle<P> {
             TryPop::Item(buf) => Some(buf),
             TryPop::Empty | TryPop::Closed => None,
         }
+    }
+
+    /// Like [`IngressHandle::spare_buffer`], waiting up to `timeout` for the
+    /// shard to hand one back; `None` on timeout or once the shard is gone.
+    pub fn wait_spare_buffer(&self, timeout: Duration) -> Option<Vec<P>> {
+        self.spares.wait_nonempty(Some(timeout));
+        self.spare_buffer()
+    }
+
+    /// How many emptied buffers the shard's return ring holds. The shard
+    /// drops a buffer only when that ring is full, so a producer that keeps
+    /// at most this many buffers in circulation never loses one.
+    pub fn spare_capacity(&self) -> usize {
+        self.spare_capacity
     }
 
     /// Sends the batches in `batches` with one bulk ring publish — a single
@@ -430,20 +445,20 @@ type ServiceFactory<S> = Box<dyn Fn() -> S + Send>;
 type ProducerJob<P> = Box<dyn FnOnce(&mut IngressHandle<P>) + Send>;
 type FanoutJob<P> = Box<dyn FnOnce(&mut [IngressHandle<P>]) + Send>;
 
-struct ShardSlot<S: Service + 'static> {
+struct ShardSlot<S: DatapathSystem + 'static> {
     factory: ServiceFactory<S>,
     producers: Vec<ProducerJob<S::Packet>>,
 }
 
 /// Assembles a datapath: shards (each owning one buffer core) and the
 /// producer jobs that feed them, then runs everything to completion.
-pub struct RuntimeBuilder<S: Service + 'static> {
+pub struct RuntimeBuilder<S: DatapathSystem + 'static> {
     config: RuntimeConfig,
     shards: Vec<ShardSlot<S>>,
     fanout: Vec<(Vec<usize>, FanoutJob<S::Packet>)>,
 }
 
-impl<S: Service + 'static> RuntimeBuilder<S> {
+impl<S: DatapathSystem + 'static> RuntimeBuilder<S> {
     /// Starts an empty datapath with the given configuration.
     pub fn new(config: RuntimeConfig) -> Self {
         RuntimeBuilder {
@@ -577,6 +592,7 @@ impl<S: Service + 'static> RuntimeBuilder<S> {
             let handle = IngressHandle {
                 producer: tx,
                 spares: spare_rx,
+                spare_capacity: self.config.ring_capacity,
                 staged: Vec::new(),
                 stats: Arc::clone(&stats),
                 meta: S::meta,
@@ -746,7 +762,7 @@ impl<S: Service + 'static> RuntimeBuilder<S> {
 /// * the ring backlog is left in place for the replacement (or drained as
 ///   shard-failure drops on give-up).
 #[allow(clippy::too_many_arguments)]
-fn supervise_shard<S: Service + 'static, C: Clock + Clone, O: Observer>(
+fn supervise_shard<S: DatapathSystem + 'static, C: Clock + Clone, O: Observer>(
     shard_id: usize,
     factory: &ServiceFactory<S>,
     mut rings: Vec<Ingress<S::Packet>>,
@@ -1064,11 +1080,10 @@ impl RuntimeReport {
 mod tests {
     use super::*;
     use crate::clock::VirtualClock;
-    use crate::service::WorkService;
     use smbm_core::{Lwd, WorkRunner};
     use smbm_switch::{PortId, Work, WorkPacket, WorkSwitchConfig};
 
-    fn builder(shards: usize) -> (RuntimeBuilder<WorkService<Lwd>>, Vec<ShardId>) {
+    fn builder(shards: usize) -> (RuntimeBuilder<WorkRunner<Lwd>>, Vec<ShardId>) {
         let mut b = RuntimeBuilder::new(RuntimeConfig {
             ring_capacity: 4,
             shard: ShardConfig::lockstep(),
@@ -1078,7 +1093,7 @@ mod tests {
             .map(|_| {
                 b.add_shard(|| {
                     let cfg = WorkSwitchConfig::contiguous(2, 8).unwrap();
-                    WorkService::new(WorkRunner::new(cfg, Lwd::new(), 1))
+                    WorkRunner::new(cfg, Lwd::new(), 1)
                 })
             })
             .collect();
@@ -1265,7 +1280,7 @@ mod tests {
         });
         let id = b.add_shard(|| {
             let cfg = WorkSwitchConfig::contiguous(2, 8).unwrap();
-            WorkService::new(WorkRunner::new(cfg, Lwd::new(), 1))
+            WorkRunner::new(cfg, Lwd::new(), 1)
         });
         b.add_producer(id, |h| {
             // Keep publishing until the supervisor gives up and the ring
@@ -1333,7 +1348,7 @@ mod tests {
         });
         let id = b.add_shard(|| {
             let cfg = WorkSwitchConfig::contiguous(2, 8).unwrap();
-            WorkService::new(WorkRunner::new(cfg, Lwd::new(), 1))
+            WorkRunner::new(cfg, Lwd::new(), 1)
         });
         b.add_producer(id, |h| {
             h.send(vec![wp(0, 1)]);
@@ -1355,7 +1370,7 @@ mod tests {
         });
         let id = b.add_shard(|| {
             let cfg = WorkSwitchConfig::contiguous(2, 8).unwrap();
-            WorkService::new(WorkRunner::new(cfg, Lwd::new(), 1))
+            WorkRunner::new(cfg, Lwd::new(), 1)
         });
         b.add_producer(id, |h| {
             for _ in 0..10 {
@@ -1385,7 +1400,7 @@ mod tests {
         });
         let id = b.add_shard(|| {
             let cfg = WorkSwitchConfig::contiguous(2, 8).unwrap();
-            WorkService::new(WorkRunner::new(cfg, Lwd::new(), 1))
+            WorkRunner::new(cfg, Lwd::new(), 1)
         });
         b.add_producer(id, |h| {
             for _ in 0..10 {
@@ -1428,7 +1443,7 @@ mod tests {
         });
         let id = b.add_shard(|| {
             let cfg = WorkSwitchConfig::contiguous(2, 8).unwrap();
-            WorkService::new(WorkRunner::new(cfg, Lwd::new(), 1))
+            WorkRunner::new(cfg, Lwd::new(), 1)
         });
         b.add_producer(id, |h| {
             for _ in 0..10 {
@@ -1463,7 +1478,7 @@ mod tests {
         });
         let id = b.add_shard(|| {
             let cfg = WorkSwitchConfig::contiguous(2, 8).unwrap();
-            WorkService::new(WorkRunner::new(cfg, Lwd::new(), 1))
+            WorkRunner::new(cfg, Lwd::new(), 1)
         });
         b.add_producer(id, |h| {
             for _ in 0..10 {
@@ -1500,7 +1515,7 @@ mod tests {
         });
         let id = b.add_shard(|| {
             let cfg = WorkSwitchConfig::contiguous(2, 8).unwrap();
-            WorkService::new(WorkRunner::new(cfg, Lwd::new(), 1))
+            WorkRunner::new(cfg, Lwd::new(), 1)
         });
         b.add_producer(id, |h| {
             h.send(vec![wp(0, 1)]);
@@ -1526,7 +1541,7 @@ mod tests {
         });
         let id = b.add_shard(|| {
             let cfg = WorkSwitchConfig::contiguous(2, 8).unwrap();
-            WorkService::new(WorkRunner::new(cfg, Lwd::new(), 1))
+            WorkRunner::new(cfg, Lwd::new(), 1)
         });
         b.add_producer(id, |h| {
             h.send(vec![wp(0, 1)]);
@@ -1546,7 +1561,7 @@ mod tests {
         });
         let id = b.add_shard(|| {
             let cfg = WorkSwitchConfig::contiguous(1, 2).unwrap();
-            WorkService::new(WorkRunner::new(cfg, Lwd::new(), 1))
+            WorkRunner::new(cfg, Lwd::new(), 1)
         });
         // Stuff the ring faster than a 1-deep ring can possibly accept:
         // with only one slot, at least one try_send must bounce.

@@ -21,14 +21,13 @@
 
 use std::time::{Duration, Instant};
 
-use smbm_datapath::{SlotHook, SlotMachine, SlotStats, MAX_BURST_BATCHES};
+use smbm_datapath::{DatapathSystem, SlotHook, SlotMachine, SlotStats, MAX_BURST_BATCHES};
 use smbm_obs::{LogHistogram, Observer, Phase};
 use smbm_switch::{Counters, FlushPolicy};
 
 use crate::clock::Clock;
 use crate::faults::{FaultKind, ShardFaults};
 use crate::ring::{ring, Consumer, Producer};
-use crate::service::Service;
 
 /// One unit of ingress: a burst of packets plus the instant it entered the
 /// ring, so the shard can histogram queueing delay.
@@ -238,7 +237,7 @@ impl ShardProgress {
     }
 
     /// Copies the machine's accounting and the service's state snapshot.
-    fn record<S: Service>(&mut self, service: &S, stats: &SlotStats) {
+    fn record<S: DatapathSystem>(&mut self, service: &S, stats: &SlotStats) {
         self.stats = *stats;
         self.counters = service.counters();
         self.score = service.score();
@@ -293,7 +292,7 @@ impl ShardProgress {
 /// The machine calls this after every completed slot (arrival, idle, and
 /// drain slots alike), keeping the crash-safe record exact to the last slot
 /// boundary.
-impl<S: Service> SlotHook<S> for ShardProgress {
+impl<S: DatapathSystem> SlotHook<S> for ShardProgress {
     fn slot_done(&mut self, sys: &S, stats: &SlotStats) {
         self.record(sys, stats);
     }
@@ -308,7 +307,7 @@ impl<S: Service> SlotHook<S> for ShardProgress {
 /// transmission, end-of-slot. Closed rings are pruned; the loop exits when
 /// none remain. Batch buffers are dropped once stepped: only the
 /// [`crate::RuntimeBuilder`] wiring hands them back to its producers.
-pub fn run_shard<S: Service, C: Clock, O: Observer>(
+pub fn run_shard<S: DatapathSystem, C: Clock, O: Observer>(
     service: S,
     rings: Vec<Consumer<Batch<S::Packet>>>,
     clock: C,
@@ -345,7 +344,7 @@ pub fn run_shard<S: Service, C: Clock, O: Observer>(
 /// Claimed batches are stepped in place: the arrival burst is the chain of
 /// their packet slices, and each batch's buffer goes back to its producer
 /// once the slot has run.
-pub(crate) fn run_shard_core<S: Service, C: Clock, O: Observer>(
+pub(crate) fn run_shard_core<S: DatapathSystem, C: Clock, O: Observer>(
     service: S,
     rings: &mut Vec<Ingress<S::Packet>>,
     mut clock: C,
@@ -517,15 +516,14 @@ mod tests {
     use super::*;
     use crate::clock::VirtualClock;
     use crate::ring::ring;
-    use crate::service::WorkService;
     use smbm_core::{Lwd, WorkRunner};
     use smbm_datapath::NoHook;
     use smbm_obs::NullObserver;
     use smbm_switch::{PortId, Work, WorkPacket, WorkSwitchConfig};
 
-    fn service(ports: u32, buffer: usize) -> WorkService<Lwd> {
+    fn service(ports: u32, buffer: usize) -> WorkRunner<Lwd> {
         let cfg = WorkSwitchConfig::contiguous(ports, buffer).unwrap();
-        WorkService::new(WorkRunner::new(cfg, Lwd::new(), 1))
+        WorkRunner::new(cfg, Lwd::new(), 1)
     }
 
     fn wp(port: usize, w: u32) -> WorkPacket {

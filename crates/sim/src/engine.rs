@@ -1,31 +1,25 @@
-//! The offline trace driver: feeds any [`WorkSystem`]/[`ValueSystem`]
-//! through an arrival trace, one burst per slot, with the paper's periodic
-//! flushouts.
+//! The offline trace driver: feeds any [`DatapathSystem`] through an
+//! arrival trace, one burst per slot, with the paper's periodic flushouts.
 //!
 //! The slot semantics themselves — flush, arrival, transmission, drain —
 //! live in `smbm-datapath`'s [`SlotMachine`]; this module only decides when
 //! to feed it (once per trace slot) and folds the machine's [`SlotStats`]
-//! into a [`RunSummary`]. The model-specific `run_*` entry points wrap the
-//! caller's system in the matching datapath adapter. Each entry point has
-//! an `_observed` variant taking an [`Observer`]; the plain variants pass
-//! [`NullObserver`], which monomorphizes every hook to a no-op, so
+//! into a [`RunSummary`]. [`run_observed`] takes an [`Observer`]; [`run`]
+//! passes [`NullObserver`], which monomorphizes every hook to a no-op, so
 //! uninstrumented runs cost the same as before the observer existed — and
 //! by construction execute the exact same slot sequence, so summaries and
 //! counters are identical either way.
 //!
 //! [`SlotStats`]: smbm_datapath::SlotStats
 
-use smbm_core::{CombinedSystem, ValueSystem, WorkSystem};
-use smbm_datapath::{
-    CombinedAdapter, DatapathSystem, NoHook, SlotMachine, ValueAdapter, WorkAdapter,
-};
+use smbm_datapath::{DatapathSystem, NoHook, SlotMachine};
 use smbm_obs::{NullObserver, Observer};
-use smbm_switch::{AdmitError, CombinedPacket, ValuePacket, WorkPacket};
+use smbm_switch::AdmitError;
 use smbm_traffic::Trace;
 
 use crate::FlushPolicy;
 
-/// Engine knobs shared by both models.
+/// Engine knobs, the same for every packet model.
 #[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
     /// Periodic flushouts, as in the paper's simulations (`None` disables).
@@ -60,8 +54,8 @@ impl EngineConfig {
 pub struct RunSummary {
     /// Slots executed, including drain slots.
     pub slots: u64,
-    /// Final objective value: packets transmitted (work model) or total
-    /// value transmitted (value model).
+    /// Final objective value: total value transmitted (the packet count in
+    /// the work model).
     pub score: u64,
     /// Mean buffer occupancy sampled at the end of every slot.
     pub mean_occupancy: f64,
@@ -69,11 +63,27 @@ pub struct RunSummary {
     pub max_occupancy: usize,
 }
 
-/// The trace-fed driver: one machine step per trace slot, flush schedule
-/// checked before each, optional final drain. All phase emission happens
-/// inside the machine.
-fn drive<S: DatapathSystem, O: Observer>(
-    sys: S,
+/// Runs any system — a policy runner of any packet model, an OPT
+/// surrogate — over `trace`.
+///
+/// # Errors
+///
+/// Propagates an [`AdmitError`] raised by an inconsistent policy decision.
+pub fn run<S: DatapathSystem>(
+    sys: &mut S,
+    trace: &Trace<S::Packet>,
+    engine: &EngineConfig,
+) -> Result<RunSummary, AdmitError> {
+    run_observed(sys, trace, engine, &mut NullObserver)
+}
+
+/// Like [`run`], reporting every engine event to `obs`.
+///
+/// # Errors
+///
+/// Propagates an [`AdmitError`] raised by an inconsistent policy decision.
+pub fn run_observed<S: DatapathSystem, O: Observer>(
+    sys: &mut S,
     trace: &Trace<S::Packet>,
     engine: &EngineConfig,
     obs: &mut O,
@@ -103,96 +113,14 @@ fn drive<S: DatapathSystem, O: Observer>(
     })
 }
 
-/// Runs a work-model system over `trace`.
-///
-/// # Errors
-///
-/// Propagates an [`AdmitError`] raised by an inconsistent policy decision.
-pub fn run_work<S: WorkSystem + ?Sized>(
-    sys: &mut S,
-    trace: &Trace<WorkPacket>,
-    engine: &EngineConfig,
-) -> Result<RunSummary, AdmitError> {
-    run_work_observed(sys, trace, engine, &mut NullObserver)
-}
-
-/// Runs a work-model system over `trace`, reporting every engine event to
-/// `obs`.
-///
-/// # Errors
-///
-/// Propagates an [`AdmitError`] raised by an inconsistent policy decision.
-pub fn run_work_observed<S: WorkSystem + ?Sized, O: Observer>(
-    sys: &mut S,
-    trace: &Trace<WorkPacket>,
-    engine: &EngineConfig,
-    obs: &mut O,
-) -> Result<RunSummary, AdmitError> {
-    drive(WorkAdapter::new(sys), trace, engine, obs)
-}
-
-/// Runs a value-model system over `trace`.
-///
-/// # Errors
-///
-/// Propagates an [`AdmitError`] raised by an inconsistent policy decision.
-pub fn run_value<S: ValueSystem + ?Sized>(
-    sys: &mut S,
-    trace: &Trace<ValuePacket>,
-    engine: &EngineConfig,
-) -> Result<RunSummary, AdmitError> {
-    run_value_observed(sys, trace, engine, &mut NullObserver)
-}
-
-/// Runs a value-model system over `trace`, reporting every engine event to
-/// `obs`.
-///
-/// # Errors
-///
-/// Propagates an [`AdmitError`] raised by an inconsistent policy decision.
-pub fn run_value_observed<S: ValueSystem + ?Sized, O: Observer>(
-    sys: &mut S,
-    trace: &Trace<ValuePacket>,
-    engine: &EngineConfig,
-    obs: &mut O,
-) -> Result<RunSummary, AdmitError> {
-    drive(ValueAdapter::new(sys), trace, engine, obs)
-}
-
-/// Runs a combined-model system over `trace` (extension).
-///
-/// # Errors
-///
-/// Propagates an [`AdmitError`] raised by an inconsistent policy decision.
-pub fn run_combined<S: CombinedSystem + ?Sized>(
-    sys: &mut S,
-    trace: &Trace<CombinedPacket>,
-    engine: &EngineConfig,
-) -> Result<RunSummary, AdmitError> {
-    run_combined_observed(sys, trace, engine, &mut NullObserver)
-}
-
-/// Runs a combined-model system over `trace`, reporting every engine event
-/// to `obs`.
-///
-/// # Errors
-///
-/// Propagates an [`AdmitError`] raised by an inconsistent policy decision.
-pub fn run_combined_observed<S: CombinedSystem + ?Sized, O: Observer>(
-    sys: &mut S,
-    trace: &Trace<CombinedPacket>,
-    engine: &EngineConfig,
-    obs: &mut O,
-) -> Result<RunSummary, AdmitError> {
-    drive(CombinedAdapter::new(sys), trace, engine, obs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::FlushMode;
     use smbm_core::{GreedyValue, GreedyWork, ValueRunner, WorkRunner};
-    use smbm_switch::{PortId, Value, ValueSwitchConfig, Work, WorkSwitchConfig};
+    use smbm_switch::{
+        PortId, Value, ValuePacket, ValueSwitchConfig, Work, WorkPacket, WorkSwitchConfig,
+    };
 
     fn wp(port: usize, w: u32) -> WorkPacket {
         WorkPacket::new(PortId::new(port), Work::new(w))
@@ -203,13 +131,13 @@ mod tests {
     }
 
     #[test]
-    fn run_work_counts_transmissions() {
+    fn work_run_counts_transmissions() {
         let cfg = WorkSwitchConfig::contiguous(2, 4).unwrap();
         let mut sys = WorkRunner::new(cfg, GreedyWork::new(), 1);
         let mut trace = Trace::new();
         trace.push_slot(vec![wp(0, 1), wp(1, 2)]);
         trace.push_silence(2);
-        let s = run_work(&mut sys, &trace, &EngineConfig::horizon_only()).unwrap();
+        let s = run(&mut sys, &trace, &EngineConfig::horizon_only()).unwrap();
         assert_eq!(s.slots, 3);
         assert_eq!(s.score, 2); // 1-cycle done slot 0, 2-cycle done slot 1
     }
@@ -220,12 +148,12 @@ mod tests {
         let mut sys = WorkRunner::new(cfg, GreedyWork::new(), 1);
         let mut trace = Trace::new();
         trace.push_slot(vec![wp(0, 1); 5]);
-        let horizon = run_work(&mut sys, &trace, &EngineConfig::horizon_only()).unwrap();
+        let horizon = run(&mut sys, &trace, &EngineConfig::horizon_only()).unwrap();
         assert_eq!(horizon.score, 1);
 
         let cfg = WorkSwitchConfig::contiguous(1, 8).unwrap();
         let mut sys = WorkRunner::new(cfg, GreedyWork::new(), 1);
-        let drained = run_work(&mut sys, &trace, &EngineConfig::draining()).unwrap();
+        let drained = run(&mut sys, &trace, &EngineConfig::draining()).unwrap();
         assert_eq!(drained.score, 5);
         assert_eq!(drained.slots, 5); // 1 trace slot + 4 drain slots
     }
@@ -245,7 +173,7 @@ mod tests {
             }),
             drain_at_end: false,
         };
-        let s = run_work(&mut sys, &trace, &engine).unwrap();
+        let s = run(&mut sys, &trace, &engine).unwrap();
         // Slots 0-3 transmit 4; flush at slot 4 drops the remaining 2, the
         // new arrival transmits at slot 4.
         assert_eq!(s.score, 5);
@@ -266,7 +194,7 @@ mod tests {
             }),
             drain_at_end: false,
         };
-        let s = run_work(&mut sys, &trace, &engine).unwrap();
+        let s = run(&mut sys, &trace, &engine).unwrap();
         // Everything is transmitted: the drain inserts extra slots.
         assert_eq!(s.score, 7);
         assert!(s.slots > 5);
@@ -279,7 +207,7 @@ mod tests {
         let mut trace = Trace::new();
         trace.push_slot(vec![wp(0, 1); 5]); // slot 0 ends with 4 resident
         trace.push_silence(2); // 3, 2 resident
-        let s = run_work(&mut sys, &trace, &EngineConfig::draining()).unwrap();
+        let s = run(&mut sys, &trace, &EngineConfig::draining()).unwrap();
         assert_eq!(s.max_occupancy, 4);
         // Occupancies after each slot: 4, 3, 2, then drain 1, 0.
         assert!(
@@ -290,17 +218,17 @@ mod tests {
     }
 
     #[test]
-    fn run_value_scores_value() {
+    fn value_run_scores_value() {
         let cfg = ValueSwitchConfig::new(4, 2).unwrap();
         let mut sys = ValueRunner::new(cfg, GreedyValue::new(), 1);
         let mut trace = Trace::new();
         trace.push_slot(vec![vp(0, 5), vp(1, 3), vp(0, 2)]);
-        let s = run_value(&mut sys, &trace, &EngineConfig::draining()).unwrap();
+        let s = run(&mut sys, &trace, &EngineConfig::draining()).unwrap();
         assert_eq!(s.score, 10);
     }
 
     #[test]
-    fn run_combined_scores_value() {
+    fn combined_run_scores_value() {
         use smbm_core::{CombinedRunner, GreedyCombined};
         use smbm_switch::{CombinedPacket, Value, WorkSwitchConfig};
         let cfg = WorkSwitchConfig::contiguous(2, 4).unwrap();
@@ -310,7 +238,7 @@ mod tests {
             CombinedPacket::new(PortId::new(0), cfg.work(PortId::new(0)), Value::new(5)),
             CombinedPacket::new(PortId::new(1), cfg.work(PortId::new(1)), Value::new(3)),
         ]);
-        let s = run_combined(&mut sys, &trace, &EngineConfig::draining()).unwrap();
+        let s = run(&mut sys, &trace, &EngineConfig::draining()).unwrap();
         assert_eq!(s.score, 8);
     }
 
@@ -319,7 +247,7 @@ mod tests {
         let mut opt = smbm_core::WorkPqOpt::new(4, 2);
         let mut trace = Trace::new();
         trace.push_slot(vec![wp(0, 1), wp(1, 2), wp(0, 1)]);
-        let s = run_work(&mut opt, &trace, &EngineConfig::draining()).unwrap();
+        let s = run(&mut opt, &trace, &EngineConfig::draining()).unwrap();
         assert_eq!(s.score, 3);
     }
 
@@ -335,12 +263,12 @@ mod tests {
         trace.push_slot(vec![wp(0, 1); 4]); // 2 admitted, 2 dropped
         trace.push_silence(1);
 
-        let plain = run_work(&mut mk(), &trace, &EngineConfig::draining()).unwrap();
+        let plain = run(&mut mk(), &trace, &EngineConfig::draining()).unwrap();
         let mut log = RingEventLog::new(64);
         let mut hist = HistogramRecorder::new();
         let mut obs = (&mut log, &mut hist);
         let observed =
-            run_work_observed(&mut mk(), &trace, &EngineConfig::draining(), &mut obs).unwrap();
+            run_observed(&mut mk(), &trace, &EngineConfig::draining(), &mut obs).unwrap();
         assert_eq!(plain, observed);
 
         assert_eq!(hist.arrivals(), 4);
@@ -366,7 +294,7 @@ mod tests {
         let mut trace = Trace::new();
         trace.push_slot(vec![wp(0, 1); 3]);
         let mut log = RingEventLog::new(64);
-        run_work_observed(&mut sys, &trace, &EngineConfig::draining(), &mut log).unwrap();
+        run_observed(&mut sys, &trace, &EngineConfig::draining(), &mut log).unwrap();
         let events: Vec<&Event> = log.events().collect();
         assert!(matches!(
             events

@@ -17,10 +17,7 @@ use smbm_traffic::Trace;
 
 use smbm_obs::{NullObserver, Observer};
 
-use crate::engine::{
-    run_combined, run_combined_observed, run_value, run_value_observed, run_work,
-    run_work_observed, EngineConfig, RunSummary,
-};
+use crate::engine::{run, run_observed, EngineConfig, RunSummary};
 use crate::sweep::{available_parallelism, par_map};
 
 /// One policy's outcome on a trace.
@@ -153,7 +150,7 @@ impl WorkExperiment {
             observers,
             work_policy_by_name,
             || {
-                run_work(
+                run(
                     &mut WorkPqOpt::new(self.config.buffer(), cores),
                     trace,
                     &self.engine,
@@ -161,7 +158,7 @@ impl WorkExperiment {
             },
             |policy, obs| {
                 let mut runner = WorkRunner::new(self.config.clone(), policy, self.speedup);
-                let score = run_work_observed(&mut runner, trace, &self.engine, obs)?.score;
+                let score = run_observed(&mut runner, trace, &self.engine, obs)?.score;
                 Ok((score, *runner.switch().counters()))
             },
         )
@@ -229,7 +226,7 @@ impl ValueExperiment {
             observers,
             value_policy_by_name,
             || {
-                run_value(
+                run(
                     &mut ValuePqOpt::new(self.config.buffer(), cores),
                     trace,
                     &self.engine,
@@ -237,7 +234,7 @@ impl ValueExperiment {
             },
             |policy, obs| {
                 let mut runner = ValueRunner::new(self.config, policy, self.speedup);
-                let score = run_value_observed(&mut runner, trace, &self.engine, obs)?.score;
+                let score = run_observed(&mut runner, trace, &self.engine, obs)?.score;
                 Ok((score, *runner.switch().counters()))
             },
         )
@@ -308,11 +305,11 @@ impl CombinedExperiment {
             combined_policy_by_name,
             || {
                 let mut opt = CombinedPqOpt::new(self.config.buffer(), cores);
-                run_combined(&mut opt, trace, &self.engine)
+                run(&mut opt, trace, &self.engine)
             },
             |policy, obs| {
                 let mut runner = CombinedRunner::new(self.config.clone(), policy, self.speedup);
-                let score = run_combined_observed(&mut runner, trace, &self.engine, obs)?.score;
+                let score = run_observed(&mut runner, trace, &self.engine, obs)?.score;
                 Ok((score, *runner.switch().counters()))
             },
         )
@@ -419,9 +416,9 @@ pub fn measure_work_construction(
     let policy = work_policy_by_name(c.target_policy)
         .ok_or_else(|| ExperimentError::UnknownPolicy(c.target_policy.to_string()))?;
     let mut alg = WorkRunner::new(c.config.clone(), policy, 1);
-    let alg_score = run_work(&mut alg, &c.trace, &engine)?.score;
+    let alg_score = run(&mut alg, &c.trace, &engine)?.score;
     let mut opt = WorkRunner::new(c.config.clone(), CappedWork::new(c.opt_caps.clone()), 1);
-    let opt_score = run_work(&mut opt, &c.trace, &engine)?.score;
+    let opt_score = run(&mut opt, &c.trace, &engine)?.score;
     Ok(ConstructionReport {
         name: c.name.clone(),
         policy: c.target_policy.to_string(),
@@ -444,9 +441,9 @@ pub fn measure_value_construction(
     let policy = value_policy_by_name(c.target_policy)
         .ok_or_else(|| ExperimentError::UnknownPolicy(c.target_policy.to_string()))?;
     let mut alg = ValueRunner::new(c.config, policy, 1);
-    let alg_score = run_value(&mut alg, &c.trace, &engine)?.score;
+    let alg_score = run(&mut alg, &c.trace, &engine)?.score;
     let mut opt = ValueRunner::new(c.config, CappedValue::new(c.opt_caps.clone()), 1);
-    let opt_score = run_value(&mut opt, &c.trace, &engine)?.score;
+    let opt_score = run(&mut opt, &c.trace, &engine)?.score;
     Ok(ConstructionReport {
         name: c.name.clone(),
         policy: c.target_policy.to_string(),

@@ -3,9 +3,9 @@
 //! Simulation engine and experiment harness for the shared-memory
 //! buffer-management reproduction:
 //!
-//! * [`run_work`] / [`run_value`] — the two-phase slot loop over a trace,
-//!   with the paper's periodic flushouts ([`FlushPolicy`]) and optional
-//!   final drain;
+//! * [`run`] / [`run_observed`] — the two-phase slot loop over a trace,
+//!   for any `DatapathSystem` of any packet model, with the paper's
+//!   periodic flushouts ([`FlushPolicy`]) and optional final drain;
 //! * [`WorkExperiment`] / [`ValueExperiment`] — a policy roster compared
 //!   against the paper's single-PQ OPT surrogate on one trace, the entries
 //!   run in parallel on the pool that sweeps use;
@@ -18,7 +18,7 @@
 //! ## Example
 //!
 //! ```
-//! use smbm_sim::{run_work, EngineConfig};
+//! use smbm_sim::{run, EngineConfig};
 //! use smbm_core::{GreedyWork, WorkRunner};
 //! use smbm_switch::{PortId, Work, WorkPacket, WorkSwitchConfig};
 //! use smbm_traffic::Trace;
@@ -27,7 +27,7 @@
 //! let mut sys = WorkRunner::new(cfg, GreedyWork::new(), 1);
 //! let mut trace = Trace::new();
 //! trace.push_slot(vec![WorkPacket::new(PortId::new(0), Work::new(1))]);
-//! let summary = run_work(&mut sys, &trace, &EngineConfig::draining())?;
+//! let summary = run(&mut sys, &trace, &EngineConfig::draining())?;
 //! assert_eq!(summary.score, 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -42,10 +42,10 @@ mod flush;
 mod metrics;
 mod sweep;
 
-pub use engine::{
-    run_combined, run_combined_observed, run_value, run_value_observed, run_work,
-    run_work_observed, EngineConfig, RunSummary,
-};
+pub use engine::{run, run_observed, EngineConfig, RunSummary};
+// The per-model names of `run`, kept only because the benchmark crate
+// (`perfbench/`) imports them; in-tree code calls `run`.
+pub use engine::{run as run_work, run as run_value, run as run_combined};
 pub use experiment::{
     measure_value_construction, measure_work_construction, CombinedExperiment, ConstructionReport,
     ExperimentError, ExperimentReport, PolicyRow, ValueExperiment, WorkExperiment,

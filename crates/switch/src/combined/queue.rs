@@ -173,6 +173,10 @@ impl QueueDiscipline for CombinedQueue {
         pkt.value()
     }
 
+    fn work(pkt: CombinedPacket) -> Work {
+        pkt.work()
+    }
+
     #[inline]
     fn check_label(config: &WorkSwitchConfig, pkt: CombinedPacket) -> Result<(), AdmitError> {
         WorkQueue::check_label(config, WorkPacket::new(pkt.port(), pkt.work()))

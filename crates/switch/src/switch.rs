@@ -7,7 +7,7 @@ use std::fmt;
 use crate::slab::BufferCore;
 use crate::{
     AdmitError, CombinedQueue, ConservationError, Counters, DirtyPorts, PortId, Slot, Transmitted,
-    Value, ValueQueue, WorkPacket, WorkQueue,
+    Value, ValueQueue, Work, WorkPacket, WorkQueue,
 };
 
 /// The per-port queue discipline of a [`Switch`]: the only decisions in which
@@ -17,8 +17,9 @@ use crate::{
 /// (priority by value, unit work) and [`CombinedQueue`] (priority by value,
 /// run-to-completion service of per-port work).
 pub trait QueueDiscipline: Clone + fmt::Debug {
-    /// The packets this discipline queues.
-    type Packet: Copy + fmt::Debug;
+    /// The packets this discipline queues: plain data, so they cross threads
+    /// in the runtime's ingress rings.
+    type Packet: Copy + fmt::Debug + Send + 'static;
     /// The switch configuration: buffer `B` and the ports.
     type Config: Clone + fmt::Debug;
 
@@ -40,6 +41,10 @@ pub trait QueueDiscipline: Clone + fmt::Debug {
 
     /// Value of `pkt` (1 in the work model, where throughput is a count).
     fn value(pkt: Self::Packet) -> Value;
+
+    /// Processing cycles `pkt` requires (1 in the value model, where every
+    /// packet takes one cycle).
+    fn work(pkt: Self::Packet) -> Work;
 
     /// Checks the model's packet labels against `config`; the port is
     /// already known to exist. By default there is nothing to check.

@@ -1,7 +1,7 @@
 //! A single priority output queue in the heterogeneous-value model.
 
 use crate::slab::{BufferCore, SlotList};
-use crate::{PortId, QueueDiscipline, Slot, Value, ValuePacket, ValueSwitchConfig};
+use crate::{PortId, QueueDiscipline, Slot, Value, ValuePacket, ValueSwitchConfig, Work};
 
 /// One resident packet of a [`ValueQueue`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,6 +152,10 @@ impl QueueDiscipline for ValueQueue {
 
     fn value(pkt: ValuePacket) -> Value {
         pkt.value()
+    }
+
+    fn work(_: ValuePacket) -> Work {
+        Work::ONE
     }
 
     fn enqueue(&mut self, core: &mut BufferCore, pkt: ValuePacket, now: Slot) {

@@ -120,6 +120,10 @@ impl QueueDiscipline for WorkQueue {
         Value::ONE
     }
 
+    fn work(pkt: WorkPacket) -> Work {
+        pkt.work()
+    }
+
     #[inline]
     fn check_label(config: &WorkSwitchConfig, pkt: WorkPacket) -> Result<(), AdmitError> {
         let required = config.work(pkt.port());

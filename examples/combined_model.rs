@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example combined_model`
 
 use smbm_core::{combined_policy_by_name, CombinedPqOpt, CombinedRunner, COMBINED_POLICY_NAMES};
-use smbm_sim::{run_combined, EngineConfig};
+use smbm_sim::{run, EngineConfig};
 use smbm_switch::WorkSwitchConfig;
 use smbm_traffic::{MmppScenario, PortMix, ValueMix};
 
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let engine = EngineConfig::draining();
     let mut opt = CombinedPqOpt::new(config.buffer(), config.ports() as u32);
-    let opt_score = run_combined(&mut opt, &trace, &engine)?.score;
+    let opt_score = run(&mut opt, &trace, &engine)?.score;
 
     println!("{:<8} {:>14} {:>8}", "policy", "revenue", "ratio");
     println!("{:<8} {:>14} {:>8}", "OPT(den)", opt_score, 1.0);
@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for name in COMBINED_POLICY_NAMES {
         let policy = combined_policy_by_name(name).expect("registry name");
         let mut runner = CombinedRunner::new(config.clone(), policy, 1);
-        let score = run_combined(&mut runner, &trace, &engine)?.score;
+        let score = run(&mut runner, &trace, &engine)?.score;
         runner.switch().check_invariants().expect("invariants hold");
         println!(
             "{:<8} {:>14} {:>8.4}",

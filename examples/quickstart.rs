@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use smbm_core::{Decision, Lwd, WorkRunner};
-use smbm_sim::{run_work, EngineConfig};
+use smbm_sim::{run, EngineConfig};
 use smbm_switch::{PortId, WorkSwitchConfig};
 use smbm_traffic::{MmppScenario, PortMix};
 
@@ -46,11 +46,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = scenario.work_trace(&config, &PortMix::Uniform)?;
 
     let mut lwd = WorkRunner::new(config.clone(), Lwd::new(), 1);
-    let lwd_score = run_work(&mut lwd, &trace, &EngineConfig::draining())?.score;
+    let lwd_score = run(&mut lwd, &trace, &EngineConfig::draining())?.score;
 
     let cores = config.ports() as u32; // n * C with C = 1
     let mut opt = smbm_core::WorkPqOpt::new(config.buffer(), cores);
-    let opt_score = run_work(&mut opt, &trace, &EngineConfig::draining())?.score;
+    let opt_score = run(&mut opt, &trace, &EngineConfig::draining())?.score;
 
     let ratio = smbm_core::CompetitiveRatio::new(opt_score, lwd_score);
     println!("LWD on {} bursty arrivals: {ratio}", trace.arrivals());

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example trace_replay`
 
 use smbm_core::{Lwd, WorkRunner};
-use smbm_sim::{run_work, EngineConfig};
+use smbm_sim::{run, EngineConfig};
 use smbm_switch::{WorkPacket, WorkSwitchConfig};
 use smbm_traffic::{MmppScenario, PortMix, Trace};
 
@@ -39,8 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Two runs over the same trace are identical, slot for slot.
     let mut a = WorkRunner::new(config.clone(), Lwd::new(), 1);
     let mut b = WorkRunner::new(config, Lwd::new(), 1);
-    let sa = run_work(&mut a, &trace, &EngineConfig::draining())?;
-    let sb = run_work(&mut b, &replayed, &EngineConfig::draining())?;
+    let sa = run(&mut a, &trace, &EngineConfig::draining())?;
+    let sb = run(&mut b, &replayed, &EngineConfig::draining())?;
     assert_eq!(sa, sb);
     println!(
         "replay verified: {} packets transmitted in both runs ({} slots)",

@@ -12,7 +12,7 @@ use smbm_core::{
     combined_policy_by_name, value_policy_by_name, work_policy_by_name, CombinedRunner,
     ValueRunner, WorkRunner,
 };
-use smbm_sim::{run_combined, run_value, run_work, EngineConfig, FlushPolicy};
+use smbm_sim::{run, EngineConfig, FlushPolicy};
 use smbm_switch::{Counters, QueueDiscipline, Switch, ValueSwitchConfig, WorkSwitchConfig};
 use smbm_traffic::{MmppScenario, PortMix, ValueMix};
 
@@ -123,7 +123,7 @@ pub fn work_rows(setting: Setting) -> Vec<GoldenRow> {
         .map(|&name| {
             let policy = work_policy_by_name(name).expect("roster policy");
             let mut runner = WorkRunner::new(cfg.clone(), policy, setting.speedup());
-            let run = run_work(&mut runner, &trace, &setting.engine()).expect("valid decisions");
+            let run = run(&mut runner, &trace, &setting.engine()).expect("valid decisions");
             row(name, run.score, runner.switch())
         })
         .collect()
@@ -140,7 +140,7 @@ pub fn value_rows(setting: Setting) -> Vec<GoldenRow> {
         .map(|&name| {
             let policy = value_policy_by_name(name).expect("roster policy");
             let mut runner = ValueRunner::new(cfg, policy, setting.speedup());
-            let run = run_value(&mut runner, &trace, &setting.engine()).expect("valid decisions");
+            let run = run(&mut runner, &trace, &setting.engine()).expect("valid decisions");
             row(name, run.score, runner.switch())
         })
         .collect()
@@ -158,8 +158,7 @@ pub fn combined_rows(setting: Setting) -> Vec<GoldenRow> {
         .map(|&name| {
             let policy = combined_policy_by_name(name).expect("roster policy");
             let mut runner = CombinedRunner::new(cfg.clone(), policy, setting.speedup());
-            let run =
-                run_combined(&mut runner, &trace, &setting.engine()).expect("valid decisions");
+            let run = run(&mut runner, &trace, &setting.engine()).expect("valid decisions");
             row(name, run.score, runner.switch())
         })
         .collect()

@@ -10,7 +10,7 @@
 use smbm_core::{work_policy_by_name, WorkRunner};
 use smbm_runtime::{
     run_loadgen, Fault, FaultKind, FaultPlan, IngestMode, LoadgenConfig, Model, RuntimeBuilder,
-    RuntimeConfig, RuntimeReport, ShardConfig, SupervisionConfig, VirtualClock, WorkService,
+    RuntimeConfig, RuntimeReport, ShardConfig, SupervisionConfig, VirtualClock,
 };
 use smbm_switch::{WorkPacket, WorkSwitchConfig};
 use smbm_traffic::{MmppScenario, PortMix};
@@ -47,7 +47,7 @@ fn chaos_lockstep(faults: FaultPlan, budget: u32, slots: Vec<Vec<WorkPacket>>) -
     let id = b.add_shard(|| {
         let cfg = WorkSwitchConfig::contiguous(6, 48).unwrap();
         let policy = work_policy_by_name("LWD").unwrap();
-        WorkService::new(WorkRunner::new(cfg, policy, 2))
+        WorkRunner::new(cfg, policy, 2)
     });
     b.add_producer(id, move |handle| {
         for burst in slots {
@@ -198,7 +198,7 @@ fn multi_shard_report_names_the_dead_shard() {
         let id = b.add_shard(|| {
             let cfg = WorkSwitchConfig::contiguous(6, 48).unwrap();
             let policy = work_policy_by_name("LWD").unwrap();
-            WorkService::new(WorkRunner::new(cfg, policy, 2))
+            WorkRunner::new(cfg, policy, 2)
         });
         let slots = trace_slots(400, seed);
         b.add_producer(id, move |handle| {

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use smbm_core::{
     combined_policy_by_name, CombinedPqOpt, CombinedRunner, Wvd, COMBINED_POLICY_NAMES,
 };
-use smbm_sim::{run_combined, EngineConfig};
+use smbm_sim::{run, EngineConfig};
 use smbm_switch::{CombinedPacket, PortId, Value, Work, WorkSwitchConfig};
 use smbm_traffic::{MmppScenario, PortMix, ValueMix};
 
@@ -25,7 +25,7 @@ fn all_policies_preserve_invariants_under_bursty_traffic() {
     for name in COMBINED_POLICY_NAMES {
         let policy = combined_policy_by_name(name).unwrap();
         let mut runner = CombinedRunner::new(cfg.clone(), policy, 1);
-        let summary = run_combined(&mut runner, &trace, &EngineConfig::draining()).unwrap();
+        let summary = run(&mut runner, &trace, &EngineConfig::draining()).unwrap();
         runner
             .switch()
             .check_invariants()
@@ -47,14 +47,14 @@ fn density_opt_dominates_policies_on_bursty_traffic() {
     .combined_trace(&cfg, &PortMix::Uniform, &ValueMix::Uniform { max: 9 })
     .unwrap();
     let mut opt = CombinedPqOpt::new(cfg.buffer(), cfg.ports() as u32);
-    let opt_score = run_combined(&mut opt, &trace, &EngineConfig::draining())
+    let opt_score = run(&mut opt, &trace, &EngineConfig::draining())
         .unwrap()
         .score;
     opt.check_invariants().unwrap();
     for name in COMBINED_POLICY_NAMES {
         let policy = combined_policy_by_name(name).unwrap();
         let mut runner = CombinedRunner::new(cfg.clone(), policy, 1);
-        let score = run_combined(&mut runner, &trace, &EngineConfig::draining())
+        let score = run(&mut runner, &trace, &EngineConfig::draining())
             .unwrap()
             .score;
         assert!(
@@ -81,7 +81,7 @@ fn wvd_beats_value_blind_and_length_blind_under_heterogeneous_load() {
     let score = |name: &str| {
         let policy = combined_policy_by_name(name).unwrap();
         let mut runner = CombinedRunner::new(cfg.clone(), policy, 1);
-        run_combined(&mut runner, &trace, &EngineConfig::draining())
+        run(&mut runner, &trace, &EngineConfig::draining())
             .unwrap()
             .score
     };

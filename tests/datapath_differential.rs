@@ -11,18 +11,17 @@
 
 use proptest::prelude::*;
 
-use smbm_core::{value_policy_by_name, work_policy_by_name, ValueRunner, WorkRunner};
-use smbm_runtime::{
-    IngestMode, RuntimeBuilder, RuntimeConfig, Service, ShardConfig, ValueService, VirtualClock,
-    WorkService,
+use smbm_core::{
+    value_policy_by_name, work_policy_by_name, DatapathSystem, ValueRunner, WorkRunner,
 };
-use smbm_sim::{run_value, run_work, EngineConfig};
+use smbm_runtime::{IngestMode, RuntimeBuilder, RuntimeConfig, ShardConfig, VirtualClock};
+use smbm_sim::{run, EngineConfig};
 use smbm_switch::{Counters, FlushPolicy, ValueSwitchConfig, WorkSwitchConfig};
 use smbm_traffic::{MmppScenario, PortMix, ValueMix};
 
 /// Runs one lockstep shard over per-slot bursts and returns what the switch
 /// counted, plus the shard's objective and slot count.
-fn lockstep<S: Service + 'static>(
+fn lockstep<S: DatapathSystem + 'static>(
     factory: impl Fn() -> S + Send + 'static,
     slots: Vec<Vec<S::Packet>>,
     flush: Option<FlushPolicy>,
@@ -93,7 +92,7 @@ proptest! {
 
         let mut runner = WorkRunner::new(cfg.clone(), work_policy_by_name(name).unwrap(), 2);
         let engine = EngineConfig { flush, drain_at_end: true };
-        let summary = run_work(&mut runner, &trace, &engine).unwrap();
+        let summary = run(&mut runner, &trace, &engine).unwrap();
         let expected = *runner.switch().counters();
 
         let shard_cfg = cfg.clone();
@@ -101,7 +100,7 @@ proptest! {
         let (counters, score, slot_count) = lockstep(
             move || {
                 let policy = work_policy_by_name(&shard_name).unwrap();
-                WorkService::new(WorkRunner::new(shard_cfg.clone(), policy, 2))
+                WorkRunner::new(shard_cfg.clone(), policy, 2)
             },
             trace.as_slots().to_vec(),
             flush,
@@ -126,14 +125,14 @@ proptest! {
 
         let mut runner = ValueRunner::new(cfg, value_policy_by_name(name).unwrap(), 2);
         let engine = EngineConfig { flush, drain_at_end: true };
-        let summary = run_value(&mut runner, &trace, &engine).unwrap();
+        let summary = run(&mut runner, &trace, &engine).unwrap();
         let expected = *runner.switch().counters();
 
         let shard_name = name.to_string();
         let (counters, score, slot_count) = lockstep(
             move || {
                 let policy = value_policy_by_name(&shard_name).unwrap();
-                ValueService::new(ValueRunner::new(cfg, policy, 2))
+                ValueRunner::new(cfg, policy, 2)
             },
             trace.as_slots().to_vec(),
             flush,

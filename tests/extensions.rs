@@ -5,7 +5,7 @@ use smbm_core::{
     value_policy_by_name, work_policy_by_name, AlphaWd, CappedWork, Lqd, LqdValue, Lwd, Mrd,
     MrdStrict, NhdtW, ValueRunner, WorkRunner,
 };
-use smbm_sim::{run_value, run_work, EngineConfig};
+use smbm_sim::{run, EngineConfig};
 use smbm_switch::{PortId, ValueSwitchConfig, WorkSwitchConfig};
 use smbm_traffic::{adversarial, MmppScenario, PortMix, ValueMix};
 
@@ -14,13 +14,13 @@ fn nhdt_w_repairs_theorem3_attack() {
     let c = adversarial::nhdt_lower_bound(64, 512, 4);
     let engine = EngineConfig::horizon_only();
     let mut opt = WorkRunner::new(c.config.clone(), CappedWork::new(c.opt_caps.clone()), 1);
-    let opt_score = run_work(&mut opt, &c.trace, &engine).unwrap().score;
+    let opt_score = run(&mut opt, &c.trace, &engine).unwrap().score;
 
     let mut nhdt = WorkRunner::new(c.config.clone(), work_policy_by_name("NHDT").unwrap(), 1);
-    let nhdt_score = run_work(&mut nhdt, &c.trace, &engine).unwrap().score;
+    let nhdt_score = run(&mut nhdt, &c.trace, &engine).unwrap().score;
 
     let mut nhdt_w = WorkRunner::new(c.config.clone(), NhdtW::new(), 1);
-    let nhdt_w_score = run_work(&mut nhdt_w, &c.trace, &engine).unwrap().score;
+    let nhdt_w_score = run(&mut nhdt_w, &c.trace, &engine).unwrap().score;
 
     let plain_ratio = opt_score as f64 / nhdt_score as f64;
     let work_ratio = opt_score as f64 / nhdt_w_score as f64;
@@ -43,11 +43,11 @@ fn nhdt_w_holds_up_on_statistical_traffic() {
     .work_trace(&cfg, &PortMix::Uniform)
     .unwrap();
     let mut plain = WorkRunner::new(cfg.clone(), work_policy_by_name("NHDT").unwrap(), 1);
-    let plain_score = run_work(&mut plain, &trace, &EngineConfig::draining())
+    let plain_score = run(&mut plain, &trace, &EngineConfig::draining())
         .unwrap()
         .score;
     let mut work_aware = WorkRunner::new(cfg, NhdtW::new(), 1);
-    let aware_score = run_work(&mut work_aware, &trace, &EngineConfig::draining())
+    let aware_score = run(&mut work_aware, &trace, &EngineConfig::draining())
         .unwrap()
         .score;
     assert!(
@@ -69,7 +69,7 @@ fn awd_endpoints_bracket_lqd_and_lwd_scores() {
     .unwrap();
     let score = |policy: Box<dyn smbm_core::WorkPolicy>| {
         let mut r = WorkRunner::new(cfg.clone(), policy, 1);
-        run_work(&mut r, &trace, &EngineConfig::draining())
+        run(&mut r, &trace, &EngineConfig::draining())
             .unwrap()
             .score
     };
@@ -97,11 +97,11 @@ fn mrd_strict_collapses_on_unit_values() {
     .value_trace(4, &PortMix::Uniform, &ValueMix::Uniform { max: 1 })
     .unwrap();
     let mut mrd = ValueRunner::new(cfg, Mrd::new(), 1);
-    let mrd_score = run_value(&mut mrd, &trace, &EngineConfig::draining())
+    let mrd_score = run(&mut mrd, &trace, &EngineConfig::draining())
         .unwrap()
         .score;
     let mut strict = ValueRunner::new(cfg, MrdStrict::new(), 1);
-    let strict_score = run_value(&mut strict, &trace, &EngineConfig::draining())
+    let strict_score = run(&mut strict, &trace, &EngineConfig::draining())
         .unwrap()
         .score;
     // The strict rule can never push out (all values equal), so it behaves
@@ -146,11 +146,11 @@ fn mrd_beats_lqd_on_cheap_heavy_skew() {
     .value_trace(ports, &PortMix::Weighted(weights), &ValueMix::EqualsPort)
     .unwrap();
     let mut mrd = ValueRunner::new(cfg, Mrd::new(), 1);
-    let mrd_score = run_value(&mut mrd, &trace, &EngineConfig::draining())
+    let mrd_score = run(&mut mrd, &trace, &EngineConfig::draining())
         .unwrap()
         .score;
     let mut lqd = ValueRunner::new(cfg, LqdValue::new(), 1);
-    let lqd_score = run_value(&mut lqd, &trace, &EngineConfig::draining())
+    let lqd_score = run(&mut lqd, &trace, &EngineConfig::draining())
         .unwrap()
         .score;
     assert!(

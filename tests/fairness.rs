@@ -3,7 +3,7 @@
 //! *and* utilization — must hold measurably.
 
 use smbm_core::{work_policy_by_name, WorkRunner};
-use smbm_sim::{jain_index, max_port_share, run_work, EngineConfig};
+use smbm_sim::{jain_index, max_port_share, run, EngineConfig};
 use smbm_switch::WorkSwitchConfig;
 use smbm_traffic::{MmppScenario, PortMix};
 
@@ -22,7 +22,7 @@ fn hot_port_run(name: &str) -> (u64, f64, f64) {
     .unwrap();
     let policy = work_policy_by_name(name).unwrap();
     let mut runner = WorkRunner::new(cfg, policy, 1);
-    run_work(&mut runner, &trace, &EngineConfig::draining()).unwrap();
+    run(&mut runner, &trace, &EngineConfig::draining()).unwrap();
     let per_port = runner.switch().transmitted_per_port();
     (
         runner.switch().counters().transmitted(),
@@ -72,7 +72,7 @@ fn per_port_counts_sum_to_total() {
     .unwrap();
     let policy = work_policy_by_name("LWD").unwrap();
     let mut runner = WorkRunner::new(cfg, policy, 1);
-    run_work(&mut runner, &trace, &EngineConfig::draining()).unwrap();
+    run(&mut runner, &trace, &EngineConfig::draining()).unwrap();
     let sum: u64 = runner.switch().transmitted_per_port().iter().sum();
     assert_eq!(sum, runner.switch().counters().transmitted());
 }

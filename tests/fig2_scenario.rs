@@ -4,7 +4,7 @@
 //! duplicated-class configurations the model explicitly allows.
 
 use smbm_core::{work_policy_by_name, Decision, Lwd, WorkRunner};
-use smbm_sim::{run_work, EngineConfig};
+use smbm_sim::{run, EngineConfig};
 use smbm_switch::{PortId, Work, WorkSwitchConfig};
 use smbm_traffic::{MmppScenario, PortMix};
 
@@ -69,7 +69,7 @@ fn all_policies_run_the_fig2_configuration() {
     for name in smbm_core::WORK_POLICY_NAMES {
         let policy = work_policy_by_name(name).unwrap();
         let mut runner = WorkRunner::new(cfg.clone(), policy, 1);
-        let s = run_work(&mut runner, &trace, &EngineConfig::draining()).unwrap();
+        let s = run(&mut runner, &trace, &EngineConfig::draining()).unwrap();
         runner.switch().check_invariants().unwrap();
         assert!(s.score > 0, "{name}");
     }
@@ -88,7 +88,7 @@ fn striped_configuration_scales() {
     .work_trace(&cfg, &PortMix::Uniform)
     .unwrap();
     let mut runner = WorkRunner::new(cfg.clone(), Lwd::new(), 1);
-    run_work(&mut runner, &trace, &EngineConfig::draining()).unwrap();
+    run(&mut runner, &trace, &EngineConfig::draining()).unwrap();
     runner.switch().check_invariants().unwrap();
     // Symmetric copies of the same class see symmetric service: per-port
     // throughputs of the two w=1 copies differ by at most a few percent.

@@ -3,7 +3,7 @@
 //! and conservation invariants.
 
 use smbm_core::{value_policy_by_name, work_policy_by_name, ValueRunner, WorkRunner};
-use smbm_sim::{run_value, run_work, EngineConfig, FlushMode, FlushPolicy};
+use smbm_sim::{run, EngineConfig, FlushMode, FlushPolicy};
 use smbm_switch::{ValueSwitchConfig, WorkSwitchConfig};
 use smbm_traffic::{MmppScenario, PortMix, ValueMix};
 
@@ -23,7 +23,7 @@ fn work_policies_preserve_invariants_under_bursty_traffic() {
     for name in smbm_core::WORK_POLICY_NAMES {
         let policy = work_policy_by_name(name).unwrap();
         let mut runner = WorkRunner::new(cfg.clone(), policy, 1);
-        let summary = run_work(&mut runner, &trace, &EngineConfig::draining()).unwrap();
+        let summary = run(&mut runner, &trace, &EngineConfig::draining()).unwrap();
         runner.switch().check_invariants().unwrap_or_else(|e| {
             panic!("{name}: {e}");
         });
@@ -48,7 +48,7 @@ fn value_policies_preserve_invariants_under_bursty_traffic() {
     for name in smbm_core::VALUE_POLICY_NAMES {
         let policy = value_policy_by_name(name).unwrap();
         let mut runner = ValueRunner::new(cfg, policy, 1);
-        let summary = run_value(&mut runner, &trace, &EngineConfig::draining()).unwrap();
+        let summary = run(&mut runner, &trace, &EngineConfig::draining()).unwrap();
         runner.switch().check_invariants().unwrap_or_else(|e| {
             panic!("{name}: {e}");
         });
@@ -64,7 +64,7 @@ fn non_push_out_policies_never_push_out() {
     for name in ["NHST", "NEST", "NHDT"] {
         let policy = work_policy_by_name(name).unwrap();
         let mut runner = WorkRunner::new(cfg.clone(), policy, 1);
-        run_work(&mut runner, &trace, &EngineConfig::draining()).unwrap();
+        run(&mut runner, &trace, &EngineConfig::draining()).unwrap();
         assert_eq!(
             runner.switch().counters().pushed_out(),
             0,
@@ -78,7 +78,7 @@ fn non_push_out_policies_never_push_out() {
     for name in ["GREEDY", "NEST-V", "NHST-V"] {
         let policy = value_policy_by_name(name).unwrap();
         let mut runner = ValueRunner::new(vcfg, policy, 1);
-        run_value(&mut runner, &vtrace, &EngineConfig::draining()).unwrap();
+        run(&mut runner, &vtrace, &EngineConfig::draining()).unwrap();
         assert_eq!(
             runner.switch().counters().pushed_out(),
             0,
@@ -102,7 +102,7 @@ fn push_out_policies_are_greedy_with_free_space() {
     for name in ["LQD", "BPD", "BPD1", "LWD"] {
         let policy = work_policy_by_name(name).unwrap();
         let mut runner = WorkRunner::new(cfg.clone(), policy, 1);
-        run_work(&mut runner, &trace, &EngineConfig::draining()).unwrap();
+        run(&mut runner, &trace, &EngineConfig::draining()).unwrap();
         let c = runner.switch().counters();
         assert_eq!(c.dropped(), 0, "{name} dropped with an uncongested buffer");
         assert_eq!(c.pushed_out(), 0, "{name} pushed out needlessly");
@@ -119,7 +119,7 @@ fn flushouts_preserve_conservation_in_both_modes() {
             flush: Some(FlushPolicy { period: 500, mode }),
             drain_at_end: true,
         };
-        run_work(&mut runner, &trace, &engine).unwrap();
+        run(&mut runner, &trace, &engine).unwrap();
         runner.switch().check_invariants().unwrap();
     }
 }
@@ -131,7 +131,7 @@ fn speedup_never_hurts_throughput() {
     let mut last = 0;
     for speedup in [1u32, 2, 4] {
         let mut runner = WorkRunner::new(cfg.clone(), smbm_core::Lwd::new(), speedup);
-        let score = run_work(&mut runner, &trace, &EngineConfig::draining())
+        let score = run(&mut runner, &trace, &EngineConfig::draining())
             .unwrap()
             .score;
         assert!(
@@ -149,7 +149,7 @@ fn cycles_respect_capacity() {
     let trace = scenario(17).work_trace(&cfg, &PortMix::Uniform).unwrap();
     let speedup = 2;
     let mut runner = WorkRunner::new(cfg.clone(), smbm_core::Lqd::new(), speedup);
-    let summary = run_work(&mut runner, &trace, &EngineConfig::draining()).unwrap();
+    let summary = run(&mut runner, &trace, &EngineConfig::draining()).unwrap();
     let cap = summary.slots * cfg.ports() as u64 * u64::from(speedup);
     assert!(runner.switch().counters().cycles_consumed() <= cap);
 }

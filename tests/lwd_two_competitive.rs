@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use smbm_core::{exact_work_opt, Lwd, WorkRunner};
-use smbm_sim::{run_work, EngineConfig};
+use smbm_sim::{run, EngineConfig};
 use smbm_switch::{PortId, Work, WorkSwitchConfig};
 use smbm_traffic::Trace;
 
@@ -63,7 +63,7 @@ fn run_lwd(instance: &TinyInstance) -> (u64, u64) {
         );
     }
     let mut runner = WorkRunner::new(config, Lwd::new(), 1);
-    let lwd = run_work(&mut runner, &trace, &EngineConfig::draining())
+    let lwd = run(&mut runner, &trace, &EngineConfig::draining())
         .expect("LWD never errs")
         .score;
     (opt, lwd)
@@ -115,7 +115,7 @@ fn theorem6_shape_within_bounds_vs_exact_opt() {
             .collect(),
     );
     let mut runner = WorkRunner::new(config, Lwd::new(), 1);
-    let lwd = run_work(&mut runner, &trace, &EngineConfig::draining())
+    let lwd = run(&mut runner, &trace, &EngineConfig::draining())
         .unwrap()
         .score;
     assert!(opt <= 2 * lwd, "opt {opt} lwd {lwd}");

@@ -4,10 +4,7 @@
 
 use smbm_core::{combined_policy_by_name, CombinedRunner, Lwd, Mrd, ValueRunner, WorkRunner};
 use smbm_obs::{DropReason, HistogramRecorder, PhaseProfiler, RingEventLog};
-use smbm_sim::{
-    run_combined, run_combined_observed, run_value, run_value_observed, run_work,
-    run_work_observed, EngineConfig, FlushPolicy,
-};
+use smbm_sim::{run, run_observed, EngineConfig, FlushPolicy};
 use smbm_switch::{ValueSwitchConfig, WorkSwitchConfig};
 use smbm_traffic::{MmppScenario, PortMix, ValueMix};
 
@@ -33,13 +30,13 @@ fn work_run_is_unchanged_by_full_observer_stack() {
     let trace = scenario(11).work_trace(&cfg, &PortMix::Uniform).unwrap();
 
     let mut plain = WorkRunner::new(cfg.clone(), Lwd::new(), 1);
-    let baseline = run_work(&mut plain, &trace, &engine()).unwrap();
+    let baseline = run(&mut plain, &trace, &engine()).unwrap();
 
     let mut log = RingEventLog::new(1 << 12);
     let mut hist = HistogramRecorder::new();
     let mut prof = PhaseProfiler::new();
     let mut observed = WorkRunner::new(cfg, Lwd::new(), 1);
-    let summary = run_work_observed(
+    let summary = run_observed(
         &mut observed,
         &trace,
         &engine(),
@@ -75,13 +72,13 @@ fn value_run_is_unchanged_by_full_observer_stack() {
         .unwrap();
 
     let mut plain = ValueRunner::new(cfg, Mrd::new(), 1);
-    let baseline = run_value(&mut plain, &trace, &engine()).unwrap();
+    let baseline = run(&mut plain, &trace, &engine()).unwrap();
 
     let mut log = RingEventLog::new(1 << 12);
     let mut hist = HistogramRecorder::new();
     let mut prof = PhaseProfiler::new();
     let mut observed = ValueRunner::new(cfg, Mrd::new(), 1);
-    let summary = run_value_observed(
+    let summary = run_observed(
         &mut observed,
         &trace,
         &engine(),
@@ -105,14 +102,14 @@ fn combined_run_is_unchanged_by_full_observer_stack() {
 
     let policy = combined_policy_by_name("WVD").unwrap();
     let mut plain = CombinedRunner::new(cfg.clone(), policy, 1);
-    let baseline = run_combined(&mut plain, &trace, &engine()).unwrap();
+    let baseline = run(&mut plain, &trace, &engine()).unwrap();
 
     let policy = combined_policy_by_name("WVD").unwrap();
     let mut log = RingEventLog::new(1 << 12);
     let mut hist = HistogramRecorder::new();
     let mut prof = PhaseProfiler::new();
     let mut observed = CombinedRunner::new(cfg, policy, 1);
-    let summary = run_combined_observed(
+    let summary = run_observed(
         &mut observed,
         &trace,
         &engine(),
@@ -134,7 +131,7 @@ fn event_log_exports_parseable_jsonl() {
     let trace = scenario(14).work_trace(&cfg, &PortMix::Uniform).unwrap();
     let mut log = RingEventLog::new(1 << 14);
     let mut runner = WorkRunner::new(cfg, Lwd::new(), 1);
-    run_work_observed(&mut runner, &trace, &engine(), &mut log).unwrap();
+    run_observed(&mut runner, &trace, &engine(), &mut log).unwrap();
 
     let jsonl = log.to_jsonl_with(&[("policy", "LWD")]);
     assert!(!jsonl.is_empty());
@@ -163,7 +160,7 @@ fn event_ring_bounds_long_runs() {
     let trace = scenario(15).work_trace(&cfg, &PortMix::Uniform).unwrap();
     let mut log = RingEventLog::new(64);
     let mut runner = WorkRunner::new(cfg, Lwd::new(), 1);
-    run_work_observed(&mut runner, &trace, &engine(), &mut log).unwrap();
+    run_observed(&mut runner, &trace, &engine(), &mut log).unwrap();
 
     assert_eq!(log.len(), 64, "the ring stays at capacity");
     assert!(log.total_recorded() > 64, "older events were overwritten");
@@ -177,7 +174,7 @@ fn histogram_json_reports_ordered_percentiles() {
     let trace = scenario(16).work_trace(&cfg, &PortMix::Uniform).unwrap();
     let mut hist = HistogramRecorder::new();
     let mut runner = WorkRunner::new(cfg, Lwd::new(), 1);
-    run_work_observed(&mut runner, &trace, &engine(), &mut hist).unwrap();
+    run_observed(&mut runner, &trace, &engine(), &mut hist).unwrap();
 
     let lat = hist.latency();
     assert!(lat.p50() <= lat.p90());

@@ -7,7 +7,7 @@ use smbm_core::{
     exact_value_opt, exact_work_opt, value_policy_by_name, work_policy_by_name, CombinedPqOpt,
     ValuePqOpt, ValueRunner, WorkPqOpt, WorkRunner,
 };
-use smbm_sim::{run_value, run_work, EngineConfig};
+use smbm_sim::{run, EngineConfig};
 use smbm_switch::{
     CombinedPacket, PortId, Value, ValuePacket, ValueSwitchConfig, Work, WorkSwitchConfig,
 };
@@ -67,7 +67,7 @@ proptest! {
         for name in smbm_core::WORK_POLICY_NAMES {
             let policy = work_policy_by_name(name).unwrap();
             let mut runner = WorkRunner::new(cfg.clone(), policy, 1);
-            let score = run_work(&mut runner, &trace, &EngineConfig::draining())
+            let score = run(&mut runner, &trace, &EngineConfig::draining())
                 .unwrap()
                 .score;
             prop_assert!(
@@ -96,7 +96,7 @@ proptest! {
         for name in smbm_core::VALUE_POLICY_NAMES {
             let policy = value_policy_by_name(name).unwrap();
             let mut runner = ValueRunner::new(cfg, policy, 1);
-            let score = run_value(&mut runner, &trace, &EngineConfig::draining())
+            let score = run(&mut runner, &trace, &EngineConfig::draining())
                 .unwrap()
                 .score;
             prop_assert!(
@@ -177,13 +177,13 @@ fn pq_opt_beats_every_policy_on_bursty_traffic() {
     .work_trace(&cfg, &PortMix::Uniform)
     .unwrap();
     let mut opt = WorkPqOpt::new(24, 6);
-    let opt_score = run_work(&mut opt, &trace, &EngineConfig::draining())
+    let opt_score = run(&mut opt, &trace, &EngineConfig::draining())
         .unwrap()
         .score;
     for name in smbm_core::WORK_POLICY_NAMES {
         let policy = work_policy_by_name(name).unwrap();
         let mut runner = WorkRunner::new(cfg.clone(), policy, 1);
-        let score = run_work(&mut runner, &trace, &EngineConfig::draining())
+        let score = run(&mut runner, &trace, &EngineConfig::draining())
             .unwrap()
             .score;
         assert!(

@@ -107,7 +107,7 @@ fn chaos_combined_policy_errors_cleanly_and_preserves_invariants() {
 
 #[test]
 fn engine_propagates_policy_errors() {
-    use smbm_sim::{run_work, EngineConfig};
+    use smbm_sim::{run, EngineConfig};
     use smbm_traffic::Trace;
     let cfg = WorkSwitchConfig::contiguous(2, 2).unwrap();
     let mut runner = WorkRunner::new(cfg.clone(), Chaos::new(9), 1);
@@ -120,7 +120,7 @@ fn engine_propagates_policy_errors() {
         );
         64
     ]);
-    let result = run_work(&mut runner, &trace, &EngineConfig::draining());
+    let result = run(&mut runner, &trace, &EngineConfig::draining());
     assert!(result.is_err(), "chaos run unexpectedly succeeded");
     runner.switch().check_invariants().unwrap();
 }
@@ -131,7 +131,7 @@ fn throughput_never_exceeds_analytic_capacity() {
     // ceil(T*C / w_i) completions, plus nothing — check the aggregate bound
     // for every policy on a hot trace.
     use smbm_core::work_policy_by_name;
-    use smbm_sim::{run_work, EngineConfig};
+    use smbm_sim::{run, EngineConfig};
     use smbm_traffic::{MmppScenario, PortMix};
 
     let cfg = WorkSwitchConfig::contiguous(5, 20).unwrap();
@@ -147,7 +147,7 @@ fn throughput_never_exceeds_analytic_capacity() {
     for name in smbm_core::WORK_POLICY_NAMES {
         let policy = work_policy_by_name(name).unwrap();
         let mut runner = WorkRunner::new(cfg.clone(), policy, speedup);
-        let summary = run_work(&mut runner, &trace, &EngineConfig::draining()).unwrap();
+        let summary = run(&mut runner, &trace, &EngineConfig::draining()).unwrap();
         let cap: u64 = cfg
             .works()
             .iter()
@@ -166,7 +166,7 @@ fn throughput_never_exceeds_analytic_capacity() {
 #[test]
 fn value_throughput_never_exceeds_offered_value() {
     use smbm_core::value_policy_by_name;
-    use smbm_sim::{run_value, EngineConfig};
+    use smbm_sim::{run, EngineConfig};
     use smbm_traffic::{MmppScenario, PortMix, Summarize, ValueMix};
 
     let cfg = ValueSwitchConfig::new(20, 5).unwrap();
@@ -182,7 +182,7 @@ fn value_throughput_never_exceeds_offered_value() {
     for name in smbm_core::VALUE_POLICY_NAMES {
         let policy = value_policy_by_name(name).unwrap();
         let mut runner = ValueRunner::new(cfg, policy, 1);
-        let summary = run_value(&mut runner, &trace, &EngineConfig::draining()).unwrap();
+        let summary = run(&mut runner, &trace, &EngineConfig::draining()).unwrap();
         assert!(
             summary.score <= offered,
             "{name}: transmitted value {} exceeds offered {offered}",

@@ -2,26 +2,26 @@
 //!
 //! Under a `VirtualClock` with a lockstep shard fed one burst per trace slot
 //! (empty slots included), the runtime executes the exact phase sequence of
-//! `smbm_sim`'s `drive` loop — so for every policy the per-run counters
+//! `smbm_sim::run` — so for every policy the per-run counters
 //! (admitted, dropped, pushed-out, transmitted, latency sums) must be
 //! *identical*, not merely close. Any divergence means the datapath no
 //! longer serves the same policy semantics the paper's simulations measure.
 
 use smbm_core::{
     combined_policy_by_name, value_policy_by_name, work_policy_by_name, CombinedRunner,
-    ValueRunner, WorkRunner,
+    DatapathSystem, ValueRunner, WorkRunner,
 };
 use smbm_runtime::{
-    CombinedService, Fault, FaultKind, FaultPlan, IngestMode, RuntimeBuilder, RuntimeConfig,
-    Service, ShardConfig, SupervisionConfig, ValueService, VirtualClock, WorkService,
+    Fault, FaultKind, FaultPlan, IngestMode, RuntimeBuilder, RuntimeConfig, ShardConfig,
+    SupervisionConfig, VirtualClock,
 };
-use smbm_sim::{run_combined, run_value, run_work, EngineConfig, FlushPolicy};
+use smbm_sim::{run, EngineConfig, FlushPolicy};
 use smbm_switch::{Counters, ValueSwitchConfig, WorkSwitchConfig};
 use smbm_traffic::{MmppScenario, PortMix, ValueMix};
 
 /// Runs one lockstep shard over per-slot bursts and returns what the switch
 /// counted, plus the shard's objective and slot count.
-fn lockstep<S: Service + 'static>(
+fn lockstep<S: DatapathSystem + 'static>(
     factory: impl Fn() -> S + Send + 'static,
     slots: Vec<Vec<S::Packet>>,
     flush: Option<FlushPolicy>,
@@ -72,7 +72,7 @@ fn work_runtime_matches_engine_for_every_policy() {
     for name in smbm_core::WORK_POLICY_NAMES {
         let policy = work_policy_by_name(name).unwrap();
         let mut runner = WorkRunner::new(cfg.clone(), policy, 2);
-        let summary = run_work(&mut runner, &trace, &EngineConfig::draining()).unwrap();
+        let summary = run(&mut runner, &trace, &EngineConfig::draining()).unwrap();
         let expected = *runner.switch().counters();
 
         let shard_cfg = cfg.clone();
@@ -80,7 +80,7 @@ fn work_runtime_matches_engine_for_every_policy() {
         let (counters, score, slots) = lockstep(
             move || {
                 let policy = work_policy_by_name(&shard_name).unwrap();
-                WorkService::new(WorkRunner::new(shard_cfg.clone(), policy, 2))
+                WorkRunner::new(shard_cfg.clone(), policy, 2)
             },
             trace.as_slots().to_vec(),
             None,
@@ -104,14 +104,14 @@ fn value_runtime_matches_engine_for_every_policy() {
     for name in smbm_core::VALUE_POLICY_NAMES {
         let policy = value_policy_by_name(name).unwrap();
         let mut runner = ValueRunner::new(cfg, policy, 2);
-        let summary = run_value(&mut runner, &trace, &EngineConfig::draining()).unwrap();
+        let summary = run(&mut runner, &trace, &EngineConfig::draining()).unwrap();
         let expected = *runner.switch().counters();
 
         let shard_name = name.to_string();
         let (counters, score, slots) = lockstep(
             move || {
                 let policy = value_policy_by_name(&shard_name).unwrap();
-                ValueService::new(ValueRunner::new(cfg, policy, 2))
+                ValueRunner::new(cfg, policy, 2)
             },
             trace.as_slots().to_vec(),
             None,
@@ -135,7 +135,7 @@ fn combined_runtime_matches_engine_for_every_policy() {
     for name in smbm_core::COMBINED_POLICY_NAMES {
         let policy = combined_policy_by_name(name).unwrap();
         let mut runner = CombinedRunner::new(cfg.clone(), policy, 1);
-        let summary = run_combined(&mut runner, &trace, &EngineConfig::draining()).unwrap();
+        let summary = run(&mut runner, &trace, &EngineConfig::draining()).unwrap();
         let expected = *runner.switch().counters();
 
         let shard_cfg = cfg.clone();
@@ -143,7 +143,7 @@ fn combined_runtime_matches_engine_for_every_policy() {
         let (counters, score, slots) = lockstep(
             move || {
                 let policy = combined_policy_by_name(&shard_name).unwrap();
-                CombinedService::new(CombinedRunner::new(shard_cfg.clone(), policy, 1))
+                CombinedRunner::new(shard_cfg.clone(), policy, 1)
             },
             trace.as_slots().to_vec(),
             None,
@@ -197,7 +197,7 @@ fn closed_ring_rejections_are_lost_not_backpressure() {
     let shard_cfg = cfg.clone();
     let id = b.add_shard(move || {
         let policy = work_policy_by_name("LWD").unwrap();
-        WorkService::new(WorkRunner::new(shard_cfg.clone(), policy, 2))
+        WorkRunner::new(shard_cfg.clone(), policy, 2)
     });
     b.add_producer(id, move |handle| {
         for burst in slots {
@@ -241,14 +241,14 @@ fn flush_schedules_match_in_both_modes() {
             flush: Some(flush),
             drain_at_end: true,
         };
-        let summary = run_work(&mut runner, &trace, &engine).unwrap();
+        let summary = run(&mut runner, &trace, &engine).unwrap();
         let expected = *runner.switch().counters();
 
         let shard_cfg = cfg.clone();
         let (counters, score, _) = lockstep(
             move || {
                 let policy = work_policy_by_name("LWD").unwrap();
-                WorkService::new(WorkRunner::new(shard_cfg.clone(), policy, 1))
+                WorkRunner::new(shard_cfg.clone(), policy, 1)
             },
             trace.as_slots().to_vec(),
             Some(flush),

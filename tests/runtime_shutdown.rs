@@ -5,7 +5,7 @@
 use std::time::{Duration, Instant};
 
 use smbm_core::{Lwd, WorkRunner};
-use smbm_runtime::{RuntimeBuilder, RuntimeConfig, ShardConfig, VirtualClock, WorkService};
+use smbm_runtime::{RuntimeBuilder, RuntimeConfig, ShardConfig, VirtualClock};
 use smbm_switch::{PortId, Work, WorkPacket, WorkSwitchConfig};
 
 fn burst(port: usize) -> Vec<WorkPacket> {
@@ -23,7 +23,7 @@ fn producer_panic_mid_run_drains_and_joins() {
     });
     let id = b.add_shard(|| {
         let cfg = WorkSwitchConfig::contiguous(4, 32).unwrap();
-        WorkService::new(WorkRunner::new(cfg, Lwd::new(), 1))
+        WorkRunner::new(cfg, Lwd::new(), 1)
     });
     // One healthy producer and one that panics after its tenth batch.
     b.add_producer(id, |h| {

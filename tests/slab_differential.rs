@@ -21,7 +21,7 @@ use smbm_core::{
     AlphaWd, CombinedRunner, Lqd, LqdValue, Lwd, LwdTieBreak, Mrd, Mvd, Policy, Runner,
     ValueRunner, WorkRunner, Wvd,
 };
-use smbm_sim::{run_combined, run_value, run_work, EngineConfig};
+use smbm_sim::{run, EngineConfig};
 use smbm_switch::{
     CombinedPacket, PortId, QueueDiscipline, Value, ValuePacket, ValueQueue, ValueSwitchConfig,
     WorkPacket, WorkSwitchConfig,
@@ -365,8 +365,8 @@ fn mmpp_work_summaries_match_scan_oracle() {
         for (name, policy, oracle) in pairs {
             let mut a = WorkRunner::new(cfg.clone(), policy, 1);
             let mut b = WorkRunner::new(cfg.clone(), oracle, 1);
-            let sa = run_work(&mut a, &trace, &engine).unwrap();
-            let sb = run_work(&mut b, &trace, &engine).unwrap();
+            let sa = run(&mut a, &trace, &engine).unwrap();
+            let sb = run(&mut b, &trace, &engine).unwrap();
             assert_eq!(sa, sb, "{name} at {ports} ports: summaries diverged");
             assert!(
                 a.switch().counters().pushed_out() > 0,
@@ -408,8 +408,8 @@ fn mmpp_value_summaries_match_scan_oracle() {
         for (name, policy, oracle) in pairs {
             let mut a = ValueRunner::new(cfg, policy, 1);
             let mut b = ValueRunner::new(cfg, oracle, 1);
-            let sa = run_value(&mut a, &trace, &engine).unwrap();
-            let sb = run_value(&mut b, &trace, &engine).unwrap();
+            let sa = run(&mut a, &trace, &engine).unwrap();
+            let sb = run(&mut b, &trace, &engine).unwrap();
             assert_eq!(sa, sb, "{name} at {ports} ports: summaries diverged");
             assert!(
                 a.switch().counters().pushed_out() > 0,
@@ -435,8 +435,8 @@ fn mmpp_combined_summaries_match_scan_oracle() {
 
         let mut a = CombinedRunner::new(cfg.clone(), Wvd::new(), 1);
         let mut b = CombinedRunner::new(cfg.clone(), ScanWvd, 1);
-        let sa = run_combined(&mut a, &trace, &engine).unwrap();
-        let sb = run_combined(&mut b, &trace, &engine).unwrap();
+        let sa = run(&mut a, &trace, &engine).unwrap();
+        let sb = run(&mut b, &trace, &engine).unwrap();
         assert_eq!(sa, sb, "WVD at {ports} ports: summaries diverged");
         assert!(
             a.switch().counters().pushed_out() > 0,

@@ -3,7 +3,7 @@
 //! paper-scale parameters and check the invariants still hold.
 
 use smbm_core::{work_policy_by_name, WorkPqOpt, WorkRunner};
-use smbm_sim::{run_work, EngineConfig, FlushPolicy};
+use smbm_sim::{run, EngineConfig, FlushPolicy};
 use smbm_switch::WorkSwitchConfig;
 use smbm_traffic::{MmppScenario, PortMix, Summarize};
 
@@ -26,12 +26,12 @@ fn large_switch_full_roster_stress() {
         drain_at_end: true,
     };
     let mut opt = WorkPqOpt::new(cfg.buffer(), cfg.ports() as u32);
-    let opt_score = run_work(&mut opt, &trace, &engine).unwrap().score;
+    let opt_score = run(&mut opt, &trace, &engine).unwrap().score;
     opt.check_invariants().unwrap();
     for name in smbm_core::WORK_POLICY_NAMES {
         let policy = work_policy_by_name(name).unwrap();
         let mut runner = WorkRunner::new(cfg.clone(), policy, 1);
-        let score = run_work(&mut runner, &trace, &engine).unwrap().score;
+        let score = run(&mut runner, &trace, &engine).unwrap().score;
         runner.switch().check_invariants().unwrap();
         assert!(score > 0 && score <= opt_score + opt_score / 100, "{name}");
     }
@@ -52,7 +52,7 @@ fn long_horizon_conservation_stress() {
     .unwrap();
     let policy = work_policy_by_name("LWD").unwrap();
     let mut runner = WorkRunner::new(cfg, policy, 1);
-    run_work(&mut runner, &trace, &EngineConfig::draining()).unwrap();
+    run(&mut runner, &trace, &EngineConfig::draining()).unwrap();
     runner.switch().check_invariants().unwrap();
     let c = runner.switch().counters();
     assert_eq!(c.arrived() as usize, trace.arrivals());
