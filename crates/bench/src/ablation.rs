@@ -3,7 +3,7 @@
 //! of the extension policies (AWD(α), NHDT-W, MRD-strict).
 
 use smbm_core::{
-    value_policy_by_name, work_policy_by_name, AlphaWd, CappedWork, Lwd, LwdTieBreak, Policy,
+    value_policy_by_name, work_policy_by_name, AlphaWd, Capped, Lwd, LwdTieBreak, Policy,
     ValuePqOpt, ValueRunner, WorkPqOpt, WorkRunner,
 };
 use smbm_sim::{run, EngineConfig, ExperimentError, FlushMode, FlushPolicy};
@@ -162,7 +162,7 @@ pub fn nhdt_generalization_ablation(seed: u64) -> Result<Vec<AblationRow>, Exper
     let mut rows = Vec::new();
     // Adversarial: Theorem 3's construction.
     let c = adversarial::nhdt_lower_bound(64, 512, 4);
-    let mut opt = WorkRunner::new(c.config.clone(), CappedWork::new(c.opt_caps.clone()), 1);
+    let mut opt = WorkRunner::new(c.config.clone(), Capped::new(c.opt_caps.clone()), 1);
     let opt_score = run(&mut opt, &c.trace, &EngineConfig::horizon_only())?.score;
     let mut scores = vec![("thm3:OPT-script".to_string(), opt_score)];
     for name in ["NHDT", "NHDT-W", "LWD"] {

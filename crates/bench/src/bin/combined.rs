@@ -9,8 +9,7 @@
 
 use std::process::ExitCode;
 
-use smbm_core::{combined_policy_by_name, CombinedPqOpt, CombinedRunner};
-use smbm_sim::{run, EngineConfig};
+use smbm_sim::CombinedExperiment;
 use smbm_switch::WorkSwitchConfig;
 use smbm_traffic::{MmppScenario, PortMix, ValueMix};
 
@@ -56,9 +55,8 @@ fn main() -> ExitCode {
         }
         .combined_trace(&cfg, &PortMix::Uniform, &mix)
         .expect("valid scenario");
-        let mut opt = CombinedPqOpt::new(cfg.buffer(), cfg.ports() as u32);
-        let opt_score = match run(&mut opt, &trace, &EngineConfig::draining()) {
-            Ok(s) => s.score,
+        let report = match CombinedExperiment::full_roster(cfg.clone(), 1).run(&trace) {
+            Ok(report) => report,
             Err(e) => {
                 eprintln!("{e}");
                 return ExitCode::FAILURE;
@@ -66,23 +64,9 @@ fn main() -> ExitCode {
         };
         println!("== {label}: {} arrivals ==", trace.arrivals());
         println!("{:<8} {:>14} {:>8}", "policy", "value out", "ratio");
-        println!("{:<8} {:>14} {:>8}", "OPT(den)", opt_score, 1.0);
-        for name in smbm_core::COMBINED_POLICY_NAMES {
-            let policy = combined_policy_by_name(name).expect("registry name");
-            let mut runner = CombinedRunner::new(cfg.clone(), policy, 1);
-            let score = match run(&mut runner, &trace, &EngineConfig::draining()) {
-                Ok(s) => s.score,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            println!(
-                "{:<8} {:>14} {:>8.4}",
-                name,
-                score,
-                opt_score as f64 / score as f64
-            );
+        println!("{:<8} {:>14} {:>8}", "OPT(den)", report.opt_score, 1.0);
+        for row in &report.rows {
+            println!("{:<8} {:>14} {:>8.4}", row.policy, row.score, row.ratio);
         }
         println!();
     }

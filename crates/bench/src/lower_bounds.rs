@@ -1,9 +1,7 @@
 //! The theorem lower-bound table: replay every adversarial construction and
 //! compare the measured ratio with the theorem's bound.
 
-use smbm_sim::{
-    measure_value_construction, measure_work_construction, ConstructionReport, ExperimentError,
-};
+use smbm_sim::{measure_construction, ConstructionReport, ExperimentError};
 use smbm_traffic::adversarial;
 
 /// Registry keys accepted by [`lower_bound_by_name`].
@@ -41,7 +39,7 @@ pub fn lwd_upper_bound_stress() -> Result<ConstructionReport, ExperimentError> {
     let mut worst: Option<ConstructionReport> = None;
     for c in &mut constructions {
         c.target_policy = "LWD";
-        let r = measure_work_construction(c)?;
+        let r = measure_construction(c)?;
         if worst.as_ref().is_none_or(|w| r.ratio() > w.ratio()) {
             worst = Some(r);
         }
@@ -62,19 +60,17 @@ pub fn lower_bound_by_name(name: &str) -> Option<Result<ConstructionReport, Expe
     let report = match name.to_ascii_lowercase().as_str() {
         // Parameters are chosen so each bound is visible but the replay
         // stays fast; the binaries accept overrides.
-        "nhst" => measure_work_construction(&adversarial::nhst_lower_bound(8, 48, 20)),
-        "nest" => measure_work_construction(&adversarial::nest_lower_bound(8, 48, 20)),
-        "nhdt" => measure_work_construction(&adversarial::nhdt_lower_bound(64, 512, 6)),
-        "lqd-work" => measure_work_construction(&adversarial::lqd_work_lower_bound(64, 256, 8)),
-        "bpd" => measure_work_construction(&adversarial::bpd_lower_bound(16, 64, 20_000)),
-        "lwd" => measure_work_construction(&adversarial::lwd_lower_bound(120, 40)),
+        "nhst" => measure_construction(&adversarial::nhst_lower_bound(8, 48, 20)),
+        "nest" => measure_construction(&adversarial::nest_lower_bound(8, 48, 20)),
+        "nhdt" => measure_construction(&adversarial::nhdt_lower_bound(64, 512, 6)),
+        "lqd-work" => measure_construction(&adversarial::lqd_work_lower_bound(64, 256, 8)),
+        "bpd" => measure_construction(&adversarial::bpd_lower_bound(16, 64, 20_000)),
+        "lwd" => measure_construction(&adversarial::lwd_lower_bound(120, 40)),
         "lwd-upper" => lwd_upper_bound_stress(),
-        "greedy-value" => {
-            measure_value_construction(&adversarial::greedy_value_lower_bound(16, 64, 10))
-        }
-        "lqd-value" => measure_value_construction(&adversarial::lqd_value_lower_bound(64, 128, 20)),
-        "mvd" => measure_value_construction(&adversarial::mvd_lower_bound(16, 64, 20_000)),
-        "mrd" => measure_value_construction(&adversarial::mrd_lower_bound(120, 40)),
+        "greedy-value" => measure_construction(&adversarial::greedy_value_lower_bound(16, 64, 10)),
+        "lqd-value" => measure_construction(&adversarial::lqd_value_lower_bound(64, 128, 20)),
+        "mvd" => measure_construction(&adversarial::mvd_lower_bound(16, 64, 20_000)),
+        "mrd" => measure_construction(&adversarial::mrd_lower_bound(120, 40)),
         _ => return None,
     };
     Some(report)
@@ -127,11 +123,11 @@ mod tests {
     fn small_constructions_beat_one() {
         // Small/fast variants of a few constructions: the scripted OPT must
         // beat the target policy.
-        let r = measure_work_construction(&adversarial::nest_lower_bound(4, 16, 4)).unwrap();
+        let r = measure_construction(&adversarial::nest_lower_bound(4, 16, 4)).unwrap();
         assert!(r.ratio() > 1.5, "NEST ratio {}", r.ratio());
-        let r = measure_work_construction(&adversarial::bpd_lower_bound(4, 16, 500)).unwrap();
+        let r = measure_construction(&adversarial::bpd_lower_bound(4, 16, 500)).unwrap();
         assert!(r.ratio() > 1.3, "BPD ratio {}", r.ratio());
-        let r = measure_value_construction(&adversarial::mvd_lower_bound(8, 32, 500)).unwrap();
+        let r = measure_construction(&adversarial::mvd_lower_bound(8, 32, 500)).unwrap();
         assert!(r.ratio() > 2.0, "MVD ratio {}", r.ratio());
     }
 
@@ -146,7 +142,7 @@ mod tests {
 
     #[test]
     fn table_renders_all_rows() {
-        let r = measure_work_construction(&adversarial::nest_lower_bound(4, 16, 2)).unwrap();
+        let r = measure_construction(&adversarial::nest_lower_bound(4, 16, 2)).unwrap();
         let table = render_table(&[r]);
         assert!(table.contains("NEST"));
         assert!(table.contains("predicted"));

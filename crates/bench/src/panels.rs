@@ -14,12 +14,13 @@
 //! | 8 | values == port | `B` | `k = n = 8, C = 1` |
 //! | 9 | values == port | `C` | `k = n = 8, B = 64` |
 
-use smbm_obs::HistogramRecorder;
+use smbm_core::PacketModel;
+use smbm_obs::{HistogramRecorder, NullObserver, Observer};
 use smbm_sim::{
-    series_from_sweep, series_to_csv, sweep_with_jobs, EngineConfig, ExperimentError, FlushPolicy,
-    Series, ValueExperiment, WorkExperiment,
+    series_from_sweep, series_to_csv, sweep_with_jobs, EngineConfig, Experiment, ExperimentError,
+    ExperimentReport, FlushPolicy, Series,
 };
-use smbm_switch::{ValueSwitchConfig, WorkSwitchConfig};
+use smbm_switch::{ValueQueue, ValueSwitchConfig, WorkQueue, WorkSwitchConfig};
 use smbm_traffic::{MmppParams, MmppScenario, PortMix, ValueMix};
 
 /// One of the nine Fig. 5 panels.
@@ -206,14 +207,7 @@ pub fn run_panel_with_jobs(
     let xs = panel_xs(panel, scale);
     let points = sweep_with_jobs(
         &xs,
-        |x| match panel_point(panel, x) {
-            PanelPoint::Work { config, speedup } => run_work_point(config, speedup, scale, seed),
-            PanelPoint::Value {
-                config,
-                speedup,
-                mix,
-            } => run_value_point(config, speedup, &mix, scale, seed),
-        },
+        |x| Ok(run_point(panel, x, scale, seed, NullObserver)?.0),
         jobs,
     )?;
     Ok(series_from_sweep(&points))
@@ -299,69 +293,57 @@ pub fn panel_point_metrics(
 ) -> Result<Vec<(String, String)>, ExperimentError> {
     let xs = panel_xs(panel, scale);
     let x = xs[xs.len() / 2];
+    let (_, policies, hists) = run_point(panel, x, scale, seed, HistogramRecorder::new())?;
+    Ok(policies
+        .into_iter()
+        .zip(hists.iter().map(HistogramRecorder::to_json))
+        .collect())
+}
+
+/// Runs the full roster of a panel at one swept x value, with a copy of
+/// `observer` attached to every policy: the report, the roster and the
+/// observers, in roster order. The one match on the panel's model.
+fn run_point<O: Observer + Clone + Send>(
+    panel: Panel,
+    x: f64,
+    scale: PanelScale,
+    seed: u64,
+    observer: O,
+) -> Result<(ExperimentReport, Vec<String>, Vec<O>), ExperimentError> {
     match panel_point(panel, x) {
         PanelPoint::Work { config, speedup } => {
-            let trace = work_scenario(scale, seed)
-                .work_trace(&config, &PortMix::Uniform)
-                .expect("valid scenario parameters");
-            let mut exp = WorkExperiment::full_roster(config, speedup);
-            exp.engine = engine();
-            let mut hists = vec![HistogramRecorder::new(); exp.policies.len()];
-            exp.run_observed(&trace, &mut hists)?;
-            Ok(pair_metrics(&exp.policies, &hists))
+            // Work packets carry no value, so the value mix goes unused.
+            let scenario = work_scenario(scale, seed);
+            run_roster::<WorkQueue, O>(config, speedup, &scenario, &ValueMix::EqualsPort, observer)
         }
         PanelPoint::Value {
             config,
             speedup,
             mix,
         } => {
-            let trace = value_scenario(scale, seed)
-                .value_trace(config.ports(), &PortMix::Uniform, &mix)
-                .expect("valid scenario parameters");
-            let mut exp = ValueExperiment::full_roster(config, speedup);
-            exp.engine = engine();
-            let mut hists = vec![HistogramRecorder::new(); exp.policies.len()];
-            exp.run_observed(&trace, &mut hists)?;
-            Ok(pair_metrics(&exp.policies, &hists))
+            let scenario = value_scenario(scale, seed);
+            run_roster::<ValueQueue, O>(config, speedup, &scenario, &mix, observer)
         }
     }
 }
 
-fn pair_metrics(policies: &[String], hists: &[HistogramRecorder]) -> Vec<(String, String)> {
-    policies
-        .iter()
-        .cloned()
-        .zip(hists.iter().map(HistogramRecorder::to_json))
-        .collect()
-}
-
-fn run_work_point(
-    cfg: WorkSwitchConfig,
+/// One generic panel point: the MMPP trace, then the model's full roster
+/// under the panels' flushout engine.
+fn run_roster<Q: PacketModel, O: Observer + Clone + Send>(
+    config: Q::Config,
     speedup: u32,
-    scale: PanelScale,
-    seed: u64,
-) -> Result<smbm_sim::ExperimentReport, ExperimentError> {
-    let trace = work_scenario(scale, seed)
-        .work_trace(&cfg, &PortMix::Uniform)
-        .expect("valid scenario parameters");
-    let mut exp = WorkExperiment::full_roster(cfg, speedup);
-    exp.engine = engine();
-    exp.run(&trace)
-}
-
-fn run_value_point(
-    cfg: ValueSwitchConfig,
-    speedup: u32,
+    scenario: &MmppScenario,
     mix: &ValueMix,
-    scale: PanelScale,
-    seed: u64,
-) -> Result<smbm_sim::ExperimentReport, ExperimentError> {
-    let trace = value_scenario(scale, seed)
-        .value_trace(cfg.ports(), &PortMix::Uniform, mix)
+    observer: O,
+) -> Result<(ExperimentReport, Vec<String>, Vec<O>), ExperimentError> {
+    let trace = scenario
+        .trace::<Q>(&config, &PortMix::Uniform, mix)
         .expect("valid scenario parameters");
-    let mut exp = ValueExperiment::full_roster(cfg, speedup);
+    let mut exp = Experiment::<Q>::full_roster(config, speedup);
     exp.engine = engine();
-    exp.run(&trace)
+    let mut observers = vec![observer; exp.policies.len()];
+    let report = exp.run_observed(&trace, &mut observers)?;
+    Ok((report, exp.policies, observers))
 }
 
 /// Runs a panel `repeats` times with consecutive seeds and returns the

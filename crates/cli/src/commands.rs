@@ -5,14 +5,12 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Duration;
 
+use smbm_core::{PacketModel, Policy, Runner};
 use smbm_obs::{HistogramRecorder, PhaseProfiler, RingEventLog, TelemetryConfig};
 use smbm_runtime::{FaultPlan, FlightConfig};
-use smbm_sim::{
-    measure_value_construction, measure_work_construction, CombinedExperiment, ValueExperiment,
-    WorkExperiment,
-};
-use smbm_switch::{ValueSwitchConfig, WorkSwitchConfig};
-use smbm_traffic::{adversarial, MmppScenario, PortMix, Summarize, Trace, ValueMix};
+use smbm_sim::{measure_construction, Experiment};
+use smbm_switch::{CombinedQueue, ValueQueue, WorkQueue, WorkSwitchConfig};
+use smbm_traffic::{adversarial, MmppScenario, PortMix, Summarize, Trace, TracePacket, ValueMix};
 
 use crate::args::Args;
 
@@ -87,9 +85,9 @@ telemetry (serve, loadgen):
 /// Returns a user-facing message on bad arguments or failed runs.
 pub fn execute(args: &Args, stdin: &str) -> Result<String, String> {
     match args.positional().first().map(String::as_str) {
-        Some("work-run") => work_run(args),
-        Some("value-run") => value_run(args),
-        Some("combined-run") => combined_run(args),
+        Some("work-run") => model_run::<WorkQueue>(args, &WORK),
+        Some("value-run") => model_run::<ValueQueue>(args, &VALUE),
+        Some("combined-run") => model_run::<CombinedQueue>(args, &COMBINED),
         Some("bounds") => bounds(args),
         Some("panel") => panel(args),
         Some("trace-gen") => trace_gen(args),
@@ -207,62 +205,82 @@ impl ObsFlags {
     }
 }
 
-fn work_run(args: &Args) -> Result<String, String> {
-    args.expect_only(&[
-        "k",
-        "buffer",
-        "speedup",
-        "slots",
-        "sources",
-        "seed",
-        "policies",
-        "events-out",
-        "metrics-out",
-        "profile",
-    ])
-    .map_err(err)?;
-    let k: u32 = args.get_or("k", 8).map_err(err)?;
-    let buffer: usize = args.get_or("buffer", 64).map_err(err)?;
-    let speedup: u32 = args.get_or("speedup", 1).map_err(err)?;
-    let cfg = WorkSwitchConfig::contiguous(k, buffer).map_err(err)?;
-    let trace = scenario_from(args, 12)?
-        .work_trace(&cfg, &PortMix::Uniform)
-        .map_err(err)?;
-    let mut exp = WorkExperiment::full_roster(cfg, speedup);
-    exp.policies = roster(args, smbm_core::WORK_POLICY_NAMES);
-    let obs_flags = ObsFlags::from(args);
-    let mut observers = obs_flags.observers(exp.policies.len());
-    let report = exp.run_observed(&trace, &mut observers).map_err(err)?;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# work model: k={k} B={buffer} C={speedup} arrivals={}",
-        trace.arrivals()
-    );
-    let _ = writeln!(
-        out,
-        "{:<8} {:>12} {:>10} {:>10} {:>9}",
-        "policy", "packets", "ratio", "latency", "goodput"
-    );
-    let _ = writeln!(out, "{:<8} {:>12} {:>10}", "OPT(pq)", report.opt_score, 1.0);
-    for row in &report.rows {
-        let _ = writeln!(
-            out,
-            "{:<8} {:>12} {:>10.4} {:>10.2} {:>9.4}",
-            row.policy, row.score, row.ratio, row.mean_latency, row.goodput
-        );
-    }
-    obs_flags.finish("work", &exp.policies, &observers, &mut out)?;
-    Ok(out)
+/// How the CLI names and prints one packet model: the parts of the
+/// `*-run` and `serve` commands that differ between models.
+struct CliModel {
+    /// The flag giving the port count: `k` where port `i` requires `i + 1`
+    /// cycles, `ports` where ports carry no work labels.
+    ports_flag: &'static str,
+    /// The port count's name in report headers.
+    ports_label: &'static str,
+    /// What the score counts: `packets` or `value`.
+    score_label: &'static str,
+    /// `serve`'s policy when `--policy` is absent.
+    default_policy: &'static str,
+    /// `*-run`'s MMPP source count when `--sources` is absent.
+    sources: usize,
+    /// `*-run`'s label for the OPT surrogate row.
+    opt_label: &'static str,
+    /// Whether the `*-run` header names the value mix.
+    shows_mix: bool,
+    /// Whether the `*-run` table has latency and goodput columns.
+    full_table: bool,
 }
 
-fn value_run(args: &Args) -> Result<String, String> {
-    args.expect_only(&[
-        "ports",
+const WORK: CliModel = CliModel {
+    ports_flag: "k",
+    ports_label: "k",
+    score_label: "packets",
+    default_policy: "LWD",
+    sources: 12,
+    opt_label: "OPT(pq)",
+    shows_mix: false,
+    full_table: true,
+};
+
+const VALUE: CliModel = CliModel {
+    ports_flag: "ports",
+    ports_label: "n",
+    score_label: "value",
+    default_policy: "MRD",
+    sources: 32,
+    opt_label: "OPT(pq)",
+    shows_mix: true,
+    full_table: true,
+};
+
+const COMBINED: CliModel = CliModel {
+    ports_flag: "k",
+    ports_label: "k",
+    score_label: "value",
+    default_policy: "WVD",
+    sources: 12,
+    opt_label: "OPT(den)",
+    shows_mix: false,
+    full_table: false,
+};
+
+impl CliModel {
+    /// Parses the port count: `--k` as a `u32`, `--ports` as a `usize`,
+    /// both defaulting to 8.
+    fn ports(&self, args: &Args) -> Result<usize, String> {
+        if self.ports_flag == "k" {
+            Ok(args.get_or("k", 8u32).map_err(err)? as usize)
+        } else {
+            args.get_or("ports", 8usize).map_err(err)
+        }
+    }
+}
+
+/// `work-run`, `value-run` and `combined-run`: the model's roster against
+/// its OPT surrogate on MMPP traffic, as a table.
+fn model_run<Q: PacketModel>(args: &Args, model: &CliModel) -> Result<String, String> {
+    // Work packets carry no value, so the work model takes no value flags.
+    let valued = !Q::PORT_DETERMINES_PACKET;
+    let mut allowed = vec![
+        model.ports_flag,
         "buffer",
-        "max-value",
         "speedup",
-        "mix",
         "slots",
         "sources",
         "seed",
@@ -270,9 +288,12 @@ fn value_run(args: &Args) -> Result<String, String> {
         "events-out",
         "metrics-out",
         "profile",
-    ])
-    .map_err(err)?;
-    let ports: usize = args.get_or("ports", 8).map_err(err)?;
+    ];
+    if valued {
+        allowed.extend(["max-value", "mix"]);
+    }
+    args.expect_only(&allowed).map_err(err)?;
+    let ports = model.ports(args)?;
     let buffer: usize = args.get_or("buffer", 64).map_err(err)?;
     let max_value: u64 = args.get_or("max-value", 16).map_err(err)?;
     let speedup: u32 = args.get_or("speedup", 1).map_err(err)?;
@@ -281,89 +302,55 @@ fn value_run(args: &Args) -> Result<String, String> {
         "port" => ValueMix::EqualsPort,
         other => return Err(format!("unknown --mix {other:?}; use uniform|port")),
     };
-    let cfg = ValueSwitchConfig::new(buffer, ports).map_err(err)?;
-    let trace = scenario_from(args, 32)?
-        .value_trace(ports, &PortMix::Uniform, &mix)
+    let cfg = Q::config(ports, buffer).map_err(err)?;
+    let trace = scenario_from(args, model.sources)?
+        .trace::<Q>(&cfg, &PortMix::Uniform, &mix)
         .map_err(err)?;
-    let mut exp = ValueExperiment::full_roster(cfg, speedup);
-    exp.policies = roster(args, smbm_core::VALUE_POLICY_NAMES);
+    let mut exp = Experiment::<Q>::full_roster(cfg, speedup);
+    exp.policies = roster(args, Q::POLICY_NAMES);
     let obs_flags = ObsFlags::from(args);
     let mut observers = obs_flags.observers(exp.policies.len());
     let report = exp.run_observed(&trace, &mut observers).map_err(err)?;
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# value model: n={ports} B={buffer} C={speedup} mix={} arrivals={}",
-        args.get("mix").unwrap_or("uniform"),
-        trace.arrivals()
-    );
-    let _ = writeln!(
-        out,
-        "{:<8} {:>12} {:>10} {:>10} {:>9}",
-        "policy", "value", "ratio", "latency", "goodput"
-    );
-    let _ = writeln!(out, "{:<8} {:>12} {:>10}", "OPT(pq)", report.opt_score, 1.0);
-    for row in &report.rows {
-        let _ = writeln!(
-            out,
-            "{:<8} {:>12} {:>10.4} {:>10.2} {:>9.4}",
-            row.policy, row.score, row.ratio, row.mean_latency, row.goodput
-        );
-    }
-    obs_flags.finish("value", &exp.policies, &observers, &mut out)?;
-    Ok(out)
-}
-
-fn combined_run(args: &Args) -> Result<String, String> {
-    args.expect_only(&[
-        "k",
-        "buffer",
-        "max-value",
-        "speedup",
-        "mix",
-        "slots",
-        "sources",
-        "seed",
-        "policies",
-        "events-out",
-        "metrics-out",
-        "profile",
-    ])
-    .map_err(err)?;
-    let k: u32 = args.get_or("k", 8).map_err(err)?;
-    let buffer: usize = args.get_or("buffer", 64).map_err(err)?;
-    let max_value: u64 = args.get_or("max-value", 16).map_err(err)?;
-    let speedup: u32 = args.get_or("speedup", 1).map_err(err)?;
-    let mix = match args.get("mix").unwrap_or("uniform") {
-        "uniform" => ValueMix::Uniform { max: max_value },
-        "port" => ValueMix::EqualsPort,
-        other => return Err(format!("unknown --mix {other:?}; use uniform|port")),
+    let mix_label = if model.shows_mix {
+        format!(" mix={}", args.get("mix").unwrap_or("uniform"))
+    } else {
+        String::new()
     };
-    let cfg = WorkSwitchConfig::contiguous(k, buffer).map_err(err)?;
-    let trace = scenario_from(args, 12)?
-        .combined_trace(&cfg, &PortMix::Uniform, &mix)
-        .map_err(err)?;
-    let mut exp = CombinedExperiment::full_roster(cfg, speedup);
-    exp.policies = roster(args, smbm_core::COMBINED_POLICY_NAMES);
-    let obs_flags = ObsFlags::from(args);
-    let mut observers = obs_flags.observers(exp.policies.len());
-    let report = exp.run_observed(&trace, &mut observers).map_err(err)?;
-    let mut out = String::new();
     let _ = writeln!(
         out,
-        "# combined model: k={k} B={buffer} C={speedup} arrivals={}",
+        "# {} model: {}={ports} B={buffer} C={speedup}{mix_label} arrivals={}",
+        Q::LABEL,
+        model.ports_label,
         trace.arrivals()
     );
-    let _ = writeln!(out, "{:<8} {:>14} {:>8}", "policy", "value", "ratio");
-    let _ = writeln!(out, "{:<8} {:>14} {:>8}", "OPT(den)", report.opt_score, 1.0);
-    for row in &report.rows {
+    let (policy, score, opt) = ("policy", model.score_label, model.opt_label);
+    if model.full_table {
         let _ = writeln!(
             out,
-            "{:<8} {:>14} {:>8.4}",
-            row.policy, row.score, row.ratio
+            "{policy:<8} {score:>12} {:>10} {:>10} {:>9}",
+            "ratio", "latency", "goodput"
         );
+        let _ = writeln!(out, "{opt:<8} {:>12} {:>10}", report.opt_score, 1.0);
+        for row in &report.rows {
+            let _ = writeln!(
+                out,
+                "{:<8} {:>12} {:>10.4} {:>10.2} {:>9.4}",
+                row.policy, row.score, row.ratio, row.mean_latency, row.goodput
+            );
+        }
+    } else {
+        let _ = writeln!(out, "{policy:<8} {score:>14} {:>8}", "ratio");
+        let _ = writeln!(out, "{opt:<8} {:>14} {:>8}", report.opt_score, 1.0);
+        for row in &report.rows {
+            let _ = writeln!(
+                out,
+                "{:<8} {:>14} {:>8.4}",
+                row.policy, row.score, row.ratio
+            );
+        }
     }
-    obs_flags.finish("combined", &exp.policies, &observers, &mut out)?;
+    obs_flags.finish(Q::LABEL, &exp.policies, &observers, &mut out)?;
     Ok(out)
 }
 
@@ -394,17 +381,15 @@ fn bounds(args: &Args) -> Result<String, String> {
     );
     for name in names {
         let report = match name {
-            "nhst" => measure_work_construction(&adversarial::nhst_lower_bound(8, 192, 10)),
-            "nest" => measure_work_construction(&adversarial::nest_lower_bound(8, 48, 10)),
-            "nhdt" => measure_work_construction(&adversarial::nhdt_lower_bound(64, 512, 4)),
-            "lqd-work" => measure_work_construction(&adversarial::lqd_work_lower_bound(64, 256, 4)),
-            "bpd" => measure_work_construction(&adversarial::bpd_lower_bound(16, 64, 10_000)),
-            "lwd" => measure_work_construction(&adversarial::lwd_lower_bound(120, 20)),
-            "lqd-value" => {
-                measure_value_construction(&adversarial::lqd_value_lower_bound(64, 128, 10))
-            }
-            "mvd" => measure_value_construction(&adversarial::mvd_lower_bound(16, 64, 10_000)),
-            "mrd" => measure_value_construction(&adversarial::mrd_lower_bound(120, 20)),
+            "nhst" => measure_construction(&adversarial::nhst_lower_bound(8, 192, 10)),
+            "nest" => measure_construction(&adversarial::nest_lower_bound(8, 48, 10)),
+            "nhdt" => measure_construction(&adversarial::nhdt_lower_bound(64, 512, 4)),
+            "lqd-work" => measure_construction(&adversarial::lqd_work_lower_bound(64, 256, 4)),
+            "bpd" => measure_construction(&adversarial::bpd_lower_bound(16, 64, 10_000)),
+            "lwd" => measure_construction(&adversarial::lwd_lower_bound(120, 20)),
+            "lqd-value" => measure_construction(&adversarial::lqd_value_lower_bound(64, 128, 10)),
+            "mvd" => measure_construction(&adversarial::mvd_lower_bound(16, 64, 10_000)),
+            "mrd" => measure_construction(&adversarial::mrd_lower_bound(120, 20)),
             other => return Err(format!("unknown construction {other:?}")),
         }
         .map_err(err)?;
@@ -564,48 +549,6 @@ fn faults_from(args: &Args, shards: usize, horizon: u64) -> Result<FaultPlan, St
     }
 }
 
-/// Runs one lockstep shard over per-slot bursts — the live replica of the
-/// offline engine's slot loop (empty slots included, so flush schedules and
-/// counters line up exactly).
-fn serve_trace<S: smbm_core::DatapathSystem + 'static>(
-    slots: Vec<Vec<S::Packet>>,
-    hz: Option<f64>,
-    faults: FaultPlan,
-    restart_budget: u32,
-    telemetry: Option<TelemetryConfig>,
-    flight: Option<FlightConfig>,
-    factory: impl Fn() -> S + Send + 'static,
-) -> smbm_runtime::RuntimeReport {
-    use smbm_runtime::{
-        AnyClock, RuntimeBuilder, RuntimeConfig, ShardConfig, SupervisionConfig, VirtualClock,
-        WallClock,
-    };
-    let mut builder = RuntimeBuilder::new(RuntimeConfig {
-        ring_capacity: 64,
-        shard: ShardConfig::lockstep(),
-        faults,
-        supervision: SupervisionConfig {
-            restart_budget,
-            ..SupervisionConfig::default()
-        },
-        telemetry,
-        flight,
-        ..RuntimeConfig::default()
-    });
-    let id = builder.add_shard(factory);
-    builder.add_producer(id, move |handle| {
-        for burst in slots {
-            if !handle.send(burst) {
-                break;
-            }
-        }
-    });
-    builder.run(move |_| match hz {
-        Some(hz) => AnyClock::Wall(WallClock::from_hz(hz)),
-        None => AnyClock::Virtual(VirtualClock::new()),
-    })
-}
-
 /// Formats a serve run: the shard's counters plus datapath throughput.
 fn render_serve(
     header: String,
@@ -719,70 +662,106 @@ fn serve(args: &Args, stdin: &str) -> Result<String, String> {
     let restart_budget: u32 = args.get_or("restarts", 3).map_err(err)?;
     let telemetry = telemetry_from(args)?;
     let flight = flight_from(args)?;
-    let sinks = sink_summary(&telemetry, &flight);
+    let replay = Replay {
+        text,
+        buffer,
+        speedup,
+        hz,
+        restart_budget,
+        telemetry,
+        flight,
+    };
+    match args.get("model").unwrap_or("work") {
+        "work" => serve_replay::<WorkQueue>(args, replay, &WORK),
+        "value" => serve_replay::<ValueQueue>(args, replay, &VALUE),
+        other => Err(format!("unknown --model {other:?}; use work|value")),
+    }
+}
+
+/// The `serve` replay settings every model shares, parsed before the model.
+struct Replay {
+    text: String,
+    buffer: usize,
+    speedup: u32,
+    hz: Option<f64>,
+    restart_budget: u32,
+    telemetry: Option<TelemetryConfig>,
+    flight: Option<FlightConfig>,
+}
+
+/// `serve` without `--listen` in the packet model `Q`: one lockstep shard
+/// over the trace's per-slot bursts — the live replica of the offline
+/// engine's slot loop (empty slots included, so flush schedules and
+/// counters line up exactly).
+fn serve_replay<Q: PacketModel>(
+    args: &Args,
+    replay: Replay,
+    model: &CliModel,
+) -> Result<String, String>
+where
+    Q::Packet: TracePacket,
+{
+    use smbm_runtime::{
+        AnyClock, RuntimeBuilder, RuntimeConfig, ShardConfig, SupervisionConfig, VirtualClock,
+        WallClock,
+    };
+    let Replay {
+        text,
+        buffer,
+        speedup,
+        hz,
+        restart_budget,
+        telemetry,
+        flight,
+    } = replay;
+    let ports = model.ports(args)?;
+    let trace: Trace<Q::Packet> = Trace::from_text(&text).map_err(err)?;
+    let name = args.get("policy").unwrap_or(model.default_policy);
+    let canonical = Q::policy_by_name(name)
+        .ok_or_else(|| format!("unknown {} policy {name:?}", Q::LABEL))?
+        .name()
+        .to_owned();
+    let cfg = Q::config(ports, buffer).map_err(err)?;
     let pacing = match hz {
         Some(hz) => format!(" paced at {hz} Hz"),
         None => String::new(),
     };
-    match args.get("model").unwrap_or("work") {
-        "work" => {
-            let k: u32 = args.get_or("k", 8).map_err(err)?;
-            let trace: Trace<smbm_switch::WorkPacket> = Trace::from_text(&text).map_err(err)?;
-            let name = args.get("policy").unwrap_or("LWD");
-            let canonical = smbm_core::work_policy_by_name(name)
-                .ok_or_else(|| format!("unknown work policy {name:?}"))?
-                .name()
-                .to_owned();
-            let cfg = WorkSwitchConfig::contiguous(k, buffer).map_err(err)?;
-            let header = format!(
-                "# serve work model: policy {canonical} k={k} B={buffer} C={speedup}{pacing}"
-            );
-            let faults = faults_from(args, 1, trace.as_slots().len() as u64)?;
-            let factory_name = canonical.clone();
-            let report = serve_trace(
-                trace.as_slots().to_vec(),
-                hz,
-                faults,
-                restart_budget,
-                telemetry,
-                flight,
-                move || {
-                    let policy = smbm_core::work_policy_by_name(&factory_name).expect("validated");
-                    smbm_core::WorkRunner::new(cfg.clone(), policy, speedup)
-                },
-            );
-            render_serve(header, "packets", &report).map(|out| out + &sinks)
+    let header = format!(
+        "# serve {} model: policy {canonical} {}={ports} B={buffer} C={speedup}{pacing}",
+        Q::LABEL,
+        model.ports_label
+    );
+    let faults = faults_from(args, 1, trace.as_slots().len() as u64)?;
+    let sinks = sink_summary(&telemetry, &flight);
+    let mut builder = RuntimeBuilder::new(RuntimeConfig {
+        ring_capacity: 64,
+        shard: ShardConfig::lockstep(),
+        faults,
+        supervision: SupervisionConfig {
+            restart_budget,
+            ..SupervisionConfig::default()
+        },
+        telemetry,
+        flight,
+        ..RuntimeConfig::default()
+    });
+    let id = builder.add_shard(move || {
+        let policy = Q::policy_by_name(&canonical).expect("validated");
+        Runner::<Q, _>::new(cfg.clone(), policy, speedup)
+    });
+    let slots = trace.as_slots().to_vec();
+    builder.add_producer(id, move |handle| {
+        for burst in slots {
+            if !handle.send(burst) {
+                break;
+            }
         }
-        "value" => {
-            let ports: usize = args.get_or("ports", 8).map_err(err)?;
-            let trace: Trace<smbm_switch::ValuePacket> = Trace::from_text(&text).map_err(err)?;
-            let name = args.get("policy").unwrap_or("MRD");
-            let canonical = smbm_core::value_policy_by_name(name)
-                .ok_or_else(|| format!("unknown value policy {name:?}"))?
-                .name()
-                .to_owned();
-            let cfg = ValueSwitchConfig::new(buffer, ports).map_err(err)?;
-            let header = format!(
-                "# serve value model: policy {canonical} n={ports} B={buffer} C={speedup}{pacing}"
-            );
-            let faults = faults_from(args, 1, trace.as_slots().len() as u64)?;
-            let factory_name = canonical.clone();
-            let report = serve_trace(
-                trace.as_slots().to_vec(),
-                hz,
-                faults,
-                restart_budget,
-                telemetry,
-                flight,
-                move || {
-                    let policy = smbm_core::value_policy_by_name(&factory_name).expect("validated");
-                    smbm_core::ValueRunner::new(cfg, policy, speedup)
-                },
-            );
-            render_serve(header, "value", &report).map(|out| out + &sinks)
-        }
-        other => Err(format!("unknown --model {other:?}; use work|value")),
-    }
+    });
+    let report = builder.run(move |_| match hz {
+        Some(hz) => AnyClock::Wall(WallClock::from_hz(hz)),
+        None => AnyClock::Virtual(VirtualClock::new()),
+    });
+    render_serve(header, model.score_label, &report).map(|out| out + &sinks)
 }
 
 /// Parses a comma-separated `HOST:PORT[,HOST:PORT...]` list, resolving

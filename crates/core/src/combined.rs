@@ -18,38 +18,11 @@ use smbm_switch::{
 };
 
 use crate::index::ArgMax;
-use crate::{CombinedPolicy, Decision, Policy};
+use crate::{CombinedPolicy, Decision, Greedy, Policy};
 
 // ---------------------------------------------------------------------
 // Policies
 // ---------------------------------------------------------------------
-
-/// Greedy non-push-out baseline: accept while space remains.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GreedyCombined {
-    _priv: (),
-}
-
-impl GreedyCombined {
-    /// Creates the policy.
-    pub fn new() -> Self {
-        GreedyCombined { _priv: () }
-    }
-}
-
-impl Policy<CombinedQueue> for GreedyCombined {
-    fn name(&self) -> &str {
-        "GREEDY"
-    }
-
-    fn decide(&mut self, switch: &CombinedSwitch, _pkt: CombinedPacket) -> Decision {
-        if switch.is_full() {
-            Decision::Drop
-        } else {
-            Decision::Accept
-        }
-    }
-}
 
 /// LQD transplanted to the combined model: evict the minimal-value packet
 /// of the longest queue (virtual add; ties prefer the smaller minimum
@@ -279,7 +252,7 @@ pub const COMBINED_POLICY_NAMES: &[&str] = &["GREEDY", "LQD", "LWD", "MVD-D", "W
 /// Instantiates a combined-model policy by name (case-insensitive).
 pub fn combined_policy_by_name(name: &str) -> Option<Box<dyn CombinedPolicy>> {
     match name.to_ascii_uppercase().as_str() {
-        "GREEDY" => Some(Box::new(GreedyCombined::new())),
+        "GREEDY" => Some(Box::new(Greedy::new())),
         "LQD" => Some(Box::new(LqdCombined::new())),
         "LWD" => Some(Box::new(LwdCombined::new())),
         "MVD-D" => Some(Box::new(DensityMvd::new())),
@@ -475,15 +448,6 @@ mod tests {
             assert_eq!(combined_policy_by_name(name).unwrap().name(), *name);
         }
         assert!(combined_policy_by_name("nope").is_none());
-    }
-
-    #[test]
-    fn greedy_accepts_until_full() {
-        let c = cfg(2, 2);
-        let mut r = CombinedRunner::new(c.clone(), GreedyCombined::new(), 1);
-        assert!(r.arrival(pkt(&c, 0, 1)).unwrap().admits());
-        assert!(r.arrival(pkt(&c, 1, 1)).unwrap().admits());
-        assert_eq!(r.arrival(pkt(&c, 0, 99)).unwrap(), Decision::Drop);
     }
 
     #[test]

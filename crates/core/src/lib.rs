@@ -14,6 +14,12 @@
 //! ([`smbm_switch::QueueDiscipline::PORT_DETERMINES_PACKET`]): the work
 //! model.
 //!
+//! [`PacketModel`] names what every experiment, load generator and server
+//! needs to know about a model beyond its queue discipline: the label, the
+//! roster and registry, the OPT surrogate and the switch configuration.
+//! [`Greedy`] and [`Capped`] (the scripted OPT of the lower-bound proofs)
+//! are policies of every model.
+//!
 //! [`DatapathSystem`] is the one per-packet system trait the slot machine
 //! (`smbm-datapath`) drives, offline and live. `Runner<Q, P>` implements it
 //! once for every packet model, and the OPT surrogates and
@@ -40,7 +46,7 @@
 //!
 //! | Policy | Lower bound |
 //! |---|---|
-//! | [`GreedyValue`] | `k` |
+//! | [`Greedy`] | `k` |
 //! | [`LqdValue`] | `∛k` (Thm 9) |
 //! | [`Mvd`] | `(min{k,B}-1)/2` (Thm 10) |
 //! | [`Mrd`] | `4/3` value==port (Thm 11), `sqrt 2` unit values; conjectured `O(1)` |
@@ -71,9 +77,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod capped;
 mod combined;
 mod decision;
 mod index;
+mod model;
 mod opt {
     pub mod exact;
     pub mod single_pq;
@@ -85,11 +93,13 @@ mod system;
 mod value;
 mod work;
 
+pub use capped::{Capped, Greedy};
 pub use combined::{
-    combined_policy_by_name, CombinedPqOpt, DensityMvd, GreedyCombined, LqdCombined, LwdCombined,
-    Wvd, COMBINED_POLICY_NAMES,
+    combined_policy_by_name, CombinedPqOpt, DensityMvd, LqdCombined, LwdCombined, Wvd,
+    COMBINED_POLICY_NAMES,
 };
 pub use decision::Decision;
+pub use model::PacketModel;
 pub use opt::exact::{exact_value_opt, exact_work_opt, TooLargeError, MAX_EXACT_ARRIVALS};
 pub use opt::single_pq::{ValuePqOpt, WorkPqOpt};
 pub use ratio::CompetitiveRatio;
@@ -100,10 +110,9 @@ pub use runner::{
 pub use singleq::{FifoAdmission, SingleFifoQueue};
 pub use system::{CombinedSystem, DatapathSystem, ValueSystem, WorkSystem};
 pub use value::{
-    value_policy_by_name, CappedValue, GreedyValue, LqdValue, Mrd, MrdStrict, Mvd, NestValue,
-    NhstValue, VALUE_POLICY_NAMES,
+    value_policy_by_name, LqdValue, Mrd, MrdStrict, Mvd, NestValue, NhstValue, VALUE_POLICY_NAMES,
 };
 pub use work::{
-    harmonic, work_policy_by_name, AlphaWd, Bpd, CappedWork, GreedyWork, Lqd, Lwd, LwdTieBreak,
-    Nest, Nhdt, NhdtW, Nhst, WORK_POLICY_NAMES,
+    harmonic, work_policy_by_name, AlphaWd, Bpd, Lqd, Lwd, LwdTieBreak, Nest, Nhdt, NhdtW, Nhst,
+    WORK_POLICY_NAMES,
 };

@@ -4,7 +4,7 @@
 use std::fmt;
 
 use smbm_switch::{
-    AdmitError, CombinedQueue, PhaseReport, PortId, QueueDiscipline, Switch, Transmitted,
+    AdmitError, CombinedQueue, PhaseReport, PortId, QueueDiscipline, Switch, Transmitted, Value,
     ValueQueue, WorkQueue,
 };
 
@@ -277,7 +277,7 @@ impl<P: Policy<WorkQueue>> Runner<WorkQueue, P> {
     ///
     /// Same as [`Runner::arrival`].
     pub fn arrival_to(&mut self, port: PortId) -> Result<Decision, AdmitError> {
-        let pkt = self.switch.packet_for(port);
+        let pkt = WorkQueue::packet(self.switch.config(), port, Value::ONE);
         self.arrival(pkt)
     }
 }

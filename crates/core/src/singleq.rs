@@ -221,6 +221,10 @@ impl DatapathSystem for SingleFifoQueue {
     fn score(&self) -> u64 {
         self.counters.transmitted()
     }
+
+    fn counters(&self) -> Counters {
+        self.counters
+    }
 }
 
 #[cfg(test)]

@@ -223,7 +223,8 @@ impl<Q: QueueDiscipline, P: Policy<Q>> DatapathSystem for Runner<Q, P> {
 }
 
 /// Implements [`DatapathSystem`] for an aggregate OPT surrogate from its
-/// inherent `offer`/`transmission`/`flush`/`occupancy` and objective.
+/// inherent `offer`/`transmission`/`flush`/`occupancy`/`counters` and
+/// objective.
 macro_rules! surrogate_system {
     ($($opt:ty: $queue:ty, $label:literal, $score:ident;)*) => {$(
         impl DatapathSystem for $opt {
@@ -257,6 +258,10 @@ macro_rules! surrogate_system {
 
             fn score(&self) -> u64 {
                 self.$score()
+            }
+
+            fn counters(&self) -> Counters {
+                *<$opt>::counters(self)
             }
         }
     )*};

@@ -1,8 +1,6 @@
 //! Buffer-management policies for the heterogeneous-value model
 //! (Section IV of the paper).
 
-mod capped;
-mod greedy;
 mod lqd;
 mod mrd;
 mod mrd_strict;
@@ -10,8 +8,6 @@ mod mvd;
 mod nest;
 mod nhst;
 
-pub use capped::CappedValue;
-pub use greedy::GreedyValue;
 pub use lqd::LqdValue;
 pub use mrd::Mrd;
 pub use mrd_strict::MrdStrict;
@@ -19,7 +15,7 @@ pub use mvd::Mvd;
 pub use nest::NestValue;
 pub use nhst::NhstValue;
 
-use crate::ValuePolicy;
+use crate::{Greedy, ValuePolicy};
 
 /// Names of all bundled value-model policies, in presentation order.
 pub const VALUE_POLICY_NAMES: &[&str] =
@@ -30,7 +26,7 @@ pub const VALUE_POLICY_NAMES: &[&str] =
 /// Returns `None` for unknown names. See [`VALUE_POLICY_NAMES`].
 pub fn value_policy_by_name(name: &str) -> Option<Box<dyn ValuePolicy>> {
     match name.to_ascii_uppercase().as_str() {
-        "GREEDY" => Some(Box::new(GreedyValue::new())),
+        "GREEDY" => Some(Box::new(Greedy::new())),
         "NEST-V" | "NEST" => Some(Box::new(NestValue::new())),
         "NHST-V" | "NHST" => Some(Box::new(NhstValue::new())),
         "LQD" => Some(Box::new(LqdValue::new())),

@@ -3,7 +3,6 @@
 
 mod alpha;
 mod bpd;
-mod capped;
 mod lqd;
 mod lwd;
 mod nest;
@@ -13,7 +12,6 @@ mod nhst;
 
 pub use alpha::AlphaWd;
 pub use bpd::Bpd;
-pub use capped::{CappedWork, GreedyWork};
 pub use lqd::Lqd;
 pub use lwd::{Lwd, LwdTieBreak};
 pub use nest::Nest;
@@ -21,7 +19,7 @@ pub use nhdt::{harmonic, Nhdt};
 pub use nhdt_w::NhdtW;
 pub use nhst::Nhst;
 
-use crate::WorkPolicy;
+use crate::{Greedy, WorkPolicy};
 
 /// Names of all bundled work-model policies, in presentation order.
 pub const WORK_POLICY_NAMES: &[&str] = &["NHST", "NEST", "NHDT", "LQD", "BPD", "BPD1", "LWD"];
@@ -45,7 +43,7 @@ pub fn work_policy_by_name(name: &str) -> Option<Box<dyn WorkPolicy>> {
         "BPD1" => Some(Box::new(Bpd::sparing_singletons())),
         "LWD" => Some(Box::new(Lwd::new())),
         // Extensions beyond the paper's roster (see DESIGN.md):
-        "GREEDY" => Some(Box::new(GreedyWork::new())),
+        "GREEDY" => Some(Box::new(Greedy::new())),
         "NHDT-W" => Some(Box::new(NhdtW::new())),
         "LWD-MAXLEN" => Some(Box::new(Lwd::with_tie_break(LwdTieBreak::MaxLen))),
         "LWD-MINWORK" => Some(Box::new(Lwd::with_tie_break(LwdTieBreak::MinWork))),

@@ -340,13 +340,13 @@ impl<S: DatapathSystem> SlotMachine<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smbm_core::{GreedyWork, WorkRunner};
+    use smbm_core::{Greedy, WorkRunner};
     use smbm_obs::NullObserver;
     use smbm_switch::{PortId, Work, WorkPacket, WorkSwitchConfig};
 
-    fn machine(ports: u32, buffer: usize) -> SlotMachine<WorkRunner<GreedyWork>> {
+    fn machine(ports: u32, buffer: usize) -> SlotMachine<WorkRunner<Greedy>> {
         let cfg = WorkSwitchConfig::contiguous(ports, buffer).unwrap();
-        SlotMachine::new(WorkRunner::new(cfg, GreedyWork::new(), 1), None)
+        SlotMachine::new(WorkRunner::new(cfg, Greedy::new(), 1), None)
     }
 
     fn wp(port: usize, w: u32) -> WorkPacket {
@@ -394,7 +394,7 @@ mod tests {
     fn flush_check_fires_on_the_burst_schedule() {
         let cfg = WorkSwitchConfig::contiguous(1, 8).unwrap();
         let mut m = SlotMachine::new(
-            WorkRunner::new(cfg, GreedyWork::new(), 1),
+            WorkRunner::new(cfg, Greedy::new(), 1),
             Some(FlushPolicy::every(2).dropping()),
         );
         m.step(&[wp(0, 1); 6], &mut NullObserver, &mut NoHook)

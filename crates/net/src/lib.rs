@@ -43,5 +43,5 @@ pub use client::{run_netgen, ClientReport, NetGenConfig, NetGenError, NetGenRepo
 pub use codec::{
     decode, decode_with, encode_data, encode_fin, encode_sync, Datagram, WireError, WirePacket,
 };
-pub use serve::{run_bound_server, run_server, ServeConfig, ServeError, ServeReport};
+pub use serve::{run_bound_server, run_server, wire_check, ServeConfig, ServeError, ServeReport};
 pub use server::{Fanout, NetConfig, NetIngress};

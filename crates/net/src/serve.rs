@@ -5,14 +5,15 @@
 use std::fmt;
 use std::net::SocketAddr;
 
-use smbm_core::{value_policy_by_name, work_policy_by_name};
+use smbm_core::{PacketModel, Policy, Runner};
 use smbm_obs::{NetCounts, TelemetryConfig};
 use smbm_runtime::{
     FaultPlan, FlightConfig, IngestMode, Model, RuntimeBuilder, RuntimeConfig, RuntimeReport,
     ShardConfig, SupervisionConfig, VirtualClock,
 };
-use smbm_switch::{Counters, PortId, ValuePacket, ValueSwitchConfig, WorkPacket, WorkSwitchConfig};
+use smbm_switch::{Counters, ValueQueue, WorkQueue};
 
+use crate::codec::WirePacket;
 use crate::server::{NetConfig, NetIngress};
 
 /// Everything the network server needs to know.
@@ -262,7 +263,6 @@ pub fn run_bound_server(
     let local_addrs = ingress
         .local_addrs()
         .map_err(|e| ServeError::Io(e.to_string()))?;
-    let invalid = |e: &dyn fmt::Display| ServeError::InvalidConfig(e.to_string());
     let runtime_config = RuntimeConfig {
         ring_capacity: config.ring_capacity,
         shard: ShardConfig {
@@ -280,82 +280,66 @@ pub fn run_bound_server(
         flight: config.flight.clone(),
     };
     match config.model {
-        Model::Work => {
-            let canonical = work_policy_by_name(&config.policy)
-                .ok_or_else(|| ServeError::UnknownPolicy {
-                    model: config.model,
-                    policy: config.policy.clone(),
-                })?
-                .name()
-                .to_owned();
-            let switch_cfg = WorkSwitchConfig::contiguous(config.ports as u32, config.buffer)
-                .map_err(|e| invalid(&e))?;
-            let mut builder = RuntimeBuilder::new(runtime_config);
-            let ids: Vec<_> = (0..config.shards)
-                .map(|_| {
-                    let cfg = switch_cfg.clone();
-                    let name = canonical.clone();
-                    let speedup = config.speedup;
-                    builder.add_shard(move || {
-                        let policy = work_policy_by_name(&name).expect("validated above");
-                        smbm_core::WorkRunner::new(cfg.clone(), policy, speedup)
-                    })
-                })
-                .collect();
-            // Admission treats an unknown port or mismatched work as a
-            // programming error, so the wire check must be exactly as
-            // strict as the switch.
-            let works: Vec<u32> = (0..config.ports)
-                .map(|i| switch_cfg.work(PortId::new(i)).cycles())
-                .collect();
-            ingress.attach(&mut builder, &ids, move |p: &WorkPacket| {
-                works.get(p.port().index()).copied() == Some(p.work().cycles())
-            });
-            let runtime = builder.run(|_| VirtualClock::new());
-            Ok(ServeReport {
-                model: config.model,
-                policy: canonical,
-                local_addrs,
-                runtime,
-            })
-        }
-        Model::Value => {
-            let canonical = value_policy_by_name(&config.policy)
-                .ok_or_else(|| ServeError::UnknownPolicy {
-                    model: config.model,
-                    policy: config.policy.clone(),
-                })?
-                .name()
-                .to_owned();
-            let switch_cfg =
-                ValueSwitchConfig::new(config.buffer, config.ports).map_err(|e| invalid(&e))?;
-            let mut builder = RuntimeBuilder::new(runtime_config);
-            let ids: Vec<_> = (0..config.shards)
-                .map(|_| {
-                    let name = canonical.clone();
-                    let speedup = config.speedup;
-                    builder.add_shard(move || {
-                        let policy = value_policy_by_name(&name).expect("validated above");
-                        smbm_core::ValueRunner::new(switch_cfg, policy, speedup)
-                    })
-                })
-                .collect();
-            let ports = config.ports;
-            ingress.attach(&mut builder, &ids, move |p: &ValuePacket| {
-                p.port().index() < ports
-            });
-            let runtime = builder.run(|_| VirtualClock::new());
-            Ok(ServeReport {
-                model: config.model,
-                policy: canonical,
-                local_addrs,
-                runtime,
-            })
-        }
+        Model::Work => serve::<WorkQueue>(config, runtime_config, ingress, local_addrs),
+        Model::Value => serve::<ValueQueue>(config, runtime_config, ingress, local_addrs),
         Model::Combined => Err(ServeError::InvalidConfig(
             "the combined model has no wire format; use work or value".into(),
         )),
     }
+}
+
+/// [`run_bound_server`] in the packet model `Q`: one runner per shard behind
+/// the bound sockets.
+fn serve<Q: PacketModel>(
+    config: &ServeConfig,
+    runtime_config: RuntimeConfig,
+    ingress: NetIngress,
+    local_addrs: Vec<SocketAddr>,
+) -> Result<ServeReport, ServeError>
+where
+    Q::Packet: WirePacket,
+{
+    let canonical = Q::policy_by_name(&config.policy)
+        .ok_or_else(|| ServeError::UnknownPolicy {
+            model: config.model,
+            policy: config.policy.clone(),
+        })?
+        .name()
+        .to_owned();
+    let switch_cfg = Q::config(config.ports, config.buffer)
+        .map_err(|e| ServeError::InvalidConfig(e.to_string()))?;
+    let mut builder = RuntimeBuilder::new(runtime_config);
+    let ids: Vec<_> = (0..config.shards)
+        .map(|_| {
+            let cfg = switch_cfg.clone();
+            let name = canonical.clone();
+            let speedup = config.speedup;
+            builder.add_shard(move || {
+                let policy = Q::policy_by_name(&name).expect("validated above");
+                Runner::<Q, _>::new(cfg.clone(), policy, speedup)
+            })
+        })
+        .collect();
+    ingress.attach(&mut builder, &ids, wire_check::<Q>(switch_cfg));
+    let runtime = builder.run(|_| VirtualClock::new());
+    Ok(ServeReport {
+        model: config.model,
+        policy: canonical,
+        local_addrs,
+        runtime,
+    })
+}
+
+/// The server's wire check in the packet model `Q`: a decoded packet enters
+/// a switch with `config` only if its port exists and its labels match the
+/// port's. Admission treats anything else as a programming error, so the
+/// check is the switch's own rule. It costs O(1) per packet; the port test
+/// comes first because the label check indexes the port.
+pub fn wire_check<Q: PacketModel>(
+    config: Q::Config,
+) -> impl Fn(&Q::Packet) -> bool + Clone + Send + 'static {
+    let ports = Q::ports(&config);
+    move |&p| Q::port(p).index() < ports && Q::check_label(&config, p).is_ok()
 }
 
 #[cfg(test)]

@@ -7,11 +7,9 @@
 
 use std::fmt;
 
-use smbm_core::{
-    combined_policy_by_name, value_policy_by_name, work_policy_by_name, DatapathSystem,
-};
+use smbm_core::{DatapathSystem, PacketModel, Policy, Runner};
 use smbm_obs::{LogHistogram, TelemetryConfig};
-use smbm_switch::{FlushPolicy, ValueSwitchConfig, WorkSwitchConfig};
+use smbm_switch::{CombinedQueue, FlushPolicy, ValueQueue, WorkQueue};
 use smbm_traffic::{MmppScenario, PortMix, ValueMix};
 
 use crate::clock::{AnyClock, VirtualClock, WallClock};
@@ -424,95 +422,44 @@ fn drive<S: DatapathSystem + 'static>(
 /// nothing is spawned in that case.
 pub fn run_loadgen(config: &LoadgenConfig) -> Result<LoadgenReport, LoadgenError> {
     validate(config)?;
-    let invalid = |e: &dyn fmt::Display| LoadgenError::InvalidConfig(e.to_string());
     match config.model {
-        Model::Work => {
-            let canonical = work_policy_by_name(&config.policy)
-                .ok_or_else(|| LoadgenError::UnknownPolicy {
-                    model: config.model,
-                    policy: config.policy.clone(),
-                })?
-                .name()
-                .to_owned();
-            let switch_cfg = WorkSwitchConfig::contiguous(config.ports as u32, config.buffer)
-                .map_err(|e| invalid(&e))?;
-            let mut factories: Vec<Box<dyn Fn() -> _ + Send>> = Vec::new();
-            let mut feeds = Vec::new();
-            for shard in 0..config.shards {
-                let trace = scenario_for(config, shard)
-                    .work_trace(&switch_cfg, &PortMix::Uniform)
-                    .map_err(|e| invalid(&e))?;
-                feeds.push(trace.batches(config.batch).collect::<Vec<_>>());
-                let cfg = switch_cfg.clone();
-                let name = canonical.clone();
-                let speedup = config.speedup;
-                factories.push(Box::new(move || {
-                    let policy = work_policy_by_name(&name).expect("validated above");
-                    smbm_core::WorkRunner::new(cfg.clone(), policy, speedup)
-                }));
-            }
-            Ok(drive(config, canonical, factories, feeds))
-        }
-        Model::Value => {
-            let canonical = value_policy_by_name(&config.policy)
-                .ok_or_else(|| LoadgenError::UnknownPolicy {
-                    model: config.model,
-                    policy: config.policy.clone(),
-                })?
-                .name()
-                .to_owned();
-            let switch_cfg =
-                ValueSwitchConfig::new(config.buffer, config.ports).map_err(|e| invalid(&e))?;
-            let value_mix = ValueMix::Uniform {
-                max: config.max_value,
-            };
-            let mut factories: Vec<Box<dyn Fn() -> _ + Send>> = Vec::new();
-            let mut feeds = Vec::new();
-            for shard in 0..config.shards {
-                let trace = scenario_for(config, shard)
-                    .value_trace(config.ports, &PortMix::Uniform, &value_mix)
-                    .map_err(|e| invalid(&e))?;
-                feeds.push(trace.batches(config.batch).collect::<Vec<_>>());
-                let name = canonical.clone();
-                let speedup = config.speedup;
-                factories.push(Box::new(move || {
-                    let policy = value_policy_by_name(&name).expect("validated above");
-                    smbm_core::ValueRunner::new(switch_cfg, policy, speedup)
-                }));
-            }
-            Ok(drive(config, canonical, factories, feeds))
-        }
-        Model::Combined => {
-            let canonical = combined_policy_by_name(&config.policy)
-                .ok_or_else(|| LoadgenError::UnknownPolicy {
-                    model: config.model,
-                    policy: config.policy.clone(),
-                })?
-                .name()
-                .to_owned();
-            let switch_cfg = WorkSwitchConfig::contiguous(config.ports as u32, config.buffer)
-                .map_err(|e| invalid(&e))?;
-            let value_mix = ValueMix::Uniform {
-                max: config.max_value,
-            };
-            let mut factories: Vec<Box<dyn Fn() -> _ + Send>> = Vec::new();
-            let mut feeds = Vec::new();
-            for shard in 0..config.shards {
-                let trace = scenario_for(config, shard)
-                    .combined_trace(&switch_cfg, &PortMix::Uniform, &value_mix)
-                    .map_err(|e| invalid(&e))?;
-                feeds.push(trace.batches(config.batch).collect::<Vec<_>>());
-                let cfg = switch_cfg.clone();
-                let name = canonical.clone();
-                let speedup = config.speedup;
-                factories.push(Box::new(move || {
-                    let policy = combined_policy_by_name(&name).expect("validated above");
-                    smbm_core::CombinedRunner::new(cfg.clone(), policy, speedup)
-                }));
-            }
-            Ok(drive(config, canonical, factories, feeds))
-        }
+        Model::Work => loadgen::<WorkQueue>(config),
+        Model::Value => loadgen::<ValueQueue>(config),
+        Model::Combined => loadgen::<CombinedQueue>(config),
     }
+}
+
+/// [`run_loadgen`] in the packet model `Q`: one runner per shard, each fed
+/// its own MMPP trace.
+fn loadgen<Q: PacketModel>(config: &LoadgenConfig) -> Result<LoadgenReport, LoadgenError> {
+    let invalid = |e: &dyn fmt::Display| LoadgenError::InvalidConfig(e.to_string());
+    let canonical = Q::policy_by_name(&config.policy)
+        .ok_or_else(|| LoadgenError::UnknownPolicy {
+            model: config.model,
+            policy: config.policy.clone(),
+        })?
+        .name()
+        .to_owned();
+    let switch_cfg = Q::config(config.ports, config.buffer).map_err(|e| invalid(&e))?;
+    let value_mix = ValueMix::Uniform {
+        max: config.max_value,
+    };
+    let mut factories: Vec<Box<dyn Fn() -> _ + Send>> = Vec::new();
+    let mut feeds = Vec::new();
+    for shard in 0..config.shards {
+        let trace = scenario_for(config, shard)
+            .trace::<Q>(&switch_cfg, &PortMix::Uniform, &value_mix)
+            .map_err(|e| invalid(&e))?;
+        feeds.push(trace.batches(config.batch).collect::<Vec<_>>());
+        let cfg = switch_cfg.clone();
+        let name = canonical.clone();
+        let speedup = config.speedup;
+        factories.push(Box::new(move || {
+            let policy = Q::policy_by_name(&name).expect("validated above");
+            Runner::<Q, _>::new(cfg.clone(), policy, speedup)
+        }));
+    }
+    Ok(drive(config, canonical, factories, feeds))
 }
 
 #[cfg(test)]

@@ -117,7 +117,7 @@ pub fn run_observed<S: DatapathSystem, O: Observer>(
 mod tests {
     use super::*;
     use crate::FlushMode;
-    use smbm_core::{GreedyValue, GreedyWork, ValueRunner, WorkRunner};
+    use smbm_core::{Greedy, ValueRunner, WorkRunner};
     use smbm_switch::{
         PortId, Value, ValuePacket, ValueSwitchConfig, Work, WorkPacket, WorkSwitchConfig,
     };
@@ -133,7 +133,7 @@ mod tests {
     #[test]
     fn work_run_counts_transmissions() {
         let cfg = WorkSwitchConfig::contiguous(2, 4).unwrap();
-        let mut sys = WorkRunner::new(cfg, GreedyWork::new(), 1);
+        let mut sys = WorkRunner::new(cfg, Greedy::new(), 1);
         let mut trace = Trace::new();
         trace.push_slot(vec![wp(0, 1), wp(1, 2)]);
         trace.push_silence(2);
@@ -145,14 +145,14 @@ mod tests {
     #[test]
     fn final_drain_counts_resident_packets() {
         let cfg = WorkSwitchConfig::contiguous(1, 8).unwrap();
-        let mut sys = WorkRunner::new(cfg, GreedyWork::new(), 1);
+        let mut sys = WorkRunner::new(cfg, Greedy::new(), 1);
         let mut trace = Trace::new();
         trace.push_slot(vec![wp(0, 1); 5]);
         let horizon = run(&mut sys, &trace, &EngineConfig::horizon_only()).unwrap();
         assert_eq!(horizon.score, 1);
 
         let cfg = WorkSwitchConfig::contiguous(1, 8).unwrap();
-        let mut sys = WorkRunner::new(cfg, GreedyWork::new(), 1);
+        let mut sys = WorkRunner::new(cfg, Greedy::new(), 1);
         let drained = run(&mut sys, &trace, &EngineConfig::draining()).unwrap();
         assert_eq!(drained.score, 5);
         assert_eq!(drained.slots, 5); // 1 trace slot + 4 drain slots
@@ -161,7 +161,7 @@ mod tests {
     #[test]
     fn flush_drop_discards_backlog() {
         let cfg = WorkSwitchConfig::contiguous(1, 8).unwrap();
-        let mut sys = WorkRunner::new(cfg, GreedyWork::new(), 1);
+        let mut sys = WorkRunner::new(cfg, Greedy::new(), 1);
         let mut trace = Trace::new();
         trace.push_slot(vec![wp(0, 1); 6]);
         trace.push_silence(3); // slots 1..3
@@ -182,7 +182,7 @@ mod tests {
     #[test]
     fn flush_drain_pauses_arrivals() {
         let cfg = WorkSwitchConfig::contiguous(1, 8).unwrap();
-        let mut sys = WorkRunner::new(cfg, GreedyWork::new(), 1);
+        let mut sys = WorkRunner::new(cfg, Greedy::new(), 1);
         let mut trace = Trace::new();
         trace.push_slot(vec![wp(0, 1); 6]);
         trace.push_silence(3);
@@ -203,7 +203,7 @@ mod tests {
     #[test]
     fn occupancy_statistics_are_tracked() {
         let cfg = WorkSwitchConfig::contiguous(1, 8).unwrap();
-        let mut sys = WorkRunner::new(cfg, GreedyWork::new(), 1);
+        let mut sys = WorkRunner::new(cfg, Greedy::new(), 1);
         let mut trace = Trace::new();
         trace.push_slot(vec![wp(0, 1); 5]); // slot 0 ends with 4 resident
         trace.push_silence(2); // 3, 2 resident
@@ -220,7 +220,7 @@ mod tests {
     #[test]
     fn value_run_scores_value() {
         let cfg = ValueSwitchConfig::new(4, 2).unwrap();
-        let mut sys = ValueRunner::new(cfg, GreedyValue::new(), 1);
+        let mut sys = ValueRunner::new(cfg, Greedy::new(), 1);
         let mut trace = Trace::new();
         trace.push_slot(vec![vp(0, 5), vp(1, 3), vp(0, 2)]);
         let s = run(&mut sys, &trace, &EngineConfig::draining()).unwrap();
@@ -229,10 +229,10 @@ mod tests {
 
     #[test]
     fn combined_run_scores_value() {
-        use smbm_core::{CombinedRunner, GreedyCombined};
+        use smbm_core::{CombinedRunner, Greedy};
         use smbm_switch::{CombinedPacket, Value, WorkSwitchConfig};
         let cfg = WorkSwitchConfig::contiguous(2, 4).unwrap();
-        let mut sys = CombinedRunner::new(cfg.clone(), GreedyCombined::new(), 1);
+        let mut sys = CombinedRunner::new(cfg.clone(), Greedy::new(), 1);
         let mut trace = Trace::new();
         trace.push_slot(vec![
             CombinedPacket::new(PortId::new(0), cfg.work(PortId::new(0)), Value::new(5)),
@@ -257,7 +257,7 @@ mod tests {
 
         let mk = || {
             let cfg = WorkSwitchConfig::contiguous(1, 2).unwrap();
-            WorkRunner::new(cfg, GreedyWork::new(), 1)
+            WorkRunner::new(cfg, Greedy::new(), 1)
         };
         let mut trace = Trace::new();
         trace.push_slot(vec![wp(0, 1); 4]); // 2 admitted, 2 dropped
@@ -290,7 +290,7 @@ mod tests {
         use smbm_obs::{Event, RingEventLog};
 
         let cfg = WorkSwitchConfig::contiguous(1, 8).unwrap();
-        let mut sys = WorkRunner::new(cfg, GreedyWork::new(), 1);
+        let mut sys = WorkRunner::new(cfg, Greedy::new(), 1);
         let mut trace = Trace::new();
         trace.push_slot(vec![wp(0, 1); 3]);
         let mut log = RingEventLog::new(64);

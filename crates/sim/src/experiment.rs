@@ -3,21 +3,14 @@
 
 use std::sync::Mutex;
 
-use smbm_core::{
-    combined_policy_by_name, value_policy_by_name, work_policy_by_name, CappedValue, CappedWork,
-    CombinedPqOpt, CombinedRunner, CompetitiveRatio, ValuePqOpt, ValueRunner, WorkPqOpt,
-    WorkRunner,
-};
-use smbm_switch::{
-    AdmitError, CombinedPacket, Counters, ValuePacket, ValueSwitchConfig, WorkPacket,
-    WorkSwitchConfig,
-};
-use smbm_traffic::adversarial::{ValueConstruction, WorkConstruction};
+use smbm_core::{Capped, CompetitiveRatio, DatapathSystem, PacketModel, Runner};
+use smbm_switch::{AdmitError, CombinedQueue, Counters, ValueQueue, WorkQueue};
+use smbm_traffic::adversarial::Construction;
 use smbm_traffic::Trace;
 
 use smbm_obs::{NullObserver, Observer};
 
-use crate::engine::{run, run_observed, EngineConfig, RunSummary};
+use crate::engine::{run, run_observed, EngineConfig};
 use crate::sweep::{available_parallelism, par_map};
 
 /// One policy's outcome on a trace.
@@ -77,13 +70,14 @@ impl From<AdmitError> for ExperimentError {
     }
 }
 
-/// A work-model experiment: a switch configuration, a speedup, and a roster
-/// of policies compared against the paper's single-PQ OPT surrogate with
-/// `ports * speedup` cores.
+/// An experiment in the packet model `Q`: a switch configuration, a
+/// speedup, and a roster of policies compared against the model's OPT
+/// surrogate ([`PacketModel::opt`]) with `ports * speedup` cores, the
+/// paper's yardstick (§V).
 #[derive(Debug, Clone)]
-pub struct WorkExperiment {
+pub struct Experiment<Q: PacketModel> {
     /// Switch configuration shared by every contender.
-    pub config: WorkSwitchConfig,
+    pub config: Q::Config,
     /// Cores per queue (`C` in Fig. 5).
     pub speedup: u32,
     /// Policy roster (registry keys).
@@ -92,16 +86,24 @@ pub struct WorkExperiment {
     pub engine: EngineConfig,
 }
 
-impl WorkExperiment {
-    /// Creates an experiment with the paper's full work-model roster.
-    pub fn full_roster(config: WorkSwitchConfig, speedup: u32) -> Self {
-        WorkExperiment {
+/// A work-model experiment.
+pub type WorkExperiment = Experiment<WorkQueue>;
+
+/// A value-model experiment.
+pub type ValueExperiment = Experiment<ValueQueue>;
+
+/// A combined-model experiment (extension): roster versus the density-greedy
+/// OPT surrogate.
+pub type CombinedExperiment = Experiment<CombinedQueue>;
+
+impl<Q: PacketModel> Experiment<Q> {
+    /// Creates an experiment with the model's full paper roster
+    /// ([`PacketModel::POLICY_NAMES`]).
+    pub fn full_roster(config: Q::Config, speedup: u32) -> Self {
+        Experiment {
             config,
             speedup,
-            policies: smbm_core::WORK_POLICY_NAMES
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
+            policies: Q::POLICY_NAMES.iter().map(|s| s.to_string()).collect(),
             engine: EngineConfig::draining(),
         }
     }
@@ -122,12 +124,12 @@ impl WorkExperiment {
     /// Returns [`ExperimentError`] for unknown roster entries (checked
     /// before any entry runs) or invalid policy decisions (the first in
     /// roster order, OPT first).
-    pub fn run(&self, trace: &Trace<WorkPacket>) -> Result<ExperimentReport, ExperimentError> {
+    pub fn run(&self, trace: &Trace<Q::Packet>) -> Result<ExperimentReport, ExperimentError> {
         let mut nulls = vec![NullObserver; self.policies.len()];
         self.run_observed(trace, &mut nulls)
     }
 
-    /// Like [`WorkExperiment::run`], attaching `observers[i]` to the run of
+    /// Like [`Experiment::run`], attaching `observers[i]` to the run of
     /// `policies[i]` (the OPT surrogate is never instrumented — it is the
     /// yardstick, not the subject). Observation does not change scores.
     ///
@@ -141,243 +143,70 @@ impl WorkExperiment {
     /// policy decisions.
     pub fn run_observed<O: Observer + Send>(
         &self,
-        trace: &Trace<WorkPacket>,
+        trace: &Trace<Q::Packet>,
         observers: &mut [O],
     ) -> Result<ExperimentReport, ExperimentError> {
-        let cores = self.config.ports() as u32 * self.speedup;
-        run_roster(
-            &self.policies,
-            observers,
-            work_policy_by_name,
-            || {
-                run(
-                    &mut WorkPqOpt::new(self.config.buffer(), cores),
-                    trace,
-                    &self.engine,
-                )
-            },
-            |policy, obs| {
-                let mut runner = WorkRunner::new(self.config.clone(), policy, self.speedup);
-                let score = run_observed(&mut runner, trace, &self.engine, obs)?.score;
-                Ok((score, *runner.switch().counters()))
-            },
-        )
-    }
-}
-
-/// A value-model experiment, mirroring [`WorkExperiment`].
-#[derive(Debug, Clone)]
-pub struct ValueExperiment {
-    /// Switch configuration shared by every contender.
-    pub config: ValueSwitchConfig,
-    /// Packets each port transmits per slot (`C` in Fig. 5).
-    pub speedup: u32,
-    /// Policy roster (registry keys).
-    pub policies: Vec<String>,
-    /// Engine settings (flushouts, final drain).
-    pub engine: EngineConfig,
-}
-
-impl ValueExperiment {
-    /// Creates an experiment with the paper's full value-model roster.
-    pub fn full_roster(config: ValueSwitchConfig, speedup: u32) -> Self {
-        ValueExperiment {
-            config,
-            speedup,
-            policies: smbm_core::VALUE_POLICY_NAMES
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            engine: EngineConfig::draining(),
-        }
-    }
-
-    /// Runs every policy and the OPT surrogate over `trace`, in parallel
-    /// on the roster pool; see [`WorkExperiment::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExperimentError`] for unknown roster entries or invalid
-    /// policy decisions.
-    pub fn run(&self, trace: &Trace<ValuePacket>) -> Result<ExperimentReport, ExperimentError> {
-        let mut nulls = vec![NullObserver; self.policies.len()];
-        self.run_observed(trace, &mut nulls)
-    }
-
-    /// Like [`ValueExperiment::run`], attaching `observers[i]` to the run of
-    /// `policies[i]`; see [`WorkExperiment::run_observed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `observers` and the roster differ in length.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExperimentError`] for unknown roster entries or invalid
-    /// policy decisions.
-    pub fn run_observed<O: Observer + Send>(
-        &self,
-        trace: &Trace<ValuePacket>,
-        observers: &mut [O],
-    ) -> Result<ExperimentReport, ExperimentError> {
-        let cores = self.config.ports() as u32 * self.speedup;
-        run_roster(
-            &self.policies,
-            observers,
-            value_policy_by_name,
-            || {
-                run(
-                    &mut ValuePqOpt::new(self.config.buffer(), cores),
-                    trace,
-                    &self.engine,
-                )
-            },
-            |policy, obs| {
-                let mut runner = ValueRunner::new(self.config, policy, self.speedup);
-                let score = run_observed(&mut runner, trace, &self.engine, obs)?.score;
-                Ok((score, *runner.switch().counters()))
-            },
-        )
-    }
-}
-
-/// A combined-model experiment (extension), mirroring [`WorkExperiment`]:
-/// roster versus the density-greedy OPT surrogate.
-#[derive(Debug, Clone)]
-pub struct CombinedExperiment {
-    /// Switch configuration (buffer + per-port works) shared by every
-    /// contender.
-    pub config: WorkSwitchConfig,
-    /// Cores per queue.
-    pub speedup: u32,
-    /// Policy roster (combined registry keys).
-    pub policies: Vec<String>,
-    /// Engine settings.
-    pub engine: EngineConfig,
-}
-
-impl CombinedExperiment {
-    /// Creates an experiment with the full combined-model roster.
-    pub fn full_roster(config: WorkSwitchConfig, speedup: u32) -> Self {
-        CombinedExperiment {
-            config,
-            speedup,
-            policies: smbm_core::COMBINED_POLICY_NAMES
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            engine: EngineConfig::draining(),
-        }
-    }
-
-    /// Runs every policy and the density OPT surrogate over `trace`, in
-    /// parallel on the roster pool; see [`WorkExperiment::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExperimentError`] for unknown roster entries or invalid
-    /// policy decisions.
-    pub fn run(&self, trace: &Trace<CombinedPacket>) -> Result<ExperimentReport, ExperimentError> {
-        let mut nulls = vec![NullObserver; self.policies.len()];
-        self.run_observed(trace, &mut nulls)
-    }
-
-    /// Like [`CombinedExperiment::run`], attaching `observers[i]` to the run
-    /// of `policies[i]`; see [`WorkExperiment::run_observed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `observers` and the roster differ in length.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExperimentError`] for unknown roster entries or invalid
-    /// policy decisions.
-    pub fn run_observed<O: Observer + Send>(
-        &self,
-        trace: &Trace<CombinedPacket>,
-        observers: &mut [O],
-    ) -> Result<ExperimentReport, ExperimentError> {
-        let cores = self.config.ports() as u32 * self.speedup;
-        run_roster(
-            &self.policies,
-            observers,
-            combined_policy_by_name,
-            || {
-                let mut opt = CombinedPqOpt::new(self.config.buffer(), cores);
-                run(&mut opt, trace, &self.engine)
-            },
-            |policy, obs| {
-                let mut runner = CombinedRunner::new(self.config.clone(), policy, self.speedup);
-                let score = run_observed(&mut runner, trace, &self.engine, obs)?.score;
-                Ok((score, *runner.switch().counters()))
-            },
-        )
-    }
-}
-
-/// Runs one experiment's roster: the OPT surrogate (`opt`) as entry 0 and
-/// `entry(policy, observer)` for every policy in `names`, as independent
-/// tasks on the scoped pool (see [`par_map`]), sized by the machine's
-/// available parallelism. Every name is resolved before any entry runs;
-/// results are collected in roster order, so the report is the serial one.
-fn run_roster<P, O, Opt, Entry>(
-    names: &[String],
-    observers: &mut [O],
-    resolve: fn(&str) -> Option<P>,
-    opt: Opt,
-    entry: Entry,
-) -> Result<ExperimentReport, ExperimentError>
-where
-    P: Send,
-    O: Observer + Send,
-    Opt: Fn() -> Result<RunSummary, AdmitError> + Sync,
-    Entry: Fn(P, &mut O) -> Result<(u64, Counters), AdmitError> + Sync,
-{
-    assert_eq!(
-        observers.len(),
-        names.len(),
-        "one observer per roster policy"
-    );
-    // Each task takes its policy and observer out of its own slot; the
-    // locks are never contended.
-    let tasks = names
-        .iter()
-        .zip(observers.iter_mut())
-        .map(|(name, obs)| {
-            let policy =
-                resolve(name).ok_or_else(|| ExperimentError::UnknownPolicy(name.clone()))?;
-            Ok(Mutex::new(Some((policy, obs))))
-        })
-        .collect::<Result<Vec<_>, ExperimentError>>()?;
-    let mut results = par_map(names.len() + 1, available_parallelism(), |i| match i {
-        0 => opt().map(|summary| (summary.score, Counters::new())),
-        _ => {
+        let names = &self.policies;
+        assert_eq!(
+            observers.len(),
+            names.len(),
+            "one observer per roster policy"
+        );
+        // Each task takes its policy and observer out of its own slot; the
+        // locks are never contended.
+        let tasks = names
+            .iter()
+            .zip(observers.iter_mut())
+            .map(|(name, obs)| {
+                let policy = Q::policy_by_name(name)
+                    .ok_or_else(|| ExperimentError::UnknownPolicy(name.clone()))?;
+                Ok(Mutex::new(Some((policy, obs))))
+            })
+            .collect::<Result<Vec<_>, ExperimentError>>()?;
+        let cores = Q::ports(&self.config) as u32 * self.speedup;
+        // Entry 0 is the OPT surrogate; entry `i` runs `names[i - 1]`.
+        let mut results = par_map(names.len() + 1, available_parallelism(), |i| {
+            if i == 0 {
+                let mut opt = Q::opt(Q::buffer(&self.config), cores);
+                return tally(&mut opt, trace, &self.engine, &mut NullObserver);
+            }
             let (policy, obs) = tasks[i - 1]
                 .lock()
                 .expect("no panics hold the lock")
                 .take()
                 .expect("each entry runs once");
-            entry(policy, obs)
-        }
-    })
-    .into_iter();
-    let (opt_score, _) = results.next().expect("the OPT entry ran")?;
-    let rows = names
-        .iter()
-        .zip(results)
-        .map(|(name, result)| {
-            let (score, counters) = result?;
-            Ok(PolicyRow {
-                policy: name.clone(),
-                score,
-                ratio: CompetitiveRatio::new(opt_score, score).ratio(),
-                mean_latency: counters.mean_latency(),
-                goodput: counters.goodput(),
-            })
+            let mut runner = Runner::new(self.config.clone(), policy, self.speedup);
+            tally(&mut runner, trace, &self.engine, obs)
         })
-        .collect::<Result<_, ExperimentError>>()?;
-    Ok(ExperimentReport { opt_score, rows })
+        .into_iter();
+        let (opt_score, _) = results.next().expect("the OPT entry ran")?;
+        let rows = names
+            .iter()
+            .zip(results)
+            .map(|(name, result)| {
+                let (score, counters) = result?;
+                Ok(PolicyRow {
+                    policy: name.clone(),
+                    score,
+                    ratio: CompetitiveRatio::new(opt_score, score).ratio(),
+                    mean_latency: counters.mean_latency(),
+                    goodput: counters.goodput(),
+                })
+            })
+            .collect::<Result<_, ExperimentError>>()?;
+        Ok(ExperimentReport { opt_score, rows })
+    }
+}
+
+/// Runs one roster entry over `trace`: its score and the counters it kept.
+fn tally<S: DatapathSystem, O: Observer>(
+    sys: &mut S,
+    trace: &Trace<S::Packet>,
+    engine: &EngineConfig,
+    obs: &mut O,
+) -> Result<(u64, Counters), AdmitError> {
+    let score = run_observed(&mut *sys, trace, engine, obs)?.score;
+    Ok((score, sys.counters()))
 }
 
 /// Outcome of replaying a theorem's adversarial construction.
@@ -400,49 +229,24 @@ impl ConstructionReport {
     }
 }
 
-/// Replays a work-model lower-bound construction: the target policy versus
-/// the proof's scripted OPT (per-queue caps), over the same trace, counting
-/// only in-horizon transmissions (no final drain — the constructions are
-/// built to leave the policy clogged).
+/// Replays a lower-bound construction: the target policy versus the
+/// proof's scripted OPT ([`Capped`] at the per-queue caps), over the same
+/// trace, counting only in-horizon transmissions (no final drain — the
+/// constructions are built to leave the policy clogged).
 ///
 /// # Errors
 ///
 /// Returns [`ExperimentError`] for unknown target policies or invalid
 /// decisions.
-pub fn measure_work_construction(
-    c: &WorkConstruction,
+pub fn measure_construction<Q: PacketModel>(
+    c: &Construction<Q>,
 ) -> Result<ConstructionReport, ExperimentError> {
     let engine = EngineConfig::horizon_only();
-    let policy = work_policy_by_name(c.target_policy)
+    let policy = Q::policy_by_name(c.target_policy)
         .ok_or_else(|| ExperimentError::UnknownPolicy(c.target_policy.to_string()))?;
-    let mut alg = WorkRunner::new(c.config.clone(), policy, 1);
+    let mut alg = Runner::new(c.config.clone(), policy, 1);
     let alg_score = run(&mut alg, &c.trace, &engine)?.score;
-    let mut opt = WorkRunner::new(c.config.clone(), CappedWork::new(c.opt_caps.clone()), 1);
-    let opt_score = run(&mut opt, &c.trace, &engine)?.score;
-    Ok(ConstructionReport {
-        name: c.name.clone(),
-        policy: c.target_policy.to_string(),
-        measured: CompetitiveRatio::new(opt_score, alg_score),
-        predicted: c.predicted_ratio,
-    })
-}
-
-/// Replays a value-model lower-bound construction; see
-/// [`measure_work_construction`].
-///
-/// # Errors
-///
-/// Returns [`ExperimentError`] for unknown target policies or invalid
-/// decisions.
-pub fn measure_value_construction(
-    c: &ValueConstruction,
-) -> Result<ConstructionReport, ExperimentError> {
-    let engine = EngineConfig::horizon_only();
-    let policy = value_policy_by_name(c.target_policy)
-        .ok_or_else(|| ExperimentError::UnknownPolicy(c.target_policy.to_string()))?;
-    let mut alg = ValueRunner::new(c.config, policy, 1);
-    let alg_score = run(&mut alg, &c.trace, &engine)?.score;
-    let mut opt = ValueRunner::new(c.config, CappedValue::new(c.opt_caps.clone()), 1);
+    let mut opt = Runner::<Q, _>::new(c.config.clone(), Capped::new(c.opt_caps.clone()), 1);
     let opt_score = run(&mut opt, &c.trace, &engine)?.score;
     Ok(ConstructionReport {
         name: c.name.clone(),
@@ -456,7 +260,9 @@ pub fn measure_value_construction(
 mod tests {
     use super::*;
     use smbm_obs::HistogramRecorder;
-    use smbm_switch::{PortId, Work};
+    use smbm_switch::{
+        CombinedPacket, PortId, ValuePacket, ValueSwitchConfig, Work, WorkPacket, WorkSwitchConfig,
+    };
     use smbm_traffic::{MmppScenario, PortMix, ValueMix};
 
     #[test]
@@ -622,7 +428,7 @@ mod tests {
     #[test]
     fn construction_measurement_runs() {
         let c = smbm_traffic::adversarial::bpd_lower_bound(4, 16, 200);
-        let r = measure_work_construction(&c).unwrap();
+        let r = measure_construction(&c).unwrap();
         assert!(r.ratio() > 1.0, "BPD should lose: {}", r.ratio());
         assert!(r.predicted > 1.0);
         assert_eq!(r.policy, "BPD");
@@ -631,7 +437,7 @@ mod tests {
     #[test]
     fn value_construction_measurement_runs() {
         let c = smbm_traffic::adversarial::mvd_lower_bound(4, 16, 200);
-        let r = measure_value_construction(&c).unwrap();
+        let r = measure_construction(&c).unwrap();
         assert!(r.ratio() > 1.0, "MVD should lose: {}", r.ratio());
     }
 }

@@ -6,12 +6,12 @@
 //! * [`run`] / [`run_observed`] — the two-phase slot loop over a trace,
 //!   for any `DatapathSystem` of any packet model, with the paper's
 //!   periodic flushouts ([`FlushPolicy`]) and optional final drain;
-//! * [`WorkExperiment`] / [`ValueExperiment`] — a policy roster compared
-//!   against the paper's single-PQ OPT surrogate on one trace, the entries
-//!   run in parallel on the pool that sweeps use;
-//! * [`measure_work_construction`] / [`measure_value_construction`] —
-//!   replay a theorem's adversarial trace: target policy vs. the proof's
-//!   scripted OPT;
+//! * [`Experiment<Q>`](Experiment) — a policy roster compared against the
+//!   OPT surrogate of the packet model `Q` on one trace, the entries run in
+//!   parallel on the pool that sweeps use ([`WorkExperiment`],
+//!   [`ValueExperiment`] and [`CombinedExperiment`] name the three models);
+//! * [`measure_construction`] — replay a theorem's adversarial trace:
+//!   target policy vs. the proof's scripted OPT;
 //! * [`sweep`] — parallel parameter sweeps, and [`series_to_csv`] to render
 //!   the Fig. 5 panels.
 //!
@@ -19,12 +19,12 @@
 //!
 //! ```
 //! use smbm_sim::{run, EngineConfig};
-//! use smbm_core::{GreedyWork, WorkRunner};
+//! use smbm_core::{Greedy, WorkRunner};
 //! use smbm_switch::{PortId, Work, WorkPacket, WorkSwitchConfig};
 //! use smbm_traffic::Trace;
 //!
 //! let cfg = WorkSwitchConfig::contiguous(2, 4)?;
-//! let mut sys = WorkRunner::new(cfg, GreedyWork::new(), 1);
+//! let mut sys = WorkRunner::new(cfg, Greedy::new(), 1);
 //! let mut trace = Trace::new();
 //! trace.push_slot(vec![WorkPacket::new(PortId::new(0), Work::new(1))]);
 //! let summary = run(&mut sys, &trace, &EngineConfig::draining())?;
@@ -47,8 +47,8 @@ pub use engine::{run, run_observed, EngineConfig, RunSummary};
 // (`perfbench/`) imports them; in-tree code calls `run`.
 pub use engine::{run as run_work, run as run_value, run as run_combined};
 pub use experiment::{
-    measure_value_construction, measure_work_construction, CombinedExperiment, ConstructionReport,
-    ExperimentError, ExperimentReport, PolicyRow, ValueExperiment, WorkExperiment,
+    measure_construction, CombinedExperiment, ConstructionReport, Experiment, ExperimentError,
+    ExperimentReport, PolicyRow, ValueExperiment, WorkExperiment,
 };
 pub use fairness::{jain_index, max_port_share};
 pub use flush::{FlushMode, FlushPolicy};

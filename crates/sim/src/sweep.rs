@@ -120,7 +120,7 @@ where
 /// clamped to at least one thread and at most one per sweep point.
 ///
 /// Points run on the same scoped pool that experiment rosters use (see
-/// [`WorkExperiment::run`](crate::WorkExperiment::run)). An experiment run
+/// [`Experiment::run`](crate::Experiment::run)). An experiment run
 /// inside `measure` sees it is already on a pool worker and runs its roster
 /// inline, so `jobs` caps the total number of worker threads, nested rosters
 /// included. A sweep started from inside a pool worker runs inline too.

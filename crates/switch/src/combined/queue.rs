@@ -164,6 +164,14 @@ impl QueueDiscipline for CombinedQueue {
         config.buffer()
     }
 
+    fn ports(config: &WorkSwitchConfig) -> usize {
+        config.ports()
+    }
+
+    fn packet(config: &WorkSwitchConfig, port: PortId, value: Value) -> CombinedPacket {
+        CombinedPacket::new(port, config.work(port), value)
+    }
+
     #[inline]
     fn port(pkt: CombinedPacket) -> PortId {
         pkt.port()

@@ -7,7 +7,7 @@ use std::fmt;
 use crate::slab::BufferCore;
 use crate::{
     AdmitError, CombinedQueue, ConservationError, Counters, DirtyPorts, PortId, Slot, Transmitted,
-    Value, ValueQueue, Work, WorkPacket, WorkQueue,
+    Value, ValueQueue, Work, WorkQueue,
 };
 
 /// The per-port queue discipline of a [`Switch`]: the only decisions in which
@@ -35,6 +35,18 @@ pub trait QueueDiscipline: Clone + fmt::Debug {
 
     /// The shared buffer capacity `B` of `config`.
     fn buffer(config: &Self::Config) -> usize;
+
+    /// The number of output ports of `config`.
+    fn ports(config: &Self::Config) -> usize;
+
+    /// The valid packet to `port` worth `value`: its work label is the
+    /// port's requirement in `config`. The work model, where every packet
+    /// is worth 1, ignores `value`.
+    ///
+    /// # Panics
+    ///
+    /// May panic if `port` is not a port of `config`.
+    fn packet(config: &Self::Config, port: PortId, value: Value) -> Self::Packet;
 
     /// Destination port of `pkt`.
     fn port(pkt: Self::Packet) -> PortId;
@@ -515,12 +527,6 @@ impl<Q: QueueDiscipline> Switch<Q> {
 }
 
 impl Switch<WorkQueue> {
-    /// Convenience for building the packet that port `port` accepts in this
-    /// switch (its work label is dictated by the configuration).
-    pub fn packet_for(&self, port: PortId) -> WorkPacket {
-        WorkPacket::new(port, self.config.work(port))
-    }
-
     /// Total residual work summed over all queues.
     pub fn total_work(&self) -> u64 {
         self.queues.iter().map(WorkQueue::total_work).sum()
@@ -547,7 +553,9 @@ impl Switch<CombinedQueue> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CombinedPacket, ValuePacket, ValueSwitchConfig, Work, WorkSwitchConfig};
+    use crate::{
+        CombinedPacket, ValuePacket, ValueSwitchConfig, Work, WorkPacket, WorkSwitchConfig,
+    };
 
     /// One model under the contract suite: how to build its switch and a
     /// packet for any port (valid labels, even for unknown ports).
@@ -844,7 +852,10 @@ mod tests {
         ));
         // A failed validation must not perturb counters.
         assert_eq!(sw.counters().arrived(), 0);
-        assert_eq!(sw.packet_for(PortId::new(2)), wpkt(2));
+        assert_eq!(
+            WorkQueue::packet(sw.config(), PortId::new(2), Value::ONE),
+            wpkt(2)
+        );
     }
 
     #[test]

@@ -145,6 +145,14 @@ impl QueueDiscipline for ValueQueue {
         config.buffer()
     }
 
+    fn ports(config: &ValueSwitchConfig) -> usize {
+        config.ports()
+    }
+
+    fn packet(_: &ValueSwitchConfig, port: PortId, value: Value) -> ValuePacket {
+        ValuePacket::new(port, value)
+    }
+
     #[inline]
     fn port(pkt: ValuePacket) -> PortId {
         pkt.port()

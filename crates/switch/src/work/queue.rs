@@ -111,6 +111,14 @@ impl QueueDiscipline for WorkQueue {
         config.buffer()
     }
 
+    fn ports(config: &WorkSwitchConfig) -> usize {
+        config.ports()
+    }
+
+    fn packet(config: &WorkSwitchConfig, port: PortId, _: Value) -> WorkPacket {
+        WorkPacket::new(port, config.work(port))
+    }
+
     #[inline]
     fn port(pkt: WorkPacket) -> PortId {
         pkt.port()

@@ -3,9 +3,9 @@
 //! Each theorem's proof builds an explicit arrival sequence together with a
 //! description of what OPT admits on it. We reify both: the arrival sequence
 //! as a [`Trace`], and the proof's OPT as a vector of static per-queue
-//! admission caps (executable via `smbm_core::CappedWork` /
-//! `smbm_core::CappedValue`). Running the target policy and the scripted OPT
-//! on the same trace reproduces each theorem's bound empirically.
+//! admission caps (executable via `smbm_core::Capped`). Running the target
+//! policy and the scripted OPT on the same trace reproduces each theorem's
+//! bound empirically.
 
 mod value;
 mod work;
@@ -18,21 +18,21 @@ pub use work::{
     nhst_lower_bound,
 };
 
-use smbm_switch::{ValuePacket, ValueSwitchConfig, WorkPacket, WorkSwitchConfig};
+use smbm_switch::{QueueDiscipline, ValueQueue, WorkQueue};
 
 use crate::Trace;
 
-/// A packaged lower-bound instance for the heterogeneous-processing model.
+/// A packaged lower-bound instance for the packet model `Q`.
 #[derive(Debug, Clone)]
-pub struct WorkConstruction {
+pub struct Construction<Q: QueueDiscipline> {
     /// Which theorem and parameters this instance realizes.
     pub name: String,
     /// Name of the policy the construction targets (registry key).
     pub target_policy: &'static str,
-    /// Switch configuration (B and per-port works).
-    pub config: WorkSwitchConfig,
+    /// Switch configuration (B and the ports).
+    pub config: Q::Config,
     /// The adversarial arrival sequence.
-    pub trace: Trace<WorkPacket>,
+    pub trace: Trace<Q::Packet>,
     /// Per-queue admission caps scripting the proof's OPT.
     pub opt_caps: Vec<usize>,
     /// The theorem's (asymptotic) competitive-ratio bound at these
@@ -40,23 +40,11 @@ pub struct WorkConstruction {
     pub predicted_ratio: f64,
 }
 
-/// A packaged lower-bound instance for the heterogeneous-value model.
-#[derive(Debug, Clone)]
-pub struct ValueConstruction {
-    /// Which theorem and parameters this instance realizes.
-    pub name: String,
-    /// Name of the policy the construction targets (registry key).
-    pub target_policy: &'static str,
-    /// Switch configuration (B and port count).
-    pub config: ValueSwitchConfig,
-    /// The adversarial arrival sequence.
-    pub trace: Trace<ValuePacket>,
-    /// Per-queue admission caps scripting the proof's OPT.
-    pub opt_caps: Vec<usize>,
-    /// The theorem's (asymptotic) competitive-ratio bound at these
-    /// parameters.
-    pub predicted_ratio: f64,
-}
+/// A lower-bound instance for the heterogeneous-processing model.
+pub type WorkConstruction = Construction<WorkQueue>;
+
+/// A lower-bound instance for the heterogeneous-value model.
+pub type ValueConstruction = Construction<ValueQueue>;
 
 /// The `m`-th harmonic number.
 pub(crate) fn harmonic(m: u32) -> f64 {

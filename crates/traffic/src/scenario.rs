@@ -3,7 +3,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
-use smbm_switch::{CombinedPacket, PortId, Value, ValuePacket, WorkPacket, WorkSwitchConfig};
+use smbm_switch::{
+    CombinedPacket, CombinedQueue, PortId, QueueDiscipline, Value, ValuePacket, WorkPacket,
+    WorkSwitchConfig,
+};
 
 use crate::dist::poisson::ParamError;
 use crate::{Categorical, MmppBank, MmppParams, Trace, Zipf};
@@ -91,6 +94,28 @@ impl Default for MmppScenario {
 }
 
 impl MmppScenario {
+    /// Generates a trace for the packet model `Q` on `config`: each emitted
+    /// packet draws a destination port from `port_mix` and, unless the port
+    /// determines the packet (the work model), a value from `value_mix`; its
+    /// work label is the port's requirement in `config`. Equals
+    /// [`work_trace`](Self::work_trace), [`value_trace`](Self::value_trace)
+    /// or [`combined_trace`](Self::combined_trace) on the same arguments.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParamError`] for invalid MMPP or mix parameters.
+    pub fn trace<Q: QueueDiscipline>(
+        &self,
+        config: &Q::Config,
+        port_mix: &PortMix,
+        value_mix: &ValueMix,
+    ) -> Result<Trace<Q::Packet>, ParamError> {
+        let values = (!Q::PORT_DETERMINES_PACKET).then_some(value_mix);
+        self.generate(Q::ports(config), port_mix, values, |port, value| {
+            Q::packet(config, port, value)
+        })
+    }
+
     /// Generates a work-model trace: each emitted packet draws a destination
     /// port from `mix` and carries that port's configured work requirement.
     ///
@@ -102,20 +127,9 @@ impl MmppScenario {
         config: &WorkSwitchConfig,
         mix: &PortMix,
     ) -> Result<Trace<WorkPacket>, ParamError> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let sampler = mix.build(config.ports())?;
-        let mut bank = MmppBank::stationary(self.sources, self.params, &mut rng)?;
-        let mut slots = Vec::with_capacity(self.slots);
-        for _ in 0..self.slots {
-            let n = bank.step(&mut rng);
-            let mut burst = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                let port = PortId::new(sampler.sample(&mut rng));
-                burst.push(WorkPacket::new(port, config.work(port)));
-            }
-            slots.push(burst);
-        }
-        Ok(Trace::from_slots(slots))
+        self.generate(config.ports(), mix, None, |port, _| {
+            WorkPacket::new(port, config.work(port))
+        })
     }
 
     /// Generates a value-model trace over `ports` output ports.
@@ -129,43 +143,9 @@ impl MmppScenario {
         port_mix: &PortMix,
         value_mix: &ValueMix,
     ) -> Result<Trace<ValuePacket>, ParamError> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let sampler = port_mix.build(ports)?;
-        let value_zipf = match value_mix {
-            ValueMix::ZipfHigh { max, exponent } => Some(Zipf::new(*max as usize, *exponent)?),
-            ValueMix::Uniform { max } if *max == 0 => {
-                return Err(ParamError::new("value range must be non-empty"));
-            }
-            _ => None,
-        };
-        let mut bank = MmppBank::stationary(self.sources, self.params, &mut rng)?;
-        let mut slots = Vec::with_capacity(self.slots);
-        for _ in 0..self.slots {
-            let n = bank.step(&mut rng);
-            let mut burst = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                let port = PortId::new(sampler.sample(&mut rng));
-                let value = match value_mix {
-                    ValueMix::Uniform { max } => rng.random_range(1..=*max),
-                    ValueMix::EqualsPort => port.index() as u64 + 1,
-                    ValueMix::ZipfHigh { max, .. } => {
-                        // Rank 0 (most likely) maps to the highest value.
-                        let rank = value_zipf
-                            .as_ref()
-                            .expect("zipf built above")
-                            .sample(&mut rng) as u64;
-                        max - rank
-                    }
-                };
-                burst.push(ValuePacket::new(port, Value::new(value)));
-            }
-            slots.push(burst);
-        }
-        Ok(Trace::from_slots(slots))
+        self.generate(ports, port_mix, Some(value_mix), ValuePacket::new)
     }
-}
 
-impl MmppScenario {
     /// Generates a combined-model trace (extension): each packet draws a
     /// destination port from `port_mix` (its work requirement follows from
     /// `config`) and a value from `value_mix`.
@@ -179,11 +159,27 @@ impl MmppScenario {
         port_mix: &PortMix,
         value_mix: &ValueMix,
     ) -> Result<Trace<CombinedPacket>, ParamError> {
+        self.trace::<CombinedQueue>(config, port_mix, value_mix)
+    }
+
+    /// The one generator loop: per slot, the bank's emission count; per
+    /// packet, a port from `port_mix`, then (when `values` is given) a
+    /// value, which `packet` turns into the model's packet. Packets without
+    /// a value draw nothing for it and get [`Value::ONE`].
+    fn generate<P>(
+        &self,
+        ports: usize,
+        port_mix: &PortMix,
+        values: Option<&ValueMix>,
+        packet: impl Fn(PortId, Value) -> P,
+    ) -> Result<Trace<P>, ParamError> {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let sampler = port_mix.build(config.ports())?;
-        let value_zipf = match value_mix {
-            ValueMix::ZipfHigh { max, exponent } => Some(Zipf::new(*max as usize, *exponent)?),
-            ValueMix::Uniform { max } if *max == 0 => {
+        let sampler = port_mix.build(ports)?;
+        let value_zipf = match values {
+            Some(ValueMix::ZipfHigh { max, exponent }) => {
+                Some(Zipf::new(*max as usize, *exponent)?)
+            }
+            Some(ValueMix::Uniform { max }) if *max == 0 => {
                 return Err(ParamError::new("value range must be non-empty"));
             }
             _ => None,
@@ -195,10 +191,12 @@ impl MmppScenario {
             let mut burst = Vec::with_capacity(n as usize);
             for _ in 0..n {
                 let port = PortId::new(sampler.sample(&mut rng));
-                let value = match value_mix {
-                    ValueMix::Uniform { max } => rng.random_range(1..=*max),
-                    ValueMix::EqualsPort => port.index() as u64 + 1,
-                    ValueMix::ZipfHigh { max, .. } => {
+                let value = match values {
+                    None => 1,
+                    Some(ValueMix::Uniform { max }) => rng.random_range(1..=*max),
+                    Some(ValueMix::EqualsPort) => port.index() as u64 + 1,
+                    Some(ValueMix::ZipfHigh { max, .. }) => {
+                        // Rank 0 (most likely) maps to the highest value.
                         let rank = value_zipf
                             .as_ref()
                             .expect("zipf built above")
@@ -206,11 +204,7 @@ impl MmppScenario {
                         max - rank
                     }
                 };
-                burst.push(CombinedPacket::new(
-                    port,
-                    config.work(port),
-                    Value::new(value),
-                ));
+                burst.push(packet(port, Value::new(value)));
             }
             slots.push(burst);
         }

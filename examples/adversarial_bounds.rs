@@ -5,21 +5,21 @@
 //!
 //! Run with: `cargo run --release --example adversarial_bounds`
 
-use smbm_sim::{measure_value_construction, measure_work_construction, ConstructionReport};
+use smbm_sim::{measure_construction, ConstructionReport};
 use smbm_traffic::adversarial;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("replaying the Section III/IV lower-bound constructions...\n");
     let reports: Vec<ConstructionReport> = vec![
-        measure_work_construction(&adversarial::nhst_lower_bound(8, 192, 5))?,
-        measure_work_construction(&adversarial::nest_lower_bound(8, 48, 5))?,
-        measure_work_construction(&adversarial::nhdt_lower_bound(64, 512, 3))?,
-        measure_work_construction(&adversarial::lqd_work_lower_bound(64, 256, 3))?,
-        measure_work_construction(&adversarial::bpd_lower_bound(16, 64, 5_000))?,
-        measure_work_construction(&adversarial::lwd_lower_bound(120, 10))?,
-        measure_value_construction(&adversarial::lqd_value_lower_bound(64, 128, 5))?,
-        measure_value_construction(&adversarial::mvd_lower_bound(16, 64, 5_000))?,
-        measure_value_construction(&adversarial::mrd_lower_bound(120, 10))?,
+        measure_construction(&adversarial::nhst_lower_bound(8, 192, 5))?,
+        measure_construction(&adversarial::nest_lower_bound(8, 48, 5))?,
+        measure_construction(&adversarial::nhdt_lower_bound(64, 512, 3))?,
+        measure_construction(&adversarial::lqd_work_lower_bound(64, 256, 3))?,
+        measure_construction(&adversarial::bpd_lower_bound(16, 64, 5_000))?,
+        measure_construction(&adversarial::lwd_lower_bound(120, 10))?,
+        measure_construction(&adversarial::lqd_value_lower_bound(64, 128, 5))?,
+        measure_construction(&adversarial::mvd_lower_bound(16, 64, 5_000))?,
+        measure_construction(&adversarial::mrd_lower_bound(120, 10))?,
     ];
 
     println!(

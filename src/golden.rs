@@ -8,23 +8,16 @@
 //! accounting are pinned as well as the score. Every run ends with a final
 //! drain.
 
-use smbm_core::{
-    combined_policy_by_name, value_policy_by_name, work_policy_by_name, CombinedRunner,
-    ValueRunner, WorkRunner,
-};
+use smbm_core::{PacketModel, Runner};
 use smbm_sim::{run, EngineConfig, FlushPolicy};
-use smbm_switch::{Counters, QueueDiscipline, Switch, ValueSwitchConfig, WorkSwitchConfig};
+use smbm_switch::{
+    CombinedQueue, Counters, QueueDiscipline, Switch, ValueQueue, ValueSwitchConfig, WorkQueue,
+    WorkSwitchConfig,
+};
 use smbm_traffic::{MmppScenario, PortMix, ValueMix};
 
 /// Seed of every golden trace.
 const SEED: u64 = 0xC0FFEE;
-
-/// The work-model roster, in table order.
-const WORK_ROSTER: [&str; 7] = ["NHST", "NEST", "NHDT", "LQD", "BPD", "BPD1", "LWD"];
-/// The value-model roster, in table order.
-const VALUE_ROSTER: [&str; 7] = ["GREEDY", "NEST-V", "NHST-V", "LQD", "MVD", "MVD1", "MRD"];
-/// The combined-model roster, in table order.
-const COMBINED_ROSTER: [&str; 5] = ["GREEDY", "LQD", "LWD", "MVD-D", "WVD"];
 
 /// The two engine settings every roster runs under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,54 +105,37 @@ fn row<Q: QueueDiscipline>(name: &'static str, score: u64, sw: &Switch<Q>) -> Go
     }
 }
 
-/// Runs the work roster under `setting`.
-pub fn work_rows(setting: Setting) -> Vec<GoldenRow> {
-    let cfg = work_config();
-    let trace = scenario(10)
-        .work_trace(&cfg, &PortMix::Uniform)
+/// Runs the roster of the model `Q` ([`PacketModel::POLICY_NAMES`], in table
+/// order) under `setting` on `cfg`, over one MMPP trace from `sources`
+/// sources with values uniform in `1..=12` where packets carry them.
+fn rows<Q: PacketModel>(setting: Setting, cfg: Q::Config, sources: usize) -> Vec<GoldenRow> {
+    let trace = scenario(sources)
+        .trace::<Q>(&cfg, &PortMix::Uniform, &ValueMix::Uniform { max: 12 })
         .expect("valid golden scenario");
-    WORK_ROSTER
+    Q::POLICY_NAMES
         .iter()
         .map(|&name| {
-            let policy = work_policy_by_name(name).expect("roster policy");
-            let mut runner = WorkRunner::new(cfg.clone(), policy, setting.speedup());
+            let policy = Q::policy_by_name(name).expect("roster policy");
+            let mut runner = Runner::<Q, _>::new(cfg.clone(), policy, setting.speedup());
             let run = run(&mut runner, &trace, &setting.engine()).expect("valid decisions");
             row(name, run.score, runner.switch())
         })
         .collect()
+}
+
+/// Runs the work roster under `setting`.
+pub fn work_rows(setting: Setting) -> Vec<GoldenRow> {
+    rows::<WorkQueue>(setting, work_config(), 10)
 }
 
 /// Runs the value roster under `setting`: six ports, `B = 32`.
 pub fn value_rows(setting: Setting) -> Vec<GoldenRow> {
     let cfg = ValueSwitchConfig::new(32, 6).expect("valid golden config");
-    let trace = scenario(24)
-        .value_trace(6, &PortMix::Uniform, &ValueMix::Uniform { max: 12 })
-        .expect("valid golden scenario");
-    VALUE_ROSTER
-        .iter()
-        .map(|&name| {
-            let policy = value_policy_by_name(name).expect("roster policy");
-            let mut runner = ValueRunner::new(cfg, policy, setting.speedup());
-            let run = run(&mut runner, &trace, &setting.engine()).expect("valid decisions");
-            row(name, run.score, runner.switch())
-        })
-        .collect()
+    rows::<ValueQueue>(setting, cfg, 24)
 }
 
 /// Runs the combined roster under `setting`, on the work-model
 /// configuration.
 pub fn combined_rows(setting: Setting) -> Vec<GoldenRow> {
-    let cfg = work_config();
-    let trace = scenario(10)
-        .combined_trace(&cfg, &PortMix::Uniform, &ValueMix::Uniform { max: 12 })
-        .expect("valid golden scenario");
-    COMBINED_ROSTER
-        .iter()
-        .map(|&name| {
-            let policy = combined_policy_by_name(name).expect("roster policy");
-            let mut runner = CombinedRunner::new(cfg.clone(), policy, setting.speedup());
-            let run = run(&mut runner, &trace, &setting.engine()).expect("valid decisions");
-            row(name, run.score, runner.switch())
-        })
-        .collect()
+    rows::<CombinedQueue>(setting, work_config(), 10)
 }

@@ -188,7 +188,7 @@ proptest! {
 #[test]
 fn work_mismatch_is_rejected() {
     let cfg = WorkSwitchConfig::contiguous(2, 4).unwrap();
-    let mut runner = CombinedRunner::new(cfg, smbm_core::GreedyCombined::new(), 1);
+    let mut runner = CombinedRunner::new(cfg, smbm_core::Greedy::new(), 1);
     let bad = CombinedPacket::new(PortId::new(0), Work::new(9), Value::new(1));
     assert!(runner.arrival(bad).is_err());
     runner.switch().check_invariants().unwrap();

@@ -3,50 +3,14 @@
 //! FIFO queue, and the `&mut` and `Box` pointers that forward to them.
 
 use smbm_core::{
-    CombinedPqOpt, DatapathSystem, Decision, FifoAdmission, GreedyValue, Lwd, Policy, Runner,
-    SingleFifoQueue, ValuePqOpt, ValueRunner, WorkPqOpt, WorkRunner,
+    CombinedPqOpt, DatapathSystem, Decision, FifoAdmission, Greedy, Lwd, PacketModel, Policy,
+    Runner, SingleFifoQueue, ValuePqOpt, ValueRunner, WorkPqOpt, WorkRunner,
 };
 use smbm_switch::{
-    ArrivalOutcome, CombinedPacket, CombinedQueue, Counters, DropReason, PortId, QueueDiscipline,
-    Switch, Value, ValuePacket, ValueQueue, ValueSwitchConfig, Work, WorkPacket, WorkQueue,
+    ArrivalOutcome, CombinedPacket, CombinedQueue, DropReason, PortId, QueueDiscipline, Switch,
+    Value, ValuePacket, ValueQueue, ValueSwitchConfig, Work, WorkPacket, WorkQueue,
     WorkSwitchConfig,
 };
-
-/// One packet model: its switch configuration and a packet for any port.
-trait Model: QueueDiscipline {
-    /// `ports` ports (port `i` requires `i + 1` cycles where the model has
-    /// work) sharing a buffer of `buffer` slots.
-    fn config(ports: usize, buffer: usize) -> Self::Config;
-    /// A packet for `port` worth `value` (the work model ignores `value`).
-    fn pkt(port: usize, value: u64) -> Self::Packet;
-}
-
-impl Model for WorkQueue {
-    fn config(ports: usize, buffer: usize) -> WorkSwitchConfig {
-        WorkSwitchConfig::contiguous(ports as u32, buffer).unwrap()
-    }
-    fn pkt(port: usize, _: u64) -> WorkPacket {
-        wp(port, port as u32 + 1)
-    }
-}
-
-impl Model for ValueQueue {
-    fn config(ports: usize, buffer: usize) -> ValueSwitchConfig {
-        ValueSwitchConfig::new(buffer, ports).unwrap()
-    }
-    fn pkt(port: usize, value: u64) -> ValuePacket {
-        vp(port, value)
-    }
-}
-
-impl Model for CombinedQueue {
-    fn config(ports: usize, buffer: usize) -> WorkSwitchConfig {
-        WorkSwitchConfig::contiguous(ports as u32, buffer).unwrap()
-    }
-    fn pkt(port: usize, value: u64) -> CombinedPacket {
-        cp(port, port as u32 + 1, value)
-    }
-}
 
 fn wp(port: usize, work: u32) -> WorkPacket {
     WorkPacket::new(PortId::new(port), Work::new(work))
@@ -80,29 +44,32 @@ impl<Q: QueueDiscipline> Policy<Q> for Rule {
     }
 }
 
-/// The runner contract for model `M`; `meta` is the (work, value) pair
-/// `meta` must report for `M::pkt(1, 9)`.
-fn runner_contract<M: Model>(meta: (u32, u64)) {
-    let mut sys = Runner::<M, _>::new(M::config(2, 3), Rule, 1);
+/// The runner contract for model `M` on two ports (port `i` requires
+/// `i + 1` cycles where the model has work) sharing three slots; `meta` is
+/// the (work, value) pair `meta` must report for `pkt(1, 9)`.
+fn runner_contract<M: PacketModel>(meta: (u32, u64)) {
+    let config = M::config(2, 3).unwrap();
+    let pkt = |port, value| M::packet(&config, PortId::new(port), Value::new(value));
+    let mut sys = Runner::<M, _>::new(config.clone(), Rule, 1);
     assert_eq!(sys.label(), "RULE");
     assert_eq!(
-        Runner::<M, Rule>::meta(M::pkt(1, 9)),
+        Runner::<M, Rule>::meta(pkt(1, 9)),
         (PortId::new(1), meta.0, meta.1)
     );
     assert_eq!((sys.buffer_limit(), sys.ports()), (3, 2));
 
     // A drop with space left is the policy's choice.
     let policy_drop = ArrivalOutcome::Dropped(DropReason::Policy);
-    assert_eq!(sys.offer(M::pkt(1, 4)), Ok(policy_drop));
+    assert_eq!(sys.offer(pkt(1, 4)), Ok(policy_drop));
     for value in [5, 6, 7] {
-        assert_eq!(sys.offer(M::pkt(0, value)), Ok(ArrivalOutcome::Admitted));
+        assert_eq!(sys.offer(pkt(0, value)), Ok(ArrivalOutcome::Admitted));
     }
     assert_eq!((sys.occupancy(), sys.max_queue_depth()), (3, 3));
     // A drop into a full buffer is a buffer-full drop.
     let full_drop = ArrivalOutcome::Dropped(DropReason::BufferFull);
-    assert_eq!(sys.offer(M::pkt(0, 8)), Ok(full_drop));
+    assert_eq!(sys.offer(pkt(0, 8)), Ok(full_drop));
     assert_eq!(
-        sys.offer(M::pkt(1, 4)),
+        sys.offer(pkt(1, 4)),
         Ok(ArrivalOutcome::PushedOut(PortId::new(0)))
     );
     assert_eq!((sys.occupancy(), sys.max_queue_depth()), (3, 2));
@@ -150,7 +117,7 @@ fn combined_runner_keeps_the_contract() {
 /// The contract of a system without a shared-memory switch: it admits
 /// `arrivals` into an ample buffer, transmits `sent` (its objective) in
 /// the first phase without recording completions, leaves the rest to the
-/// flush, and reports no gauges or counters.
+/// flush, and reports no gauges but the counters it keeps.
 fn aggregate_contract<S: DatapathSystem>(
     mut sys: S,
     label: &str,
@@ -177,7 +144,17 @@ fn aggregate_contract<S: DatapathSystem>(
         (sys.buffer_limit(), sys.ports(), sys.max_queue_depth()),
         (0, 0, 0)
     );
-    assert_eq!(sys.counters(), Counters::new());
+    // The counters it keeps, not empty ones.
+    let c = sys.counters();
+    let n = arrivals.len() as u64;
+    assert_eq!(
+        (c.arrived(), c.admitted(), c.dropped()),
+        (n, n, 0),
+        "{label}"
+    );
+    assert_eq!(c.transmitted(), n - left as u64, "{label}");
+    assert_eq!(c.transmitted_value(), sent, "{label}");
+    assert!(c.check_conservation(0).is_ok(), "{label}");
 }
 
 #[test]
@@ -255,7 +232,7 @@ fn pointers_drive_the_system_in_place() {
         WorkRunner::<Lwd>::meta(pkts[0])
     );
 
-    let mut runner = ValueRunner::new(ValueSwitchConfig::new(4, 2).unwrap(), GreedyValue::new(), 1);
+    let mut runner = ValueRunner::new(ValueSwitchConfig::new(4, 2).unwrap(), Greedy::new(), 1);
     let (_, score) = one_slot(&mut runner, &[vp(0, 7)]);
     assert_eq!(score, 7);
     assert_eq!(runner.transmitted_value(), 7);

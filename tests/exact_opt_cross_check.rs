@@ -7,7 +7,8 @@ use proptest::prelude::*;
 
 use smbm_core::{exact_value_opt, exact_work_opt};
 use smbm_switch::{
-    PortId, Value, ValuePacket, ValueSwitch, ValueSwitchConfig, Work, WorkSwitch, WorkSwitchConfig,
+    PortId, QueueDiscipline, Value, ValuePacket, ValueSwitch, ValueSwitchConfig, Work, WorkQueue,
+    WorkSwitch, WorkSwitchConfig,
 };
 
 /// Naive work-model optimum: enumerate all admission subsets, simulate each
@@ -21,7 +22,7 @@ fn naive_work_opt(config: &WorkSwitchConfig, speedup: u32, trace: &[Vec<PortId>]
         let mut idx = 0;
         for burst in trace {
             for &port in burst {
-                let pkt = sw.packet_for(port);
+                let pkt = WorkQueue::packet(config, port, Value::ONE);
                 if mask & (1 << idx) != 0 {
                     if sw.is_full() {
                         continue 'mask; // infeasible subset

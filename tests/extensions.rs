@@ -2,8 +2,8 @@
 //! roster: NHDT-W (the executed open problem), AWD(α), and MRD-strict.
 
 use smbm_core::{
-    value_policy_by_name, work_policy_by_name, AlphaWd, CappedWork, Lqd, LqdValue, Lwd, Mrd,
-    MrdStrict, NhdtW, ValueRunner, WorkRunner,
+    value_policy_by_name, work_policy_by_name, AlphaWd, Capped, Lqd, LqdValue, Lwd, Mrd, MrdStrict,
+    NhdtW, ValueRunner, WorkRunner,
 };
 use smbm_sim::{run, EngineConfig};
 use smbm_switch::{PortId, ValueSwitchConfig, WorkSwitchConfig};
@@ -13,7 +13,7 @@ use smbm_traffic::{adversarial, MmppScenario, PortMix, ValueMix};
 fn nhdt_w_repairs_theorem3_attack() {
     let c = adversarial::nhdt_lower_bound(64, 512, 4);
     let engine = EngineConfig::horizon_only();
-    let mut opt = WorkRunner::new(c.config.clone(), CappedWork::new(c.opt_caps.clone()), 1);
+    let mut opt = WorkRunner::new(c.config.clone(), Capped::new(c.opt_caps.clone()), 1);
     let opt_score = run(&mut opt, &c.trace, &engine).unwrap().score;
 
     let mut nhdt = WorkRunner::new(c.config.clone(), work_policy_by_name("NHDT").unwrap(), 1);
