@@ -30,7 +30,7 @@ fn work_datagrams(cfg: &WorkSwitchConfig) -> Vec<Vec<u8>> {
     .work_trace(cfg, &PortMix::Uniform)
     .expect("valid scenario")
     .batches(BATCH)
-    .map(|batch| encode_data(0, &batch))
+    .map(|batch| encode_data(0, batch))
     .collect()
 }
 
@@ -44,7 +44,7 @@ fn value_datagrams() -> Vec<Vec<u8>> {
     .value_trace(PORTS, &PortMix::Uniform, &ValueMix::Uniform { max: 100 })
     .expect("valid scenario")
     .batches(BATCH)
-    .map(|batch| encode_data(0, &batch))
+    .map(|batch| encode_data(0, batch))
     .collect()
 }
 

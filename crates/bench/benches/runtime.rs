@@ -31,6 +31,7 @@ fn runtime_throughput(c: &mut Criterion) {
                     .work_trace(&cfg, &PortMix::Uniform)
                     .expect("valid scenario")
                     .batches(256)
+                    .map(<[_]>::to_vec)
                     .collect()
             })
             .collect();

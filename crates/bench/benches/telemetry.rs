@@ -32,6 +32,7 @@ fn feeds(cfg: &WorkSwitchConfig) -> Vec<Vec<Vec<WorkPacket>>> {
                 .work_trace(cfg, &PortMix::Uniform)
                 .expect("valid scenario")
                 .batches(256)
+                .map(<[_]>::to_vec)
                 .collect()
         })
         .collect()

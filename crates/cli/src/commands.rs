@@ -731,7 +731,7 @@ where
         Q::LABEL,
         model.ports_label
     );
-    let faults = faults_from(args, 1, trace.as_slots().len() as u64)?;
+    let faults = faults_from(args, 1, trace.slots() as u64)?;
     let sinks = sink_summary(&telemetry, &flight);
     let mut builder = RuntimeBuilder::new(RuntimeConfig {
         ring_capacity: 64,
@@ -749,10 +749,9 @@ where
         let policy = Q::policy_by_name(&canonical).expect("validated");
         Runner::<Q, _>::new(cfg.clone(), policy, speedup)
     });
-    let slots = trace.as_slots().to_vec();
     builder.add_producer(id, move |handle| {
-        for burst in slots {
-            if !handle.send(burst) {
+        for burst in trace.iter() {
+            if !handle.send(burst.to_vec()) {
                 break;
             }
         }

@@ -88,7 +88,7 @@ impl<K: Ord + Copy> ArgMax<K> {
             return;
         };
         if dirty.len() * 2 >= ports {
-            idx.rebuild_with(|i| key(PortId::new(i)));
+            idx.rebuild_with(&mut key);
         } else {
             for &p in dirty {
                 idx.set(p, key(p));
@@ -100,7 +100,7 @@ impl<K: Ord + Copy> ArgMax<K> {
     fn built(&mut self, ports: usize, mut key: impl FnMut(PortId) -> Option<K>) -> &ScoreIndex<K> {
         if self.index.as_ref().is_none_or(|i| i.ports() != ports) {
             let mut idx = ScoreIndex::new(ports);
-            idx.rebuild_with(|i| key(PortId::new(i)));
+            idx.rebuild_with(&mut key);
             self.index = Some(idx);
         }
         self.index.as_ref().expect("index built above")
@@ -155,7 +155,9 @@ fn scan<K: Ord + Copy>(
     mut key: impl FnMut(PortId) -> Option<K>,
 ) -> Option<(PortId, K)> {
     let mut best: Option<(PortId, K)> = None;
-    for port in (0..ports).map(PortId::new) {
+    // `ports` is a switch's port count, which its configuration caps at
+    // `u32::MAX`: the cast is exact.
+    for port in (0..ports as u32).map(PortId::from_u32) {
         if let Some(k) = key(port) {
             // Ports come in increasing order, so "at least the best" hands
             // exact ties to the larger index. `cmp` rather than `>=`: on
@@ -204,7 +206,7 @@ impl<K: Ord + Copy> ScoreIndex<K> {
     /// Sets (or clears, with `None`) the key of `port`.
     fn set(&mut self, port: PortId, key: Option<K>) {
         let i = port.index();
-        let entry = key.map(|k| (k, i as u32));
+        let entry = key.map(|k| (k, port.as_u32()));
         let mut node = self.leaf_base + i;
         if self.tree[node] == entry {
             return;
@@ -227,7 +229,7 @@ impl<K: Ord + Copy> ScoreIndex<K> {
 
     /// The port with the lexicographically maximal `(key, port)` pair.
     fn max(&self) -> Option<PortId> {
-        self.tree[1].map(|(_, p)| PortId::new(p as usize))
+        self.tree[1].map(|(_, p)| PortId::from_u32(p))
     }
 
     /// The argmax when `port`'s key is virtually replaced by `virtual_key`
@@ -241,7 +243,7 @@ impl<K: Ord + Copy> ScoreIndex<K> {
     /// root, so the full-buffer check of every arrival stays in registers
     /// instead of building and re-reading an `Option` tuple.
     fn max_with(&self, port: PortId, virtual_key: K) -> PortId {
-        let own = port.index() as u32;
+        let own = port.as_u32();
         let best = match self.tree[1] {
             // The root is the maximum over every stored key; held by another
             // port, it is also the maximum over every port but `port`, so
@@ -259,21 +261,21 @@ impl<K: Ord + Copy> ScoreIndex<K> {
             // about the other ports — and the virtual key may be smaller
             // than the stored one (MRD: a high-value arrival lowers the
             // ratio). Fall back to the sibling walk.
-            Some(_) => return PortId::new(self.walk_with(port, virtual_key) as usize),
+            Some(_) => return PortId::from_u32(self.walk_with(port, virtual_key)),
         };
         debug_assert_eq!(
             best,
             self.walk_with(port, virtual_key),
             "root short-circuit disagrees with the sibling walk"
         );
-        PortId::new(best as usize)
+        PortId::from_u32(best)
     }
 
     /// The port of the lexicographic maximum with `port`'s entry replaced
     /// by `virtual_key`, by walking leaf→root and folding in each sibling
     /// subtree: together the siblings cover every port except `port`.
     fn walk_with(&self, port: PortId, virtual_key: K) -> u32 {
-        let (mut key, mut best) = (virtual_key, port.index() as u32);
+        let (mut key, mut best) = (virtual_key, port.as_u32());
         let mut node = self.leaf_base + port.index();
         while node > 1 {
             if let Some((k, p)) = self.tree[node ^ 1] {
@@ -294,9 +296,9 @@ impl<K: Ord + Copy> ScoreIndex<K> {
     /// [`set`](Self::set) walks costs O(n log n) comparisons; one batch
     /// rebuild costs 2n. Policies use this from their batch
     /// `queues_changed` hook when most ports are dirty.
-    fn rebuild_with<F: FnMut(usize) -> Option<K>>(&mut self, mut key: F) {
-        for i in 0..self.ports {
-            self.tree[self.leaf_base + i] = key(i).map(|k| (k, i as u32));
+    fn rebuild_with<F: FnMut(PortId) -> Option<K>>(&mut self, mut key: F) {
+        for (leaf, port) in (self.leaf_base..).zip(PortId::all(self.ports)) {
+            self.tree[leaf] = key(port).map(|k| (k, port.as_u32()));
         }
         // Leaves past `ports` are never set and stay `None`.
         for node in (1..self.leaf_base).rev() {
@@ -528,7 +530,7 @@ mod tests {
                     .map(|_| (!rng().is_multiple_of(4)).then(|| rng() % 10))
                     .collect();
                 let mut idx = ScoreIndex::new(ports);
-                idx.rebuild_with(|i| keys[i]);
+                idx.rebuild_with(|p| keys[p.index()]);
                 for (p, &stored) in keys.iter().enumerate() {
                     let s = stored.unwrap_or(5);
                     for vkey in [0, s.saturating_sub(1), s, s + 1, 10] {
@@ -577,7 +579,7 @@ mod tests {
             for p in 0..ports {
                 point.set(PortId::new(p), key(p));
             }
-            batch.rebuild_with(key);
+            batch.rebuild_with(|p| key(p.index()));
             assert_eq!(point.max(), batch.max(), "ports={ports}");
             for p in 0..ports {
                 assert_eq!(

@@ -113,7 +113,7 @@ impl WorkSolver<'_> {
             let mut next = state.clone();
             let mut completed = 0u64;
             for (i, q) in next.iter_mut().enumerate() {
-                let w = self.config.work(PortId::new(i)).cycles() as u16;
+                let w = self.config.works()[i].cycles() as u16;
                 let mut cycles = self.speedup as u16;
                 while cycles > 0 && q.0 > 0 {
                     let step = cycles.min(q.1);

@@ -195,11 +195,7 @@ impl<Q: QueueDiscipline, P: Policy<Q>> Runner<Q, P> {
     /// empty queue, ...). The bundled policies never err.
     pub fn arrival(&mut self, pkt: Q::Packet) -> Result<Decision, AdmitError> {
         let port = Q::port(pkt);
-        let ports = self.switch.ports();
-        if port.index() >= ports {
-            // Policies index their queues by the arrival's port.
-            return Err(AdmitError::UnknownPort { port, ports });
-        }
+        let ports = self.known_port(port)?;
         let version = self.switch.version();
         if Q::PORT_DETERMINES_PACKET && self.drop_stamps[port.index()] == version {
             self.switch.reject(pkt)?;
@@ -234,6 +230,18 @@ impl<Q: QueueDiscipline, P: Policy<Q>> Runner<Q, P> {
             }
         }
         Ok(decision)
+    }
+
+    /// The switch's port count, or [`AdmitError::UnknownPort`] if `port` is
+    /// not below it: policies index their queues by the arrival's port.
+    #[inline]
+    fn known_port(&self, port: PortId) -> Result<usize, AdmitError> {
+        let ports = self.switch.ports();
+        if port.index() < ports {
+            Ok(ports)
+        } else {
+            Err(AdmitError::UnknownPort { port, ports })
+        }
     }
 
     /// Runs the transmission phase at the configured speedup.
@@ -275,8 +283,10 @@ impl<P: Policy<WorkQueue>> Runner<WorkQueue, P> {
     ///
     /// # Errors
     ///
-    /// Same as [`Runner::arrival`].
+    /// Same as [`Runner::arrival`]: an unknown port fails with
+    /// [`AdmitError::UnknownPort`] before any label is looked up.
     pub fn arrival_to(&mut self, port: PortId) -> Result<Decision, AdmitError> {
+        self.known_port(port)?;
         let pkt = WorkQueue::packet(self.switch.config(), port, Value::ONE);
         self.arrival(pkt)
     }
@@ -580,6 +590,24 @@ mod tests {
             Decision::PushOut(PortId::new(1))
         );
         r.switch().check_invariants().unwrap();
+    }
+
+    /// `arrival_to` looks the port's work label up only after the port
+    /// check, so an unknown port is an error, not an out-of-bounds panic.
+    #[test]
+    fn arrival_to_an_unknown_port_is_refused() {
+        let (policy, log) = probe(&[]);
+        let mut r = Runner::<WorkQueue, _>::new(WorkQueue::config(2, 2), policy, 1);
+        let before = *r.switch().counters();
+        assert_eq!(
+            r.arrival_to(PortId::new(5)),
+            Err(AdmitError::UnknownPort {
+                port: PortId::new(5),
+                ports: 2
+            })
+        );
+        assert_eq!(*r.switch().counters(), before);
+        assert_eq!(log.lock().unwrap().decided, 0);
     }
 
     #[test]

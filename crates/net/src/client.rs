@@ -329,7 +329,7 @@ where
         let trace = scenario_for(config, client)
             .trace::<Q>(&switch_cfg, &PortMix::Uniform, &value_mix)
             .map_err(|e| invalid(&e))?;
-        feeds.push(trace.batches(config.batch).collect::<Vec<_>>());
+        feeds.push(trace.batches(config.batch).map(<[_]>::to_vec).collect());
     }
     let probe = Q::packet(&switch_cfg, PortId::new(0), Value::ONE);
     // The probe's frame readdressed to a port the server does not have; its

@@ -83,14 +83,14 @@ impl WirePacket for WorkPacket {
     const FRAME_LEN: usize = 8;
 
     fn encode_frame(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.port().index() as u32).to_le_bytes());
+        out.extend_from_slice(&self.port().as_u32().to_le_bytes());
         out.extend_from_slice(&self.work().cycles().to_le_bytes());
     }
 
     fn decode_frame(bytes: &[u8]) -> Self {
-        let port = u32_at(bytes, 0) as usize;
+        let port = u32_at(bytes, 0);
         let work = u32_at(bytes, 4);
-        WorkPacket::new(PortId::new(port), Work::new(work))
+        WorkPacket::new(PortId::from_u32(port), Work::new(work))
     }
 
     fn port_index(&self) -> usize {
@@ -103,14 +103,14 @@ impl WirePacket for ValuePacket {
     const FRAME_LEN: usize = 12;
 
     fn encode_frame(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.port().index() as u32).to_le_bytes());
+        out.extend_from_slice(&self.port().as_u32().to_le_bytes());
         out.extend_from_slice(&self.value().get().to_le_bytes());
     }
 
     fn decode_frame(bytes: &[u8]) -> Self {
-        let port = u32_at(bytes, 0) as usize;
+        let port = u32_at(bytes, 0);
         let value = u64_at(bytes, 4);
-        ValuePacket::new(PortId::new(port), Value::new(value))
+        ValuePacket::new(PortId::from_u32(port), Value::new(value))
     }
 
     fn port_index(&self) -> usize {

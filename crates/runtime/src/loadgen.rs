@@ -450,7 +450,7 @@ fn loadgen<Q: PacketModel>(config: &LoadgenConfig) -> Result<LoadgenReport, Load
         let trace = scenario_for(config, shard)
             .trace::<Q>(&switch_cfg, &PortMix::Uniform, &value_mix)
             .map_err(|e| invalid(&e))?;
-        feeds.push(trace.batches(config.batch).collect::<Vec<_>>());
+        feeds.push(trace.batches(config.batch).map(<[_]>::to_vec).collect());
         let cfg = switch_cfg.clone();
         let name = canonical.clone();
         let speedup = config.speedup;

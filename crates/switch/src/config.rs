@@ -30,12 +30,11 @@ impl WorkSwitchConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if there are no ports, if `buffer` is smaller
-    /// than the number of ports, or if any requirement is zero.
+    /// Returns [`ConfigError`] if there are no ports or more than
+    /// `u32::MAX`, if `buffer` is smaller than the number of ports, or if any
+    /// requirement is zero.
     pub fn new(buffer: usize, works: Vec<Work>) -> Result<Self, ConfigError> {
-        if works.is_empty() {
-            return Err(ConfigError::NoPorts);
-        }
+        check_ports(works.len())?;
         if buffer < works.len() {
             return Err(ConfigError::BufferTooSmall {
                 buffer,
@@ -73,7 +72,9 @@ impl WorkSwitchConfig {
     ///
     /// Returns [`ConfigError`] under the same conditions as [`Self::new`].
     pub fn striped(k: u32, copies: usize, buffer: usize) -> Result<Self, ConfigError> {
-        let mut works = Vec::with_capacity(k as usize * copies);
+        let ports = (k as usize).saturating_mul(copies);
+        check_ports(ports)?;
+        let mut works = Vec::with_capacity(ports);
         for w in 1..=k {
             works.extend(std::iter::repeat_n(Work::new(w), copies));
         }
@@ -88,6 +89,7 @@ impl WorkSwitchConfig {
     ///
     /// Returns [`ConfigError`] under the same conditions as [`Self::new`].
     pub fn homogeneous(ports: usize, buffer: usize) -> Result<Self, ConfigError> {
+        check_ports(ports)?;
         Self::new(buffer, vec![Work::ONE; ports])
     }
 
@@ -158,11 +160,10 @@ impl ValueSwitchConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if there are no ports or `buffer < ports`.
+    /// Returns [`ConfigError`] if there are no ports or more than
+    /// `u32::MAX`, or if `buffer < ports`.
     pub fn new(buffer: usize, ports: usize) -> Result<Self, ConfigError> {
-        if ports == 0 {
-            return Err(ConfigError::NoPorts);
-        }
+        check_ports(ports)?;
         if buffer < ports {
             return Err(ConfigError::BufferTooSmall { buffer, ports });
         }
@@ -177,6 +178,17 @@ impl ValueSwitchConfig {
     /// Number of output ports `n`.
     pub fn ports(&self) -> usize {
         self.ports
+    }
+}
+
+/// Port ids are `u32`, so a switch has between 1 and `u32::MAX` ports.
+fn check_ports(ports: usize) -> Result<(), ConfigError> {
+    if ports == 0 {
+        Err(ConfigError::NoPorts)
+    } else if u32::try_from(ports).is_err() {
+        Err(ConfigError::TooManyPorts { ports })
+    } else {
+        Ok(())
     }
 }
 

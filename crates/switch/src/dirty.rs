@@ -57,7 +57,7 @@ impl DirtyPorts {
         out.clear();
         for &i in &self.stack {
             self.flags[i as usize] = false;
-            out.push(PortId::new(i as usize));
+            out.push(PortId::from_u32(i));
         }
         self.stack.clear();
     }

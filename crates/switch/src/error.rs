@@ -10,6 +10,11 @@ use crate::PortId;
 pub enum ConfigError {
     /// The switch must have at least one output port.
     NoPorts,
+    /// Port ids are `u32`: a switch has at most `u32::MAX` output ports.
+    TooManyPorts {
+        /// Configured number of output ports.
+        ports: usize,
+    },
     /// The shared buffer must hold at least one packet per output port
     /// (the paper assumes `B >= n`).
     BufferTooSmall {
@@ -31,6 +36,9 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::NoPorts => write!(f, "switch must have at least one output port"),
+            ConfigError::TooManyPorts { ports } => {
+                write!(f, "{ports} ports exceed the limit of {}", u32::MAX)
+            }
             ConfigError::BufferTooSmall { buffer, ports } => write!(
                 f,
                 "buffer of {buffer} slots cannot serve {ports} ports (model requires B >= n)"

@@ -9,7 +9,10 @@ use std::fmt;
 /// Index of an output port (and of its queue) in a shared-memory switch.
 ///
 /// Internally zero-based; the human-readable `Display` form is one-based to
-/// match the paper's notation.
+/// match the paper's notation. Stored as a `u32`, the width the wire codec
+/// carries, so that a [`crate::WorkPacket`] packs into 8 bytes and a
+/// [`crate::CombinedPacket`] into 16; switch configurations reject more than
+/// `u32::MAX` ports.
 ///
 /// ```
 /// use smbm_switch::PortId;
@@ -18,16 +21,31 @@ use std::fmt;
 /// assert_eq!(p.to_string(), "port#1");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct PortId(usize);
+pub struct PortId(u32);
 
 impl PortId {
     /// Creates a port id from a zero-based index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` exceeds `u32::MAX`.
     pub const fn new(index: usize) -> Self {
+        assert!(index <= u32::MAX as usize, "port index exceeds u32::MAX");
+        PortId(index as u32)
+    }
+
+    /// Creates a port id from a zero-based `u32` index; never panics.
+    pub const fn from_u32(index: u32) -> Self {
         PortId(index)
     }
 
     /// Returns the zero-based index of this port.
     pub const fn index(self) -> usize {
+        self.0 as usize
+    }
+
+    /// Returns the zero-based index as the `u32` it is stored in.
+    pub const fn as_u32(self) -> u32 {
         self.0
     }
 
@@ -38,20 +56,25 @@ impl PortId {
     /// let all: Vec<_> = PortId::all(3).collect();
     /// assert_eq!(all, vec![PortId::new(0), PortId::new(1), PortId::new(2)]);
     /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds `u32::MAX`.
     pub fn all(n: usize) -> impl Iterator<Item = PortId> {
+        let n = u32::try_from(n).expect("port count exceeds u32::MAX");
         (0..n).map(PortId)
     }
 }
 
 impl fmt::Display for PortId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "port#{}", self.0 + 1)
+        write!(f, "port#{}", u64::from(self.0) + 1)
     }
 }
 
 impl From<usize> for PortId {
     fn from(index: usize) -> Self {
-        PortId(index)
+        PortId::new(index)
     }
 }
 
@@ -204,6 +227,22 @@ mod tests {
     fn port_id_display_is_one_based() {
         assert_eq!(PortId::new(0).to_string(), "port#1");
         assert_eq!(PortId::new(9).to_string(), "port#10");
+    }
+
+    #[test]
+    fn port_id_is_four_bytes_and_spans_u32() {
+        assert_eq!(std::mem::size_of::<PortId>(), 4);
+        let top = PortId::new(u32::MAX as usize);
+        assert_eq!(top, PortId::from_u32(u32::MAX));
+        assert_eq!(top.index(), u32::MAX as usize);
+        assert_eq!(top.as_u32(), u32::MAX);
+        assert_eq!(top.to_string(), "port#4294967296");
+    }
+
+    #[test]
+    #[should_panic(expected = "port index exceeds u32::MAX")]
+    fn port_id_new_rejects_indices_beyond_u32() {
+        let _ = PortId::new(u32::MAX as usize + 1);
     }
 
     #[test]

@@ -260,10 +260,11 @@ impl<Q: QueueDiscipline> Switch<Q> {
 
     /// Iterates over `(port, queue)` pairs.
     pub fn queues(&self) -> impl Iterator<Item = (PortId, &Q)> {
+        // Configurations cap the port count at `u32::MAX`, so `i` fits.
         self.queues
             .iter()
             .enumerate()
-            .map(|(i, q)| (PortId::new(i), q))
+            .map(|(i, q)| (PortId::from_u32(i as u32), q))
     }
 
     /// Length of the longest output queue right now — the telemetry plane's
@@ -422,7 +423,8 @@ impl<Q: QueueDiscipline> Switch<Q> {
             let mut budget = speedup;
             while let Some((value, arrived)) = queue.serve_next(&mut self.core, &mut budget) {
                 let t = Transmitted {
-                    port: PortId::new(i),
+                    // As in `queues`: `i` fits.
+                    port: PortId::from_u32(i as u32),
                     value,
                     arrived,
                     departed: self.now,

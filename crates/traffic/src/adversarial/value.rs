@@ -1,6 +1,8 @@
 //! Lower-bound constructions for the heterogeneous-value model
 //! (Theorems 9-11).
 
+use std::iter::repeat_n;
+
 use smbm_switch::{PortId, Value, ValuePacket, ValueSwitchConfig};
 
 use super::ValueConstruction;
@@ -17,14 +19,13 @@ pub fn lqd_value_lower_bound(k: u64, buffer: usize, episodes: usize) -> ValueCon
     let cheap = |v: u64| ValuePacket::new(PortId::new(v as usize - 1), Value::new(v));
     let big = ValuePacket::new(PortId::new(ports - 1), Value::new(k));
     let mut episode = Trace::new();
-    let mut first = Vec::new();
-    for v in 1..=a {
-        first.extend(std::iter::repeat_n(cheap(v), buffer));
-    }
-    first.extend(std::iter::repeat_n(big, buffer));
-    episode.push_slot(first);
+    episode.push_slot(
+        (1..=a)
+            .flat_map(|v| repeat_n(cheap(v), buffer))
+            .chain(repeat_n(big, buffer)),
+    );
     for _ in 1..buffer {
-        episode.push_slot((1..=a).map(cheap).collect());
+        episode.push_slot((1..=a).map(cheap));
     }
     let trace = episode.repeated(episodes);
     let mut opt_caps = vec![1; ports];
@@ -53,10 +54,7 @@ pub fn greedy_value_lower_bound(k: u64, buffer: usize, episodes: usize) -> Value
     let ones = ValuePacket::new(PortId::new(0), Value::new(1));
     let ks = ValuePacket::new(PortId::new(1), Value::new(k));
     let mut episode = Trace::new();
-    let mut first = Vec::new();
-    first.extend(std::iter::repeat_n(ones, buffer));
-    first.extend(std::iter::repeat_n(ks, buffer));
-    episode.push_slot(first);
+    episode.push_slot(repeat_n(ones, buffer).chain(repeat_n(ks, buffer)));
     episode.push_silence(buffer);
     let trace = episode.repeated(episodes);
     // OPT dedicates the whole buffer to the k-packets.
@@ -84,13 +82,9 @@ pub fn mvd_lower_bound(k: u64, buffer: usize, slots: usize) -> ValueConstruction
     let config = ValueSwitchConfig::new(buffer, ports).expect("valid parameters");
     let pkt = |v: u64| ValuePacket::new(PortId::new(v as usize - 1), Value::new(v));
     let mut trace = Trace::new();
-    let mut first = Vec::new();
-    for v in 1..=m {
-        first.extend(std::iter::repeat_n(pkt(v), buffer));
-    }
-    trace.push_slot(first);
+    trace.push_slot((1..=m).flat_map(|v| repeat_n(pkt(v), buffer)));
     for _ in 1..slots {
-        trace.push_slot((1..=m).map(pkt).collect());
+        trace.push_slot((1..=m).map(pkt));
     }
     let per_class = (buffer / ports).max(1);
     let opt_caps = vec![per_class; ports];
@@ -117,13 +111,9 @@ pub fn mrd_lower_bound(buffer: usize, episodes: usize) -> ValueConstruction {
     let config = ValueSwitchConfig::new(buffer, 4).expect("valid parameters");
     let pkt = |i: usize| ValuePacket::new(PortId::new(i), Value::new(values[i]));
     let mut episode = Trace::new();
-    let mut first = Vec::new();
-    for i in 0..4 {
-        first.extend(std::iter::repeat_n(pkt(i), buffer));
-    }
-    episode.push_slot(first);
+    episode.push_slot((0..4).flat_map(|i| repeat_n(pkt(i), buffer)));
     for _ in 1..buffer.saturating_sub(3) {
-        episode.push_slot(vec![pkt(0), pkt(1), pkt(2)]);
+        episode.push_slot([pkt(0), pkt(1), pkt(2)]);
     }
     let trace = episode.repeated(episodes);
     let opt_caps = vec![1, 1, 1, buffer - 3];

@@ -1,6 +1,8 @@
 //! Lower-bound constructions for the heterogeneous-processing model
 //! (Theorems 1-6).
 
+use std::iter::repeat_n;
+
 use smbm_switch::{PortId, WorkPacket, WorkSwitchConfig};
 
 use super::{harmonic, WorkConstruction};
@@ -23,7 +25,7 @@ fn class_pkt(config: &WorkSwitchConfig, class: u32) -> WorkPacket {
 pub fn nhst_lower_bound(k: u32, buffer: usize, episodes: usize) -> WorkConstruction {
     let config = WorkSwitchConfig::contiguous(k, buffer).expect("valid parameters");
     let mut episode = Trace::new();
-    episode.push_slot(vec![class_pkt(&config, k); buffer]);
+    episode.push_slot(repeat_n(class_pkt(&config, k), buffer));
     // OPT holds B packets of work k on one port: k*B slots drain everything.
     episode.push_silence(k as usize * buffer);
     let trace = episode.repeated(episodes);
@@ -46,13 +48,8 @@ pub fn nhst_lower_bound(k: u32, buffer: usize, episodes: usize) -> WorkConstruct
 pub fn nest_lower_bound(n: usize, buffer: usize, episodes: usize) -> WorkConstruction {
     let config = WorkSwitchConfig::homogeneous(n, buffer).expect("valid parameters");
     let mut episode = Trace::new();
-    episode.push_slot(vec![
-        WorkPacket::new(
-            PortId::new(0),
-            config.work(PortId::new(0))
-        );
-        buffer
-    ]);
+    let port = PortId::new(0);
+    episode.push_slot(repeat_n(WorkPacket::new(port, config.work(port)), buffer));
     episode.push_silence(buffer);
     let trace = episode.repeated(episodes);
     let mut opt_caps = vec![0; n];
@@ -85,22 +82,20 @@ pub fn nhdt_lower_bound(k: u32, buffer: usize, episodes: usize) -> WorkConstruct
     // m = k - sqrt(k / ln k), clamped to a sane range.
     let m = optimal_m_nhdt(k);
     let mut episode = Trace::new();
-    let mut first = Vec::new();
-    for class in ((m + 1)..=k).rev() {
-        first.extend(std::iter::repeat_n(class_pkt(&config, class), buffer));
-    }
-    first.extend(std::iter::repeat_n(class_pkt(&config, 1), buffer));
-    episode.push_slot(first);
+    episode.push_slot(
+        ((m + 1)..=k)
+            .rev()
+            .chain([1])
+            .flat_map(|class| repeat_n(class_pkt(&config, class), buffer)),
+    );
     // Keep OPT's heavy queues busy: class i reappears every i slots.
     let len = (buffer + m as usize).saturating_sub(k as usize);
     for t in 1..len.max(2) {
-        let mut burst = Vec::new();
-        for class in (m + 1)..=k {
-            if t % class as usize == 0 {
-                burst.push(class_pkt(&config, class));
-            }
-        }
-        episode.push_slot(burst);
+        episode.push_slot(
+            ((m + 1)..=k)
+                .filter(|&class| t % class as usize == 0)
+                .map(|class| class_pkt(&config, class)),
+        );
     }
     let trace = episode.repeated(episodes);
     let heavy_classes = (k - m) as usize;
@@ -138,20 +133,17 @@ pub fn lqd_work_lower_bound(k: u32, buffer: usize, episodes: usize) -> WorkConst
     let config = WorkSwitchConfig::contiguous(k, buffer).expect("valid parameters");
     let m = (f64::from(k).sqrt().round() as u32).clamp(1, k - 1);
     let mut episode = Trace::new();
-    let mut first = Vec::new();
-    first.extend(std::iter::repeat_n(class_pkt(&config, 1), buffer));
-    for j in 0..m {
-        first.extend(std::iter::repeat_n(class_pkt(&config, k - j), buffer));
-    }
-    episode.push_slot(first);
+    episode.push_slot(
+        std::iter::once(1)
+            .chain((0..m).map(|j| k - j))
+            .flat_map(|class| repeat_n(class_pkt(&config, class), buffer)),
+    );
     for t in 1..buffer {
-        let mut burst = Vec::new();
-        for class in (k - m + 1)..=k {
-            if t % class as usize == 0 {
-                burst.push(class_pkt(&config, class));
-            }
-        }
-        episode.push_slot(burst);
+        episode.push_slot(
+            ((k - m + 1)..=k)
+                .filter(|&class| t % class as usize == 0)
+                .map(|class| class_pkt(&config, class)),
+        );
     }
     let trace = episode.repeated(episodes);
     let mut opt_caps = vec![0; k as usize];
@@ -184,15 +176,10 @@ pub fn bpd_lower_bound(k: u32, buffer: usize, slots: usize) -> WorkConstruction 
     let per_class = (buffer / k as usize).max(1);
     let mut trace = Trace::new();
     // Slot 0: fill both sides. Cheapest classes first, as in the proof.
-    let mut first = Vec::new();
-    for class in 1..=k {
-        first.extend(std::iter::repeat_n(class_pkt(&config, class), buffer));
-    }
-    trace.push_slot(first);
+    trace.push_slot((1..=k).flat_map(|class| repeat_n(class_pkt(&config, class), buffer)));
     // Steady state: one packet of every class per slot keeps all queues fed.
     for _ in 1..slots {
-        let burst: Vec<WorkPacket> = (1..=k).map(|c| class_pkt(&config, c)).collect();
-        trace.push_slot(burst);
+        trace.push_slot((1..=k).map(|c| class_pkt(&config, c)));
     }
     let opt_caps = vec![per_class; k as usize];
     WorkConstruction {
@@ -223,21 +210,24 @@ pub fn lwd_lower_bound(buffer: usize, episodes: usize) -> WorkConstruction {
     let config = WorkSwitchConfig::new(buffer, works).expect("valid parameters");
     let pkt = |port: usize| WorkPacket::new(PortId::new(port), config.work(PortId::new(port)));
     let mut episode = Trace::new();
-    let mut first = Vec::new();
-    first.extend(std::iter::repeat_n(pkt(0), buffer));
-    first.extend(std::iter::repeat_n(pkt(1), buffer / 4));
-    first.extend(std::iter::repeat_n(pkt(2), buffer / 6));
-    first.extend(std::iter::repeat_n(pkt(3), buffer / 12));
-    episode.push_slot(first);
+    episode.push_slot(
+        [
+            (0, buffer),
+            (1, buffer / 4),
+            (2, buffer / 6),
+            (3, buffer / 12),
+        ]
+        .into_iter()
+        .flat_map(|(port, count)| repeat_n(pkt(port), count)),
+    );
     let len = buffer.saturating_sub(3);
     for t in 1..len {
-        let mut burst = Vec::new();
-        for (port, period) in [(1usize, 2usize), (2, 3), (3, 6)] {
-            if t % period == 0 {
-                burst.push(pkt(port));
-            }
-        }
-        episode.push_slot(burst);
+        episode.push_slot(
+            [(1usize, 2usize), (2, 3), (3, 6)]
+                .into_iter()
+                .filter(|&(_, period)| t % period == 0)
+                .map(|(port, _)| pkt(port)),
+        );
     }
     let trace = episode.repeated(episodes);
     let opt_caps = vec![buffer - 3, 1, 1, 1];

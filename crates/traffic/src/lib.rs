@@ -3,7 +3,8 @@
 //! Traffic substrate for the shared-memory buffer-management reproduction:
 //!
 //! * [`Trace`] — per-slot arrival sequences with record/replay and a
-//!   line-oriented text format;
+//!   line-oriented text format, stored as one flat packet array plus one
+//!   end offset per slot (two allocations per trace, not one per slot);
 //! * [`MmppSource`] / [`MmppBank`] — the paper's on-off Markov-modulated
 //!   Poisson sources (Section V-A);
 //! * [`MmppScenario`] — builders for the three Fig. 5 traffic settings
@@ -49,4 +50,4 @@ pub use dist::zipf::Zipf;
 pub use mmpp::{MmppBank, MmppParams, MmppSource};
 pub use scenario::{MmppScenario, PortMix, ValueMix};
 pub use stats::{Summarize, TraceStats};
-pub use trace::{Batches, ParseTraceError, Trace, TracePacket};
+pub use trace::{ParseTraceError, Trace, TracePacket};

@@ -185,11 +185,10 @@ impl MmppScenario {
             _ => None,
         };
         let mut bank = MmppBank::stationary(self.sources, self.params, &mut rng)?;
-        let mut slots = Vec::with_capacity(self.slots);
+        let mut trace = Trace::with_capacity(self.slots, self.expected_arrivals());
         for _ in 0..self.slots {
             let n = bank.step(&mut rng);
-            let mut burst = Vec::with_capacity(n as usize);
-            for _ in 0..n {
+            trace.push_slot((0..n).map(|_| {
                 let port = PortId::new(sampler.sample(&mut rng));
                 let value = match values {
                     None => 1,
@@ -204,11 +203,20 @@ impl MmppScenario {
                         max - rank
                     }
                 };
-                burst.push(packet(port, Value::new(value)));
-            }
-            slots.push(burst);
+                packet(port, Value::new(value))
+            }));
         }
-        Ok(Trace::from_slots(slots))
+        Ok(trace)
+    }
+
+    /// Packets to reserve before generating: the long-run mean count
+    /// `sources × mean_rate × slots` plus an eighth. The reservation keeps
+    /// the packet array from growing, and so from copying itself, while it
+    /// is written; pages reserved but never written cost no memory.
+    fn expected_arrivals(&self) -> usize {
+        let mean = self.sources as f64 * self.params.mean_rate() * self.slots as f64;
+        // `as` saturates; a reservation that large could not be met anyway.
+        ((mean * 1.125) as usize).saturating_add(64)
     }
 }
 

@@ -105,7 +105,7 @@ impl Summarize for Trace<WorkPacket> {
         let counts: Vec<usize> = self.iter().map(<[WorkPacket]>::len).collect();
         let mut per_port = Vec::new();
         let mut weight = 0u64;
-        for pkt in self.iter().flatten() {
+        for pkt in self.packets() {
             let i = pkt.port().index();
             if per_port.len() <= i {
                 per_port.resize(i + 1, 0);
@@ -122,7 +122,7 @@ impl Summarize for Trace<ValuePacket> {
         let counts: Vec<usize> = self.iter().map(<[ValuePacket]>::len).collect();
         let mut per_port = Vec::new();
         let mut weight = 0u64;
-        for pkt in self.iter().flatten() {
+        for pkt in self.packets() {
             let i = pkt.port().index();
             if per_port.len() <= i {
                 per_port.resize(i + 1, 0);

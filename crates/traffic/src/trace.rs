@@ -1,4 +1,5 @@
-//! Arrival traces: per-slot bursts of packets, with record/replay support.
+//! Arrival traces: per-slot bursts of packets stored in one flat array, with
+//! record/replay support.
 
 use std::fmt;
 use std::str::FromStr;
@@ -12,63 +13,86 @@ use smbm_switch::{PortId, Value, ValuePacket, Work, WorkPacket};
 /// `Trace<WorkPacket>` drives the heterogeneous-processing model,
 /// `Trace<ValuePacket>` the heterogeneous-value model.
 ///
+/// All packets live in one contiguous array in arrival order; each slot
+/// records only where its burst ends. A trace of `m` packets over `s` slots
+/// is two allocations of `m` packets and `s` offsets, however many slots are
+/// empty.
+///
 /// ```
 /// use smbm_switch::{PortId, Work, WorkPacket};
 /// use smbm_traffic::Trace;
 ///
 /// let mut trace = Trace::new();
-/// trace.push_slot(vec![WorkPacket::new(PortId::new(0), Work::new(2))]);
-/// trace.push_slot(vec![]);
+/// trace.push_slot([WorkPacket::new(PortId::new(0), Work::new(2))]);
+/// trace.push_slot([]);
 /// assert_eq!(trace.slots(), 2);
 /// assert_eq!(trace.arrivals(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Trace<P> {
-    slots: Vec<Vec<P>>,
+    /// Every packet, slot after slot.
+    packets: Vec<P>,
+    /// `ends[t]` is one past slot `t`'s last packet in `packets`.
+    ends: Vec<usize>,
 }
 
 impl<P> Trace<P> {
     /// Creates an empty trace.
     pub fn new() -> Self {
-        Trace { slots: Vec::new() }
+        Trace {
+            packets: Vec::new(),
+            ends: Vec::new(),
+        }
+    }
+
+    /// Creates an empty trace with room for `slots` slots and `arrivals`
+    /// packets.
+    pub(crate) fn with_capacity(slots: usize, arrivals: usize) -> Self {
+        Trace {
+            packets: Vec::with_capacity(arrivals),
+            ends: Vec::with_capacity(slots),
+        }
     }
 
     /// Creates a trace from per-slot bursts.
     pub fn from_slots(slots: Vec<Vec<P>>) -> Self {
-        Trace { slots }
+        slots.into_iter().collect()
     }
 
     /// Appends one slot's burst (possibly empty).
-    pub fn push_slot(&mut self, burst: Vec<P>) {
-        self.slots.push(burst);
+    pub fn push_slot(&mut self, burst: impl IntoIterator<Item = P>) {
+        self.packets.extend(burst);
+        self.ends.push(self.packets.len());
     }
 
     /// Appends `n` arrival-free slots (silence, letting buffers drain).
     pub fn push_silence(&mut self, n: usize) {
-        for _ in 0..n {
-            self.slots.push(Vec::new());
-        }
+        let end = self.packets.len();
+        self.ends.extend(std::iter::repeat_n(end, n));
     }
 
     /// Appends a packet to the *last* slot (creating slot 0 if empty).
     pub fn push_arrival(&mut self, pkt: P) {
-        if self.slots.is_empty() {
-            self.slots.push(Vec::new());
+        self.packets.push(pkt);
+        match self.ends.last_mut() {
+            Some(end) => *end += 1,
+            None => self.ends.push(1),
         }
-        self.slots
-            .last_mut()
-            .expect("just ensured non-empty")
-            .push(pkt);
     }
 
     /// Number of slots.
     pub fn slots(&self) -> usize {
-        self.slots.len()
+        self.ends.len()
     }
 
     /// Total number of packets across all slots.
     pub fn arrivals(&self) -> usize {
-        self.slots.iter().map(Vec::len).sum()
+        self.packets.len()
+    }
+
+    /// Every packet in arrival order, slot boundaries erased.
+    pub fn packets(&self) -> &[P] {
+        &self.packets
     }
 
     /// The burst arriving during `slot`.
@@ -77,47 +101,40 @@ impl<P> Trace<P> {
     ///
     /// Panics if `slot >= self.slots()`.
     pub fn burst(&self, slot: usize) -> &[P] {
-        &self.slots[slot]
+        let start = slot.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.packets[start..self.ends[slot]]
     }
 
     /// Iterates over per-slot bursts.
-    pub fn iter(&self) -> impl Iterator<Item = &[P]> {
-        self.slots.iter().map(Vec::as_slice)
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[P]> {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let burst = &self.packets[start..end];
+            start = end;
+            burst
+        })
     }
 
-    /// The underlying per-slot bursts.
-    pub fn as_slots(&self) -> &[Vec<P>] {
-        &self.slots
-    }
-
-    /// Flattens the trace into arrival-ordered packet batches of at most
-    /// `max_packets` each, coalescing small bursts and splitting large ones
-    /// (empty slots contribute nothing). Slot boundaries are *not*
-    /// preserved: this feeds the live runtime's free-running ingress rings,
-    /// where batching amortizes per-transfer cost. Lockstep (slot-exact)
-    /// consumers should iterate [`Trace::iter`] instead.
+    /// Splits the packets, in arrival order, into batches of `max_packets`
+    /// each (the last may be shorter; empty slots contribute nothing). Slot
+    /// boundaries are *not* preserved: this feeds the live runtime's
+    /// free-running ingress rings, where batching amortizes per-transfer
+    /// cost. Lockstep (slot-exact) consumers should iterate [`Trace::iter`]
+    /// instead.
     ///
     /// # Panics
     ///
     /// Panics if `max_packets` is zero.
-    pub fn batches(&self, max_packets: usize) -> Batches<'_, P> {
+    pub fn batches(&self, max_packets: usize) -> std::slice::Chunks<'_, P> {
         assert!(max_packets > 0, "batch size must be positive");
-        Batches {
-            slots: &self.slots,
-            slot: 0,
-            offset: 0,
-            max_packets,
-        }
-    }
-
-    /// Consumes the trace, returning the per-slot bursts.
-    pub fn into_slots(self) -> Vec<Vec<P>> {
-        self.slots
+        self.packets.chunks(max_packets)
     }
 
     /// Concatenates another trace after this one.
     pub fn extend_with(&mut self, other: Trace<P>) {
-        self.slots.extend(other.slots);
+        let base = self.packets.len();
+        self.ends.extend(other.ends.iter().map(|end| base + end));
+        self.packets.extend(other.packets);
     }
 
     /// Repeats the whole trace `times` times (including the original).
@@ -125,11 +142,13 @@ impl<P> Trace<P> {
     where
         P: Clone,
     {
-        let mut slots = Vec::with_capacity(self.slots.len() * times);
+        let mut out = Trace::with_capacity(self.slots() * times, self.arrivals() * times);
         for _ in 0..times {
-            slots.extend(self.slots.iter().cloned());
+            let base = out.packets.len();
+            out.ends.extend(self.ends.iter().map(|end| base + end));
+            out.packets.extend_from_slice(&self.packets);
         }
-        Trace { slots }
+        out
     }
 
     /// Randomly thins the trace: each packet of slot `t` is kept with
@@ -152,63 +171,22 @@ impl<P> Trace<P> {
     {
         use rand::{RngExt, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let slots = self
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(t, burst)| {
-                let p = keep(t).clamp(0.0, 1.0);
-                burst
-                    .iter()
-                    .filter(|_| rng.random::<f64>() < p)
-                    .cloned()
-                    .collect()
-            })
-            .collect();
-        Trace { slots }
-    }
-}
-
-/// Iterator over coalesced packet batches, created by [`Trace::batches`].
-#[derive(Debug, Clone)]
-pub struct Batches<'a, P> {
-    slots: &'a [Vec<P>],
-    slot: usize,
-    offset: usize,
-    max_packets: usize,
-}
-
-impl<P: Clone> Iterator for Batches<'_, P> {
-    type Item = Vec<P>;
-
-    fn next(&mut self) -> Option<Vec<P>> {
-        let mut batch = Vec::new();
-        while self.slot < self.slots.len() {
-            let burst = &self.slots[self.slot];
-            let take = (self.max_packets - batch.len()).min(burst.len() - self.offset);
-            batch.extend_from_slice(&burst[self.offset..self.offset + take]);
-            self.offset += take;
-            if self.offset == burst.len() {
-                self.slot += 1;
-                self.offset = 0;
-            }
-            if batch.len() == self.max_packets {
-                return Some(batch);
-            }
+        let mut out = Trace::with_capacity(self.slots(), 0);
+        for (t, burst) in self.iter().enumerate() {
+            let p = keep(t).clamp(0.0, 1.0);
+            out.push_slot(burst.iter().filter(|_| rng.random::<f64>() < p).cloned());
         }
-        if batch.is_empty() {
-            None
-        } else {
-            Some(batch)
-        }
+        out
     }
 }
 
 impl<P> FromIterator<Vec<P>> for Trace<P> {
     fn from_iter<T: IntoIterator<Item = Vec<P>>>(iter: T) -> Self {
-        Trace {
-            slots: iter.into_iter().collect(),
+        let mut trace = Trace::new();
+        for burst in iter {
+            trace.push_slot(burst);
         }
+        trace
     }
 }
 
@@ -245,16 +223,17 @@ pub trait TracePacket: Sized {
     fn from_field(field: &str) -> Result<Self, String>;
 }
 
-fn split_field(field: &str) -> Result<(usize, u64), String> {
+fn split_field(field: &str) -> Result<(PortId, u64), String> {
     let (port, label) = field
         .split_once(':')
         .ok_or_else(|| format!("expected port:label, got {field:?}"))?;
-    let port = usize::from_str(port).map_err(|e| format!("bad port in {field:?}: {e}"))?;
+    // The port field is a `u32`, as on the wire and in `PortId`.
+    let port = u32::from_str(port).map_err(|e| format!("bad port in {field:?}: {e}"))?;
     if port == 0 {
         return Err(format!("ports are one-based, got 0 in {field:?}"));
     }
     let label = u64::from_str(label).map_err(|e| format!("bad label in {field:?}: {e}"))?;
-    Ok((port - 1, label))
+    Ok((PortId::from_u32(port - 1), label))
 }
 
 impl TracePacket for WorkPacket {
@@ -265,7 +244,7 @@ impl TracePacket for WorkPacket {
     fn from_field(field: &str) -> Result<Self, String> {
         let (port, work) = split_field(field)?;
         let work = u32::try_from(work).map_err(|_| format!("work too large in {field:?}"))?;
-        Ok(WorkPacket::new(PortId::new(port), Work::new(work)))
+        Ok(WorkPacket::new(port, Work::new(work)))
     }
 }
 
@@ -276,7 +255,7 @@ impl TracePacket for ValuePacket {
 
     fn from_field(field: &str) -> Result<Self, String> {
         let (port, value) = split_field(field)?;
-        Ok(ValuePacket::new(PortId::new(port), Value::new(value)))
+        Ok(ValuePacket::new(port, Value::new(value)))
     }
 }
 
@@ -284,7 +263,7 @@ impl<P: TracePacket> Trace<P> {
     /// Serializes the trace to the line-oriented text format.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        for burst in &self.slots {
+        for burst in self.iter() {
             let fields: Vec<String> = burst.iter().map(TracePacket::to_field).collect();
             out.push_str(&fields.join(" "));
             out.push('\n');
@@ -298,32 +277,18 @@ impl<P: TracePacket> Trace<P> {
     ///
     /// Returns [`ParseTraceError`] naming the offending line.
     pub fn from_text(text: &str) -> Result<Self, ParseTraceError> {
-        let mut slots = Vec::new();
+        let mut trace = Trace::new();
         for (i, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if let Some(stripped) = line.split_once('#') {
-                // Comments run to end of line.
-                return_line(&mut slots, stripped.0, i)?;
-                continue;
-            }
-            return_line(&mut slots, line, i)?;
-        }
-        return Ok(Trace { slots });
-
-        fn return_line<P: TracePacket>(
-            slots: &mut Vec<Vec<P>>,
-            line: &str,
-            i: usize,
-        ) -> Result<(), ParseTraceError> {
-            let mut burst = Vec::new();
-            for field in line.split_whitespace() {
+            // Comments run to end of line.
+            let fields = line.split('#').next().unwrap_or_default();
+            for field in fields.split_whitespace() {
                 let pkt =
                     P::from_field(field).map_err(|what| ParseTraceError { line: i + 1, what })?;
-                burst.push(pkt);
+                trace.packets.push(pkt);
             }
-            slots.push(burst);
-            Ok(())
+            trace.ends.push(trace.packets.len());
         }
+        Ok(trace)
     }
 }
 
@@ -411,11 +376,11 @@ mod tests {
         t.push_silence(2);
         t.push_slot(vec![wp(2, 3)]);
         t.push_slot(vec![wp(3, 4); 5]);
-        let batches: Vec<Vec<WorkPacket>> = t.batches(4).collect();
+        let batches: Vec<&[WorkPacket]> = t.batches(4).collect();
         assert_eq!(batches.len(), 2);
-        assert_eq!(batches[0], vec![wp(0, 1), wp(1, 2), wp(2, 3), wp(3, 4)]);
-        assert_eq!(batches[1], vec![wp(3, 4); 4]);
-        let flat: Vec<WorkPacket> = t.batches(4).flatten().collect();
+        assert_eq!(batches[0], [wp(0, 1), wp(1, 2), wp(2, 3), wp(3, 4)]);
+        assert_eq!(batches[1], [wp(3, 4); 4]);
+        let flat: Vec<WorkPacket> = t.batches(4).flatten().copied().collect();
         let expected: Vec<WorkPacket> = t.iter().flatten().copied().collect();
         assert_eq!(flat, expected);
     }

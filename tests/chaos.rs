@@ -25,8 +25,9 @@ fn trace_slots(slots: usize, seed: u64) -> Vec<Vec<WorkPacket>> {
     }
     .work_trace(&cfg, &PortMix::Uniform)
     .unwrap()
-    .as_slots()
-    .to_vec()
+    .iter()
+    .map(<[_]>::to_vec)
+    .collect()
 }
 
 /// One lockstep LWD shard over per-slot bursts, with faults armed and an

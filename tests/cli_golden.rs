@@ -1,15 +1,16 @@
 //! Pins the `smbm` command-line output byte for byte: the `*-run` roster
 //! tables, `bounds`, `trace-gen`, the lockstep `serve` replay in both wire
-//! models, and the error text of unknown policies, models and mixes.
+//! models, and the error text of unknown policies, models and mixes and of
+//! a trace whose port a `u32` cannot hold.
 //!
 //! Each `$ smbm ...` block of `tests/cli_golden.txt` is that command's
 //! stdout (or `error: ` and its one-line message), with the wall-time
 //! `throughput=` line of `serve` left out. A `serve` block reads the trace
-//! named after `<`: the `trace-gen` output above it, or the value trace
-//! built by [`value_trace`]. If a change moves the output on purpose, the
-//! failing run writes its transcript next to the test binary's scratch
-//! files (the path is in the panic message); copy it over the pinned file
-//! and say why in the commit.
+//! named after `<`: the `trace-gen` output above it, the value trace built
+//! by [`value_trace`], or [`WIDE_PORT_TRACE`]. If a change moves the output
+//! on purpose, the failing run writes its transcript next to the test
+//! binary's scratch files (the path is in the panic message); copy it over
+//! the pinned file and say why in the commit.
 
 use smbm_cli::{execute, Args};
 use smbm_traffic::{MmppScenario, PortMix, ValueMix};
@@ -60,6 +61,7 @@ const CASES: &[(&str, Option<&str>)] = &[
     ("serve --model work --policy MRD", Some("work")),
     ("serve --model value --policy LWD", Some("value")),
     ("serve --model combined", Some("work")),
+    ("serve --model work", Some("wide-port")),
     ("loadgen --model value --policy LWD", None),
     ("loadgen --model combined --policy MRD", None),
     ("loadgen --model bogus", None),
@@ -73,6 +75,9 @@ const CASES: &[(&str, Option<&str>)] = &[
     ("netgen --targets 127.0.0.1:9 --model combined", None),
     ("netgen --targets 127.0.0.1:9 --model bogus", None),
 ];
+
+/// A trace naming port 2^32 (one-based), past the `u32` port field.
+const WIDE_PORT_TRACE: &str = "4294967296:1\n";
 
 /// The value-model trace the value `serve` cases replay.
 fn value_trace() -> String {
@@ -100,6 +105,7 @@ fn transcript() -> String {
     for &(command, stdin) in CASES {
         let input = match stdin {
             Some("work") => work.as_str(),
+            Some("wide-port") => WIDE_PORT_TRACE,
             Some(_) => value.as_str(),
             None => "",
         };

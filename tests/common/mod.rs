@@ -4,8 +4,12 @@
 //! kept verbatim as an independent [`Policy`] so the differential suites
 //! can check the policy's shared arg-max selector (index and scan paths
 //! alike) against a hand-written loop.
+//!
+//! [`trace_model`] is the same kind of oracle for the flat arrival trace.
 
 #![allow(dead_code)] // each test crate uses its own subset
+
+pub mod trace_model;
 
 use smbm_core::{Decision, LwdTieBreak, Policy};
 use smbm_switch::{

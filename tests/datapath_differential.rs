@@ -102,7 +102,7 @@ proptest! {
                 let policy = work_policy_by_name(&shard_name).unwrap();
                 WorkRunner::new(shard_cfg.clone(), policy, 2)
             },
-            trace.as_slots().to_vec(),
+            trace.iter().map(<[_]>::to_vec).collect(),
             flush,
         );
         prop_assert_eq!(counters, expected, "counters diverged for {} flush {:?}", name, flush);
@@ -134,7 +134,7 @@ proptest! {
                 let policy = value_policy_by_name(&shard_name).unwrap();
                 ValueRunner::new(cfg, policy, 2)
             },
-            trace.as_slots().to_vec(),
+            trace.iter().map(<[_]>::to_vec).collect(),
             flush,
         );
         prop_assert_eq!(counters, expected, "counters diverged for {} flush {:?}", name, flush);

@@ -52,15 +52,10 @@ fn run_lwd(instance: &TinyInstance) -> (u64, u64) {
 
     let mut trace = Trace::new();
     for burst in &instance.slots {
-        trace.push_slot(
-            burst
-                .iter()
-                .map(|&p| {
-                    let port = PortId::new(p);
-                    smbm_switch::WorkPacket::new(port, config.work(port))
-                })
-                .collect(),
-        );
+        trace.push_slot(burst.iter().map(|&p| {
+            let port = PortId::new(p);
+            smbm_switch::WorkPacket::new(port, config.work(port))
+        }));
     }
     let mut runner = WorkRunner::new(config, Lwd::new(), 1);
     let lwd = run(&mut runner, &trace, &EngineConfig::draining())
@@ -111,8 +106,7 @@ fn theorem6_shape_within_bounds_vs_exact_opt() {
     trace.push_slot(
         burst
             .iter()
-            .map(|&p| smbm_switch::WorkPacket::new(p, config.work(p)))
-            .collect(),
+            .map(|&p| smbm_switch::WorkPacket::new(p, config.work(p))),
     );
     let mut runner = WorkRunner::new(config, Lwd::new(), 1);
     let lwd = run(&mut runner, &trace, &EngineConfig::draining())

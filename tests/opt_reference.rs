@@ -60,8 +60,7 @@ proptest! {
             trace.push_slot(
                 burst
                     .iter()
-                    .map(|&p| cfg_packet(&cfg, p))
-                    .collect(),
+                    .map(|&p| cfg_packet(&cfg, p)),
             );
         }
         for name in smbm_core::WORK_POLICY_NAMES {

@@ -82,7 +82,7 @@ fn work_runtime_matches_engine_for_every_policy() {
                 let policy = work_policy_by_name(&shard_name).unwrap();
                 WorkRunner::new(shard_cfg.clone(), policy, 2)
             },
-            trace.as_slots().to_vec(),
+            trace.iter().map(<[_]>::to_vec).collect(),
             None,
         );
         assert_eq!(counters, expected, "counters diverged for policy {name}");
@@ -113,7 +113,7 @@ fn value_runtime_matches_engine_for_every_policy() {
                 let policy = value_policy_by_name(&shard_name).unwrap();
                 ValueRunner::new(cfg, policy, 2)
             },
-            trace.as_slots().to_vec(),
+            trace.iter().map(<[_]>::to_vec).collect(),
             None,
         );
         assert_eq!(counters, expected, "counters diverged for policy {name}");
@@ -145,7 +145,7 @@ fn combined_runtime_matches_engine_for_every_policy() {
                 let policy = combined_policy_by_name(&shard_name).unwrap();
                 CombinedRunner::new(shard_cfg.clone(), policy, 1)
             },
-            trace.as_slots().to_vec(),
+            trace.iter().map(<[_]>::to_vec).collect(),
             None,
         );
         assert_eq!(counters, expected, "counters diverged for policy {name}");
@@ -250,7 +250,7 @@ fn flush_schedules_match_in_both_modes() {
                 let policy = work_policy_by_name("LWD").unwrap();
                 WorkRunner::new(shard_cfg.clone(), policy, 1)
             },
-            trace.as_slots().to_vec(),
+            trace.iter().map(<[_]>::to_vec).collect(),
             Some(flush),
         );
         assert_eq!(counters, expected, "counters diverged under {flush:?}");

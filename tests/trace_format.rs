@@ -1,8 +1,11 @@
-//! Property tests for the trace text format: arbitrary traces round-trip.
+//! Property tests for the trace text format: arbitrary traces round-trip,
+//! and port ids a `u32` cannot hold are refused where they enter.
 
 use proptest::prelude::*;
 
-use smbm_switch::{PortId, Value, ValuePacket, Work, WorkPacket};
+use smbm_switch::{
+    ConfigError, PortId, Value, ValuePacket, ValueSwitchConfig, Work, WorkPacket, WorkSwitchConfig,
+};
 use smbm_traffic::Trace;
 
 fn work_trace_strategy() -> impl Strategy<Value = Trace<WorkPacket>> {
@@ -86,4 +89,40 @@ fn corrupted_text_is_rejected_with_line_numbers() {
     let text = "1:2\n2:3 bogus\n";
     let err = Trace::<WorkPacket>::from_text(text).unwrap_err();
     assert!(err.to_string().contains("line 2"), "{err}");
+}
+
+/// Port ids are `u32`: trace text naming a port past `u32::MAX` (one-based)
+/// is a parse error, neither a panic nor a silently truncated port.
+#[test]
+fn ports_beyond_u32_are_rejected() {
+    let top = Trace::<WorkPacket>::from_text("4294967295:1\n").unwrap();
+    assert_eq!(top.burst(0)[0].port(), PortId::from_u32(u32::MAX - 1));
+    for text in ["4294967296:1\n", "1:1\n18446744073709551616:1\n"] {
+        let err = Trace::<ValuePacket>::from_text(text).unwrap_err();
+        assert!(err.to_string().contains("bad port"), "{err}");
+    }
+    let err = Trace::<WorkPacket>::from_text("1:1 4294967296:2\n").unwrap_err();
+    assert!(err.to_string().contains("line 1"), "{err}");
+}
+
+/// Switch configurations refuse more ports than a `u32` port id can name,
+/// before allocating anything per port.
+#[test]
+fn configs_reject_more_than_u32_ports() {
+    let too_many = u32::MAX as usize + 1;
+    let expected = ConfigError::TooManyPorts { ports: too_many };
+    assert_eq!(
+        ValueSwitchConfig::new(usize::MAX, too_many).unwrap_err(),
+        expected
+    );
+    assert_eq!(
+        WorkSwitchConfig::homogeneous(too_many, usize::MAX).unwrap_err(),
+        expected
+    );
+    assert_eq!(
+        WorkSwitchConfig::striped(2, too_many / 2, usize::MAX).unwrap_err(),
+        expected
+    );
+    assert!(ValueSwitchConfig::new(usize::MAX, u32::MAX as usize).is_ok());
+    assert!(!expected.to_string().is_empty());
 }
