@@ -5,11 +5,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use smbm_core::{
-    exact_work_opt, DatapathSystem, Lwd, Mrd, ValuePqOpt, ValueRunner, WorkPqOpt, WorkRunner,
+    exact_opt, DatapathSystem, Lwd, Mrd, ValuePqOpt, ValueRunner, WorkPqOpt, WorkRunner,
 };
 use smbm_obs::HistogramRecorder;
 use smbm_sim::{run, run_observed, EngineConfig};
-use smbm_switch::{PortId, ValueSwitchConfig, WorkSwitchConfig};
+use smbm_switch::{PortId, QueueDiscipline, Value, ValueSwitchConfig, WorkQueue, WorkSwitchConfig};
 use smbm_traffic::{MmppScenario, PortMix, ValueMix};
 
 fn engine_slot_throughput(c: &mut Criterion) {
@@ -249,18 +249,12 @@ fn trace_generation(c: &mut Criterion) {
 fn exact_opt_search(c: &mut Criterion) {
     let cfg = WorkSwitchConfig::contiguous(2, 4).expect("valid");
     // 16 arrivals over 4 slots: a realistic test-suite-sized instance.
-    let trace: Vec<Vec<PortId>> = (0..4)
-        .map(|_| {
-            vec![
-                PortId::new(0),
-                PortId::new(1),
-                PortId::new(0),
-                PortId::new(1),
-            ]
-        })
-        .collect();
+    let burst: Vec<_> = [0, 1, 0, 1]
+        .map(|p| WorkQueue::packet(&cfg, PortId::new(p), Value::ONE))
+        .to_vec();
+    let trace = vec![burst; 4];
     c.bench_function("exact-work-opt-16-arrivals", |b| {
-        b.iter(|| black_box(exact_work_opt(&cfg, 1, &trace).expect("small instance")));
+        b.iter(|| black_box(exact_opt::<WorkQueue>(&cfg, 1, &trace).expect("small instance")));
     });
 }
 

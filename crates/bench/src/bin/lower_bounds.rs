@@ -5,8 +5,8 @@
 //! lower_bounds [name ...]
 //! ```
 //!
-//! Without arguments, all constructions run. Valid names:
-//! `nhst nest nhdt lqd-work bpd lwd lqd-value mvd mrd`.
+//! Without arguments, all constructions run. `lower_bounds --help` lists the
+//! valid names.
 
 use std::process::ExitCode;
 

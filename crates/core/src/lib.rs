@@ -55,8 +55,8 @@
 //!
 //! * [`WorkPqOpt`] / [`ValuePqOpt`] — the paper's simulation yardstick: a
 //!   single priority queue over the whole buffer with `n * C` cores.
-//! * [`exact_work_opt`] / [`exact_value_opt`] — true clairvoyant optimum on
-//!   tiny instances by memoized search, used by the test-suite to verify
+//! * [`exact_opt`] — true clairvoyant optimum of every packet model on tiny
+//!   instances by memoized search, used by the test-suite to verify
 //!   Theorem 7's `OPT <= 2 * LWD` exactly.
 //!
 //! ## Example
@@ -100,7 +100,7 @@ pub use combined::{
 };
 pub use decision::Decision;
 pub use model::PacketModel;
-pub use opt::exact::{exact_value_opt, exact_work_opt, TooLargeError, MAX_EXACT_ARRIVALS};
+pub use opt::exact::{exact_opt, TooLargeError, MAX_EXACT_ARRIVALS};
 pub use opt::single_pq::{ValuePqOpt, WorkPqOpt};
 pub use ratio::CompetitiveRatio;
 pub use runner::{

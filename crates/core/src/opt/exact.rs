@@ -7,19 +7,24 @@
 //! decision vectors, made tractable on small instances by memoizing on the
 //! (arrival position, buffer state) pair.
 //!
-//! Both solvers evaluate the **drain objective**: the trace is followed by
+//! The search evaluates the **drain objective**: the trace is followed by
 //! arrival-free slots until the buffer empties, so every admitted packet is
 //! eventually transmitted. This matches how competitive bounds are stated
 //! (performance as `t -> ∞` for a finite adversarial prefix) and lets the
 //! test-suite check, e.g., Theorem 7's `OPT <= 2 * LWD` exactly.
+//!
+//! One search serves every packet model: a packet's value is credited when
+//! it is admitted, and every packet to a port needs that port's work (one
+//! cycle in the value model), so a port's state is its packet count and the
+//! residual work of its head packet.
 
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use smbm_switch::{PortId, ValuePacket, WorkSwitchConfig};
+use smbm_switch::{PortId, QueueDiscipline, Value};
 
-/// Largest number of arrivals the exact solvers accept; beyond this the
+/// Largest number of arrivals [`exact_opt`] accepts; beyond this the
 /// search space is too large to explore exhaustively.
 pub const MAX_EXACT_ARRIVALS: usize = 28;
 
@@ -41,243 +46,224 @@ impl fmt::Display for TooLargeError {
 
 impl Error for TooLargeError {}
 
-// ------------------------------------------------------------------------
-// Heterogeneous-processing model
-// ------------------------------------------------------------------------
-
-/// Per-queue state for the work-model search: `(length, head residual)`.
-type WorkState = Vec<(u16, u16)>;
-
-/// Computes the exact optimal number of transmitted packets for the
-/// heterogeneous-processing model on a per-slot arrival trace (ports only —
-/// each packet's work is dictated by its destination), including a full
-/// drain after the last slot.
+/// Computes the exact optimal transmitted value of `trace` (the packet count
+/// in the work model, where every packet is worth 1) on a switch of
+/// discipline `Q` whose ports each get `speedup` processing cycles per slot,
+/// including a full drain after the last slot.
 ///
 /// # Errors
 ///
 /// Returns [`TooLargeError`] if the trace has more than
 /// [`MAX_EXACT_ARRIVALS`] arrivals.
 ///
-/// ```
-/// use smbm_core::exact_work_opt;
-/// use smbm_switch::{PortId, WorkSwitchConfig};
+/// # Panics
 ///
+/// May panic if a packet's port is not a port of `config`.
+///
+/// ```
+/// use smbm_core::exact_opt;
+/// use smbm_switch::{
+///     PortId, QueueDiscipline, Value, ValueQueue, ValueSwitchConfig, WorkQueue, WorkSwitchConfig,
+/// };
+///
+/// // Work model, B = 2: of three packets toward port 0 (w = 1) in one slot
+/// // only two fit; both drain out.
 /// let cfg = WorkSwitchConfig::contiguous(2, 2)?;
-/// // One slot: three packets toward port 0 (w = 1). B = 2 caps OPT at 2
-/// // admissions; both drain out.
-/// let trace = vec![vec![PortId::new(0); 3]];
-/// assert_eq!(exact_work_opt(&cfg, 1, &trace)?, 2);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn exact_work_opt(
-    config: &WorkSwitchConfig,
-    speedup: u32,
-    trace: &[Vec<PortId>],
-) -> Result<u64, TooLargeError> {
-    let arrivals: usize = trace.iter().map(Vec::len).sum();
-    if arrivals > MAX_EXACT_ARRIVALS {
-        return Err(TooLargeError { arrivals });
-    }
-    // Flatten to a list of (slot, port); slot boundaries trigger
-    // transmission phases.
-    let mut solver = WorkSolver {
-        config,
-        speedup,
-        trace,
-        memo: HashMap::new(),
-    };
-    let state: WorkState = vec![(0, 0); config.ports()];
-    Ok(solver.best(0, 0, state))
-}
-
-struct WorkSolver<'a> {
-    config: &'a WorkSwitchConfig,
-    speedup: u32,
-    trace: &'a [Vec<PortId>],
-    memo: HashMap<(usize, usize, WorkState), u64>,
-}
-
-impl WorkSolver<'_> {
-    /// Max packets eventually transmitted from `state` onward, starting at
-    /// arrival `idx` of `slot`.
-    fn best(&mut self, slot: usize, idx: usize, state: WorkState) -> u64 {
-        if slot == self.trace.len() {
-            // Drain: every resident packet is eventually transmitted.
-            return state.iter().map(|&(len, _)| len as u64).sum();
-        }
-        if let Some(&v) = self.memo.get(&(slot, idx, state.clone())) {
-            return v;
-        }
-        let result = if idx == self.trace[slot].len() {
-            // Transmission phase, then next slot.
-            let mut next = state.clone();
-            let mut completed = 0u64;
-            for (i, q) in next.iter_mut().enumerate() {
-                let w = self.config.works()[i].cycles() as u16;
-                let mut cycles = self.speedup as u16;
-                while cycles > 0 && q.0 > 0 {
-                    let step = cycles.min(q.1);
-                    q.1 -= step;
-                    cycles -= step;
-                    if q.1 == 0 {
-                        q.0 -= 1;
-                        completed += 1;
-                        q.1 = if q.0 > 0 { w } else { 0 };
-                    }
-                }
-            }
-            completed + self.best(slot + 1, 0, next)
-        } else {
-            let port = self.trace[slot][idx];
-            // Option 1: drop.
-            let mut best = self.best(slot, idx + 1, state.clone());
-            // Option 2: admit, if the buffer has room.
-            let occupancy: u32 = state.iter().map(|&(len, _)| len as u32).sum();
-            if (occupancy as usize) < self.config.buffer() {
-                let mut admitted = state.clone();
-                let q = &mut admitted[port.index()];
-                if q.0 == 0 {
-                    q.1 = self.config.work(port).cycles() as u16;
-                }
-                q.0 += 1;
-                best = best.max(self.best(slot, idx + 1, admitted));
-            }
-            best
-        };
-        self.memo.insert((slot, idx, state), result);
-        result
-    }
-}
-
-// ------------------------------------------------------------------------
-// Heterogeneous-value model
-// ------------------------------------------------------------------------
-
-/// Per-queue state for the value-model search: queue lengths only. Under the
-/// drain objective every admitted packet is transmitted, so its value is
-/// collected at admission and the buffer dynamics depend only on lengths.
-type ValueState = Vec<u16>;
-
-/// Computes the exact optimal total transmitted *value* for the
-/// heterogeneous-value model on a per-slot arrival trace, including a full
-/// drain after the last slot.
+/// let trace = vec![vec![WorkQueue::packet(&cfg, PortId::new(0), Value::ONE); 3]];
+/// assert_eq!(exact_opt::<WorkQueue>(&cfg, 1, &trace)?, 2);
 ///
-/// # Errors
-///
-/// Returns [`TooLargeError`] if the trace has more than
-/// [`MAX_EXACT_ARRIVALS`] arrivals.
-///
-/// ```
-/// use smbm_core::exact_value_opt;
-/// use smbm_switch::{PortId, Value, ValuePacket, ValueSwitchConfig};
-///
+/// // Value model, B = 1: of two same-slot arrivals only one fits; OPT
+/// // takes the 9.
 /// let cfg = ValueSwitchConfig::new(1, 1)?;
-/// let p = |v| ValuePacket::new(PortId::new(0), Value::new(v));
-/// // B = 1: of two same-slot arrivals only one fits; OPT takes the 9.
-/// let trace = vec![vec![p(4), p(9)]];
-/// assert_eq!(exact_value_opt(&cfg, 1, &trace)?, 9);
+/// let p = |v| ValueQueue::packet(&cfg, PortId::new(0), Value::new(v));
+/// assert_eq!(exact_opt::<ValueQueue>(&cfg, 1, &[vec![p(4), p(9)]])?, 9);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn exact_value_opt(
-    config: &smbm_switch::ValueSwitchConfig,
+pub fn exact_opt<Q: QueueDiscipline>(
+    config: &Q::Config,
     speedup: u32,
-    trace: &[Vec<ValuePacket>],
+    trace: &[Vec<Q::Packet>],
 ) -> Result<u64, TooLargeError> {
-    let arrivals: usize = trace.iter().map(Vec::len).sum();
-    if arrivals > MAX_EXACT_ARRIVALS {
-        return Err(TooLargeError { arrivals });
+    let arrivals: Vec<Arrival> = trace
+        .iter()
+        .enumerate()
+        .flat_map(|(slot, burst)| {
+            burst.iter().map(move |&pkt| Arrival {
+                slot,
+                port: Q::port(pkt).index(),
+                value: Q::value(pkt).get(),
+            })
+        })
+        .collect();
+    if arrivals.len() > MAX_EXACT_ARRIVALS {
+        return Err(TooLargeError {
+            arrivals: arrivals.len(),
+        });
     }
-    let mut solver = ValueSolver {
-        ports: config.ports(),
-        buffer: config.buffer(),
+    let works: Vec<u32> = (0..Q::ports(config))
+        .map(|i| Q::work(Q::packet(config, PortId::new(i), Value::ONE)).cycles())
+        .collect();
+    let empty = vec![(0, 0); works.len()];
+    let mut search = Search {
+        works,
+        buffer: Q::buffer(config),
         speedup,
-        trace,
+        arrivals,
         memo: HashMap::new(),
     };
-    let state: ValueState = vec![0; config.ports()];
-    Ok(solver.best(0, 0, state))
+    Ok(search.best(0, empty))
 }
 
-struct ValueSolver<'a> {
-    ports: usize,
+/// One arrival of the trace, as the search needs it.
+struct Arrival {
+    slot: usize,
+    port: usize,
+    value: u64,
+}
+
+/// Per port: `(resident packets, residual cycles of the head packet)`.
+type State = Vec<(u32, u32)>;
+
+struct Search {
+    works: Vec<u32>,
     buffer: usize,
     speedup: u32,
-    trace: &'a [Vec<ValuePacket>],
-    memo: HashMap<(usize, usize, ValueState), u64>,
+    arrivals: Vec<Arrival>,
+    memo: HashMap<(usize, State), u64>,
 }
 
-impl ValueSolver<'_> {
-    fn best(&mut self, slot: usize, idx: usize, state: ValueState) -> u64 {
-        if slot == self.trace.len() {
-            // Drain: already-collected values all leave; nothing more to add.
+impl Search {
+    /// Most value still collectable from arrival `i` on, which finds the
+    /// buffer in `state`.
+    fn best(&mut self, i: usize, state: State) -> u64 {
+        let Some(&Arrival { port, value, .. }) = self.arrivals.get(i) else {
             return 0;
-        }
-        if let Some(&v) = self.memo.get(&(slot, idx, state.clone())) {
+        };
+        if let Some(&v) = self.memo.get(&(i, state.clone())) {
             return v;
         }
-        let result = if idx == self.trace[slot].len() {
-            let mut next = state.clone();
-            for q in next.iter_mut() {
-                *q = q.saturating_sub(self.speedup as u16);
+        let mut best = self.after(i, state.clone());
+        let occupancy: usize = state.iter().map(|&(len, _)| len as usize).sum();
+        if occupancy < self.buffer {
+            let mut admitted = state.clone();
+            let q = &mut admitted[port];
+            if q.0 == 0 {
+                q.1 = self.works[port];
             }
-            self.best(slot + 1, 0, next)
-        } else {
-            let pkt = self.trace[slot][idx];
-            debug_assert!(pkt.port().index() < self.ports);
-            let mut best = self.best(slot, idx + 1, state.clone());
-            let occupancy: u32 = state.iter().map(|&l| l as u32).sum();
-            if (occupancy as usize) < self.buffer {
-                let mut admitted = state.clone();
-                admitted[pkt.port().index()] += 1;
-                best = best.max(pkt.value().get() + self.best(slot, idx + 1, admitted));
-            }
-            best
+            q.0 += 1;
+            best = best.max(value + self.after(i, admitted));
+        }
+        self.memo.insert((i, state), best);
+        best
+    }
+
+    /// [`Search::best`] from the arrival after `i`, once the transmission
+    /// phases of the slots in between have run. Slots without arrivals hold
+    /// no choice, so they are walked here rather than recursed into.
+    fn after(&mut self, i: usize, mut state: State) -> u64 {
+        let Some(next) = self.arrivals.get(i + 1) else {
+            return 0;
         };
-        self.memo.insert((slot, idx, state), result);
-        result
+        for _ in self.arrivals[i].slot..next.slot {
+            if state.iter().all(|&(len, _)| len == 0) {
+                break;
+            }
+            self.transmit(&mut state);
+        }
+        self.best(i + 1, state)
+    }
+
+    /// One transmission phase: each port spends `speedup` cycles on its
+    /// queue, head first.
+    fn transmit(&self, state: &mut State) {
+        for (q, &work) in state.iter_mut().zip(&self.works) {
+            let mut cycles = self.speedup;
+            while cycles > 0 && q.0 > 0 {
+                let step = cycles.min(q.1);
+                q.1 -= step;
+                cycles -= step;
+                if q.1 == 0 {
+                    q.0 -= 1;
+                    q.1 = if q.0 > 0 { work } else { 0 };
+                }
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smbm_switch::{Value, ValueSwitchConfig};
+    use smbm_switch::{ValueQueue, ValueSwitchConfig, Work, WorkQueue, WorkSwitchConfig};
 
-    fn p(port: usize) -> PortId {
-        PortId::new(port)
+    fn work_config(buffer: usize, works: &[u32]) -> WorkSwitchConfig {
+        WorkSwitchConfig::new(buffer, works.iter().map(|&w| Work::new(w)).collect()).unwrap()
     }
 
-    fn vpkt(port: usize, v: u64) -> ValuePacket {
-        ValuePacket::new(p(port), Value::new(v))
+    /// A trace of `(port, value)` arrivals per slot as packets of `Q`.
+    fn trace<Q: QueueDiscipline>(
+        config: &Q::Config,
+        slots: &[&[(usize, u64)]],
+    ) -> Vec<Vec<Q::Packet>> {
+        slots
+            .iter()
+            .map(|burst| {
+                burst
+                    .iter()
+                    .map(|&(port, v)| Q::packet(config, PortId::new(port), Value::new(v)))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Work-model arrivals per slot, by port.
+    fn work_trace(
+        config: &WorkSwitchConfig,
+        slots: &[&[usize]],
+    ) -> Vec<Vec<smbm_switch::WorkPacket>> {
+        slots
+            .iter()
+            .map(|burst| {
+                burst
+                    .iter()
+                    .map(|&port| WorkQueue::packet(config, PortId::new(port), Value::ONE))
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn work_opt(config: &WorkSwitchConfig, speedup: u32, slots: &[&[usize]]) -> u64 {
+        exact_opt::<WorkQueue>(config, speedup, &work_trace(config, slots)).unwrap()
+    }
+
+    fn value_opt(config: &ValueSwitchConfig, speedup: u32, slots: &[&[(usize, u64)]]) -> u64 {
+        exact_opt::<ValueQueue>(config, speedup, &trace::<ValueQueue>(config, slots)).unwrap()
     }
 
     #[test]
     fn work_opt_empty_trace_is_zero() {
         let cfg = WorkSwitchConfig::contiguous(2, 4).unwrap();
-        assert_eq!(exact_work_opt(&cfg, 1, &[]).unwrap(), 0);
+        assert_eq!(work_opt(&cfg, 1, &[]), 0);
     }
 
     #[test]
     fn work_opt_admits_everything_that_fits() {
         let cfg = WorkSwitchConfig::contiguous(2, 4).unwrap();
-        let trace = vec![vec![p(0), p(1), p(1)]];
-        assert_eq!(exact_work_opt(&cfg, 1, &trace).unwrap(), 3);
+        assert_eq!(work_opt(&cfg, 1, &[&[0, 1, 1]]), 3);
     }
 
     #[test]
     fn work_opt_respects_buffer_capacity() {
         let cfg = WorkSwitchConfig::contiguous(1, 2).unwrap();
-        let trace = vec![vec![p(0); 5]];
-        assert_eq!(exact_work_opt(&cfg, 1, &trace).unwrap(), 2);
+        assert_eq!(work_opt(&cfg, 1, &[&[0; 5]]), 2);
     }
 
     #[test]
     fn work_opt_exploits_freed_space_across_slots() {
         // B = 2, single port with w = 1: one slot frees one space per slot.
         let cfg = WorkSwitchConfig::contiguous(1, 2).unwrap();
-        let trace = vec![vec![p(0); 3], vec![p(0); 3], vec![p(0); 3]];
         // Slot 1: admit 2 (transmit 1). Slots 2 and 3: refill one each.
-        assert_eq!(exact_work_opt(&cfg, 1, &trace).unwrap(), 4);
+        assert_eq!(work_opt(&cfg, 1, &[&[0; 3], &[0; 3], &[0; 3]]), 4);
     }
 
     #[test]
@@ -285,22 +271,20 @@ mod tests {
         // Two ports: w = 1 and w = 3, B = 2. A long burst of both: the
         // 1-cycle queue recycles buffer space three times faster, so OPT
         // admits every cheap packet plus two expensive ones.
-        let cfg = WorkSwitchConfig::new(
-            2,
-            vec![smbm_switch::Work::new(1), smbm_switch::Work::new(3)],
-        )
-        .unwrap();
-        let trace: Vec<Vec<PortId>> = (0..6).map(|_| vec![p(0), p(1)]).collect();
-        let opt = exact_work_opt(&cfg, 1, &trace).unwrap();
-        assert_eq!(opt, 8, "6 cheap + 2 expensive");
+        let cfg = work_config(2, &[1, 3]);
+        assert_eq!(
+            work_opt(&cfg, 1, &[&[0, 1][..]; 6]),
+            8,
+            "6 cheap + 2 expensive"
+        );
     }
 
     #[test]
     fn work_opt_speedup_helps() {
         let cfg = WorkSwitchConfig::contiguous(1, 2).unwrap();
-        let trace = vec![vec![p(0); 3], vec![p(0); 3]];
-        let slow = exact_work_opt(&cfg, 1, &trace).unwrap();
-        let fast = exact_work_opt(&cfg, 2, &trace).unwrap();
+        let slots: &[&[usize]] = &[&[0; 3], &[0; 3]];
+        let slow = work_opt(&cfg, 1, slots);
+        let fast = work_opt(&cfg, 2, slots);
         assert!(fast >= slow);
         assert_eq!(fast, 4); // 2 per slot admitted, all drained
     }
@@ -308,53 +292,91 @@ mod tests {
     #[test]
     fn work_opt_rejects_oversized_instances() {
         let cfg = WorkSwitchConfig::contiguous(1, 2).unwrap();
-        let trace = vec![vec![p(0); MAX_EXACT_ARRIVALS + 1]];
-        let err = exact_work_opt(&cfg, 1, &trace).unwrap_err();
+        let trace = work_trace(&cfg, &[&[0; MAX_EXACT_ARRIVALS + 1]]);
+        let err = exact_opt::<WorkQueue>(&cfg, 1, &trace).unwrap_err();
         assert!(err.to_string().contains("exact OPT limited"));
+    }
+
+    #[test]
+    fn exactly_max_arrivals_are_accepted() {
+        // 28 arrivals to one port in one slot with B = 2: two fit.
+        let work = WorkSwitchConfig::contiguous(1, 2).unwrap();
+        assert_eq!(work_opt(&work, 1, &[&[0; MAX_EXACT_ARRIVALS]]), 2);
+        let value = ValueSwitchConfig::new(2, 1).unwrap();
+        let burst: Vec<(usize, u64)> = (1..=MAX_EXACT_ARRIVALS as u64).map(|v| (0, v)).collect();
+        let top_two = 2 * MAX_EXACT_ARRIVALS as u64 - 1;
+        assert_eq!(value_opt(&value, 1, &[&burst]), top_two);
+    }
+
+    #[test]
+    fn work_residual_beyond_u16() {
+        // w = 65,537 holds the one buffer slot far past the second arrival.
+        let cfg = work_config(1, &[65_537]);
+        assert_eq!(work_opt(&cfg, 1, &[&[0], &[0]]), 1);
+    }
+
+    #[test]
+    fn work_speedup_beyond_u16() {
+        let cfg = work_config(1, &[1]);
+        assert_eq!(work_opt(&cfg, 65_536, &[&[0], &[0]]), 2);
+    }
+
+    #[test]
+    fn value_speedup_beyond_u16() {
+        let cfg = ValueSwitchConfig::new(1, 1).unwrap();
+        assert_eq!(value_opt(&cfg, 65_536, &[&[(0, 5)], &[(0, 7)]]), 12);
+    }
+
+    #[test]
+    fn silent_stretches_do_not_deepen_the_search() {
+        let cfg = WorkSwitchConfig::contiguous(2, 2).unwrap();
+        let silence = std::iter::repeat_n(Vec::new(), 100_000);
+        let mut trace = work_trace(&cfg, &[&[0]]);
+        trace.extend(silence.clone());
+        trace.extend(work_trace(&cfg, &[&[1, 1, 1]]));
+        trace.extend(silence);
+        assert_eq!(exact_opt::<WorkQueue>(&cfg, 1, &trace).unwrap(), 3);
     }
 
     #[test]
     fn value_opt_empty_trace_is_zero() {
         let cfg = ValueSwitchConfig::new(2, 2).unwrap();
-        assert_eq!(exact_value_opt(&cfg, 1, &[]).unwrap(), 0);
+        assert_eq!(value_opt(&cfg, 1, &[]), 0);
     }
 
     #[test]
     fn value_opt_takes_best_subset() {
         let cfg = ValueSwitchConfig::new(2, 2).unwrap();
-        let trace = vec![vec![vpkt(0, 1), vpkt(0, 5), vpkt(1, 3)]];
-        assert_eq!(exact_value_opt(&cfg, 1, &trace).unwrap(), 8);
+        assert_eq!(value_opt(&cfg, 1, &[&[(0, 1), (0, 5), (1, 3)]]), 8);
     }
 
     #[test]
     fn value_opt_across_slots_uses_freed_space() {
         let cfg = ValueSwitchConfig::new(1, 1).unwrap();
-        let trace = vec![vec![vpkt(0, 2)], vec![vpkt(0, 7)]];
         // B = 1 but one transmits per slot: both fit over time.
-        assert_eq!(exact_value_opt(&cfg, 1, &trace).unwrap(), 9);
+        assert_eq!(value_opt(&cfg, 1, &[&[(0, 2)], &[(0, 7)]]), 9);
     }
 
     #[test]
     fn value_opt_multi_port_parallel_drain() {
         let cfg = ValueSwitchConfig::new(2, 2).unwrap();
-        let trace = vec![vec![vpkt(0, 3), vpkt(1, 4)], vec![vpkt(0, 5), vpkt(1, 6)]];
         // Each port drains one per slot: everything is admitted.
-        assert_eq!(exact_value_opt(&cfg, 1, &trace).unwrap(), 18);
+        let slots: &[&[(usize, u64)]] = &[&[(0, 3), (1, 4)], &[(0, 5), (1, 6)]];
+        assert_eq!(value_opt(&cfg, 1, slots), 18);
     }
 
     #[test]
     fn value_opt_single_port_bottleneck() {
         // All to one port, B = 2: admissions limited by drain rate.
         let cfg = ValueSwitchConfig::new(2, 1).unwrap();
-        let trace = vec![vec![vpkt(0, 9), vpkt(0, 9), vpkt(0, 9)], vec![vpkt(0, 9)]];
         // Slot 1: admit 2 (one leaves). Slot 2: admit 1. Total 3 x 9.
-        assert_eq!(exact_value_opt(&cfg, 1, &trace).unwrap(), 27);
+        assert_eq!(value_opt(&cfg, 1, &[&[(0, 9); 3], &[(0, 9)]]), 27);
     }
 
     #[test]
     fn value_opt_rejects_oversized_instances() {
         let cfg = ValueSwitchConfig::new(2, 1).unwrap();
-        let trace = vec![vec![vpkt(0, 1); MAX_EXACT_ARRIVALS + 1]];
-        assert!(exact_value_opt(&cfg, 1, &trace).is_err());
+        let trace = trace::<ValueQueue>(&cfg, &[&[(0, 1); MAX_EXACT_ARRIVALS + 1]]);
+        assert!(exact_opt::<ValueQueue>(&cfg, 1, &trace).is_err());
     }
 }

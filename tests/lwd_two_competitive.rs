@@ -4,9 +4,9 @@
 
 use proptest::prelude::*;
 
-use smbm_core::{exact_work_opt, Lwd, WorkRunner};
+use smbm_core::{exact_opt, Lwd, WorkRunner};
 use smbm_sim::{run, EngineConfig};
-use smbm_switch::{PortId, Work, WorkSwitchConfig};
+use smbm_switch::{PortId, QueueDiscipline, Value, Work, WorkQueue, WorkSwitchConfig};
 use smbm_traffic::Trace;
 
 /// A tiny random instance: per-port works, buffer size, and a short trace of
@@ -43,20 +43,18 @@ fn run_lwd(instance: &TinyInstance) -> (u64, u64) {
         instance.works.iter().map(|&w| Work::new(w)).collect(),
     )
     .expect("generated instances are valid");
-    let ports_trace: Vec<Vec<PortId>> = instance
+    let packets: Vec<Vec<_>> = instance
         .slots
         .iter()
-        .map(|burst| burst.iter().map(|&p| PortId::new(p)).collect())
+        .map(|burst| {
+            burst
+                .iter()
+                .map(|&p| WorkQueue::packet(&config, PortId::new(p), Value::ONE))
+                .collect()
+        })
         .collect();
-    let opt = exact_work_opt(&config, 1, &ports_trace).expect("instance is small");
-
-    let mut trace = Trace::new();
-    for burst in &instance.slots {
-        trace.push_slot(burst.iter().map(|&p| {
-            let port = PortId::new(p);
-            smbm_switch::WorkPacket::new(port, config.work(port))
-        }));
-    }
+    let opt = exact_opt::<WorkQueue>(&config, 1, &packets).expect("instance is small");
+    let trace = Trace::from_slots(packets);
     let mut runner = WorkRunner::new(config, Lwd::new(), 1);
     let lwd = run(&mut runner, &trace, &EngineConfig::draining())
         .expect("LWD never errs")
@@ -99,15 +97,12 @@ fn theorem6_shape_within_bounds_vs_exact_opt() {
     burst.extend(std::iter::repeat_n(PortId::new(1), 3));
     burst.extend(std::iter::repeat_n(PortId::new(2), 2));
     burst.push(PortId::new(3));
-    let ports_trace = vec![burst.clone()];
-    let opt = exact_work_opt(&config, 1, &ports_trace).unwrap();
-
-    let mut trace = Trace::new();
-    trace.push_slot(
-        burst
-            .iter()
-            .map(|&p| smbm_switch::WorkPacket::new(p, config.work(p))),
-    );
+    let slots = vec![burst
+        .iter()
+        .map(|&p| WorkQueue::packet(&config, p, Value::ONE))
+        .collect()];
+    let opt = exact_opt::<WorkQueue>(&config, 1, &slots).unwrap();
+    let trace = Trace::from_slots(slots);
     let mut runner = WorkRunner::new(config, Lwd::new(), 1);
     let lwd = run(&mut runner, &trace, &EngineConfig::draining())
         .unwrap()

@@ -4,30 +4,22 @@
 use proptest::prelude::*;
 
 use smbm_core::{
-    exact_value_opt, exact_work_opt, value_policy_by_name, work_policy_by_name, CombinedPqOpt,
-    ValuePqOpt, ValueRunner, WorkPqOpt, WorkRunner,
+    exact_opt, work_policy_by_name, CombinedPqOpt, PacketModel, Runner, ValuePqOpt, WorkPqOpt,
+    WorkRunner,
 };
 use smbm_sim::{run, EngineConfig};
 use smbm_switch::{
-    CombinedPacket, PortId, Value, ValuePacket, ValueSwitchConfig, Work, WorkSwitchConfig,
+    CombinedPacket, CombinedQueue, PortId, Value, ValuePacket, ValueQueue, ValueSwitchConfig, Work,
+    WorkQueue, WorkSwitchConfig,
 };
 use smbm_traffic::Trace;
 
-fn tiny_work_case() -> impl Strategy<Value = (Vec<u32>, usize, Vec<Vec<usize>>)> {
+/// Per-port works, buffer and at most 14 `(port, value)` arrivals.
+#[allow(clippy::type_complexity)]
+fn tiny_case() -> impl Strategy<Value = (Vec<u32>, usize, Vec<Vec<(usize, u64)>>)> {
     (2usize..=3).prop_flat_map(|ports| {
         (
             proptest::collection::vec(1u32..=3, ports),
-            ports..=5usize,
-            proptest::collection::vec(proptest::collection::vec(0usize..ports, 0..=4), 1..=4)
-                .prop_filter("small", |s| s.iter().map(Vec::len).sum::<usize>() <= 14),
-        )
-    })
-}
-
-fn tiny_value_case() -> impl Strategy<Value = (usize, usize, Vec<Vec<(usize, u64)>>)> {
-    (2usize..=3).prop_flat_map(|ports| {
-        (
-            Just(ports),
             ports..=5usize,
             proptest::collection::vec(
                 proptest::collection::vec((0usize..ports, 1u64..=6), 0..=4),
@@ -38,94 +30,78 @@ fn tiny_value_case() -> impl Strategy<Value = (usize, usize, Vec<Vec<(usize, u64
     })
 }
 
+fn work_config(buffer: usize, works: &[u32]) -> WorkSwitchConfig {
+    WorkSwitchConfig::new(buffer, works.iter().map(|&w| Work::new(w)).collect()).unwrap()
+}
+
+/// `(port, value)` arrivals per slot as packets of `Q`.
+fn packets<Q: PacketModel>(config: &Q::Config, slots: &[Vec<(usize, u64)>]) -> Vec<Vec<Q::Packet>> {
+    slots
+        .iter()
+        .map(|burst| {
+            burst
+                .iter()
+                .map(|&(port, v)| Q::packet(config, PortId::new(port), Value::new(v)))
+                .collect()
+        })
+        .collect()
+}
+
+/// The exact optimum of `Q` dominates every policy of `Q`'s roster.
+fn exact_opt_dominates<Q: PacketModel>(
+    config: &Q::Config,
+    slots: &[Vec<(usize, u64)>],
+) -> Result<(), TestCaseError> {
+    let packets = packets::<Q>(config, slots);
+    let opt = exact_opt::<Q>(config, 1, &packets).unwrap();
+    let trace = Trace::from_slots(packets);
+    for &name in Q::POLICY_NAMES {
+        let policy = Q::policy_by_name(name).unwrap();
+        let mut runner = Runner::<Q, _>::new(config.clone(), policy, 1);
+        let score = run(&mut runner, &trace, &EngineConfig::draining())
+            .unwrap()
+            .score;
+        prop_assert!(
+            score <= opt,
+            "{} {} scored {} > exact OPT {}",
+            Q::LABEL,
+            name,
+            score,
+            opt
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(150))]
 
-    /// The exact work-model optimum dominates every bundled online policy.
     #[test]
-    fn exact_work_opt_dominates_all_policies(
-        (works, buffer, slots) in tiny_work_case()
-    ) {
-        let cfg = WorkSwitchConfig::new(
-            buffer,
-            works.iter().map(|&w| Work::new(w)).collect(),
-        ).unwrap();
-        let ports_trace: Vec<Vec<PortId>> = slots
-            .iter()
-            .map(|b| b.iter().map(|&p| PortId::new(p)).collect())
-            .collect();
-        let opt = exact_work_opt(&cfg, 1, &ports_trace).unwrap();
-        let mut trace = Trace::new();
-        for burst in &slots {
-            trace.push_slot(
-                burst
-                    .iter()
-                    .map(|&p| cfg_packet(&cfg, p)),
-            );
-        }
-        for name in smbm_core::WORK_POLICY_NAMES {
-            let policy = work_policy_by_name(name).unwrap();
-            let mut runner = WorkRunner::new(cfg.clone(), policy, 1);
-            let score = run(&mut runner, &trace, &EngineConfig::draining())
-                .unwrap()
-                .score;
-            prop_assert!(
-                score <= opt,
-                "{} transmitted {} > exact OPT {}", name, score, opt
-            );
-        }
+    fn exact_work_opt_dominates_all_policies((works, buffer, slots) in tiny_case()) {
+        exact_opt_dominates::<WorkQueue>(&work_config(buffer, &works), &slots)?;
     }
 
-    /// The exact value-model optimum dominates every bundled online policy.
     #[test]
-    fn exact_value_opt_dominates_all_policies(
-        (ports, buffer, slots) in tiny_value_case()
-    ) {
-        let cfg = ValueSwitchConfig::new(buffer, ports).unwrap();
-        let packets: Vec<Vec<ValuePacket>> = slots
-            .iter()
-            .map(|b| {
-                b.iter()
-                    .map(|&(p, v)| ValuePacket::new(PortId::new(p), Value::new(v)))
-                    .collect()
-            })
-            .collect();
-        let opt = exact_value_opt(&cfg, 1, &packets).unwrap();
-        let trace = Trace::from_slots(packets);
-        for name in smbm_core::VALUE_POLICY_NAMES {
-            let policy = value_policy_by_name(name).unwrap();
-            let mut runner = ValueRunner::new(cfg, policy, 1);
-            let score = run(&mut runner, &trace, &EngineConfig::draining())
-                .unwrap()
-                .score;
-            prop_assert!(
-                score <= opt,
-                "{} got value {} > exact OPT {}", name, score, opt
-            );
-        }
+    fn exact_value_opt_dominates_all_policies((works, buffer, slots) in tiny_case()) {
+        let cfg = ValueSwitchConfig::new(buffer, works.len()).unwrap();
+        exact_opt_dominates::<ValueQueue>(&cfg, &slots)?;
+    }
+
+    #[test]
+    fn exact_combined_opt_dominates_all_policies((works, buffer, slots) in tiny_case()) {
+        exact_opt_dominates::<CombinedQueue>(&work_config(buffer, &works), &slots)?;
     }
 
     /// The exact optimum is monotone in buffer size and in speedup.
     #[test]
-    fn exact_work_opt_monotone_in_resources(
-        (works, buffer, slots) in tiny_work_case()
-    ) {
-        let trace: Vec<Vec<PortId>> = slots
-            .iter()
-            .map(|b| b.iter().map(|&p| PortId::new(p)).collect())
-            .collect();
-        let works: Vec<Work> = works.iter().map(|&w| Work::new(w)).collect();
-        let small = WorkSwitchConfig::new(buffer, works.clone()).unwrap();
-        let big = WorkSwitchConfig::new(buffer + 2, works).unwrap();
-        let base = exact_work_opt(&small, 1, &trace).unwrap();
-        prop_assert!(exact_work_opt(&big, 1, &trace).unwrap() >= base);
-        prop_assert!(exact_work_opt(&small, 2, &trace).unwrap() >= base);
+    fn exact_work_opt_monotone_in_resources((works, buffer, slots) in tiny_case()) {
+        let small = work_config(buffer, &works);
+        let big = work_config(buffer + 2, &works);
+        let trace = packets::<WorkQueue>(&small, &slots);
+        let base = exact_opt::<WorkQueue>(&small, 1, &trace).unwrap();
+        prop_assert!(exact_opt::<WorkQueue>(&big, 1, &trace).unwrap() >= base);
+        prop_assert!(exact_opt::<WorkQueue>(&small, 2, &trace).unwrap() >= base);
     }
-}
-
-fn cfg_packet(cfg: &WorkSwitchConfig, port: usize) -> smbm_switch::WorkPacket {
-    let p = PortId::new(port);
-    smbm_switch::WorkPacket::new(p, cfg.work(p))
 }
 
 #[test]
