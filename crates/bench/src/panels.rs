@@ -14,13 +14,19 @@
 //! | 8 | values == port | `B` | `k = n = 8, C = 1` |
 //! | 9 | values == port | `C` | `k = n = 8, B = 64` |
 
+use std::any::Any;
+use std::ops::Deref;
+use std::sync::{Arc, Mutex, PoisonError};
+
 use smbm_core::PacketModel;
 use smbm_obs::{HistogramRecorder, NullObserver, Observer};
 use smbm_sim::{
     series_from_sweep, series_to_csv, sweep_with_jobs, EngineConfig, Experiment, ExperimentError,
     ExperimentReport, FlushPolicy, Series,
 };
-use smbm_switch::{ValueQueue, ValueSwitchConfig, WorkQueue, WorkSwitchConfig};
+use smbm_switch::{
+    PortId, Value, ValueQueue, ValueSwitchConfig, Work, WorkQueue, WorkSwitchConfig,
+};
 use smbm_traffic::{MmppParams, MmppScenario, PortMix, ValueMix};
 
 /// One of the nine Fig. 5 panels.
@@ -205,9 +211,10 @@ pub fn run_panel_with_jobs(
     jobs: Option<usize>,
 ) -> Result<Vec<Series>, ExperimentError> {
     let xs = panel_xs(panel, scale);
+    let traces = SharedTraces::new(xs.iter().map(|&x| panel_point(panel, x).trace_key()));
     let points = sweep_with_jobs(
         &xs,
-        |x| Ok(run_point(panel, x, scale, seed, NullObserver)?.0),
+        |x| Ok(run_point(panel, x, scale, seed, &traces, NullObserver)?.0),
         jobs,
     )?;
     Ok(series_from_sweep(&points))
@@ -224,6 +231,134 @@ enum PanelPoint {
         speedup: u32,
         mix: ValueMix,
     },
+}
+
+/// The value mix the work panels pass to the trace generator, which draws
+/// no values for work packets.
+const WORK_MIX: ValueMix = ValueMix::EqualsPort;
+
+impl PanelPoint {
+    /// The inputs this point's arrival trace is generated from.
+    fn trace_key(&self) -> TraceKey {
+        match self {
+            PanelPoint::Work { config, .. } => TraceKey::of::<WorkQueue>(config, &WORK_MIX),
+            PanelPoint::Value { config, mix, .. } => TraceKey::of::<ValueQueue>(config, mix),
+        }
+    }
+}
+
+/// Everything a panel point's trace depends on besides the panel-wide
+/// scenario (scale and seed): the packet model, each port's work label
+/// (their count is the port count) and, where a port does not determine its
+/// packets, the value mix. Points with equal keys replay the same trace.
+#[derive(Debug, Clone, PartialEq)]
+struct TraceKey {
+    model: &'static str,
+    works: Vec<Work>,
+    values: Option<ValueMix>,
+}
+
+impl TraceKey {
+    fn of<Q: PacketModel>(config: &Q::Config, mix: &ValueMix) -> TraceKey {
+        TraceKey {
+            model: Q::LABEL,
+            works: (0..Q::ports(config))
+                .map(|p| Q::work(Q::packet(config, PortId::new(p), Value::ONE)))
+                .collect(),
+            values: (!Q::PORT_DETERMINES_PACKET).then(|| mix.clone()),
+        }
+    }
+}
+
+/// The arrival traces of one panel run: one per distinct [`TraceKey`],
+/// generated by the first point that asks for it and dropped when the last
+/// point using it is done. A panel whose points share their trace inputs
+/// (a `B` or `C` sweep) thus generates and holds one trace, however many
+/// points and sweep workers it has; a panel whose every point differs (a
+/// `k` sweep) holds only the traces of the points running.
+struct SharedTraces {
+    entries: Vec<(TraceKey, Mutex<SharedTrace>)>,
+}
+
+struct SharedTrace {
+    trace: Option<Arc<dyn Any + Send + Sync>>,
+    /// Points that have yet to finish with this trace.
+    users: usize,
+}
+
+impl SharedTraces {
+    /// Counts the users of each distinct key among `keys`, one per point.
+    fn new(keys: impl IntoIterator<Item = TraceKey>) -> SharedTraces {
+        let mut entries: Vec<(TraceKey, Mutex<SharedTrace>)> = Vec::new();
+        for key in keys {
+            match entries.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, entry)) => entry.get_mut().expect("not yet shared").users += 1,
+                None => entries.push((
+                    key,
+                    Mutex::new(SharedTrace {
+                        trace: None,
+                        users: 1,
+                    }),
+                )),
+            }
+        }
+        SharedTraces { entries }
+    }
+
+    /// Lends the trace of `key`, generating it with `generate` if no point
+    /// holds it yet. Concurrent callers with the same key wait for the one
+    /// generation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` was not among the keys counted by [`SharedTraces::new`].
+    fn lease<T: Any + Send + Sync>(
+        &self,
+        key: &TraceKey,
+        generate: impl FnOnce() -> T,
+    ) -> Lease<'_, T> {
+        let (_, entry) = self
+            .entries
+            .iter()
+            .find(|(k, _)| k == key)
+            .expect("every point's trace key was counted");
+        let trace = entry
+            .lock()
+            .expect("trace generation does not panic")
+            .trace
+            .get_or_insert_with(|| Arc::new(generate()))
+            .clone();
+        Lease {
+            trace: trace.downcast().expect("a key names one packet model"),
+            entry,
+        }
+    }
+}
+
+/// One point's loan of a shared trace; the last loan of a key frees it.
+struct Lease<'a, T> {
+    trace: Arc<T>,
+    entry: &'a Mutex<SharedTrace>,
+}
+
+impl<T> Deref for Lease<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.trace
+    }
+}
+
+impl<T> Drop for Lease<'_, T> {
+    fn drop(&mut self) {
+        // A generation that panicked left the entry without a trace, which
+        // is valid, so a poisoned lock is taken as is.
+        let mut entry = self.entry.lock().unwrap_or_else(PoisonError::into_inner);
+        entry.users -= 1;
+        if entry.users == 0 {
+            entry.trace = None;
+        }
+    }
 }
 
 fn panel_point(panel: Panel, x: f64) -> PanelPoint {
@@ -293,28 +428,30 @@ pub fn panel_point_metrics(
 ) -> Result<Vec<(String, String)>, ExperimentError> {
     let xs = panel_xs(panel, scale);
     let x = xs[xs.len() / 2];
-    let (_, policies, hists) = run_point(panel, x, scale, seed, HistogramRecorder::new())?;
+    let traces = SharedTraces::new([panel_point(panel, x).trace_key()]);
+    let (_, policies, hists) = run_point(panel, x, scale, seed, &traces, HistogramRecorder::new())?;
     Ok(policies
         .into_iter()
         .zip(hists.iter().map(HistogramRecorder::to_json))
         .collect())
 }
 
-/// Runs the full roster of a panel at one swept x value, with a copy of
-/// `observer` attached to every policy: the report, the roster and the
-/// observers, in roster order. The one match on the panel's model.
+/// Runs the full roster of a panel at one swept x value on its trace from
+/// `traces`, with a copy of `observer` attached to every policy: the
+/// report, the roster and the observers, in roster order. The one match on
+/// the panel's model.
 fn run_point<O: Observer + Clone + Send>(
     panel: Panel,
     x: f64,
     scale: PanelScale,
     seed: u64,
+    traces: &SharedTraces,
     observer: O,
 ) -> Result<(ExperimentReport, Vec<String>, Vec<O>), ExperimentError> {
     match panel_point(panel, x) {
         PanelPoint::Work { config, speedup } => {
-            // Work packets carry no value, so the value mix goes unused.
             let scenario = work_scenario(scale, seed);
-            run_roster::<WorkQueue, O>(config, speedup, &scenario, &ValueMix::EqualsPort, observer)
+            run_roster::<WorkQueue, O>(config, speedup, &scenario, &WORK_MIX, traces, observer)
         }
         PanelPoint::Value {
             config,
@@ -322,23 +459,27 @@ fn run_point<O: Observer + Clone + Send>(
             mix,
         } => {
             let scenario = value_scenario(scale, seed);
-            run_roster::<ValueQueue, O>(config, speedup, &scenario, &mix, observer)
+            run_roster::<ValueQueue, O>(config, speedup, &scenario, &mix, traces, observer)
         }
     }
 }
 
-/// One generic panel point: the MMPP trace, then the model's full roster
-/// under the panels' flushout engine.
+/// One generic panel point: the MMPP trace, shared with every point of the
+/// panel whose trace inputs match, then the model's full roster under the
+/// panels' flushout engine.
 fn run_roster<Q: PacketModel, O: Observer + Clone + Send>(
     config: Q::Config,
     speedup: u32,
     scenario: &MmppScenario,
     mix: &ValueMix,
+    traces: &SharedTraces,
     observer: O,
 ) -> Result<(ExperimentReport, Vec<String>, Vec<O>), ExperimentError> {
-    let trace = scenario
-        .trace::<Q>(&config, &PortMix::Uniform, mix)
-        .expect("valid scenario parameters");
+    let trace = traces.lease(&TraceKey::of::<Q>(&config, mix), || {
+        scenario
+            .trace::<Q>(&config, &PortMix::Uniform, mix)
+            .expect("valid scenario parameters")
+    });
     let mut exp = Experiment::<Q>::full_roster(config, speedup);
     exp.engine = engine();
     let mut observers = vec![observer; exp.policies.len()];
@@ -539,6 +680,13 @@ mod tests {
 
     #[test]
     fn job_cap_does_not_change_results() {
+        // Panel 2's points share one trace; two workers must wait for its
+        // one generation and read the same packets as one worker does.
+        let shared = Panel::new(2).unwrap();
+        assert_eq!(
+            run_panel_with_jobs(shared, PanelScale::Smoke, 7, Some(2)).unwrap(),
+            run_panel_with_jobs(shared, PanelScale::Smoke, 7, Some(1)).unwrap()
+        );
         let p = Panel::new(1).unwrap();
         let default = run_panel(p, PanelScale::Smoke, 7).unwrap();
         let single = run_panel_with_jobs(p, PanelScale::Smoke, 7, Some(1)).unwrap();
@@ -589,6 +737,43 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn sweeps_over_b_and_c_share_one_trace_and_sweeps_over_k_do_not() {
+        for panel in Panel::all() {
+            let xs = panel_xs(panel, PanelScale::Default);
+            let keys: Vec<TraceKey> = xs
+                .iter()
+                .map(|&x| panel_point(panel, x).trace_key())
+                .collect();
+            let distinct = SharedTraces::new(keys).entries.len();
+            let expected = match panel.number() {
+                1 | 4 | 7 => xs.len(),
+                _ => 1,
+            };
+            assert_eq!(distinct, expected, "panel {}", panel.number());
+        }
+    }
+
+    #[test]
+    fn a_shared_trace_is_generated_once_and_freed_by_its_last_user() {
+        let key = panel_point(Panel::new(2).unwrap(), 16.0).trace_key();
+        let traces = SharedTraces::new([key.clone(), key.clone(), key.clone()]);
+        let generated = std::sync::atomic::AtomicUsize::new(0);
+        let generate = || {
+            generated.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            vec![7u8]
+        };
+        let first = traces.lease(&key, generate);
+        let second = traces.lease(&key, generate);
+        assert!(Arc::ptr_eq(&first.trace, &second.trace));
+        drop((first, second));
+        let third = traces.lease(&key, generate);
+        assert_eq!(*third, vec![7u8]);
+        assert_eq!(generated.into_inner(), 1);
+        drop(third);
+        assert!(traces.entries[0].1.lock().unwrap().trace.is_none());
     }
 
     #[test]

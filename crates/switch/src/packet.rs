@@ -47,12 +47,19 @@ impl fmt::Display for WorkPacket {
 /// A unit-sized, unit-work packet in the heterogeneous-value model
 /// (Section IV). Carries its destination output port and intrinsic value.
 ///
+/// The packet is 12 bytes with 4-byte alignment: `packed(4)` drops the four
+/// padding bytes a `u64` value after a `u32` port would otherwise cost every
+/// trace and buffer slot. Fields are only ever read by value (a reference to
+/// a packed field is an error), so no access is unaligned in Rust's sense.
+///
 /// ```
 /// use smbm_switch::{PortId, Value, ValuePacket};
 /// let p = ValuePacket::new(PortId::new(1), Value::new(6));
 /// assert_eq!(p.value().get(), 6);
+/// assert_eq!(std::mem::size_of::<ValuePacket>(), 12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(C, packed(4))]
 pub struct ValuePacket {
     port: PortId,
     value: Value,
@@ -77,7 +84,9 @@ impl ValuePacket {
 
 impl fmt::Display for ValuePacket {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{} -> {}]", self.value, self.port)
+        // Copied out: formatting borrows, and a packed field cannot be.
+        let (value, port) = (self.value, self.port);
+        write!(f, "[{value} -> {port}]")
     }
 }
 

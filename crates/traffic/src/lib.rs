@@ -4,7 +4,8 @@
 //!
 //! * [`Trace`] — per-slot arrival sequences with record/replay and a
 //!   line-oriented text format, stored as one flat packet array plus one
-//!   end offset per slot (two allocations per trace, not one per slot);
+//!   4-byte end offset per slot (two allocations per trace, not one per
+//!   slot; at most `u32::MAX` packets, past which appending panics);
 //! * [`MmppSource`] / [`MmppBank`] — the paper's on-off Markov-modulated
 //!   Poisson sources (Section V-A);
 //! * [`MmppScenario`] — builders for the three Fig. 5 traffic settings

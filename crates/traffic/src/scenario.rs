@@ -49,7 +49,7 @@ impl PortSampler {
 }
 
 /// How a generated packet picks its value (value model only).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ValueMix {
     /// Uniform over `1..=max` independent of the port (Fig. 5 panels 4-6).
     Uniform {

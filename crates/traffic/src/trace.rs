@@ -14,9 +14,15 @@ use smbm_switch::{PortId, Value, ValuePacket, Work, WorkPacket};
 /// `Trace<ValuePacket>` the heterogeneous-value model.
 ///
 /// All packets live in one contiguous array in arrival order; each slot
-/// records only where its burst ends. A trace of `m` packets over `s` slots
-/// is two allocations of `m` packets and `s` offsets, however many slots are
-/// empty.
+/// records only where its burst ends, as a 4-byte offset. A trace of `m`
+/// packets over `s` slots is two allocations of `m` packets and `s`
+/// offsets, however many slots are empty.
+///
+/// # Panics
+///
+/// Every method that appends packets panics, instead of wrapping an offset,
+/// once the trace would hold more than `u32::MAX` packets (at least 32 GiB
+/// of packets; a paper-scale Fig. 5 trace holds about 3·10⁷).
 ///
 /// ```
 /// use smbm_switch::{PortId, Work, WorkPacket};
@@ -33,7 +39,21 @@ pub struct Trace<P> {
     /// Every packet, slot after slot.
     packets: Vec<P>,
     /// `ends[t]` is one past slot `t`'s last packet in `packets`.
-    ends: Vec<usize>,
+    ends: Vec<u32>,
+}
+
+/// The slot end offset after `len` packets.
+///
+/// # Panics
+///
+/// Panics if `len` exceeds `u32::MAX`, the most packets a trace can hold.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).unwrap_or_else(|_| {
+        panic!(
+            "a trace holds at most {} packets (4-byte slot offsets), not {len}",
+            u32::MAX
+        )
+    })
 }
 
 impl<P> Trace<P> {
@@ -62,21 +82,22 @@ impl<P> Trace<P> {
     /// Appends one slot's burst (possibly empty).
     pub fn push_slot(&mut self, burst: impl IntoIterator<Item = P>) {
         self.packets.extend(burst);
-        self.ends.push(self.packets.len());
+        self.ends.push(offset(self.packets.len()));
     }
 
     /// Appends `n` arrival-free slots (silence, letting buffers drain).
     pub fn push_silence(&mut self, n: usize) {
-        let end = self.packets.len();
+        let end = offset(self.packets.len());
         self.ends.extend(std::iter::repeat_n(end, n));
     }
 
     /// Appends a packet to the *last* slot (creating slot 0 if empty).
     pub fn push_arrival(&mut self, pkt: P) {
         self.packets.push(pkt);
+        let end = offset(self.packets.len());
         match self.ends.last_mut() {
-            Some(end) => *end += 1,
-            None => self.ends.push(1),
+            Some(last) => *last = end,
+            None => self.ends.push(end),
         }
     }
 
@@ -102,13 +123,14 @@ impl<P> Trace<P> {
     /// Panics if `slot >= self.slots()`.
     pub fn burst(&self, slot: usize) -> &[P] {
         let start = slot.checked_sub(1).map_or(0, |prev| self.ends[prev]);
-        &self.packets[start..self.ends[slot]]
+        &self.packets[start as usize..self.ends[slot] as usize]
     }
 
     /// Iterates over per-slot bursts.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[P]> {
         let mut start = 0;
         self.ends.iter().map(move |&end| {
+            let end = end as usize;
             let burst = &self.packets[start..end];
             start = end;
             burst
@@ -133,7 +155,8 @@ impl<P> Trace<P> {
     /// Concatenates another trace after this one.
     pub fn extend_with(&mut self, other: Trace<P>) {
         let base = self.packets.len();
-        self.ends.extend(other.ends.iter().map(|end| base + end));
+        self.ends
+            .extend(other.ends.iter().map(|&end| offset(base + end as usize)));
         self.packets.extend(other.packets);
     }
 
@@ -145,7 +168,8 @@ impl<P> Trace<P> {
         let mut out = Trace::with_capacity(self.slots() * times, self.arrivals() * times);
         for _ in 0..times {
             let base = out.packets.len();
-            out.ends.extend(self.ends.iter().map(|end| base + end));
+            out.ends
+                .extend(self.ends.iter().map(|&end| offset(base + end as usize)));
             out.packets.extend_from_slice(&self.packets);
         }
         out
@@ -286,7 +310,7 @@ impl<P: TracePacket> Trace<P> {
                     P::from_field(field).map_err(|what| ParseTraceError { line: i + 1, what })?;
                 trace.packets.push(pkt);
             }
-            trace.ends.push(trace.packets.len());
+            trace.ends.push(offset(trace.packets.len()));
         }
         Ok(trace)
     }
@@ -448,6 +472,18 @@ mod tests {
             assert_eq!(err.line, 1, "{b}");
             assert!(!err.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn offsets_reach_u32_max() {
+        assert_eq!(offset(0), 0);
+        assert_eq!(offset(u32::MAX as usize), u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "a trace holds at most 4294967295 packets")]
+    fn offset_past_u32_max_panics_instead_of_wrapping() {
+        let _ = offset(u32::MAX as usize + 1);
     }
 
     #[test]

@@ -4,12 +4,13 @@
 
 mod common;
 
-use std::mem::size_of;
+use std::mem::{align_of, size_of};
 
 use proptest::prelude::*;
 
 use common::trace_model::NestedTrace;
-use smbm_switch::{CombinedPacket, PortId, ValuePacket, Work, WorkPacket};
+use smbm_net::codec::{decode_with, encode_data, Datagram, WirePacket, HEADER_LEN};
+use smbm_switch::{CombinedPacket, PortId, Value, ValuePacket, Work, WorkPacket};
 use smbm_traffic::Trace;
 
 #[derive(Debug, Clone)]
@@ -127,11 +128,60 @@ fn zero_batch_size_is_rejected() {
 }
 
 /// `PortId` is a `u32`, so the work packet is two `u32`s and the combined
-/// packet fits in two words; the value packet is bounded by its `u64` value.
+/// packet fits in two words; the value packet is packed to 4-byte alignment,
+/// so its `u64` value follows the port with no padding.
 #[test]
 fn packet_sizes_are_pinned() {
     assert_eq!(size_of::<PortId>(), 4);
     assert_eq!(size_of::<WorkPacket>(), 8);
-    assert_eq!(size_of::<ValuePacket>(), 16);
+    assert_eq!(size_of::<ValuePacket>(), 12);
+    assert_eq!(align_of::<ValuePacket>(), 4);
     assert_eq!(size_of::<CombinedPacket>(), 16);
+}
+
+/// Packing changes no rendering: both strings are those of the unpacked
+/// 16-byte packet.
+#[test]
+fn value_packet_renders_as_before_packing() {
+    let p = ValuePacket::new(PortId::new(2), Value::new(u64::MAX));
+    assert_eq!(
+        format!("{p:?}"),
+        "ValuePacket { port: PortId(2), value: Value(18446744073709551615) }"
+    );
+    assert_eq!(p.to_string(), "[$18446744073709551615 -> port#3]");
+    let q = ValuePacket::new(PortId::new(0), Value::new(9));
+    assert_eq!(
+        format!("{q:?}"),
+        "ValuePacket { port: PortId(0), value: Value(9) }"
+    );
+    assert_eq!(q.to_string(), "[$9 -> port#1]");
+}
+
+/// The largest value survives the 12-byte wire frame on the server's
+/// receive path (`decode_with`), from one trace of packed packets into
+/// another.
+#[test]
+fn max_value_round_trips_through_the_codec() {
+    let mut sent = Trace::new();
+    sent.push_slot([
+        ValuePacket::new(PortId::new(7), Value::new(u64::MAX)),
+        ValuePacket::new(PortId::new(0), Value::new(u64::MAX - 1)),
+    ]);
+    let buf = encode_data(3, sent.packets());
+    assert_eq!(buf.len(), HEADER_LEN + 2 * ValuePacket::FRAME_LEN);
+    let mut received = Trace::new();
+    received.push_silence(1);
+    let datagram = decode_with(&buf, |_: &ValuePacket| true, |p| received.push_arrival(p));
+    assert!(matches!(
+        datagram,
+        Ok(Datagram::Data {
+            client: 3,
+            bad_frames: 0,
+            missing: 0,
+            truncated: false,
+            ..
+        })
+    ));
+    assert_eq!(received, sent);
+    assert_eq!(received.packets()[0].value().get(), u64::MAX);
 }
