@@ -1,77 +1,16 @@
-//! Criterion benchmarks of the shared slot machine (`smbm-datapath`).
-//!
-//! The `datapath` group drives `SlotMachine` directly — no engine or runtime
-//! around it — so its numbers isolate the cost of the canonical
-//! flush/arrival/transmission/drain implementation both drivers now share.
-//! Compare against the `engine` group (which wraps the same machine in the
-//! trace-fed driver): the deltas are the driver overhead, and the `engine`
-//! numbers themselves are the regression gate against the pre-unification
-//! baselines in `results/BENCH_datapath.json`.
+//! Criterion benchmarks of the shared slot machine (`smbm-datapath`) for
+//! what perfbench does not time: the per-slot hook the supervised shard
+//! uses, and flush scheduling. Raw `SlotMachine::step` throughput is
+//! perfbench's `datapath.step_ns_per_pkt` and `datapath.slot_ns`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use smbm_core::{Lwd, Mrd, ValueRunner, WorkRunner};
+use smbm_core::{Lwd, WorkRunner};
 use smbm_datapath::{NoHook, SlotHook, SlotMachine, SlotStats};
 use smbm_obs::NullObserver;
-use smbm_switch::{FlushPolicy, ValueSwitchConfig, WorkSwitchConfig};
-use smbm_traffic::{MmppScenario, PortMix, ValueMix};
-
-/// Raw machine throughput: one `step` per trace slot, no flush, no driver.
-fn slot_machine_step(c: &mut Criterion) {
-    let cfg = WorkSwitchConfig::contiguous(8, 64).expect("valid");
-    let scenario = MmppScenario {
-        sources: 12,
-        slots: 5_000,
-        seed: 3,
-        ..Default::default()
-    };
-    let trace = scenario
-        .work_trace(&cfg, &PortMix::Uniform)
-        .expect("valid scenario");
-
-    let mut group = c.benchmark_group("datapath");
-    group.throughput(Throughput::Elements(trace.slots() as u64));
-    group.bench_function("lwd-step-loop", |b| {
-        b.iter(|| {
-            let runner = WorkRunner::new(cfg.clone(), Lwd::new(), 1);
-            let mut machine = SlotMachine::new(runner, None);
-            let mut obs = NullObserver;
-            for burst in trace.iter() {
-                machine
-                    .step(burst, &mut obs, &mut NoHook)
-                    .expect("LWD never errs");
-            }
-            black_box(machine.score())
-        });
-    });
-
-    let vcfg = ValueSwitchConfig::new(64, 8).expect("valid");
-    let scenario = MmppScenario {
-        sources: 32,
-        slots: 5_000,
-        seed: 3,
-        ..Default::default()
-    };
-    let vtrace = scenario
-        .value_trace(8, &PortMix::Uniform, &ValueMix::Uniform { max: 16 })
-        .expect("valid scenario");
-    group.throughput(Throughput::Elements(vtrace.slots() as u64));
-    group.bench_function("mrd-step-loop", |b| {
-        b.iter(|| {
-            let runner = ValueRunner::new(vcfg, Mrd::new(), 1);
-            let mut machine = SlotMachine::new(runner, None);
-            let mut obs = NullObserver;
-            for burst in vtrace.iter() {
-                machine
-                    .step(burst, &mut obs, &mut NoHook)
-                    .expect("MRD never errs");
-            }
-            black_box(machine.score())
-        });
-    });
-    group.finish();
-}
+use smbm_switch::{FlushPolicy, WorkSwitchConfig};
+use smbm_traffic::{MmppScenario, PortMix};
 
 /// Per-slot write-through hook (what the live shard uses for crash-safe
 /// accounting) vs the engine's `NoHook`: the delta is what supervised
@@ -180,6 +119,6 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(3));
-    targets = slot_machine_step, slot_hook_overhead, flush_modes
+    targets = slot_hook_overhead, flush_modes
 }
 criterion_main!(benches);

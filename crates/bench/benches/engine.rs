@@ -1,161 +1,17 @@
-//! Criterion benchmarks of the simulation substrate itself: slot-loop
-//! throughput, OPT surrogates, trace generation, and exact-OPT search.
+//! Criterion benchmarks of the simulation substrate that perfbench does not
+//! time: the cost of the engine's observer hooks, and exact-OPT search.
+//! Slot-loop throughput, the OPT surrogates and trace generation are
+//! measured by perfbench's `offline-fig5` workload (`sim.*.ns_per_slot`,
+//! `traffic.gen_s`).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use smbm_core::{
-    exact_opt, DatapathSystem, Lwd, Mrd, ValuePqOpt, ValueRunner, WorkPqOpt, WorkRunner,
-};
+use smbm_core::{exact_opt, DatapathSystem, Lwd, WorkRunner};
 use smbm_obs::HistogramRecorder;
 use smbm_sim::{run, run_observed, EngineConfig};
-use smbm_switch::{PortId, QueueDiscipline, Value, ValueSwitchConfig, WorkQueue, WorkSwitchConfig};
-use smbm_traffic::{MmppScenario, PortMix, ValueMix};
-
-fn engine_slot_throughput(c: &mut Criterion) {
-    let cfg = WorkSwitchConfig::contiguous(8, 64).expect("valid");
-    let scenario = MmppScenario {
-        sources: 12,
-        slots: 5_000,
-        seed: 3,
-        ..Default::default()
-    };
-    let trace = scenario
-        .work_trace(&cfg, &PortMix::Uniform)
-        .expect("valid scenario");
-    let mut group = c.benchmark_group("engine");
-    group.throughput(Throughput::Elements(trace.slots() as u64));
-    group.bench_function("lwd-slot-loop", |b| {
-        b.iter(|| {
-            let mut runner = WorkRunner::new(cfg.clone(), Lwd::new(), 1);
-            let s =
-                run(&mut runner, &trace, &EngineConfig::horizon_only()).expect("LWD never errs");
-            black_box(s.score)
-        });
-    });
-    group.bench_function("pq-opt-slot-loop", |b| {
-        b.iter(|| {
-            let mut opt = WorkPqOpt::new(64, 8);
-            let s = run(&mut opt, &trace, &EngineConfig::horizon_only()).expect("OPT never errs");
-            black_box(s.score)
-        });
-    });
-    // Fig. 5-representative scale: n = 64 ports, shared buffer, and the
-    // paper's 500-source MMPP configuration (solidly overloaded, so victim
-    // selection runs on most arrivals).
-    let cfg64 = WorkSwitchConfig::contiguous(64, 512).expect("valid");
-    let scenario64 = MmppScenario {
-        sources: 500,
-        slots: 2_000,
-        seed: 7,
-        ..Default::default()
-    };
-    let trace64 = scenario64
-        .work_trace(&cfg64, &PortMix::Uniform)
-        .expect("valid scenario");
-    group.throughput(Throughput::Elements(trace64.slots() as u64));
-    group.bench_function("lwd-slot-loop-n64", |b| {
-        b.iter(|| {
-            let mut runner = WorkRunner::new(cfg64.clone(), Lwd::new(), 1);
-            let s =
-                run(&mut runner, &trace64, &EngineConfig::horizon_only()).expect("LWD never errs");
-            black_box(s.score)
-        });
-    });
-    group.finish();
-}
-
-fn value_engine_slot_throughput(c: &mut Criterion) {
-    let cfg = ValueSwitchConfig::new(64, 8).expect("valid");
-    let scenario = MmppScenario {
-        sources: 32,
-        slots: 5_000,
-        seed: 3,
-        ..Default::default()
-    };
-    let trace = scenario
-        .value_trace(8, &PortMix::Uniform, &ValueMix::Uniform { max: 16 })
-        .expect("valid scenario");
-    let mut group = c.benchmark_group("value-engine");
-    group.throughput(Throughput::Elements(trace.slots() as u64));
-    group.bench_function("mrd-slot-loop", |b| {
-        b.iter(|| {
-            let mut runner = ValueRunner::new(cfg, Mrd::new(), 1);
-            let s =
-                run(&mut runner, &trace, &EngineConfig::horizon_only()).expect("MRD never errs");
-            black_box(s.score)
-        });
-    });
-    group.bench_function("value-pq-opt-slot-loop", |b| {
-        b.iter(|| {
-            let mut opt = ValuePqOpt::new(64, 8);
-            let s = run(&mut opt, &trace, &EngineConfig::horizon_only()).expect("OPT never errs");
-            black_box(s.score)
-        });
-    });
-    // Fig. 5-representative scale: n = 64 ports, shared buffer, and the
-    // paper's 500-source MMPP configuration (solidly overloaded).
-    let cfg64 = ValueSwitchConfig::new(512, 64).expect("valid");
-    let scenario64 = MmppScenario {
-        sources: 500,
-        slots: 2_000,
-        seed: 7,
-        ..Default::default()
-    };
-    let trace64 = scenario64
-        .value_trace(64, &PortMix::Uniform, &ValueMix::Uniform { max: 16 })
-        .expect("valid scenario");
-    group.throughput(Throughput::Elements(trace64.slots() as u64));
-    group.bench_function("mrd-slot-loop-n64", |b| {
-        b.iter(|| {
-            let mut runner = ValueRunner::new(cfg64, Mrd::new(), 1);
-            let s =
-                run(&mut runner, &trace64, &EngineConfig::horizon_only()).expect("MRD never errs");
-            black_box(s.score)
-        });
-    });
-    group.finish();
-}
-
-/// Indexed victim selection at the Fig. 5-representative n = 64 scale,
-/// where the registry-default policies keep the incremental `ScoreIndex`
-/// instead of an O(n) scan per arrival.
-fn slab_indexed(c: &mut Criterion) {
-    let cfg64 = WorkSwitchConfig::contiguous(64, 512).expect("valid");
-    let scenario64 = MmppScenario {
-        sources: 500,
-        slots: 2_000,
-        seed: 7,
-        ..Default::default()
-    };
-    let work_trace = scenario64
-        .work_trace(&cfg64, &PortMix::Uniform)
-        .expect("valid scenario");
-    let vcfg64 = ValueSwitchConfig::new(512, 64).expect("valid");
-    let value_trace = scenario64
-        .value_trace(64, &PortMix::Uniform, &ValueMix::Uniform { max: 16 })
-        .expect("valid scenario");
-
-    let mut group = c.benchmark_group("slab");
-    group.throughput(Throughput::Elements(work_trace.slots() as u64));
-    group.bench_function("lwd-n64", |b| {
-        b.iter(|| {
-            let mut runner = WorkRunner::new(cfg64.clone(), Lwd::new(), 1);
-            let s = run(&mut runner, &work_trace, &EngineConfig::horizon_only())
-                .expect("LWD never errs");
-            black_box(s.score)
-        });
-    });
-    group.bench_function("mrd-n64", |b| {
-        b.iter(|| {
-            let mut runner = ValueRunner::new(vcfg64, Mrd::new(), 1);
-            let s = run(&mut runner, &value_trace, &EngineConfig::horizon_only())
-                .expect("MRD never errs");
-            black_box(s.score)
-        });
-    });
-    group.finish();
-}
+use smbm_switch::{PortId, QueueDiscipline, Value, WorkQueue, WorkSwitchConfig};
+use smbm_traffic::{MmppScenario, PortMix};
 
 /// The engine's observer hooks must be free when unused: `run` with the
 /// default `NullObserver` against a hand-rolled replica of the
@@ -220,32 +76,6 @@ fn observer_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-fn trace_generation(c: &mut Criterion) {
-    let cfg = WorkSwitchConfig::contiguous(8, 64).expect("valid");
-    let mut group = c.benchmark_group("trace-generation");
-    for sources in [10usize, 100, 500] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(sources),
-            &sources,
-            |b, &sources| {
-                let scenario = MmppScenario {
-                    sources,
-                    slots: 2_000,
-                    seed: 4,
-                    ..Default::default()
-                };
-                b.iter(|| {
-                    let t = scenario
-                        .work_trace(&cfg, &PortMix::Uniform)
-                        .expect("valid scenario");
-                    black_box(t.arrivals())
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 fn exact_opt_search(c: &mut Criterion) {
     let cfg = WorkSwitchConfig::contiguous(2, 4).expect("valid");
     // 16 arrivals over 4 slots: a realistic test-suite-sized instance.
@@ -264,11 +94,6 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(3));
-    targets = engine_slot_throughput,
-        value_engine_slot_throughput,
-        slab_indexed,
-        observer_overhead,
-        trace_generation,
-        exact_opt_search
+    targets = observer_overhead, exact_opt_search
 }
 criterion_main!(benches);

@@ -5,9 +5,12 @@
 //! so the paper compares against a single priority queue that (a) shares the
 //! whole buffer with no per-port structure, (b) processes smallest-work-first
 //! (resp. largest-value-first), and (c) has as many cores as the whole
-//! switch. This policy is optimal in the single-queue model, so under
-//! congestion it can even beat the model's true OPT — exactly the stronger
-//! yardstick the paper uses.
+//! switch. The paper uses it as an upper-bound proxy for OPT. Against the
+//! exact optimum on tiny instances that holds for the value surrogate only:
+//! the work surrogate's cores each advance a different packet, so it can
+//! finish fewer packets than a switch whose ports serve their heads in
+//! turn (`tests/opt_reference.rs` pins an instance where it sends 8 to
+//! OPT's 9).
 //!
 //! Both surrogates keep the buffer as a short list of `(key, count)`
 //! classes sorted by key (residual cycles or value). The key range is small

@@ -57,6 +57,10 @@ use smbm_runtime::{IngressHandle, RuntimeBuilder, ShardId};
 
 use crate::codec::{decode_with, encode_fin_ack, encode_sync_ack, Datagram, WirePacket};
 
+/// Receive buffer size, the largest UDP payload; a longer datagram is
+/// truncated by the kernel and surfaces as a truncation tally.
+const MAX_DATAGRAM: usize = 64 * 1024;
+
 /// How a socket's receive loop sprays decoded packets across the shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fanout {
@@ -121,9 +125,6 @@ pub struct NetConfig {
     /// Decoded packets buffered per shard before being pushed as one ring
     /// batch.
     pub batch: usize,
-    /// Receive buffer size; datagrams longer than this are truncated by
-    /// the kernel and surface as truncation tallies.
-    pub max_datagram: usize,
 }
 
 impl Default for NetConfig {
@@ -136,7 +137,6 @@ impl Default for NetConfig {
             idle_timeout: Duration::from_secs(10),
             lossy: false,
             batch: 256,
-            max_datagram: 64 * 1024,
         }
     }
 }
@@ -410,7 +410,7 @@ fn serve_socket<P: WirePacket>(
     let mut fins: HashSet<u16> = HashSet::new();
     let mut recv_errors = 0u64;
     let mut last_heard = Instant::now();
-    let mut buf = vec![0u8; config.max_datagram.max(64)];
+    let mut buf = vec![0u8; MAX_DATAGRAM];
     // A socket that cannot poll cannot serve, but the failure must not
     // vanish: surface it on the report and still run the exit flush so the
     // accounting invariant holds trivially (nothing pending, zero tallies).
