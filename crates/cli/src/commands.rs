@@ -9,7 +9,7 @@ use smbm_core::{PacketModel, Policy, Runner};
 use smbm_obs::{HistogramRecorder, PhaseProfiler, RingEventLog, TelemetryConfig};
 use smbm_runtime::{FaultPlan, FlightConfig};
 use smbm_sim::{measure_construction, Experiment};
-use smbm_switch::{CombinedQueue, ValueQueue, WorkQueue, WorkSwitchConfig};
+use smbm_switch::{CombinedQueue, DropReason, ValueQueue, WorkQueue, WorkSwitchConfig};
 use smbm_traffic::{adversarial, MmppScenario, PortMix, Summarize, Trace, TracePacket, ValueMix};
 
 use crate::args::Args;
@@ -600,7 +600,7 @@ fn render_serve(
             shard.shard,
             shard.restarts,
             shard.orphaned_packets,
-            c.dropped_shard_failure(),
+            c.dropped_for(DropReason::ShardFailure),
             if shard.gave_up { "; gave up" } else { "" }
         );
     }

@@ -354,7 +354,7 @@ impl CombinedPqOpt {
             self.packets.push((v, w));
             ArrivalOutcome::PushedOut(PortId::new(0))
         } else {
-            self.counters.record_drop(v);
+            self.counters.record_drop(DropReason::BufferFull, v);
             ArrivalOutcome::Dropped(DropReason::BufferFull)
         }
     }

@@ -153,7 +153,7 @@ impl WorkPqOpt {
             add(&mut self.residuals, w, 1);
             ArrivalOutcome::PushedOut(PortId::new(0))
         } else {
-            self.counters.record_drop(1);
+            self.counters.record_drop(DropReason::BufferFull, 1);
             ArrivalOutcome::Dropped(DropReason::BufferFull)
         }
     }
@@ -321,7 +321,7 @@ impl ValuePqOpt {
             add(&mut self.values, v, 1);
             ArrivalOutcome::PushedOut(PortId::new(0))
         } else {
-            self.counters.record_drop(v);
+            self.counters.record_drop(DropReason::BufferFull, v);
             ArrivalOutcome::Dropped(DropReason::BufferFull)
         }
     }

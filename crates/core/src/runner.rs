@@ -4,8 +4,8 @@
 use std::fmt;
 
 use smbm_switch::{
-    AdmitError, CombinedQueue, PhaseReport, PortId, QueueDiscipline, Switch, Transmitted, Value,
-    ValueQueue, WorkQueue,
+    AdmitError, ArrivalOutcome, CombinedQueue, PhaseReport, PortId, QueueDiscipline, Switch,
+    Transmitted, Value, ValueQueue, WorkQueue,
 };
 
 use crate::Decision;
@@ -194,12 +194,22 @@ impl<Q: QueueDiscipline, P: Policy<Q>> Runner<Q, P> {
     /// the switch state (accepting into a full buffer, pushing out from an
     /// empty queue, ...). The bundled policies never err.
     pub fn arrival(&mut self, pkt: Q::Packet) -> Result<Decision, AdmitError> {
+        Ok(match self.arrive(pkt)? {
+            ArrivalOutcome::Admitted => Decision::Accept,
+            ArrivalOutcome::PushedOut(victim) => Decision::PushOut(victim),
+            ArrivalOutcome::Dropped(_) => Decision::Drop,
+        })
+    }
+
+    /// [`Runner::arrival`], resolved to the packet's outcome: a drop carries
+    /// the reason [`Switch::reject`] gave it.
+    #[inline]
+    pub(crate) fn arrive(&mut self, pkt: Q::Packet) -> Result<ArrivalOutcome, AdmitError> {
         let port = Q::port(pkt);
         let ports = self.known_port(port)?;
         let version = self.switch.version();
         if Q::PORT_DETERMINES_PACKET && self.drop_stamps[port.index()] == version {
-            self.switch.reject(pkt)?;
-            return Ok(Decision::Drop);
+            return Ok(ArrivalOutcome::Dropped(self.switch.reject(pkt)?));
         }
         // Queue-change events are only consumed by victim selection, which
         // only runs on a full buffer — so let dirt accumulate (deduplicated,
@@ -214,22 +224,25 @@ impl<Q: QueueDiscipline, P: Policy<Q>> Runner<Q, P> {
             self.policy
                 .queues_changed(&self.switch, &self.dirty_scratch);
         }
-        let decision = self.policy.decide(&self.switch, pkt);
-        match decision {
-            Decision::Accept => self.switch.admit(pkt)?,
+        Ok(match self.policy.decide(&self.switch, pkt) {
+            Decision::Accept => {
+                self.switch.admit(pkt)?;
+                ArrivalOutcome::Admitted
+            }
             Decision::Drop => {
-                self.switch.reject(pkt)?;
+                let reason = self.switch.reject(pkt)?;
                 // Stamp only a valid packet: an invalid one's verdict says
                 // nothing about the port's real arrivals.
                 if Q::PORT_DETERMINES_PACKET {
                     self.drop_stamps[port.index()] = version;
                 }
+                ArrivalOutcome::Dropped(reason)
             }
             Decision::PushOut(victim) => {
                 self.switch.push_out_and_admit(victim, pkt)?;
+                ArrivalOutcome::PushedOut(victim)
             }
-        }
-        Ok(decision)
+        })
     }
 
     /// The switch's port count, or [`AdmitError::UnknownPort`] if `port` is

@@ -113,7 +113,7 @@ impl SingleFifoQueue {
         }
         match self.admission {
             FifoAdmission::Greedy => {
-                self.counters.record_drop(1);
+                self.counters.record_drop(DropReason::BufferFull, 1);
                 ArrivalOutcome::Dropped(DropReason::BufferFull)
             }
             FifoAdmission::PushOutLargest => {
@@ -130,7 +130,7 @@ impl SingleFifoQueue {
                     self.residuals.push_back((work.cycles(), self.now));
                     ArrivalOutcome::PushedOut(PortId::new(0))
                 } else {
-                    self.counters.record_drop(1);
+                    self.counters.record_drop(DropReason::BufferFull, 1);
                     ArrivalOutcome::Dropped(DropReason::BufferFull)
                 }
             }

@@ -16,11 +16,11 @@
 //! [`transmission_phase_into`]: DatapathSystem::transmission_phase_into
 
 use smbm_switch::{
-    AdmitError, ArrivalOutcome, CombinedPacket, CombinedQueue, Counters, DropReason, PortId,
-    QueueDiscipline, Transmitted, ValuePacket, ValueQueue, WorkPacket, WorkQueue,
+    AdmitError, ArrivalOutcome, CombinedPacket, CombinedQueue, Counters, PortId, QueueDiscipline,
+    Transmitted, ValuePacket, ValueQueue, WorkPacket, WorkQueue,
 };
 
-use crate::{CombinedPqOpt, Decision, Policy, Runner, ValuePqOpt, WorkPqOpt};
+use crate::{CombinedPqOpt, Policy, Runner, ValuePqOpt, WorkPqOpt};
 
 /// A system processing packets slot by slot: per-packet admission,
 /// transmission, slot bookkeeping, flush, and the scalar gauges the drivers
@@ -173,16 +173,10 @@ impl<Q: QueueDiscipline, P: Policy<Q>> DatapathSystem for Runner<Q, P> {
         meta_of::<Q>(pkt)
     }
 
-    /// Classifies the policy's decision, telling drops forced by a full
-    /// buffer from voluntary policy rejections.
+    /// The policy's decision, with each drop's reason as the switch
+    /// classified it.
     fn offer(&mut self, pkt: Q::Packet) -> Result<ArrivalOutcome, AdmitError> {
-        let was_full = self.switch().is_full();
-        Ok(match self.arrival(pkt)? {
-            Decision::Accept => ArrivalOutcome::Admitted,
-            Decision::PushOut(victim) => ArrivalOutcome::PushedOut(victim),
-            Decision::Drop if was_full => ArrivalOutcome::Dropped(DropReason::BufferFull),
-            Decision::Drop => ArrivalOutcome::Dropped(DropReason::Policy),
-        })
+        self.arrive(pkt)
     }
 
     fn transmission_phase_into(&mut self, out: &mut Vec<Transmitted>) -> u64 {

@@ -11,7 +11,7 @@ use smbm_runtime::{
     FaultPlan, FlightConfig, IngestMode, Model, RuntimeBuilder, RuntimeConfig, RuntimeReport,
     ShardConfig, SupervisionConfig, VirtualClock,
 };
-use smbm_switch::{Counters, ValueQueue, WorkQueue};
+use smbm_switch::{Counters, DropReason, ValueQueue, WorkQueue};
 
 use crate::codec::WirePacket;
 use crate::server::{NetConfig, NetIngress};
@@ -133,11 +133,15 @@ impl ServeReport {
     /// Renders the report as one JSON object.
     pub fn to_json(&self) -> String {
         let c = self.counters();
+        let mut drops = format!("{{\"switch\":{}", c.dropped_at_switch());
+        for r in DropReason::ALL.into_iter().filter(|r| !r.at_switch()) {
+            drops.push_str(&format!(",\"{}\":{}", r.label(), c.dropped_for(r)));
+        }
+        drops.push('}');
         format!(
             "{{\"model\":\"{}\",\"policy\":\"{}\",\"shards\":{},\"sockets\":{},\
              \"arrived\":{},\"admitted\":{},\"transmitted\":{},\"score\":{},\
-             \"drops\":{{\"switch\":{},\"backpressure\":{},\"shard_failure\":{},\
-             \"net_decode\":{}}},\"lost\":{},\"restarts\":{},\"orphans\":{},\
+             \"drops\":{},\"lost\":{},\"restarts\":{},\"orphans\":{},\
              \"gave_up\":{},\"net\":{},\"flight_dumps\":{},\"elapsed_ms\":{:.3},\
              \"packets_per_sec\":{:.0}}}",
             self.model,
@@ -148,10 +152,7 @@ impl ServeReport {
             c.admitted(),
             c.transmitted(),
             self.score(),
-            c.dropped_at_switch(),
-            c.dropped_backpressure(),
-            c.dropped_shard_failure(),
-            c.dropped_net_decode(),
+            drops,
             self.runtime.lost_packets(),
             self.runtime.restarts(),
             self.runtime.orphaned_packets(),
@@ -190,8 +191,8 @@ impl fmt::Display for ServeReport {
             "  admitted {} | dropped at switch {} | backpressure {} | net_decode {} | score {}",
             c.admitted(),
             c.dropped_at_switch(),
-            c.dropped_backpressure(),
-            c.dropped_net_decode(),
+            c.dropped_for(DropReason::Backpressure),
+            c.dropped_for(DropReason::NetDecode),
             self.score(),
         )?;
         if self.runtime.shard_panics > 0 {
@@ -417,7 +418,7 @@ mod tests {
             gen.frames_declared(),
             "every declared frame is accounted: {gen}\n{report}"
         );
-        assert_eq!(c.dropped_net_decode(), 0);
+        assert_eq!(c.dropped_for(DropReason::NetDecode), 0);
         assert!(c.check_conservation(0).is_ok());
         assert_eq!(report.net_counts().frames, gen.frames_sent());
         assert!(report.to_json().contains("\"net\":{\"datagrams\":"));

@@ -36,14 +36,6 @@ pub enum Event {
         /// Why it was rejected.
         reason: DropReason,
     },
-    /// A full ingress ring rejected packets upstream of admission control
-    /// (runtime datapath only).
-    Backpressure {
-        /// Engine/runtime cycle counter.
-        slot: u64,
-        /// Packets rejected by the full ring.
-        packets: u64,
-    },
     /// A resident packet was evicted.
     PushedOut {
         /// Engine slot counter.
@@ -135,9 +127,6 @@ impl Event {
                 "\"type\":\"dropped\",\"slot\":{slot},\"port\":{},\"reason\":\"{}\"",
                 port.index(),
                 reason.label()
-            )),
-            Event::Backpressure { slot, packets } => out.push_str(&format!(
-                "\"type\":\"backpressure\",\"slot\":{slot},\"packets\":{packets}"
             )),
             Event::PushedOut { slot, victim } => out.push_str(&format!(
                 "\"type\":\"pushed_out\",\"slot\":{slot},\"victim\":{}",
@@ -279,10 +268,6 @@ impl Observer for RingEventLog {
         self.push(Event::Dropped { slot, port, reason });
     }
 
-    fn backpressure(&mut self, slot: u64, packets: u64) {
-        self.push(Event::Backpressure { slot, packets });
-    }
-
     fn pushed_out(&mut self, slot: u64, victim: PortId) {
         self.push(Event::PushedOut { slot, victim });
     }
@@ -390,23 +375,6 @@ mod tests {
             "{\"type\":\"dropped\",\"slot\":3,\"port\":2,\"reason\":\"buffer_full\"}"
         );
         assert_eq!(lines[2], "{\"type\":\"flush\",\"slot\":4,\"discarded\":17}");
-    }
-
-    #[test]
-    fn backpressure_events_serialize() {
-        let mut log = RingEventLog::new(4);
-        log.backpressure(12, 3);
-        log.dropped(12, PortId::new(0), DropReason::Backpressure);
-        let jsonl = log.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(
-            lines[0],
-            "{\"type\":\"backpressure\",\"slot\":12,\"packets\":3}"
-        );
-        assert_eq!(
-            lines[1],
-            "{\"type\":\"dropped\",\"slot\":12,\"port\":0,\"reason\":\"backpressure\"}"
-        );
     }
 
     #[test]

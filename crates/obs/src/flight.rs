@@ -104,10 +104,6 @@ impl Observer for FlightRecorder {
         self.ring.push(Event::Dropped { slot, port, reason });
     }
 
-    fn backpressure(&mut self, slot: u64, packets: u64) {
-        self.ring.push(Event::Backpressure { slot, packets });
-    }
-
     fn pushed_out(&mut self, slot: u64, victim: PortId) {
         self.ring.push(Event::PushedOut { slot, victim });
     }

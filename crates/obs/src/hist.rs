@@ -1,6 +1,6 @@
 //! Log-bucketed histograms and the metric-recording observer.
 
-use crate::{DropReason, Observer};
+use crate::{drops_json, DropReason, Observer};
 use smbm_switch::PortId;
 
 /// Number of buckets: one for zero plus one per power of two of `u64`.
@@ -206,11 +206,7 @@ pub struct HistogramRecorder {
     slot_had_arrival_phase: bool,
     arrivals: u64,
     admitted: u64,
-    dropped_full: u64,
-    dropped_policy: u64,
-    dropped_backpressure: u64,
-    dropped_shard_failure: u64,
-    dropped_net_decode: u64,
+    dropped: [u64; DropReason::COUNT],
     pushed_out: u64,
     transmitted: u64,
     transmitted_value: u64,
@@ -244,13 +240,7 @@ impl HistogramRecorder {
 
     /// Packets dropped for the given reason.
     pub fn drop_count(&self, reason: DropReason) -> u64 {
-        match reason {
-            DropReason::BufferFull => self.dropped_full,
-            DropReason::Policy => self.dropped_policy,
-            DropReason::Backpressure => self.dropped_backpressure,
-            DropReason::ShardFailure => self.dropped_shard_failure,
-            DropReason::NetDecode => self.dropped_net_decode,
-        }
+        self.dropped[reason.index()]
     }
 
     /// Supervised shard restarts observed.
@@ -303,8 +293,7 @@ impl HistogramRecorder {
         format!(
             "{{\"arrived\":{},\"admitted\":{},\"pushed_out\":{},\"transmitted\":{},\
              \"transmitted_value\":{},\"flushed\":{},\
-             \"drops\":{{\"buffer_full\":{},\"policy\":{},\"backpressure\":{},\"shard_failure\":{}}},\
-             \"shard_restarts\":{},\
+             \"drops\":{},\"shard_restarts\":{},\
              \"latency\":{},\"occupancy\":{},\"queue_len\":{},\"burst\":{}}}",
             self.arrivals,
             self.admitted,
@@ -312,10 +301,7 @@ impl HistogramRecorder {
             self.transmitted,
             self.transmitted_value,
             self.flushed,
-            self.dropped_full,
-            self.dropped_policy,
-            self.dropped_backpressure,
-            self.dropped_shard_failure,
+            drops_json(&self.dropped),
             self.shard_restarts,
             self.latency.to_json(),
             self.occupancy.to_json(),
@@ -343,17 +329,7 @@ impl Observer for HistogramRecorder {
     }
 
     fn dropped(&mut self, _slot: u64, _port: PortId, reason: DropReason) {
-        match reason {
-            DropReason::BufferFull => self.dropped_full += 1,
-            DropReason::Policy => self.dropped_policy += 1,
-            DropReason::Backpressure => self.dropped_backpressure += 1,
-            DropReason::ShardFailure => self.dropped_shard_failure += 1,
-            DropReason::NetDecode => self.dropped_net_decode += 1,
-        }
-    }
-
-    fn backpressure(&mut self, _slot: u64, packets: u64) {
-        self.dropped_backpressure += packets;
+        self.dropped[reason.index()] += 1;
     }
 
     fn pushed_out(&mut self, _slot: u64, victim: PortId) {
@@ -391,7 +367,7 @@ impl Observer for HistogramRecorder {
     }
 
     fn shard_failed(&mut self, _slot: u64, orphans: u64) {
-        self.dropped_shard_failure += orphans;
+        self.dropped[DropReason::ShardFailure.index()] += orphans;
     }
 }
 
@@ -571,9 +547,8 @@ mod tests {
         assert_eq!(r.burst().max(), 4);
         assert_eq!(r.drop_count(DropReason::Policy), 1);
         assert_eq!(r.drop_count(DropReason::BufferFull), 0);
-        r.backpressure(0, 5);
         r.dropped(0, p1, DropReason::Backpressure);
-        assert_eq!(r.drop_count(DropReason::Backpressure), 6);
+        assert_eq!(r.drop_count(DropReason::Backpressure), 1);
 
         // A drain slot (no arrivals) leaves the burst histogram untouched.
         r.slot_start(1);
@@ -606,6 +581,7 @@ mod tests {
             "\"policy\":0",
             "\"backpressure\":0",
             "\"shard_failure\":0",
+            "\"net_decode\":0",
             "\"shard_restarts\":0",
             "\"latency\"",
             "\"occupancy\"",

@@ -149,13 +149,6 @@ pub trait Observer {
     /// The offered packet was rejected.
     fn dropped(&mut self, slot: u64, port: PortId, reason: DropReason) {}
 
-    /// A full ingress ring rejected `packets` packets destined into the
-    /// runtime before they reached admission control (runtime datapath
-    /// only). Distinct from [`Observer::dropped`] with
-    /// [`DropReason::Backpressure`], which reports per-packet attribution
-    /// when the caller has it.
-    fn backpressure(&mut self, slot: u64, packets: u64) {}
-
     /// A resident packet queued for `victim` was evicted to make room
     /// (always followed by [`Observer::admitted`] for the arrival).
     fn pushed_out(&mut self, slot: u64, victim: PortId) {}
@@ -223,9 +216,6 @@ impl<O: Observer> Observer for &mut O {
     fn dropped(&mut self, slot: u64, port: PortId, reason: DropReason) {
         (**self).dropped(slot, port, reason);
     }
-    fn backpressure(&mut self, slot: u64, packets: u64) {
-        (**self).backpressure(slot, packets);
-    }
     fn pushed_out(&mut self, slot: u64, victim: PortId) {
         (**self).pushed_out(slot, victim);
     }
@@ -288,11 +278,6 @@ impl<O: Observer> Observer for Option<O> {
     fn dropped(&mut self, slot: u64, port: PortId, reason: DropReason) {
         if let Some(o) = self {
             o.dropped(slot, port, reason);
-        }
-    }
-    fn backpressure(&mut self, slot: u64, packets: u64) {
-        if let Some(o) = self {
-            o.backpressure(slot, packets);
         }
     }
     fn pushed_out(&mut self, slot: u64, victim: PortId) {
@@ -380,10 +365,6 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
         self.0.dropped(slot, port, reason);
         self.1.dropped(slot, port, reason);
     }
-    fn backpressure(&mut self, slot: u64, packets: u64) {
-        self.0.backpressure(slot, packets);
-        self.1.backpressure(slot, packets);
-    }
     fn pushed_out(&mut self, slot: u64, victim: PortId) {
         self.0.pushed_out(slot, victim);
         self.1.pushed_out(slot, victim);
@@ -436,6 +417,16 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
         self.0.shard_failed(slot, orphans);
         self.1.shard_failed(slot, orphans);
     }
+}
+
+/// Renders per-reason drop counts, indexed by [`DropReason::index`], as one
+/// JSON object keyed by [`DropReason::label`].
+pub(crate) fn drops_json(dropped: &[u64; DropReason::COUNT]) -> String {
+    let fields: Vec<String> = DropReason::ALL
+        .iter()
+        .map(|r| format!("\"{}\":{}", r.label(), dropped[r.index()]))
+        .collect();
+    format!("{{{}}}", fields.join(","))
 }
 
 /// Minimal JSON string escaping for labels embedded in event/metric output

@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use crate::hist::BUCKETS;
 use crate::sink::JsonlWriter;
-use crate::{DropReason, LogHistogram, Observer};
+use crate::{drops_json, DropReason, LogHistogram, Observer};
 use smbm_switch::PortId;
 
 /// Consecutive failed snapshot attempts before the reader yields its
@@ -173,6 +173,9 @@ impl NetCounts {
 
 /// One shard's live statistics: atomic counters and gauges written by the
 /// shard thread with relaxed ordering and read by the [`TelemetrySampler`].
+/// Producer threads add their edge drops (see
+/// [`StatCell::record_edge_drops`]) to the same counters; every counter
+/// update is a relaxed `fetch_add`, so those writers need no coordination.
 ///
 /// Padded to two 64-byte cache lines' alignment so neighbouring shards'
 /// cells never false-share, which is what keeps the hot-loop writes cheap.
@@ -183,18 +186,13 @@ pub struct StatCell {
     arrived: AtomicU64,
     arrived_value: AtomicU64,
     admitted: AtomicU64,
-    dropped_buffer_full: AtomicU64,
-    dropped_policy: AtomicU64,
-    dropped_backpressure: AtomicU64,
-    dropped_shard_failure: AtomicU64,
-    dropped_net_decode: AtomicU64,
+    dropped: [AtomicU64; DropReason::COUNT],
     pushed_out: AtomicU64,
     transmitted: AtomicU64,
     transmitted_value: AtomicU64,
     flushed: AtomicU64,
-    // Net ingress counters. Unlike the single-writer fields above these are
-    // written by the *socket* thread(s) feeding the shard, not the shard
-    // thread itself; plain relaxed fetch_adds are multi-writer safe.
+    // Net ingress counters, written by the *socket* thread(s) feeding the
+    // shard, not the shard thread itself.
     net_datagrams: AtomicU64,
     net_frames: AtomicU64,
     net_decode_errors: AtomicU64,
@@ -225,11 +223,7 @@ impl StatCell {
             arrived: AtomicU64::new(0),
             arrived_value: AtomicU64::new(0),
             admitted: AtomicU64::new(0),
-            dropped_buffer_full: AtomicU64::new(0),
-            dropped_policy: AtomicU64::new(0),
-            dropped_backpressure: AtomicU64::new(0),
-            dropped_shard_failure: AtomicU64::new(0),
-            dropped_net_decode: AtomicU64::new(0),
+            dropped: [const { AtomicU64::new(0) }; DropReason::COUNT],
             pushed_out: AtomicU64::new(0),
             transmitted: AtomicU64::new(0),
             transmitted_value: AtomicU64::new(0),
@@ -251,13 +245,9 @@ impl StatCell {
         }
     }
 
-    /// Records socket-level receive activity and decode losses from a net
-    /// ingress thread feeding this shard. Safe to call from any thread —
-    /// these counters are multi-writer by design (relaxed `fetch_add`s),
-    /// unlike the single-writer shard-loop fields. `dropped_frames` is the
-    /// [`crate::DropReason::NetDecode`] drop count: frames from well-formed
-    /// datagrams that were lost to truncation or failed validation.
-    pub fn record_net(&self, counts: NetCounts, dropped_frames: u64) {
+    /// Records socket-level receive activity from a net ingress thread
+    /// feeding this shard. Safe to call from any thread.
+    pub fn record_net(&self, counts: NetCounts) {
         let r = Ordering::Relaxed;
         if counts.datagrams != 0 {
             self.net_datagrams.fetch_add(counts.datagrams, r);
@@ -271,9 +261,18 @@ impl StatCell {
         if counts.truncations != 0 {
             self.net_truncations.fetch_add(counts.truncations, r);
         }
-        if dropped_frames != 0 {
-            self.dropped_net_decode.fetch_add(dropped_frames, r);
-        }
+    }
+
+    /// Records `packets` packets of total worth `value` dropped for `reason`
+    /// at the datapath's edge, before this shard's switch saw them, as
+    /// arrivals plus drops: the same fold `Counters::record_edge_drops`
+    /// makes, so the cell keeps `arrived == admitted + dropped`. Safe to
+    /// call from any thread.
+    pub fn record_edge_drops(&self, reason: DropReason, packets: u64, value: u64) {
+        let r = Ordering::Relaxed;
+        self.arrived.fetch_add(packets, r);
+        self.arrived_value.fetch_add(value, r);
+        self.dropped[reason.index()].fetch_add(packets, r);
     }
 
     /// Reads just the net ingress tallies with relaxed loads; cheap enough
@@ -296,11 +295,7 @@ impl StatCell {
             arrived: self.arrived.load(r),
             arrived_value: self.arrived_value.load(r),
             admitted: self.admitted.load(r),
-            dropped_buffer_full: self.dropped_buffer_full.load(r),
-            dropped_policy: self.dropped_policy.load(r),
-            dropped_backpressure: self.dropped_backpressure.load(r),
-            dropped_shard_failure: self.dropped_shard_failure.load(r),
-            dropped_net_decode: self.dropped_net_decode.load(r),
+            dropped: self.dropped.each_ref().map(|d| d.load(r)),
             net: self.net_counts(),
             pushed_out: self.pushed_out.load(r),
             transmitted: self.transmitted.load(r),
@@ -330,16 +325,8 @@ pub struct StatSnapshot {
     pub arrived_value: u64,
     /// Packets admitted to the buffer.
     pub admitted: u64,
-    /// Packets rejected because the shared buffer was full.
-    pub dropped_buffer_full: u64,
-    /// Packets rejected by policy decision.
-    pub dropped_policy: u64,
-    /// Packets rejected upstream by full ingress rings.
-    pub dropped_backpressure: u64,
-    /// Packets lost to abandoned (given-up) shards.
-    pub dropped_shard_failure: u64,
-    /// Frames lost to network decoding (truncation or failed validation).
-    pub dropped_net_decode: u64,
+    /// Packets dropped, indexed by [`DropReason::index`].
+    pub dropped: [u64; DropReason::COUNT],
     /// Socket-level receive tallies of the net ingress feeding this shard
     /// (all zero when the datapath runs without a network plane).
     pub net: NetCounts,
@@ -378,11 +365,7 @@ pub struct StatSnapshot {
 impl StatSnapshot {
     /// Packets dropped for any reason.
     pub fn dropped_total(&self) -> u64 {
-        self.dropped_buffer_full
-            + self.dropped_policy
-            + self.dropped_backpressure
-            + self.dropped_shard_failure
-            + self.dropped_net_decode
+        self.dropped.iter().sum()
     }
 
     /// Accumulates `other` into `self`: counters add, capacity gauges add
@@ -392,11 +375,9 @@ impl StatSnapshot {
         self.arrived += other.arrived;
         self.arrived_value += other.arrived_value;
         self.admitted += other.admitted;
-        self.dropped_buffer_full += other.dropped_buffer_full;
-        self.dropped_policy += other.dropped_policy;
-        self.dropped_backpressure += other.dropped_backpressure;
-        self.dropped_shard_failure += other.dropped_shard_failure;
-        self.dropped_net_decode += other.dropped_net_decode;
+        for (d, o) in self.dropped.iter_mut().zip(other.dropped) {
+            *d += o;
+        }
         self.net.merge(&other.net);
         self.pushed_out += other.pushed_out;
         self.transmitted += other.transmitted;
@@ -418,8 +399,7 @@ impl StatSnapshot {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"arrived\":{},\"arrived_value\":{},\"admitted\":{},\
-             \"dropped\":{{\"buffer_full\":{},\"policy\":{},\"backpressure\":{},\"shard_failure\":{},\"net_decode\":{}}},\
-             \"net\":{},\
+             \"dropped\":{},\"net\":{},\
              \"pushed_out\":{},\"transmitted\":{},\"transmitted_value\":{},\"flushed\":{},\
              \"slots\":{},\"restarts\":{},\"panics\":{},\"failures\":{},\
              \"occupancy\":{},\"queue_depth\":{},\"queue_hwm\":{},\"buffer_limit\":{},\"ports\":{},\
@@ -427,11 +407,7 @@ impl StatSnapshot {
             self.arrived,
             self.arrived_value,
             self.admitted,
-            self.dropped_buffer_full,
-            self.dropped_policy,
-            self.dropped_backpressure,
-            self.dropped_shard_failure,
-            self.dropped_net_decode,
+            drops_json(&self.dropped),
             self.net.to_json(),
             self.pushed_out,
             self.transmitted,
@@ -458,11 +434,7 @@ struct Pending {
     arrived: u64,
     arrived_value: u64,
     admitted: u64,
-    dropped_buffer_full: u64,
-    dropped_policy: u64,
-    dropped_backpressure: u64,
-    dropped_shard_failure: u64,
-    dropped_net_decode: u64,
+    dropped: [u64; DropReason::COUNT],
     pushed_out: u64,
     transmitted: u64,
     transmitted_value: u64,
@@ -504,21 +476,10 @@ impl TelemetryObserver {
         if p.admitted != 0 {
             c.admitted.fetch_add(p.admitted, r);
         }
-        if p.dropped_buffer_full != 0 {
-            c.dropped_buffer_full.fetch_add(p.dropped_buffer_full, r);
-        }
-        if p.dropped_policy != 0 {
-            c.dropped_policy.fetch_add(p.dropped_policy, r);
-        }
-        if p.dropped_backpressure != 0 {
-            c.dropped_backpressure.fetch_add(p.dropped_backpressure, r);
-        }
-        if p.dropped_shard_failure != 0 {
-            c.dropped_shard_failure
-                .fetch_add(p.dropped_shard_failure, r);
-        }
-        if p.dropped_net_decode != 0 {
-            c.dropped_net_decode.fetch_add(p.dropped_net_decode, r);
+        for (cell, n) in c.dropped.iter().zip(p.dropped) {
+            if n != 0 {
+                cell.fetch_add(n, r);
+            }
         }
         if p.pushed_out != 0 {
             c.pushed_out.fetch_add(p.pushed_out, r);
@@ -550,17 +511,7 @@ impl Observer for TelemetryObserver {
     }
 
     fn dropped(&mut self, _slot: u64, _port: PortId, reason: DropReason) {
-        match reason {
-            DropReason::BufferFull => self.pending.dropped_buffer_full += 1,
-            DropReason::Policy => self.pending.dropped_policy += 1,
-            DropReason::Backpressure => self.pending.dropped_backpressure += 1,
-            DropReason::ShardFailure => self.pending.dropped_shard_failure += 1,
-            DropReason::NetDecode => self.pending.dropped_net_decode += 1,
-        }
-    }
-
-    fn backpressure(&mut self, _slot: u64, packets: u64) {
-        self.pending.dropped_backpressure += packets;
+        self.pending.dropped[reason.index()] += 1;
     }
 
     fn pushed_out(&mut self, _slot: u64, _victim: PortId) {
@@ -608,7 +559,7 @@ impl Observer for TelemetryObserver {
     }
 
     fn shard_failed(&mut self, _slot: u64, orphans: u64) {
-        self.pending.dropped_shard_failure += orphans;
+        self.pending.dropped[DropReason::ShardFailure.index()] += orphans;
         self.flush_pending();
         self.cell.failures.fetch_add(1, Ordering::Relaxed);
     }
@@ -718,15 +669,11 @@ impl TelemetrySample {
         out.push_str("# HELP smbm_drops_total Dropped packets by reason.\n");
         out.push_str("# TYPE smbm_drops_total counter\n");
         for (i, s) in self.shards.iter().enumerate() {
-            for (reason, v) in [
-                ("buffer_full", s.dropped_buffer_full),
-                ("policy", s.dropped_policy),
-                ("backpressure", s.dropped_backpressure),
-                ("shard_failure", s.dropped_shard_failure),
-                ("net_decode", s.dropped_net_decode),
-            ] {
+            for r in DropReason::ALL {
                 out.push_str(&format!(
-                    "smbm_drops_total{{shard=\"{i}\",reason=\"{reason}\"}} {v}\n"
+                    "smbm_drops_total{{shard=\"{i}\",reason=\"{}\"}} {}\n",
+                    r.label(),
+                    s.dropped[r.index()]
                 ));
             }
         }
@@ -1068,7 +1015,7 @@ mod tests {
         assert_eq!(s.arrived, 2);
         assert_eq!(s.arrived_value, 8);
         assert_eq!(s.admitted, 1);
-        assert_eq!(s.dropped_buffer_full, 1);
+        assert_eq!(s.dropped[DropReason::BufferFull.index()], 1);
         assert_eq!(s.transmitted, 1);
         assert_eq!(s.transmitted_value, 5);
         assert_eq!(s.slots, 1);
@@ -1112,26 +1059,24 @@ mod tests {
         assert_eq!(s.panics, 1);
         assert_eq!(s.restarts, 1);
         assert_eq!(s.failures, 1);
-        assert_eq!(s.dropped_shard_failure, 7);
+        assert_eq!(s.dropped[DropReason::ShardFailure.index()], 7);
     }
 
     #[test]
-    fn record_net_is_multi_writer_and_snapshots() {
+    fn record_net_and_edge_drops_are_multi_writer() {
         let cell = Arc::new(StatCell::new());
         let writers: Vec<_> = (0..4)
             .map(|_| {
                 let c = Arc::clone(&cell);
                 std::thread::spawn(move || {
                     for _ in 0..1_000 {
-                        c.record_net(
-                            NetCounts {
-                                datagrams: 1,
-                                frames: 8,
-                                decode_errors: 2,
-                                truncations: 1,
-                            },
-                            2,
-                        );
+                        c.record_net(NetCounts {
+                            datagrams: 1,
+                            frames: 8,
+                            decode_errors: 2,
+                            truncations: 1,
+                        });
+                        c.record_edge_drops(DropReason::NetDecode, 2, 0);
                     }
                 })
             })
@@ -1144,8 +1089,9 @@ mod tests {
         assert_eq!(s.net.frames, 32_000);
         assert_eq!(s.net.decode_errors, 8_000);
         assert_eq!(s.net.truncations, 4_000);
-        assert_eq!(s.dropped_net_decode, 8_000);
+        assert_eq!(s.dropped[DropReason::NetDecode.index()], 8_000);
         assert_eq!(s.dropped_total(), 8_000);
+        assert_eq!(s.arrived, 8_000, "edge drops count as arrivals");
         assert_eq!(cell.net_counts(), s.net);
         assert!(s.to_json().contains("\"net\":{\"datagrams\":4000"));
         assert!(s.to_json().contains("\"net_decode\":8000"));

@@ -9,7 +9,7 @@ use std::fmt;
 
 use smbm_core::{DatapathSystem, PacketModel, Policy, Runner};
 use smbm_obs::{LogHistogram, TelemetryConfig};
-use smbm_switch::{CombinedQueue, FlushPolicy, ValueQueue, WorkQueue};
+use smbm_switch::{CombinedQueue, DropReason, FlushPolicy, ValueQueue, WorkQueue};
 use smbm_traffic::{MmppScenario, PortMix, ValueMix};
 
 use crate::clock::{AnyClock, VirtualClock, WallClock};
@@ -227,8 +227,8 @@ impl LoadgenReport {
             c.transmitted(),
             self.score(),
             c.dropped_at_switch(),
-            c.dropped_backpressure(),
-            c.dropped_shard_failure(),
+            c.dropped_for(DropReason::Backpressure),
+            c.dropped_for(DropReason::ShardFailure),
             self.runtime.lost_packets(),
             self.runtime.restarts(),
             self.runtime.orphaned_packets(),
@@ -262,7 +262,7 @@ impl fmt::Display for LoadgenReport {
             "  admitted {} | dropped at switch {} | backpressure {} | score {}",
             c.admitted(),
             c.dropped_at_switch(),
-            c.dropped_backpressure(),
+            c.dropped_for(DropReason::Backpressure),
             self.score(),
         )?;
         if self.runtime.shard_panics > 0 {
@@ -273,7 +273,7 @@ impl fmt::Display for LoadgenReport {
                 self.runtime.shard_panics,
                 self.runtime.restarts(),
                 self.runtime.orphaned_packets(),
-                c.dropped_shard_failure(),
+                c.dropped_for(DropReason::ShardFailure),
                 self.runtime.shards_gave_up(),
             )?;
             for shard in self

@@ -156,15 +156,13 @@ pub struct ShardId(usize);
 struct ProducerStats {
     offered_packets: AtomicU64,
     sent_packets: AtomicU64,
-    backpressure_packets: AtomicU64,
-    backpressure_value: AtomicU64,
-    lost_packets: AtomicU64,
-    lost_value: AtomicU64,
+    // Edge drops and their value, indexed by `DropReason::index`.
+    dropped: [AtomicU64; DropReason::COUNT],
+    dropped_value: [AtomicU64; DropReason::COUNT],
     net_datagrams: AtomicU64,
     net_frames: AtomicU64,
     net_decode_errors: AtomicU64,
     net_truncations: AtomicU64,
-    net_decode_frames: AtomicU64,
 }
 
 /// What one producer did, reported after the runtime joins it.
@@ -176,26 +174,20 @@ pub struct ProducerReport {
     pub offered_packets: u64,
     /// Packets that entered the ring.
     pub sent_packets: u64,
-    /// Packets rejected because the ring was full ([`SendOutcome::Rejected`]
-    /// with [`DropReason::Backpressure`]) — counted separately from policy
-    /// drops at the switch.
-    pub backpressure_packets: u64,
-    /// Total value of backpressure-rejected packets.
-    pub backpressure_value: u64,
-    /// Packets lost because the shard disappeared mid-send.
-    /// [`RuntimeReport::counters`] folds them in as
-    /// [`DropReason::ShardFailure`] drops.
-    pub lost_packets: u64,
-    /// Total value of the lost packets.
-    pub lost_value: u64,
+    /// Edge drops, indexed by [`DropReason::index`]: packets a full ring
+    /// rejected ([`DropReason::Backpressure`]), packets sent after the
+    /// shard was gone ([`DropReason::ShardFailure`]), and frames from
+    /// well-formed datagrams lost to truncation or failed validation
+    /// ([`DropReason::NetDecode`]). [`RuntimeReport::counters`] folds them
+    /// in as arrivals plus drops.
+    pub dropped: [u64; DropReason::COUNT],
+    /// Total value of the edge drops, indexed like
+    /// [`ProducerReport::dropped`] (0 for undecodable frames, whose value is
+    /// unknown).
+    pub dropped_value: [u64; DropReason::COUNT],
     /// Wire-level receive tallies recorded through
     /// [`IngressHandle::record_net`]; all zero for in-process producers.
     pub net: NetCounts,
-    /// Frames from well-formed datagrams that were lost to truncation or
-    /// failed validation before ever reaching a ring.
-    /// [`RuntimeReport::counters`] folds them in as
-    /// [`DropReason::NetDecode`] drops.
-    pub net_decode_frames: u64,
     /// The producer job panicked. Tallies reflect everything up to the
     /// panic; the shard drained whatever was already queued. A panicking
     /// fanout job marks every one of its per-shard rows.
@@ -249,8 +241,7 @@ impl<P: Copy> IngressHandle<P> {
             Err(PushError::Full(_)) => unreachable!("blocking push never reports full"),
             Err(PushError::Closed(batch)) => {
                 let value: u64 = batch.packets.iter().map(|&p| (self.meta)(p).2).sum();
-                self.stats.lost_packets.fetch_add(n, Ordering::Relaxed);
-                self.stats.lost_value.fetch_add(value, Ordering::Relaxed);
+                self.record_edge_drops(DropReason::ShardFailure, n, value);
                 false
             }
         }
@@ -270,18 +261,12 @@ impl<P: Copy> IngressHandle<P> {
             }
             Err(PushError::Full(batch)) => {
                 let value: u64 = batch.packets.iter().map(|&p| (self.meta)(p).2).sum();
-                self.stats
-                    .backpressure_packets
-                    .fetch_add(n, Ordering::Relaxed);
-                self.stats
-                    .backpressure_value
-                    .fetch_add(value, Ordering::Relaxed);
+                self.record_edge_drops(DropReason::Backpressure, n, value);
                 SendOutcome::Rejected(DropReason::Backpressure)
             }
             Err(PushError::Closed(batch)) => {
                 let value: u64 = batch.packets.iter().map(|&p| (self.meta)(p).2).sum();
-                self.stats.lost_packets.fetch_add(n, Ordering::Relaxed);
-                self.stats.lost_value.fetch_add(value, Ordering::Relaxed);
+                self.record_edge_drops(DropReason::ShardFailure, n, value);
                 SendOutcome::Disconnected
             }
         }
@@ -336,8 +321,7 @@ impl<P: Copy> IngressHandle<P> {
                 self.stats
                     .sent_packets
                     .fetch_add(n - lost, Ordering::Relaxed);
-                self.stats.lost_packets.fetch_add(lost, Ordering::Relaxed);
-                self.stats.lost_value.fetch_add(value, Ordering::Relaxed);
+                self.record_edge_drops(DropReason::ShardFailure, lost, value);
                 false
             }
         }
@@ -364,16 +348,10 @@ impl<P: Copy> IngressHandle<P> {
         match result {
             Ok(()) => {}
             Err(PushError::Full(())) => {
-                self.stats
-                    .backpressure_packets
-                    .fetch_add(rest, Ordering::Relaxed);
-                self.stats
-                    .backpressure_value
-                    .fetch_add(value, Ordering::Relaxed);
+                self.record_edge_drops(DropReason::Backpressure, rest, value);
             }
             Err(PushError::Closed(())) => {
-                self.stats.lost_packets.fetch_add(rest, Ordering::Relaxed);
-                self.stats.lost_value.fetch_add(value, Ordering::Relaxed);
+                self.record_edge_drops(DropReason::ShardFailure, rest, value);
             }
         }
         batches.extend(self.staged.drain(..).map(|b| {
@@ -421,11 +399,11 @@ impl<P: Copy> IngressHandle<P> {
     /// Records wire-level receive activity from a network ingress thread:
     /// socket tallies (`counts`) plus the frames from well-formed datagrams
     /// that were lost to truncation or failed validation
-    /// (`dropped_frames`). Both land in this producer's report; when the
-    /// runtime has telemetry attached they also flow into the target
-    /// shard's [`StatCell`], so live Prometheus/JSON dumps and flight
-    /// recorder post-mortems show the wire traffic. In-process producers
-    /// never call this.
+    /// (`dropped_frames`, recorded as [`DropReason::NetDecode`] edge drops).
+    /// Both land in this producer's report; when the runtime has telemetry
+    /// attached they also flow into the target shard's [`StatCell`], so
+    /// live Prometheus/JSON dumps and flight recorder post-mortems show the
+    /// wire traffic. In-process producers never call this.
     pub fn record_net(&self, counts: NetCounts, dropped_frames: u64) {
         let r = Ordering::Relaxed;
         self.stats.net_datagrams.fetch_add(counts.datagrams, r);
@@ -434,9 +412,25 @@ impl<P: Copy> IngressHandle<P> {
             .net_decode_errors
             .fetch_add(counts.decode_errors, r);
         self.stats.net_truncations.fetch_add(counts.truncations, r);
-        self.stats.net_decode_frames.fetch_add(dropped_frames, r);
         if let Some(cell) = &self.cell {
-            cell.record_net(counts, dropped_frames);
+            cell.record_net(counts);
+        }
+        self.record_edge_drops(DropReason::NetDecode, dropped_frames, 0);
+    }
+
+    /// Records `packets` packets of total worth `value` dropped for `reason`
+    /// before reaching the shard: into this producer's tally and, with
+    /// telemetry on, into the shard's [`StatCell`] as arrivals plus drops,
+    /// so the live series and [`RuntimeReport::counters`] agree.
+    fn record_edge_drops(&self, reason: DropReason, packets: u64, value: u64) {
+        if packets == 0 {
+            return;
+        }
+        let r = Ordering::Relaxed;
+        self.stats.dropped[reason.index()].fetch_add(packets, r);
+        self.stats.dropped_value[reason.index()].fetch_add(value, r);
+        if let Some(cell) = &self.cell {
+            cell.record_edge_drops(reason, packets, value);
         }
     }
 }
@@ -682,17 +676,14 @@ impl<S: DatapathSystem + 'static> RuntimeBuilder<S> {
                     shard,
                     offered_packets: stats.offered_packets.load(r),
                     sent_packets: stats.sent_packets.load(r),
-                    backpressure_packets: stats.backpressure_packets.load(r),
-                    backpressure_value: stats.backpressure_value.load(r),
-                    lost_packets: stats.lost_packets.load(r),
-                    lost_value: stats.lost_value.load(r),
+                    dropped: stats.dropped.each_ref().map(|d| d.load(r)),
+                    dropped_value: stats.dropped_value.each_ref().map(|d| d.load(r)),
                     net: NetCounts {
                         datagrams: stats.net_datagrams.load(r),
                         frames: stats.net_frames.load(r),
                         decode_errors: stats.net_decode_errors.load(r),
                         truncations: stats.net_truncations.load(r),
                     },
-                    net_decode_frames: stats.net_decode_frames.load(r),
                     panicked,
                 });
             }
@@ -857,7 +848,9 @@ fn supervise_shard<S: DatapathSystem + 'static, C: Clock + Clone, O: Observer>(
                 let gap_v = progress
                     .ingested_value
                     .saturating_sub(progress.counters.arrived_value());
-                progress.counters.record_shard_failure_bulk(gap_p, gap_v);
+                progress
+                    .counters
+                    .record_edge_drops(DropReason::ShardFailure, gap_p, gap_v);
                 let resident_v = progress
                     .counters
                     .admitted_value()
@@ -920,7 +913,8 @@ fn supervise_shard<S: DatapathSystem + 'static, C: Clock + Clone, O: Observer>(
         }
     }
     if drained_p > 0 {
-        acc.counters.record_shard_failure_bulk(drained_p, drained_v);
+        acc.counters
+            .record_edge_drops(DropReason::ShardFailure, drained_p, drained_v);
     }
 
     let mut report = acc.into_report(shard_id, started.elapsed());
@@ -987,23 +981,20 @@ pub struct RuntimeReport {
 
 impl RuntimeReport {
     /// Datapath-wide counters: every shard's switch counters merged, plus
-    /// producer-side backpressure rejections folded in as
-    /// [`DropReason::Backpressure`] drops and producer-side losses (sends
-    /// into a dead shard's closed ring) as [`DropReason::ShardFailure`]
-    /// drops — so the conservation laws hold over the whole datapath, not
-    /// just inside each switch, even across shard panics and restarts.
+    /// every producer's edge drops (see [`ProducerReport::dropped`]) folded
+    /// in as arrivals plus drops — so the conservation laws hold over the
+    /// whole datapath, not just inside each switch, even across shard
+    /// panics and restarts.
     pub fn counters(&self) -> Counters {
         let mut total = Counters::new();
         for shard in &self.shards {
             total.merge(&shard.counters);
         }
-        let bp_packets: u64 = self.producers.iter().map(|p| p.backpressure_packets).sum();
-        let bp_value: u64 = self.producers.iter().map(|p| p.backpressure_value).sum();
-        total.record_backpressure_bulk(bp_packets, bp_value);
-        total.record_shard_failure_bulk(self.lost_packets(), self.lost_value());
-        // Frames lost at the wire never carried a decodable value, so the
-        // value leg of the fold is zero by construction.
-        total.record_net_decode_bulk(self.net_decode_drops(), 0);
+        for p in &self.producers {
+            for r in DropReason::ALL {
+                total.record_edge_drops(r, p.dropped[r.index()], p.dropped_value[r.index()]);
+            }
+        }
         total
     }
 
@@ -1019,12 +1010,8 @@ impl RuntimeReport {
 
     /// Packets lost to mid-send shard disappearance, across all producers.
     pub fn lost_packets(&self) -> u64 {
-        self.producers.iter().map(|p| p.lost_packets).sum()
-    }
-
-    /// Total value of the packets in [`RuntimeReport::lost_packets`].
-    pub fn lost_value(&self) -> u64 {
-        self.producers.iter().map(|p| p.lost_value).sum()
+        let i = DropReason::ShardFailure.index();
+        self.producers.iter().map(|p| p.dropped[i]).sum()
     }
 
     /// Wire-level receive tallies merged across every producer; all zero
@@ -1035,12 +1022,6 @@ impl RuntimeReport {
             total.merge(&p.net);
         }
         total
-    }
-
-    /// Frames dropped at the wire ([`DropReason::NetDecode`]), across all
-    /// producers.
-    pub fn net_decode_drops(&self) -> u64 {
-        self.producers.iter().map(|p| p.net_decode_frames).sum()
     }
 
     /// Supervised restarts across all shards.
@@ -1188,11 +1169,14 @@ mod tests {
         }
         assert_eq!(report.net_counts().datagrams, 1);
         assert_eq!(report.net_counts().decode_errors, 1);
-        assert_eq!(report.net_decode_drops(), 1);
+        assert_eq!(
+            report.producers[0].dropped[DropReason::NetDecode.index()],
+            1
+        );
         let c = report.counters();
         assert_eq!(c.arrived(), 5, "4 delivered + 1 net-decode drop");
         assert_eq!(c.transmitted(), 4);
-        assert_eq!(c.dropped_net_decode(), 1);
+        assert_eq!(c.dropped_for(DropReason::NetDecode), 1);
         assert!(c.check_conservation(0).is_ok());
         assert!(c.check_value_conservation(0).is_ok());
     }
@@ -1261,7 +1245,7 @@ mod tests {
         let p = &report.producers[0];
         assert_eq!(p.offered_packets, 12);
         assert_eq!(
-            p.sent_packets + p.backpressure_packets,
+            p.sent_packets + p.dropped[DropReason::Backpressure.index()],
             12,
             "every offered packet is sent or tallied as backpressure"
         );
@@ -1295,7 +1279,10 @@ mod tests {
         let report = b.run(|_| VirtualClock::new());
         assert!(report.lost_packets() > 0, "the closed ring loses the tail");
         let p = &report.producers[0];
-        assert_eq!(p.offered_packets, p.sent_packets + p.lost_packets);
+        assert_eq!(
+            p.offered_packets,
+            p.sent_packets + p.dropped[DropReason::ShardFailure.index()]
+        );
         let c = report.counters();
         assert!(c.check_conservation(0).is_ok());
         assert!(c.check_value_conservation(0).is_ok());
@@ -1418,7 +1405,7 @@ mod tests {
         let c = report.counters();
         assert_eq!(c.transmitted(), 0, "the shard died before its first slot");
         assert_eq!(c.arrived(), 20, "backlog + lost sends are all accounted");
-        assert_eq!(c.dropped_shard_failure(), 20);
+        assert_eq!(c.dropped_for(DropReason::ShardFailure), 20);
         assert!(c.check_conservation(0).is_ok());
         assert!(c.check_value_conservation(0).is_ok());
     }
@@ -1582,10 +1569,10 @@ mod tests {
         let report = b.run(|_| VirtualClock::new());
         let c = report.counters();
         assert_eq!(c.arrived(), 5_000, "offered = through + backpressure");
-        assert!(c.dropped_backpressure() > 0);
+        assert!(c.dropped_for(DropReason::Backpressure) > 0);
         assert_eq!(
-            c.dropped_backpressure(),
-            report.producers[0].backpressure_packets
+            c.dropped_for(DropReason::Backpressure),
+            report.producers[0].dropped[DropReason::Backpressure.index()]
         );
         assert!(c.check_conservation(0).is_ok());
     }

@@ -14,6 +14,8 @@
 
 use std::fmt;
 
+use crate::DropReason;
+
 /// Packet-lifetime counters maintained by every [`crate::Switch`].
 ///
 /// ```
@@ -24,20 +26,16 @@ use std::fmt;
 /// c.record_transmission(1, 1);
 /// assert!(c.check_conservation(0).is_ok());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct Counters {
     arrived: u64,
     arrived_value: u64,
     admitted: u64,
     admitted_value: u64,
-    dropped: u64,
-    dropped_value: u64,
-    dropped_backpressure: u64,
-    dropped_backpressure_value: u64,
-    dropped_shard_failure: u64,
-    dropped_shard_failure_value: u64,
-    dropped_net_decode: u64,
-    dropped_net_decode_value: u64,
+    /// Packets dropped, indexed by [`DropReason::index`].
+    dropped: [u64; DropReason::COUNT],
+    /// Value dropped, indexed by [`DropReason::index`].
+    dropped_value: [u64; DropReason::COUNT],
     pushed_out: u64,
     pushed_out_value: u64,
     transmitted: u64,
@@ -66,71 +64,26 @@ impl Counters {
         self.admitted_value += value;
     }
 
-    /// Records a packet worth `value` rejected on arrival.
-    pub fn record_drop(&mut self, value: u64) {
-        self.dropped += 1;
-        self.dropped_value += value;
+    /// Records a packet worth `value` rejected on arrival for `reason`.
+    #[inline]
+    pub fn record_drop(&mut self, reason: DropReason, value: u64) {
+        let i = reason.index();
+        self.dropped[i] += 1;
+        self.dropped_value[i] += value;
     }
 
-    /// Records a packet worth `value` rejected *upstream* of admission
-    /// control by a full ingress ring (runtime backpressure). The packet
-    /// counts toward [`Counters::dropped`] — so the conservation law
-    /// `arrived == admitted + dropped` still holds when the caller also
-    /// records the arrival — but is attributed to backpressure, never to a
-    /// policy decision.
-    pub fn record_backpressure(&mut self, value: u64) {
-        self.dropped += 1;
-        self.dropped_value += value;
-        self.dropped_backpressure += 1;
-        self.dropped_backpressure_value += value;
-    }
-
-    /// Bulk form of [`Counters::record_arrival`] followed by
-    /// [`Counters::record_backpressure`]: `packets` packets of total worth
-    /// `value` arrived and were all rejected by a full ingress ring. Used
-    /// when merging producer-side backpressure tallies into a switch-side
-    /// counter set, so the conservation laws hold over the whole datapath.
-    pub fn record_backpressure_bulk(&mut self, packets: u64, value: u64) {
+    /// Records `packets` packets of total worth `value` that reached the
+    /// datapath's edge and were dropped there for `reason`, without an
+    /// admission decision: a full ingress ring, a dead shard, an
+    /// undecodable frame. A bulk arrival plus drop, so the conservation law
+    /// `arrived == admitted + dropped` keeps holding over the whole
+    /// datapath. An undecodable frame's value is unknown; callers pass 0,
+    /// which keeps the value laws exact.
+    pub fn record_edge_drops(&mut self, reason: DropReason, packets: u64, value: u64) {
         self.arrived += packets;
         self.arrived_value += value;
-        self.dropped += packets;
-        self.dropped_value += value;
-        self.dropped_backpressure += packets;
-        self.dropped_backpressure_value += value;
-    }
-
-    /// Records `packets` packets of total worth `value` lost to a shard
-    /// failure: they arrived at the datapath but their shard died before
-    /// serving them (orphaned ring backlog dropped when the supervisor's
-    /// restart budget ran out, or packets destroyed mid-slot inside a dying
-    /// shard). Like backpressure this is a bulk arrival-plus-drop, so the
-    /// conservation law `arrived == admitted + dropped` keeps holding over
-    /// the whole datapath across restarts; the drops are attributed to
-    /// [`crate::DropReason::ShardFailure`], never to a policy decision.
-    pub fn record_shard_failure_bulk(&mut self, packets: u64, value: u64) {
-        self.arrived += packets;
-        self.arrived_value += value;
-        self.dropped += packets;
-        self.dropped_value += value;
-        self.dropped_shard_failure += packets;
-        self.dropped_shard_failure_value += value;
-    }
-
-    /// Records `packets` frames of total worth `value` that arrived over the
-    /// network but never decoded into valid packets (truncated datagrams,
-    /// out-of-range ports, mismatched work). Like backpressure this is a
-    /// bulk arrival-plus-drop — the frames reached the datapath's edge, so
-    /// they count toward `arrived` and toward `dropped` — attributed to
-    /// [`crate::DropReason::NetDecode`], never to a policy decision. An
-    /// undecodable frame's value is unknown; callers normally pass 0, which
-    /// keeps the value laws exact (nothing of known value was lost).
-    pub fn record_net_decode_bulk(&mut self, packets: u64, value: u64) {
-        self.arrived += packets;
-        self.arrived_value += value;
-        self.dropped += packets;
-        self.dropped_value += value;
-        self.dropped_net_decode += packets;
-        self.dropped_net_decode_value += value;
+        self.dropped[reason.index()] += packets;
+        self.dropped_value[reason.index()] += value;
     }
 
     /// Adds every count from `other` into `self` (latency maxima take the
@@ -141,14 +94,10 @@ impl Counters {
         self.arrived_value += other.arrived_value;
         self.admitted += other.admitted;
         self.admitted_value += other.admitted_value;
-        self.dropped += other.dropped;
-        self.dropped_value += other.dropped_value;
-        self.dropped_backpressure += other.dropped_backpressure;
-        self.dropped_backpressure_value += other.dropped_backpressure_value;
-        self.dropped_shard_failure += other.dropped_shard_failure;
-        self.dropped_shard_failure_value += other.dropped_shard_failure_value;
-        self.dropped_net_decode += other.dropped_net_decode;
-        self.dropped_net_decode_value += other.dropped_net_decode_value;
+        for i in 0..DropReason::COUNT {
+            self.dropped[i] += other.dropped[i];
+            self.dropped_value[i] += other.dropped_value[i];
+        }
         self.pushed_out += other.pushed_out;
         self.pushed_out_value += other.pushed_out_value;
         self.transmitted += other.transmitted;
@@ -206,59 +155,35 @@ impl Counters {
         self.admitted_value
     }
 
-    /// Total packets rejected on arrival.
+    /// Total packets rejected on arrival, for any reason.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.dropped.iter().sum()
     }
 
-    /// Total value rejected on arrival.
+    /// Total value rejected on arrival, for any reason.
     pub fn dropped_value(&self) -> u64 {
-        self.dropped_value
+        self.dropped_value.iter().sum()
     }
 
-    /// Packets rejected by ingress backpressure (a subset of
-    /// [`Counters::dropped`]).
-    pub fn dropped_backpressure(&self) -> u64 {
-        self.dropped_backpressure
+    /// Packets dropped for `reason` (a subset of [`Counters::dropped`]).
+    pub fn dropped_for(&self, reason: DropReason) -> u64 {
+        self.dropped[reason.index()]
     }
 
-    /// Value rejected by ingress backpressure (a subset of
+    /// Value dropped for `reason` (a subset of
     /// [`Counters::dropped_value`]).
-    pub fn dropped_backpressure_value(&self) -> u64 {
-        self.dropped_backpressure_value
+    pub fn dropped_value_for(&self, reason: DropReason) -> u64 {
+        self.dropped_value[reason.index()]
     }
 
-    /// Packets lost to shard failures (a subset of [`Counters::dropped`]).
-    pub fn dropped_shard_failure(&self) -> u64 {
-        self.dropped_shard_failure
-    }
-
-    /// Value lost to shard failures (a subset of
-    /// [`Counters::dropped_value`]).
-    pub fn dropped_shard_failure_value(&self) -> u64 {
-        self.dropped_shard_failure_value
-    }
-
-    /// Frames lost to network decoding (a subset of [`Counters::dropped`]).
-    pub fn dropped_net_decode(&self) -> u64 {
-        self.dropped_net_decode
-    }
-
-    /// Value lost to network decoding (a subset of
-    /// [`Counters::dropped_value`]; usually 0 — an undecodable frame's
-    /// value is unknown).
-    pub fn dropped_net_decode_value(&self) -> u64 {
-        self.dropped_net_decode_value
-    }
-
-    /// Packets rejected by admission control itself (policy or full-buffer
-    /// drops, excluding upstream backpressure, shard-failure, and
-    /// net-decode losses).
+    /// Packets rejected by admission control itself: the
+    /// [`DropReason::at_switch`] reasons, excluding every edge drop.
     pub fn dropped_at_switch(&self) -> u64 {
-        self.dropped
-            - self.dropped_backpressure
-            - self.dropped_shard_failure
-            - self.dropped_net_decode
+        DropReason::ALL
+            .into_iter()
+            .filter(|r| r.at_switch())
+            .map(|r| self.dropped_for(r))
+            .sum()
     }
 
     /// Total admitted packets later evicted (including flushed packets).
@@ -318,18 +243,18 @@ impl Counters {
     ///
     /// Returns a [`ConservationError`] describing the violated identity.
     pub fn check_conservation(&self, occupancy: usize) -> Result<(), ConservationError> {
-        if self.arrived != self.admitted + self.dropped {
+        if self.arrived != self.admitted + self.dropped() {
             return Err(ConservationError::Arrivals {
                 arrived: self.arrived,
                 admitted: self.admitted,
-                dropped: self.dropped,
+                dropped: self.dropped(),
             });
         }
-        if self.arrived_value != self.admitted_value + self.dropped_value {
+        if self.arrived_value != self.admitted_value + self.dropped_value() {
             return Err(ConservationError::ArrivalValue {
                 arrived_value: self.arrived_value,
                 admitted_value: self.admitted_value,
-                dropped_value: self.dropped_value,
+                dropped_value: self.dropped_value(),
             });
         }
         let accounted = self.transmitted + self.pushed_out + occupancy as u64;
@@ -367,25 +292,56 @@ impl Counters {
 }
 
 impl fmt::Display for Counters {
+    /// One line: totals, then each edge-drop reason by label, then values.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "arrived={} admitted={} dropped={} backpressure={} shard_failure={} net_decode={} \
-             pushed_out={} transmitted={} value={} admitted_value={} dropped_value={} \
-             pushed_out_value={}",
+            "arrived={} admitted={} dropped={}",
             self.arrived,
             self.admitted,
-            self.dropped,
-            self.dropped_backpressure,
-            self.dropped_shard_failure,
-            self.dropped_net_decode,
+            self.dropped()
+        )?;
+        for r in DropReason::ALL.into_iter().filter(|r| !r.at_switch()) {
+            write!(f, " {}={}", r.label(), self.dropped_for(r))?;
+        }
+        write!(
+            f,
+            " pushed_out={} transmitted={} value={} admitted_value={} dropped_value={} \
+             pushed_out_value={}",
             self.pushed_out,
             self.transmitted,
             self.transmitted_value,
             self.admitted_value,
-            self.dropped_value,
+            self.dropped_value(),
             self.pushed_out_value
         )
+    }
+}
+
+/// Drop totals, then each edge reason's packets and value, in the field
+/// order the counters had before drops were indexed by reason: run
+/// fingerprints that read the numbers off this form (`src/golden.rs`) stay
+/// comparable. The at-switch split is in [`Counters::dropped_for`].
+impl fmt::Debug for Counters {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut d = f.debug_struct("Counters");
+        d.field("arrived", &self.arrived)
+            .field("arrived_value", &self.arrived_value)
+            .field("admitted", &self.admitted)
+            .field("admitted_value", &self.admitted_value)
+            .field("dropped", &self.dropped())
+            .field("dropped_value", &self.dropped_value());
+        for r in DropReason::ALL.into_iter().filter(|r| !r.at_switch()) {
+            d.field(r.label(), &(self.dropped_for(r), self.dropped_value_for(r)));
+        }
+        d.field("pushed_out", &self.pushed_out)
+            .field("pushed_out_value", &self.pushed_out_value)
+            .field("transmitted", &self.transmitted)
+            .field("transmitted_value", &self.transmitted_value)
+            .field("cycles_consumed", &self.cycles_consumed)
+            .field("latency_sum", &self.latency_sum)
+            .field("latency_max", &self.latency_max)
+            .finish()
     }
 }
 
@@ -497,7 +453,7 @@ mod tests {
             c.record_admission(2);
         }
         for _ in 0..4 {
-            c.record_drop(2);
+            c.record_drop(DropReason::BufferFull, 2);
         }
         c.record_push_out(2);
         c.record_transmission(2, 3);
@@ -555,93 +511,59 @@ mod tests {
     }
 
     #[test]
-    fn backpressure_counts_as_a_separate_drop_class() {
+    fn edge_drops_count_as_separate_drop_classes() {
         let mut c = Counters::new();
-        for _ in 0..4 {
+        for _ in 0..3 {
             c.record_arrival(2);
         }
         c.record_admission(2);
-        c.record_drop(2); // policy/full drop at the switch
-        c.record_backpressure(2);
-        c.record_backpressure(2);
+        c.record_drop(DropReason::BufferFull, 2);
+        c.record_drop(DropReason::Policy, 2);
+        c.record_edge_drops(DropReason::Backpressure, 2, 4);
+        c.record_edge_drops(DropReason::ShardFailure, 5, 10);
+        c.record_edge_drops(DropReason::NetDecode, 4, 0);
         assert!(c.check_conservation(1).is_ok());
-        assert_eq!(c.dropped(), 3);
-        assert_eq!(c.dropped_backpressure(), 2);
-        assert_eq!(c.dropped_backpressure_value(), 4);
-        assert_eq!(c.dropped_at_switch(), 1);
-        assert!(c.to_string().contains("backpressure=2"));
+        assert_eq!(c.arrived(), 14);
+        assert_eq!(c.dropped(), 13);
+        assert_eq!(c.dropped_value(), 18);
+        assert_eq!(c.dropped_for(DropReason::BufferFull), 1);
+        assert_eq!(c.dropped_for(DropReason::Policy), 1);
+        assert_eq!(c.dropped_at_switch(), 2);
+        assert_eq!(c.dropped_for(DropReason::Backpressure), 2);
+        assert_eq!(c.dropped_value_for(DropReason::Backpressure), 4);
+        assert_eq!(c.dropped_for(DropReason::ShardFailure), 5);
+        assert_eq!(c.dropped_value_for(DropReason::ShardFailure), 10);
+        assert_eq!(c.dropped_for(DropReason::NetDecode), 4);
+        assert_eq!(c.dropped_value_for(DropReason::NetDecode), 0);
+        let text = c.to_string();
+        for needle in ["backpressure=2", "shard_failure=5", "net_decode=4"] {
+            assert!(text.contains(needle), "{text}");
+        }
     }
 
     #[test]
-    fn merge_and_bulk_backpressure_preserve_conservation() {
+    fn merge_preserves_every_drop_class_and_conservation() {
         let mut a = Counters::new();
         a.record_arrival(3);
         a.record_admission(3);
         a.record_transmission(3, 5);
         let mut b = Counters::new();
         b.record_arrival(1);
-        b.record_drop(1);
+        b.record_drop(DropReason::Policy, 1);
         b.record_arrival(2);
         b.record_admission(2);
         b.record_transmission(2, 9);
+        b.record_edge_drops(DropReason::Backpressure, 10, 25);
         a.merge(&b);
-        assert_eq!(a.arrived(), 3);
-        assert_eq!(a.transmitted(), 2);
-        assert_eq!(a.dropped(), 1);
-        assert_eq!(a.max_latency(), 9);
-        assert!(a.check_conservation(0).is_ok());
-
-        a.record_backpressure_bulk(10, 25);
         assert_eq!(a.arrived(), 13);
-        assert_eq!(a.dropped_backpressure(), 10);
-        assert_eq!(a.dropped_backpressure_value(), 25);
-        assert_eq!(a.dropped_at_switch(), 1);
+        assert_eq!(a.transmitted(), 2);
+        assert_eq!(a.dropped(), 11);
+        assert_eq!(a.max_latency(), 9);
+        for r in DropReason::ALL {
+            assert_eq!(a.dropped_for(r), b.dropped_for(r));
+            assert_eq!(a.dropped_value_for(r), b.dropped_value_for(r));
+        }
         assert!(a.check_conservation(0).is_ok());
-    }
-
-    #[test]
-    fn shard_failure_is_a_separate_drop_class() {
-        let mut c = Counters::new();
-        c.record_arrival(2);
-        c.record_admission(2);
-        c.record_transmission(2, 1);
-        c.record_backpressure_bulk(3, 6);
-        c.record_shard_failure_bulk(5, 10);
-        assert!(c.check_conservation(0).is_ok());
-        assert_eq!(c.dropped(), 8);
-        assert_eq!(c.dropped_backpressure(), 3);
-        assert_eq!(c.dropped_shard_failure(), 5);
-        assert_eq!(c.dropped_shard_failure_value(), 10);
-        assert_eq!(c.dropped_at_switch(), 0);
-        assert!(c.to_string().contains("shard_failure=5"));
-
-        let mut merged = Counters::new();
-        merged.merge(&c);
-        assert_eq!(merged.dropped_shard_failure(), 5);
-        assert_eq!(merged.dropped_shard_failure_value(), 10);
-        assert!(merged.check_conservation(0).is_ok());
-    }
-
-    #[test]
-    fn net_decode_is_a_separate_drop_class() {
-        let mut c = Counters::new();
-        c.record_arrival(2);
-        c.record_admission(2);
-        c.record_transmission(2, 1);
-        c.record_backpressure_bulk(3, 6);
-        c.record_net_decode_bulk(4, 0);
-        assert!(c.check_conservation(0).is_ok());
-        assert!(c.check_value_conservation(0).is_ok());
-        assert_eq!(c.dropped(), 7);
-        assert_eq!(c.dropped_net_decode(), 4);
-        assert_eq!(c.dropped_net_decode_value(), 0);
-        assert_eq!(c.dropped_at_switch(), 0);
-        assert!(c.to_string().contains("net_decode=4"));
-
-        let mut merged = Counters::new();
-        merged.merge(&c);
-        assert_eq!(merged.dropped_net_decode(), 4);
-        assert!(merged.check_conservation(0).is_ok());
     }
 
     #[test]
@@ -687,9 +609,11 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let c = Counters::new();
-        let s = c.to_string();
-        assert!(s.contains("arrived=0"));
-        assert!(s.contains("transmitted=0"));
+        assert_eq!(
+            Counters::new().to_string(),
+            "arrived=0 admitted=0 dropped=0 backpressure=0 shard_failure=0 net_decode=0 \
+             pushed_out=0 transmitted=0 value=0 admitted_value=0 dropped_value=0 \
+             pushed_out_value=0"
+        );
     }
 }

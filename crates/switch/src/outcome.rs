@@ -37,6 +37,34 @@ pub enum DropReason {
 }
 
 impl DropReason {
+    /// Every reason, in [`DropReason::index`] order. Each per-reason tally
+    /// in the workspace is an array indexed by the reason, and every report
+    /// that lists reasons walks this array, so a new reason is one variant
+    /// here plus its label.
+    pub const ALL: [DropReason; 5] = [
+        DropReason::BufferFull,
+        DropReason::Policy,
+        DropReason::Backpressure,
+        DropReason::ShardFailure,
+        DropReason::NetDecode,
+    ];
+
+    /// Number of reasons: the length of every per-reason tally.
+    pub const COUNT: usize = Self::ALL.len();
+
+    /// This reason's position in [`DropReason::ALL`].
+    #[inline]
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
+    /// True for the reasons admission control itself decides
+    /// ([`DropReason::BufferFull`], [`DropReason::Policy`]); the others are
+    /// edge drops, taken before a packet reaches a switch.
+    pub const fn at_switch(self) -> bool {
+        matches!(self, DropReason::BufferFull | DropReason::Policy)
+    }
+
     /// A stable lowercase label, used in event logs and metric reports.
     pub fn label(&self) -> &'static str {
         match self {
@@ -80,6 +108,25 @@ mod tests {
         assert_eq!(DropReason::Backpressure.label(), "backpressure");
         assert_eq!(DropReason::ShardFailure.label(), "shard_failure");
         assert_eq!(DropReason::NetDecode.label(), "net_decode");
+    }
+
+    #[test]
+    fn all_lists_each_reason_at_its_index() {
+        for (i, r) in DropReason::ALL.into_iter().enumerate() {
+            assert_eq!(r.index(), i);
+        }
+        let edge: Vec<_> = DropReason::ALL
+            .into_iter()
+            .filter(|r| !r.at_switch())
+            .collect();
+        assert_eq!(
+            edge,
+            [
+                DropReason::Backpressure,
+                DropReason::ShardFailure,
+                DropReason::NetDecode
+            ]
+        );
     }
 
     #[test]

@@ -6,8 +6,8 @@ use std::fmt;
 
 use crate::slab::BufferCore;
 use crate::{
-    AdmitError, CombinedQueue, ConservationError, Counters, DirtyPorts, PortId, Slot, Transmitted,
-    Value, ValueQueue, Work, WorkQueue,
+    AdmitError, CombinedQueue, ConservationError, Counters, DirtyPorts, DropReason, PortId, Slot,
+    Transmitted, Value, ValueQueue, Work, WorkQueue,
 };
 
 /// The per-port queue discipline of a [`Switch`]: the only decisions in which
@@ -354,18 +354,26 @@ impl<Q: QueueDiscipline> Switch<Q> {
         Ok(())
     }
 
-    /// Rejects `pkt` on arrival. Records the arrival and the drop.
+    /// Rejects `pkt` on arrival. Records the arrival and the drop, and
+    /// returns its reason: [`DropReason::BufferFull`] when the buffer is
+    /// full, else [`DropReason::Policy`] (the policy declined a packet that
+    /// would have fit).
     ///
     /// # Errors
     ///
     /// Fails with a validation error for an unknown port / mismatched work
     /// label (such a packet is not a legal arrival in the model at all).
-    pub fn reject(&mut self, pkt: Q::Packet) -> Result<(), AdmitError> {
+    pub fn reject(&mut self, pkt: Q::Packet) -> Result<DropReason, AdmitError> {
         self.validate(pkt)?;
         let value = Q::value(pkt).get();
+        let reason = if self.is_full() {
+            DropReason::BufferFull
+        } else {
+            DropReason::Policy
+        };
         self.counters.record_arrival(value);
-        self.counters.record_drop(value);
-        Ok(())
+        self.counters.record_drop(reason, value);
+        Ok(reason)
     }
 
     /// Pushes a packet out of `victim`'s queue and admits `pkt` in the freed
@@ -617,9 +625,10 @@ mod tests {
     fn reject_records_the_drop<M: Model>() {
         let mut sw = M::switch(2, 4);
         let pkt = M::pkt(0, 5);
-        sw.reject(pkt).unwrap();
+        assert_eq!(sw.reject(pkt), Ok(DropReason::Policy));
         let c = sw.counters();
         assert_eq!((c.arrived(), c.dropped(), c.admitted()), (1, 1, 0));
+        assert_eq!(c.dropped_for(DropReason::Policy), 1);
         assert_eq!(c.dropped_value(), M::value(pkt).get());
         assert_eq!(sw.occupancy(), 0);
         sw.check_invariants().unwrap();
@@ -764,7 +773,7 @@ mod tests {
         for v in [5, 1, 7, 2, 4] {
             sw.admit(M::pkt(2, v)).unwrap();
         }
-        sw.reject(M::pkt(0, 9)).unwrap();
+        assert_eq!(sw.reject(M::pkt(0, 9)), Ok(DropReason::BufferFull));
         sw.push_out_and_admit(PortId::new(2), M::pkt(0, 6)).unwrap();
         sw.transmit(2);
         sw.advance_slot();

@@ -12,7 +12,7 @@ use smbm_runtime::{
     run_loadgen, Fault, FaultKind, FaultPlan, IngestMode, LoadgenConfig, Model, RuntimeBuilder,
     RuntimeConfig, RuntimeReport, ShardConfig, SupervisionConfig, VirtualClock,
 };
-use smbm_switch::{WorkPacket, WorkSwitchConfig};
+use smbm_switch::{DropReason, WorkPacket, WorkSwitchConfig};
 use smbm_traffic::{MmppScenario, PortMix};
 
 fn trace_slots(slots: usize, seed: u64) -> Vec<Vec<WorkPacket>> {
@@ -87,9 +87,9 @@ fn panic_restart_is_deterministic_and_conserves_packets() {
 
     let c = first.counters();
     assert_eq!(c.arrived(), total, "every generated packet was ingested");
-    assert_eq!(c.dropped_backpressure(), 0);
+    assert_eq!(c.dropped_for(DropReason::Backpressure), 0);
     assert_eq!(
-        c.dropped_shard_failure(),
+        c.dropped_for(DropReason::ShardFailure),
         0,
         "restart preserved the backlog"
     );
@@ -143,8 +143,8 @@ fn exhausted_budget_accounts_the_whole_backlog_as_shard_failure() {
 
     let c = report.counters();
     assert_eq!(c.transmitted(), 0, "the shard died before serving anything");
-    assert_eq!(c.arrived(), c.dropped_shard_failure());
-    assert!(c.dropped_shard_failure() > 0);
+    assert_eq!(c.arrived(), c.dropped_for(DropReason::ShardFailure));
+    assert!(c.dropped_for(DropReason::ShardFailure) > 0);
     c.check_conservation(0).unwrap();
     c.check_value_conservation(0).unwrap();
 }
@@ -249,10 +249,10 @@ fn saturated_ingress_surfaces_as_backpressure_not_loss() {
     let c = report.counters();
     assert_eq!(report.runtime.shard_panics, 0);
     assert!(
-        c.dropped_backpressure() > 0,
+        c.dropped_for(DropReason::Backpressure) > 0,
         "a saturated ring must bounce batches as backpressure"
     );
-    assert_eq!(c.dropped_shard_failure(), 0);
+    assert_eq!(c.dropped_for(DropReason::ShardFailure), 0);
     assert_eq!(
         report.runtime.lost_packets(),
         0,

@@ -49,7 +49,9 @@ impl Oracle {
         let decision = self.policy.decide(&self.switch, pkt);
         match decision {
             Decision::Accept => self.switch.admit(pkt)?,
-            Decision::Drop => self.switch.reject(pkt)?,
+            Decision::Drop => {
+                self.switch.reject(pkt)?;
+            }
             Decision::PushOut(victim) => {
                 self.switch.push_out_and_admit(victim, pkt)?;
             }

@@ -21,6 +21,7 @@ use smbm_net::{
 };
 use smbm_obs::TelemetryConfig;
 use smbm_runtime::{FaultPlan, FlightConfig, Model};
+use smbm_switch::DropReason;
 
 /// Binds ephemeral loopback sockets, serves `serve_cfg` on them, and runs
 /// the client fleet against them; returns both reports.
@@ -59,10 +60,10 @@ fn assert_reconciled(report: &ServeReport, gen: &NetGenReport) {
     );
     assert_eq!(
         c.admitted()
-            + c.dropped_at_switch()
-            + c.dropped_backpressure()
-            + c.dropped_shard_failure()
-            + c.dropped_net_decode(),
+            + DropReason::ALL
+                .into_iter()
+                .map(|r| c.dropped_for(r))
+                .sum::<u64>(),
         gen.frames_declared(),
         "drop reasons do not partition the declared frames\n{report}"
     );
@@ -99,7 +100,7 @@ fn four_clients_four_shards_reconcile_exactly() {
     assert_eq!(gen.bad_frames_sent(), (clients * bad) as u64);
     assert_eq!(gen.missing_frames_declared(), (clients * truncated) as u64);
     assert_eq!(
-        c.dropped_net_decode(),
+        c.dropped_for(DropReason::NetDecode),
         gen.bad_frames_sent() + gen.missing_frames_declared()
     );
     let net = report.net_counts();
@@ -156,7 +157,7 @@ fn whole_datagram_corruption_reconciles_decode_errors_exactly() {
     // ...but only *declared* frames can be NetDecode drops: garbage
     // datagrams carry no valid header and charge nothing to the switch.
     assert_eq!(
-        report.counters().dropped_net_decode(),
+        report.counters().dropped_for(DropReason::NetDecode),
         gen.bad_frames_sent() + gen.missing_frames_declared()
     );
     assert_eq!(net.truncations, (clients * truncated) as u64);
@@ -195,7 +196,7 @@ fn value_model_with_hash_fanout_reconciles() {
         },
     );
     assert_reconciled(&report, &gen);
-    assert_eq!(report.counters().dropped_net_decode(), 4);
+    assert_eq!(report.counters().dropped_for(DropReason::NetDecode), 4);
     assert!(report.score() > 0, "value accumulated:\n{report}");
 }
 
@@ -228,7 +229,7 @@ fn lossy_rings_still_account_every_frame() {
         },
     );
     assert_reconciled(&report, &gen);
-    assert_eq!(report.counters().dropped_net_decode(), 0);
+    assert_eq!(report.counters().dropped_for(DropReason::NetDecode), 0);
 }
 
 #[test]
@@ -303,7 +304,7 @@ fn abandoned_shard_charges_shard_failure_drops() {
     assert_eq!(report.runtime.shards_gave_up(), 1, "{report}");
     let c = report.counters();
     assert!(
-        c.dropped_shard_failure() > 0,
+        c.dropped_for(DropReason::ShardFailure) > 0,
         "frames sent after the give-up must be charged:\n{report}"
     );
 }

@@ -181,6 +181,7 @@ fn histogram_json_reports_ordered_percentiles() {
     assert!(lat.p90() <= lat.p99());
     assert!(lat.p99() <= lat.max());
     let json = hist.to_json();
+    let reasons = DropReason::ALL.map(|r| format!("\"{}\":", r.label()));
     for key in [
         "\"arrived\":",
         "\"drops\":{\"buffer_full\":",
@@ -188,7 +189,10 @@ fn histogram_json_reports_ordered_percentiles() {
         "\"occupancy\":{",
         "\"p50\":",
         "\"p99\":",
-    ] {
+    ]
+    .into_iter()
+    .chain(reasons.iter().map(String::as_str))
+    {
         assert!(json.contains(key), "missing {key} in {json}");
     }
 }

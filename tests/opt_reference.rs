@@ -283,7 +283,7 @@ mod oracle {
                 self.occupancy += 1;
                 ArrivalOutcome::PushedOut(PortId::new(0))
             } else {
-                self.counters.record_drop(1);
+                self.counters.record_drop(DropReason::BufferFull, 1);
                 ArrivalOutcome::Dropped(DropReason::BufferFull)
             }
         }
@@ -374,7 +374,7 @@ mod oracle {
                 self.occupancy += 1;
                 ArrivalOutcome::PushedOut(PortId::new(0))
             } else {
-                self.counters.record_drop(v);
+                self.counters.record_drop(DropReason::BufferFull, v);
                 ArrivalOutcome::Dropped(DropReason::BufferFull)
             }
         }
@@ -457,7 +457,7 @@ mod oracle {
                 self.packets.push((v, w));
                 ArrivalOutcome::PushedOut(PortId::new(0))
             } else {
-                self.counters.record_drop(v);
+                self.counters.record_drop(DropReason::BufferFull, v);
                 ArrivalOutcome::Dropped(DropReason::BufferFull)
             }
         }

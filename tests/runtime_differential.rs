@@ -16,7 +16,7 @@ use smbm_runtime::{
     SupervisionConfig, VirtualClock,
 };
 use smbm_sim::{run, EngineConfig, FlushPolicy};
-use smbm_switch::{Counters, ValueSwitchConfig, WorkSwitchConfig};
+use smbm_switch::{Counters, DropReason, ValueSwitchConfig, WorkSwitchConfig};
 use smbm_traffic::{MmppScenario, PortMix, ValueMix};
 
 /// Runs one lockstep shard over per-slot bursts and returns what the switch
@@ -217,11 +217,14 @@ fn closed_ring_rejections_are_lost_not_backpressure() {
     );
     // Nothing the closed ring bounced may masquerade as backpressure.
     let totals = report.counters();
-    assert_eq!(totals.dropped_backpressure(), 0);
+    assert_eq!(totals.dropped_for(DropReason::Backpressure), 0);
     // Everything accounted is a shard-failure drop — drained orphans plus
     // producer-side losses — and packet conservation still closes.
     assert_eq!(totals.transmitted(), 0);
-    assert_eq!(totals.arrived(), totals.dropped_shard_failure());
+    assert_eq!(
+        totals.arrived(),
+        totals.dropped_for(DropReason::ShardFailure)
+    );
     totals.check_conservation(0).unwrap();
 }
 

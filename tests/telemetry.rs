@@ -9,13 +9,61 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use smbm_obs::TelemetryConfig;
-use smbm_runtime::{run_loadgen, FaultPlan, FlightConfig, LoadgenConfig, Model};
+use smbm_core::{Lwd, WorkRunner};
+use smbm_obs::{NetCounts, TelemetryConfig};
+use smbm_runtime::{
+    run_loadgen, FaultPlan, FlightConfig, LoadgenConfig, Model, RuntimeBuilder, RuntimeConfig,
+    RuntimeReport, SendOutcome, ShardConfig, VirtualClock,
+};
+use smbm_switch::{DropReason, PortId, Work, WorkPacket, WorkSwitchConfig};
 
 fn temp_path(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("smbm-telemetry-{}-{name}", std::process::id()));
     p
+}
+
+/// Asserts that the final telemetry sample tells the same story as the
+/// report's `Counters`: arrivals, admissions and every drop reason.
+fn assert_final_sample_matches_counters(report: &RuntimeReport) {
+    let c = report.counters();
+    let last = report
+        .telemetry
+        .as_ref()
+        .and_then(|t| t.last())
+        .expect("final sample");
+    assert_eq!(last.total.arrived, c.arrived(), "arrived");
+    assert_eq!(last.total.arrived_value, c.arrived_value(), "arrived_value");
+    assert_eq!(last.total.admitted, c.admitted(), "admitted");
+    for r in DropReason::ALL {
+        assert_eq!(
+            last.total.dropped[r.index()],
+            c.dropped_for(r),
+            "dropped {}",
+            r.label()
+        );
+    }
+}
+
+/// A runtime with telemetry on and `shards` LWD shards (2 ports, B = 8).
+fn telemetry_builder(ring_capacity: usize, shard: ShardConfig) -> RuntimeBuilder<WorkRunner<Lwd>> {
+    RuntimeBuilder::new(RuntimeConfig {
+        ring_capacity,
+        shard,
+        telemetry: Some(TelemetryConfig {
+            interval: Duration::from_secs(3600),
+            ..TelemetryConfig::default()
+        }),
+        ..RuntimeConfig::default()
+    })
+}
+
+fn lwd_shard() -> WorkRunner<Lwd> {
+    WorkRunner::new(WorkSwitchConfig::contiguous(2, 8).unwrap(), Lwd::new(), 1)
+}
+
+fn wp(port: usize) -> WorkPacket {
+    WorkPacket::new(PortId::new(port), Work::new(port as u32 + 1))
 }
 
 fn loadgen_config(shards: usize) -> LoadgenConfig {
@@ -77,10 +125,14 @@ fn four_shard_snapshots_reconcile_with_the_final_report() {
     assert_eq!(last.total.transmitted, c.transmitted());
     assert_eq!(last.total.transmitted_value, c.transmitted_value());
     assert_eq!(last.total.pushed_out, c.pushed_out());
-    assert_eq!(
-        last.total.dropped_buffer_full + last.total.dropped_policy,
-        c.dropped_at_switch()
-    );
+    for r in DropReason::ALL {
+        assert_eq!(
+            last.total.dropped[r.index()],
+            c.dropped_for(r),
+            "{}",
+            r.label()
+        );
+    }
     assert_eq!(last.total.latency.count(), c.transmitted());
     assert_eq!(last.total.buffer_limit, 4 * 32, "4 shards x B=32");
     assert_eq!(last.total.ports, 4 * 4);
@@ -116,6 +168,54 @@ fn four_shard_snapshots_reconcile_with_the_final_report() {
 
     let _ = std::fs::remove_file(stats);
     let _ = std::fs::remove_file(prom);
+}
+
+#[test]
+fn net_decode_drops_reconcile_with_telemetry() {
+    let mut b = telemetry_builder(4, ShardConfig::lockstep());
+    let ids = [b.add_shard(lwd_shard), b.add_shard(lwd_shard)];
+    b.add_producer_fanout(&ids, |handles| {
+        for h in handles.iter_mut() {
+            assert!(h.send(vec![wp(0), wp(1)]));
+        }
+        // One datagram carried shard 0's two frames; a third failed
+        // validation and never reached a ring.
+        handles[0].record_net(
+            NetCounts {
+                datagrams: 1,
+                frames: 2,
+                decode_errors: 1,
+                truncations: 0,
+            },
+            1,
+        );
+    });
+    let report = b.run(|_| VirtualClock::new());
+    let c = report.counters();
+    assert_eq!(c.arrived(), 5, "4 delivered + 1 net-decode drop");
+    assert_eq!(c.dropped_for(DropReason::NetDecode), 1);
+    assert_final_sample_matches_counters(&report);
+}
+
+#[test]
+fn backpressure_drops_reconcile_with_telemetry() {
+    let mut b = telemetry_builder(1, ShardConfig::freerun());
+    let id = b.add_shard(lwd_shard);
+    b.add_producer(id, |h| {
+        for _ in 0..5_000 {
+            if h.try_send(vec![wp(0)]) == SendOutcome::Disconnected {
+                panic!("shard vanished");
+            }
+        }
+    });
+    let report = b.run(|_| VirtualClock::new());
+    let c = report.counters();
+    assert_eq!(c.arrived(), 5_000, "offered = through + backpressure");
+    assert!(
+        c.dropped_for(DropReason::Backpressure) > 0,
+        "a 1-deep ring must bounce at least once"
+    );
+    assert_final_sample_matches_counters(&report);
 }
 
 #[test]
