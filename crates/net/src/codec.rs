@@ -72,7 +72,12 @@ pub trait WirePacket: Copy {
     const FRAME_LEN: usize;
     /// Appends this packet's frame to `out`.
     fn encode_frame(&self, out: &mut Vec<u8>);
-    /// Decodes one frame; `bytes` is exactly `FRAME_LEN` long.
+    /// Decodes one frame; `bytes` must be exactly `FRAME_LEN` long
+    /// ([`decode`] only ever hands over whole frames).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is not `FRAME_LEN` long.
     fn decode_frame(bytes: &[u8]) -> Self;
     /// Destination port index, for shard fanout routing.
     fn port_index(&self) -> usize;
@@ -88,9 +93,11 @@ impl WirePacket for WorkPacket {
     }
 
     fn decode_frame(bytes: &[u8]) -> Self {
-        let port = u32_at(bytes, 0);
-        let work = u32_at(bytes, 4);
-        WorkPacket::new(PortId::from_u32(port), Work::new(work))
+        let [p0, p1, p2, p3, w0, w1, w2, w3] = frame(bytes);
+        WorkPacket::new(
+            PortId::from_u32(u32::from_le_bytes([p0, p1, p2, p3])),
+            Work::new(u32::from_le_bytes([w0, w1, w2, w3])),
+        )
     }
 
     fn port_index(&self) -> usize {
@@ -108,9 +115,11 @@ impl WirePacket for ValuePacket {
     }
 
     fn decode_frame(bytes: &[u8]) -> Self {
-        let port = u32_at(bytes, 0);
-        let value = u64_at(bytes, 4);
-        ValuePacket::new(PortId::from_u32(port), Value::new(value))
+        let [p0, p1, p2, p3, v0, v1, v2, v3, v4, v5, v6, v7] = frame(bytes);
+        ValuePacket::new(
+            PortId::from_u32(u32::from_le_bytes([p0, p1, p2, p3])),
+            Value::new(u64::from_le_bytes([v0, v1, v2, v3, v4, v5, v6, v7])),
+        )
     }
 
     fn port_index(&self) -> usize {
@@ -397,12 +406,16 @@ fn decode_frames<P: WirePacket>(
     }
 }
 
-fn u16_at(b: &[u8], i: usize) -> u16 {
-    u16::from_le_bytes([b[i], b[i + 1]])
+/// One frame as a fixed-size array: a single length check (which the
+/// decoder's `chunks_exact` makes redundant) in place of one per byte.
+fn frame<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    bytes
+        .try_into()
+        .expect("decode_frame takes exactly FRAME_LEN bytes")
 }
 
-fn u32_at(b: &[u8], i: usize) -> u32 {
-    u32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]])
+fn u16_at(b: &[u8], i: usize) -> u16 {
+    u16::from_le_bytes([b[i], b[i + 1]])
 }
 
 fn u64_at(b: &[u8], i: usize) -> u64 {

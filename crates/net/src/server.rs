@@ -31,6 +31,9 @@
 //! * frames are decoded straight into their shard's pending batch
 //!   ([`decode_with`](crate::codec::decode_with)), with no per-datagram
 //!   packet vector, and barriers are acknowledged from fixed-size arrays;
+//! * each frame is read as one fixed-size array (one length check, not
+//!   one per byte), checked, and routed; [`Fanout::route`] answers shard 0
+//!   for a single shard without a division;
 //! * full per-shard batches are staged into *ready* queues and published
 //!   with one bulk ring operation per shard per received datagram
 //!   ([`IngressHandle::send_bulk`] / [`IngressHandle::try_send_bulk`]) —
@@ -45,6 +48,11 @@
 //!   return ring holds, so none is ever dropped, and when a lagging shard
 //!   holds them all it waits for one to come back
 //!   ([`IngressHandle::wait_spare_buffer`]) instead of allocating.
+//!
+//! The receive thread shares the host's CPUs with the shards it feeds. A
+//! freerun shard holding backlog but receiving nothing yields after each
+//! transmit-only slot, so a shard that has run ahead of its input gives
+//! the CPU back to this loop instead of spinning through empty slots.
 
 use std::collections::HashSet;
 use std::io;
@@ -90,8 +98,12 @@ impl Fanout {
         }
     }
 
-    /// The shard (out of `shards`) that `port` routes to.
+    /// The shard (out of `shards`) that `port` routes to. With one shard
+    /// that is shard 0 under either fanout, decided without a division.
     pub fn route(&self, port: usize, shards: usize) -> usize {
+        if shards == 1 {
+            return 0;
+        }
         match self {
             Fanout::ByPort => port % shards,
             Fanout::Hash => {

@@ -228,6 +228,15 @@ impl HistogramRecorder {
         &mut self.queue_lens[i]
     }
 
+    /// Records `packets` packets dropped for `reason` at the datapath's
+    /// edge, before the switch saw them, as arrivals plus drops: the fold
+    /// `Counters::record_edge_drops` makes, so the recorder keeps
+    /// `arrived == admitted + dropped` over the whole datapath.
+    pub fn record_edge_drops(&mut self, reason: DropReason, packets: u64) {
+        self.arrivals += packets;
+        self.dropped[reason.index()] += packets;
+    }
+
     /// Packets offered.
     pub fn arrivals(&self) -> u64 {
         self.arrivals

@@ -50,7 +50,7 @@ pub struct RuntimeConfig {
     /// Per-shard datapath configuration.
     pub shard: ShardConfig,
     /// Attach a [`HistogramRecorder`] to every shard and return it in the
-    /// report.
+    /// report, with the shard's producer edge drops folded in.
     pub record_metrics: bool,
     /// Scripted fault injection; [`FaultPlan::none`] (the default) injects
     /// nothing.
@@ -702,6 +702,17 @@ impl<S: DatapathSystem + 'static> RuntimeBuilder<S> {
                 // The supervisor itself should never unwind; if it does,
                 // count the thread as one panic and carry on.
                 Err(_) => shard_panics += 1,
+            }
+        }
+        // Producer edge drops never reach a shard's observer; fold them
+        // into its metrics as `RuntimeReport::counters` folds them into
+        // `Counters`, so both tell the same story.
+        for p in &producers {
+            let shard = shards.iter_mut().find(|s| s.shard == p.shard);
+            if let Some(metrics) = shard.and_then(|s| s.metrics.as_mut()) {
+                for r in DropReason::ALL {
+                    metrics.record_edge_drops(r, p.dropped[r.index()]);
+                }
             }
         }
 

@@ -15,9 +15,12 @@
 //! counter-for-counter equality. In [`IngestMode::Freerun`] the shard never
 //! waits: it grabs whatever is queued and keeps transmitting, which is the
 //! high-throughput loadgen configuration where full rings push back on
-//! producers. Until its last scripted fault has fired, a freerun shard
-//! takes at most one batch per ring per cycle, so a fault's trigger slot
-//! is reached after the same number of batches on every host.
+//! producers. A transmit-only slot (nothing claimed, backlog buffered)
+//! yields the CPU after it runs, and an empty buffer parks on the ring, so
+//! the shard never holds a core its producers need. Until its last
+//! scripted fault has fired, a freerun shard takes at most one batch per
+//! ring per cycle, so a fault's trigger slot is reached after the same
+//! number of batches on every host.
 
 use std::time::{Duration, Instant};
 
@@ -174,7 +177,8 @@ pub struct ShardReport {
     /// decision). Counters reflect everything up to the failure.
     pub error: Option<String>,
     /// Per-shard histogram metrics, when the runtime was asked to record
-    /// them.
+    /// them, with the edge drops of the shard's producers folded in as
+    /// arrivals plus drops.
     pub metrics: Option<smbm_obs::HistogramRecorder>,
     /// Supervised restarts after panics (0 = the shard never died).
     pub restarts: u32,
@@ -469,8 +473,13 @@ pub(crate) fn run_shard_core<S: DatapathSystem, C: Clock, O: Observer>(
                 }
                 continue;
             }
-            // Freerun cycle with backlog: transmit without arrivals.
+            // Freerun cycle with backlog: transmit without arrivals, then
+            // offer the CPU to the producers. A transmit-only slot has no
+            // arrivals to wait for, so spinning through them back to back
+            // starves the threads that feed the ring; parking instead
+            // would stall the drain until the next publish.
             machine.idle_slot(obs, progress);
+            std::thread::yield_now();
             continue;
         }
 

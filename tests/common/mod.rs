@@ -5,11 +5,13 @@
 //! can check the policy's shared arg-max selector (index and scan paths
 //! alike) against a hand-written loop.
 //!
-//! [`trace_model`] is the same kind of oracle for the flat arrival trace.
+//! [`trace_model`] is the same kind of oracle for the flat arrival trace,
+//! and [`wire_model`] for the wire codec and the shard fanout.
 
 #![allow(dead_code)] // each test crate uses its own subset
 
 pub mod trace_model;
+pub mod wire_model;
 
 use smbm_core::{Decision, LwdTieBreak, Policy};
 use smbm_switch::{

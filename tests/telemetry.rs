@@ -1,5 +1,6 @@
-//! Telemetry-plane acceptance: live snapshots must reconcile exactly with
-//! the datapath's final report, and shard deaths must leave a post-mortem.
+//! Telemetry-plane acceptance: live snapshots and the shards' histogram
+//! metrics must reconcile exactly with the datapath's final report, and
+//! shard deaths must leave a post-mortem.
 //!
 //! The reconciliation runs are fault-free on purpose: supervision recovers a
 //! dead incarnation's books by gap accounting on the supervisor thread,
@@ -10,7 +11,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use smbm_core::{Lwd, WorkRunner};
-use smbm_obs::{NetCounts, TelemetryConfig};
+use smbm_obs::{HistogramRecorder, NetCounts, TelemetryConfig};
 use smbm_runtime::{
     run_loadgen, FaultPlan, FlightConfig, LoadgenConfig, Model, RuntimeBuilder, RuntimeConfig,
     RuntimeReport, SendOutcome, ShardConfig, VirtualClock,
@@ -45,11 +46,35 @@ fn assert_final_sample_matches_counters(report: &RuntimeReport) {
     }
 }
 
-/// A runtime with telemetry on and `shards` LWD shards (2 ports, B = 8).
+/// Asserts that the shards' histogram metrics, summed, count the same
+/// arrivals, admissions and per-reason drops as the report's `Counters`.
+fn assert_metrics_match_counters(report: &RuntimeReport) {
+    let c = report.counters();
+    let metrics: Vec<_> = report
+        .shards
+        .iter()
+        .map(|s| s.metrics.as_ref().expect("metrics recorded"))
+        .collect();
+    let sum = |f: &dyn Fn(&HistogramRecorder) -> u64| metrics.iter().map(|m| f(m)).sum::<u64>();
+    assert_eq!(sum(&|m| m.arrivals()), c.arrived(), "arrivals");
+    assert_eq!(sum(&|m| m.admitted_packets()), c.admitted(), "admitted");
+    for r in DropReason::ALL {
+        assert_eq!(
+            sum(&|m| m.drop_count(r)),
+            c.dropped_for(r),
+            "dropped {}",
+            r.label()
+        );
+    }
+}
+
+/// A runtime with telemetry and histogram metrics on, for LWD shards
+/// (2 ports, B = 8).
 fn telemetry_builder(ring_capacity: usize, shard: ShardConfig) -> RuntimeBuilder<WorkRunner<Lwd>> {
     RuntimeBuilder::new(RuntimeConfig {
         ring_capacity,
         shard,
+        record_metrics: true,
         telemetry: Some(TelemetryConfig {
             interval: Duration::from_secs(3600),
             ..TelemetryConfig::default()
@@ -195,6 +220,11 @@ fn net_decode_drops_reconcile_with_telemetry() {
     assert_eq!(c.arrived(), 5, "4 delivered + 1 net-decode drop");
     assert_eq!(c.dropped_for(DropReason::NetDecode), 1);
     assert_final_sample_matches_counters(&report);
+    assert_metrics_match_counters(&report);
+    let metrics = |i: usize| report.shards[i].metrics.as_ref().expect("metrics recorded");
+    assert_eq!(metrics(0).arrivals(), 3, "the drop lands on its own shard");
+    assert_eq!(metrics(0).drop_count(DropReason::NetDecode), 1);
+    assert_eq!(metrics(1).drop_count(DropReason::NetDecode), 0);
 }
 
 #[test]
@@ -216,6 +246,7 @@ fn backpressure_drops_reconcile_with_telemetry() {
         "a 1-deep ring must bounce at least once"
     );
     assert_final_sample_matches_counters(&report);
+    assert_metrics_match_counters(&report);
 }
 
 #[test]
