@@ -743,7 +743,6 @@ where
         },
         telemetry,
         flight,
-        ..RuntimeConfig::default()
     });
     let id = builder.add_shard(move || {
         let policy = Q::policy_by_name(&canonical).expect("validated");
@@ -1012,7 +1011,6 @@ fn loadgen(args: &Args) -> Result<String, String> {
         max_value: args.get_or("max-value", defaults.max_value).map_err(err)?,
         flush: None,
         lossy: args.has("lossy"),
-        record_metrics: false,
         faults: faults_from(args, shards, slots as u64)?,
         restart_budget: args
             .get_or("restarts", defaults.restart_budget)

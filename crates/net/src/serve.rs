@@ -130,7 +130,13 @@ impl ServeReport {
         self.runtime.net_counts()
     }
 
-    /// Renders the report as one JSON object.
+    /// Renders the report as one JSON object. Its `elapsed_ms` and
+    /// `packets_per_sec` are [`RuntimeReport::elapsed`] and
+    /// [`RuntimeReport::processed_per_sec`]: the clock starts at
+    /// `RuntimeBuilder::run`, before any network client sends, so they
+    /// include the wait for the first datagram and understate the served
+    /// rate (12.0M pkt/s against the 33.1M frames/s the client saw on one
+    /// loopback flood on a 2-CPU host; see `perfbench/NOTES.md`).
     pub fn to_json(&self) -> String {
         let c = self.counters();
         let mut drops = format!("{{\"switch\":{}", c.dropped_at_switch());
@@ -271,7 +277,6 @@ pub fn run_bound_server(
             flush: None,
             drain_at_end: true,
         },
-        record_metrics: false,
         faults: config.faults.clone(),
         supervision: SupervisionConfig {
             restart_budget: config.restart_budget,

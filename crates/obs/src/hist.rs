@@ -211,7 +211,6 @@ pub struct HistogramRecorder {
     transmitted: u64,
     transmitted_value: u64,
     flushed: u64,
-    shard_restarts: u64,
 }
 
 impl HistogramRecorder {
@@ -228,15 +227,6 @@ impl HistogramRecorder {
         &mut self.queue_lens[i]
     }
 
-    /// Records `packets` packets dropped for `reason` at the datapath's
-    /// edge, before the switch saw them, as arrivals plus drops: the fold
-    /// `Counters::record_edge_drops` makes, so the recorder keeps
-    /// `arrived == admitted + dropped` over the whole datapath.
-    pub fn record_edge_drops(&mut self, reason: DropReason, packets: u64) {
-        self.arrivals += packets;
-        self.dropped[reason.index()] += packets;
-    }
-
     /// Packets offered.
     pub fn arrivals(&self) -> u64 {
         self.arrivals
@@ -250,11 +240,6 @@ impl HistogramRecorder {
     /// Packets dropped for the given reason.
     pub fn drop_count(&self, reason: DropReason) -> u64 {
         self.dropped[reason.index()]
-    }
-
-    /// Supervised shard restarts observed.
-    pub fn shard_restarts(&self) -> u64 {
-        self.shard_restarts
     }
 
     /// Packets evicted after admission (excluding flushes).
@@ -302,7 +287,7 @@ impl HistogramRecorder {
         format!(
             "{{\"arrived\":{},\"admitted\":{},\"pushed_out\":{},\"transmitted\":{},\
              \"transmitted_value\":{},\"flushed\":{},\
-             \"drops\":{},\"shard_restarts\":{},\
+             \"drops\":{},\
              \"latency\":{},\"occupancy\":{},\"queue_len\":{},\"burst\":{}}}",
             self.arrivals,
             self.admitted,
@@ -311,7 +296,6 @@ impl HistogramRecorder {
             self.transmitted_value,
             self.flushed,
             drops_json(&self.dropped),
-            self.shard_restarts,
             self.latency.to_json(),
             self.occupancy.to_json(),
             self.queue_len.to_json(),
@@ -369,14 +353,6 @@ impl Observer for HistogramRecorder {
         if self.slot_had_arrival_phase {
             self.burst.record(self.arrivals_this_slot);
         }
-    }
-
-    fn shard_restarted(&mut self, _slot: u64, _attempt: u64) {
-        self.shard_restarts += 1;
-    }
-
-    fn shard_failed(&mut self, _slot: u64, orphans: u64) {
-        self.dropped[DropReason::ShardFailure.index()] += orphans;
     }
 }
 
@@ -591,7 +567,6 @@ mod tests {
             "\"backpressure\":0",
             "\"shard_failure\":0",
             "\"net_decode\":0",
-            "\"shard_restarts\":0",
             "\"latency\"",
             "\"occupancy\"",
             "\"queue_len\"",
@@ -682,18 +657,5 @@ mod tests {
             let p = h.percentile(q);
             assert!((40..=47).contains(&p), "percentile({q}) = {p}");
         }
-    }
-
-    #[test]
-    fn recorder_tracks_supervision_events() {
-        let mut r = HistogramRecorder::new();
-        r.shard_panicked(10, 4);
-        r.shard_restarted(10, 1);
-        r.shard_restarted(25, 2);
-        r.shard_failed(40, 7);
-        r.dropped(40, PortId::new(0), DropReason::ShardFailure);
-        assert_eq!(r.shard_restarts(), 2);
-        assert_eq!(r.drop_count(DropReason::ShardFailure), 8);
-        assert!(r.to_json().contains("\"shard_restarts\":2"));
     }
 }

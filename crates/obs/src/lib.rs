@@ -9,12 +9,17 @@
 //! * [`RingEventLog`] — a bounded in-memory structured event buffer with
 //!   JSONL export;
 //! * [`HistogramRecorder`] — log-bucketed histograms of latency, buffer
-//!   occupancy, queue length and burst size, plus drop-reason counts;
+//!   occupancy, queue length and burst size, plus drop-reason counts, for
+//!   offline runs (the CLI's `--metrics-out`, `fig5 --metrics-dir`);
 //! * [`PhaseProfiler`] — wall-clock timing of the arrival, transmission,
 //!   flush and drain phases and end-to-end slot throughput;
 //! * the live telemetry plane — per-shard [`StatCell`]s written lock-free
 //!   from the hot loop, a [`TelemetrySampler`] background thread turning
-//!   them into a bounded time-series with JSONL and Prometheus exposition;
+//!   them into a bounded time-series with JSONL and Prometheus exposition.
+//!   It is the runtime's one live ledger besides the switch counters:
+//!   producers' edge drops and a supervisor's booked losses land in the
+//!   same cells, so a run's final sample equals its counters, faulted runs
+//!   included;
 //! * [`FlightRecorder`] — a bounded per-shard ring of recent events the
 //!   runtime supervisor dumps post-mortem when a shard dies.
 //!

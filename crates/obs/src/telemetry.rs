@@ -174,8 +174,10 @@ impl NetCounts {
 /// One shard's live statistics: atomic counters and gauges written by the
 /// shard thread with relaxed ordering and read by the [`TelemetrySampler`].
 /// Producer threads add their edge drops (see
-/// [`StatCell::record_edge_drops`]) to the same counters; every counter
-/// update is a relaxed `fetch_add`, so those writers need no coordination.
+/// [`StatCell::record_edge_drops`]) to the same counters, and the shard's
+/// supervisor adds a dead incarnation's losses (edge drops plus
+/// [`StatCell::record_flush`]); every counter update is a relaxed
+/// `fetch_add`, so those writers need no coordination.
 ///
 /// Padded to two 64-byte cache lines' alignment so neighbouring shards'
 /// cells never false-share, which is what keeps the hot-loop writes cheap.
@@ -275,6 +277,14 @@ impl StatCell {
         self.dropped[reason.index()].fetch_add(packets, r);
     }
 
+    /// Records `packets` buffered packets discarded outside the slot loop
+    /// (a dead incarnation's residents) as `flushed`, matching the push-outs
+    /// `Counters::record_flush` books for them. Safe to call from any
+    /// thread.
+    pub fn record_flush(&self, packets: u64) {
+        self.flushed.fetch_add(packets, Ordering::Relaxed);
+    }
+
     /// Reads just the net ingress tallies with relaxed loads; cheap enough
     /// for the supervisor to call while assembling a flight dump.
     pub fn net_counts(&self) -> NetCounts {
@@ -336,7 +346,8 @@ pub struct StatSnapshot {
     pub transmitted: u64,
     /// Total value transmitted.
     pub transmitted_value: u64,
-    /// Packets discarded by periodic flushes.
+    /// Packets discarded by periodic flushes or lost with a dead
+    /// incarnation's buffer.
     pub flushed: u64,
     /// Slots completed (including drain slots).
     pub slots: u64,
@@ -444,8 +455,10 @@ struct Pending {
 /// The [`Observer`] feeding a shard's [`StatCell`].
 ///
 /// Per-packet hooks touch only plain locals; the cell's atomics are written
-/// once per slot (and on supervision events, so a dying shard's partial
-/// slot is not lost). Dropping the observer flushes any remaining tallies.
+/// once per slot. A panicking incarnation's partial slot is discarded, not
+/// published: the supervisor's counter snapshot ends at the last completed
+/// slot too, and it books that slot's packets itself. Dropping the observer
+/// flushes any remaining tallies.
 #[derive(Debug)]
 pub struct TelemetryObserver {
     cell: Arc<StatCell>,
@@ -549,8 +562,11 @@ impl Observer for TelemetryObserver {
     }
 
     fn shard_panicked(&mut self, _slot: u64, _orphans: u64) {
-        // The dying slot never reached slot_end; publish its partial tallies.
-        self.flush_pending();
+        // The dying slot never reached slot_end, and the supervisor books
+        // its packets from the last slot's snapshot; publishing its partial
+        // tallies would count them twice.
+        self.pending = Pending::default();
+        self.latency = LogHistogram::new();
         self.cell.panics.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -558,9 +574,7 @@ impl Observer for TelemetryObserver {
         self.cell.restarts.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn shard_failed(&mut self, _slot: u64, orphans: u64) {
-        self.pending.dropped[DropReason::ShardFailure.index()] += orphans;
-        self.flush_pending();
+    fn shard_failed(&mut self, _slot: u64, _orphans: u64) {
         self.cell.failures.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -1047,19 +1061,26 @@ mod tests {
     }
 
     #[test]
-    fn supervision_hooks_flush_and_count() {
+    fn supervision_hooks_discard_the_dying_slot_and_count() {
         let cell = Arc::new(StatCell::new());
-        let mut obs = TelemetryObserver::new(Arc::clone(&cell));
-        obs.arrival(9, PortId::new(0), 1, 1);
-        obs.shard_panicked(9, 4);
-        obs.shard_restarted(9, 1);
-        obs.shard_failed(20, 7);
+        {
+            let mut obs = TelemetryObserver::new(Arc::clone(&cell));
+            obs.arrival(9, PortId::new(0), 1, 1);
+            obs.transmitted(9, PortId::new(0), 2, 1);
+            obs.shard_panicked(9, 4);
+            obs.shard_restarted(9, 1);
+            obs.shard_failed(20, 7);
+        }
         let s = cell.snapshot();
-        assert_eq!(s.arrived, 1, "partial slot published by the panic hook");
+        assert_eq!(s.arrived, 0, "the dying slot's tallies are discarded");
+        assert_eq!(s.transmitted, 0);
+        assert_eq!(s.latency.count(), 0);
         assert_eq!(s.panics, 1);
         assert_eq!(s.restarts, 1);
         assert_eq!(s.failures, 1);
-        assert_eq!(s.dropped[DropReason::ShardFailure.index()], 7);
+        assert_eq!(s.dropped_total(), 0, "orphans are booked by the supervisor");
+        cell.record_flush(3);
+        assert_eq!(cell.snapshot().flushed, 3);
     }
 
     #[test]

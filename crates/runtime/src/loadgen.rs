@@ -94,8 +94,6 @@ pub struct LoadgenConfig {
     /// Use non-blocking sends: a full ring rejects the batch as
     /// backpressure instead of stalling the producer.
     pub lossy: bool,
-    /// Attach per-shard histogram metrics to the report.
-    pub record_metrics: bool,
     /// Faults to inject during the run (chaos mode); empty injects nothing.
     pub faults: FaultPlan,
     /// Restarts allowed per shard before its supervisor gives up.
@@ -126,7 +124,6 @@ impl Default for LoadgenConfig {
             max_value: 100,
             flush: None,
             lossy: false,
-            record_metrics: false,
             faults: FaultPlan::none(),
             restart_budget: 3,
             telemetry: None,
@@ -378,7 +375,6 @@ fn drive<S: DatapathSystem + 'static>(
             flush: config.flush,
             drain_at_end: true,
         },
-        record_metrics: config.record_metrics,
         faults: config.faults.clone(),
         supervision: SupervisionConfig {
             restart_budget: config.restart_budget,

@@ -32,8 +32,8 @@ use std::time::{Duration, Instant};
 
 use smbm_datapath::DatapathSystem;
 use smbm_obs::{
-    FlightRecorder, HistogramRecorder, NetCounts, Observer, Phase, StatCell, TelemetryConfig,
-    TelemetryObserver, TelemetryReport, TelemetrySampler,
+    FlightRecorder, NetCounts, Observer, StatCell, TelemetryConfig, TelemetryObserver,
+    TelemetryReport, TelemetrySampler,
 };
 use smbm_switch::{Counters, DropReason, PortId};
 
@@ -49,9 +49,6 @@ pub struct RuntimeConfig {
     pub ring_capacity: usize,
     /// Per-shard datapath configuration.
     pub shard: ShardConfig,
-    /// Attach a [`HistogramRecorder`] to every shard and return it in the
-    /// report, with the shard's producer edge drops folded in.
-    pub record_metrics: bool,
     /// Scripted fault injection; [`FaultPlan::none`] (the default) injects
     /// nothing.
     pub faults: FaultPlan,
@@ -73,7 +70,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             ring_capacity: 64,
             shard: ShardConfig::default(),
-            record_metrics: false,
             faults: FaultPlan::none(),
             supervision: SupervisionConfig::default(),
             telemetry: None,
@@ -528,7 +524,6 @@ impl<S: DatapathSystem + 'static> RuntimeBuilder<S> {
         mut clock_factory: impl FnMut(usize) -> C,
     ) -> RuntimeReport {
         let started = Instant::now();
-        let record_metrics = self.config.record_metrics;
         let shard_config = self.config.shard.clone();
         let supervision = self.config.supervision.clone();
         let mut shard_handles = Vec::new();
@@ -636,15 +631,7 @@ impl<S: DatapathSystem + 'static> RuntimeBuilder<S> {
             let join = thread::Builder::new()
                 .name(format!("smbm-shard-{i}"))
                 .spawn(move || {
-                    // Absent layers are `None`, which the Observer blanket
-                    // impls erase to no-ops — one code path for every
-                    // combination of telemetry/metrics/flight.
-                    let super_cell = cell.clone();
-                    let mut obs = (
-                        cell.map(TelemetryObserver::new),
-                        record_metrics.then(HistogramRecorder::new),
-                    );
-                    let mut report = supervise_shard(
+                    supervise_shard(
                         i,
                         &factory,
                         ingress,
@@ -652,13 +639,10 @@ impl<S: DatapathSystem + 'static> RuntimeBuilder<S> {
                         &config,
                         &supervision,
                         faults,
-                        &mut obs,
                         flight,
                         sink.as_deref(),
-                        super_cell,
-                    );
-                    report.metrics = obs.1.take();
-                    report
+                        cell,
+                    )
                 })
                 .expect("spawn shard thread");
             shard_handles.push(join);
@@ -704,18 +688,6 @@ impl<S: DatapathSystem + 'static> RuntimeBuilder<S> {
                 Err(_) => shard_panics += 1,
             }
         }
-        // Producer edge drops never reach a shard's observer; fold them
-        // into its metrics as `RuntimeReport::counters` folds them into
-        // `Counters`, so both tell the same story.
-        for p in &producers {
-            let shard = shards.iter_mut().find(|s| s.shard == p.shard);
-            if let Some(metrics) = shard.and_then(|s| s.metrics.as_mut()) {
-                for r in DropReason::ALL {
-                    metrics.record_edge_drops(r, p.dropped[r.index()]);
-                }
-            }
-        }
-
         // Every producer has joined, so nothing records errors concurrently.
         if let Ok(mut errors) = producer_errors.lock() {
             obs_errors.append(&mut errors);
@@ -750,7 +722,8 @@ impl<S: DatapathSystem + 'static> RuntimeBuilder<S> {
 /// Runs one shard under supervision: incarnations are built from `factory`
 /// and driven by [`run_shard_core`]; a panicking incarnation is accounted
 /// exactly and replaced (with backoff) until `supervision`'s restart budget
-/// runs out.
+/// runs out. With `cell` set, a [`TelemetryObserver`] feeding it rides in
+/// the observer stack behind the flight recorder.
 ///
 /// Accounting at each panic, so conservation holds datapath-wide:
 ///
@@ -763,8 +736,12 @@ impl<S: DatapathSystem + 'static> RuntimeBuilder<S> {
 ///   (`admitted - transmitted - pushed_out`);
 /// * the ring backlog is left in place for the replacement (or drained as
 ///   shard-failure drops on give-up).
+///
+/// [`book_losses`] writes each of these losses once into both ledgers,
+/// the counters and the stat cell, so the final telemetry sample equals
+/// the report on faulted runs too.
 #[allow(clippy::too_many_arguments)]
-fn supervise_shard<S: DatapathSystem + 'static, C: Clock + Clone, O: Observer>(
+fn supervise_shard<S: DatapathSystem + 'static, C: Clock + Clone>(
     shard_id: usize,
     factory: &ServiceFactory<S>,
     mut rings: Vec<Ingress<S::Packet>>,
@@ -772,7 +749,6 @@ fn supervise_shard<S: DatapathSystem + 'static, C: Clock + Clone, O: Observer>(
     config: &ShardConfig,
     supervision: &SupervisionConfig,
     mut faults: ShardFaults,
-    obs: &mut O,
     mut flight: Option<FlightRecorder>,
     flight_sink: Option<&Mutex<File>>,
     cell: Option<Arc<StatCell>>,
@@ -788,6 +764,7 @@ fn supervise_shard<S: DatapathSystem + 'static, C: Clock + Clone, O: Observer>(
     // exactly one consumer handle per batch ring and one producer handle
     // per return ring, ever.
 
+    let mut telemetry = cell.clone().map(TelemetryObserver::new);
     let mut acc = ShardProgress::new();
     let mut restarts: u32 = 0;
     let mut orphaned: u64 = 0;
@@ -799,18 +776,19 @@ fn supervise_shard<S: DatapathSystem + 'static, C: Clock + Clone, O: Observer>(
         let incarnation_clock = clock.clone();
         // AssertUnwindSafe: everything the closure can leave half-updated
         // is plain data (tallies in `progress`, fire-once flags in
-        // `faults`, histogram buckets in `obs`, the event ring in
+        // `faults`, the pending slot in `telemetry`, the event ring in
         // `flight`, pruned-but-consistent ring handles in `rings`), read
         // afterwards only in ways that tolerate a torn last write — the
         // snapshot fields are whole-struct copies taken at slot
-        // boundaries.
+        // boundaries, and the telemetry observer discards its pending
+        // slot on panic.
         let result = catch_unwind(AssertUnwindSafe(|| {
             // Built inside the guarded scope: a panicking factory counts as
             // an incarnation failure like any other. The flight recorder
             // rides along as the head of the observer stack so its ring
             // holds the event tail when the incarnation unwinds.
             let service = factory();
-            let mut stack = (flight.as_mut(), &mut *obs);
+            let mut stack = (flight.as_mut(), &mut telemetry);
             run_shard_core(
                 service,
                 &mut rings,
@@ -828,13 +806,12 @@ fn supervise_shard<S: DatapathSystem + 'static, C: Clock + Clone, O: Observer>(
                 break;
             }
             Err(_) => {
-                obs.phase_start(Phase::Recovery);
                 let mut backlog = 0u64;
                 for r in rings.iter() {
                     r.batches.peek(|b| backlog += b.packets.len() as u64);
                 }
                 orphaned += backlog;
-                obs.shard_panicked(progress.stats.slots, backlog);
+                telemetry.shard_panicked(progress.stats.slots, backlog);
                 if let Some(f) = flight.as_mut() {
                     f.shard_panicked(progress.stats.slots, backlog);
                 }
@@ -853,29 +830,23 @@ fn supervise_shard<S: DatapathSystem + 'static, C: Clock + Clone, O: Observer>(
                 // resident in its buffer died with it and are recorded as
                 // push-outs, with their value recovered from the snapshot's
                 // value law. After this the incarnation's books balance.
-                let gap_p = progress
-                    .ingested_packets
-                    .saturating_sub(progress.counters.arrived());
-                let gap_v = progress
-                    .ingested_value
-                    .saturating_sub(progress.counters.arrived_value());
-                progress
-                    .counters
-                    .record_edge_drops(DropReason::ShardFailure, gap_p, gap_v);
-                let resident_v = progress
-                    .counters
+                let c = &progress.counters;
+                let gap = (
+                    progress.ingested_packets.saturating_sub(c.arrived()),
+                    progress.ingested_value.saturating_sub(c.arrived_value()),
+                );
+                let resident_v = c
                     .admitted_value()
-                    .saturating_sub(progress.counters.transmitted_value())
-                    .saturating_sub(progress.counters.pushed_out_value());
-                progress
-                    .counters
-                    .record_flush(progress.occupancy as u64, resident_v);
+                    .saturating_sub(c.transmitted_value())
+                    .saturating_sub(c.pushed_out_value());
+                let resident = (progress.occupancy as u64, resident_v);
+                book_losses(&mut progress.counters, cell.as_deref(), gap, resident);
                 progress.occupancy = 0;
                 acc.absorb(&progress);
 
                 if restarts >= supervision.restart_budget {
                     gave_up = true;
-                    obs.shard_failed(progress.stats.slots, backlog);
+                    telemetry.shard_failed(progress.stats.slots, backlog);
                     if let Some(f) = flight.as_mut() {
                         f.shard_failed(progress.stats.slots, backlog);
                     }
@@ -888,7 +859,6 @@ fn supervise_shard<S: DatapathSystem + 'static, C: Clock + Clone, O: Observer>(
                         backlog,
                         cell.as_ref().map(|c| c.net_counts()),
                     );
-                    obs.phase_end(Phase::Recovery);
                     break;
                 }
                 restarts += 1;
@@ -898,11 +868,10 @@ fn supervise_shard<S: DatapathSystem + 'static, C: Clock + Clone, O: Observer>(
                 }
                 // The replacement borrows the same `rings` on the next
                 // iteration — nothing to rewire.
-                obs.shard_restarted(progress.stats.slots, restarts as u64);
+                telemetry.shard_restarted(progress.stats.slots, restarts as u64);
                 if let Some(f) = flight.as_mut() {
                     f.shard_restarted(progress.stats.slots, restarts as u64);
                 }
-                obs.phase_end(Phase::Recovery);
             }
         }
     }
@@ -915,18 +884,14 @@ fn supervise_shard<S: DatapathSystem + 'static, C: Clock + Clone, O: Observer>(
     for r in rings.iter() {
         r.batches.close();
     }
-    let mut drained_p = 0u64;
-    let mut drained_v = 0u64;
+    let mut drained = (0u64, 0u64);
     for r in rings.iter() {
         while let TryPop::Item(b) = r.batches.try_pop() {
-            drained_p += b.packets.len() as u64;
-            drained_v += b.packets.iter().map(|&p| S::meta(p).2).sum::<u64>();
+            drained.0 += b.packets.len() as u64;
+            drained.1 += b.packets.iter().map(|&p| S::meta(p).2).sum::<u64>();
         }
     }
-    if drained_p > 0 {
-        acc.counters
-            .record_edge_drops(DropReason::ShardFailure, drained_p, drained_v);
-    }
+    book_losses(&mut acc.counters, cell.as_deref(), drained, (0, 0));
 
     let mut report = acc.into_report(shard_id, started.elapsed());
     report.restarts = restarts;
@@ -934,6 +899,25 @@ fn supervise_shard<S: DatapathSystem + 'static, C: Clock + Clone, O: Observer>(
     report.gave_up = gave_up;
     report.flight_dumps = flight_dumps;
     report
+}
+
+/// Books what supervision lost, once, into `counters` and (with telemetry
+/// on) the shard's stat `cell`: `failed` (packets, value) as
+/// [`DropReason::ShardFailure`] edge drops, counted as arrivals plus drops
+/// in both; `resident` (packets, value), a dead buffer's contents, as
+/// push-outs in the counters and as `flushed` in the cell.
+fn book_losses(
+    counters: &mut Counters,
+    cell: Option<&StatCell>,
+    failed: (u64, u64),
+    resident: (u64, u64),
+) {
+    counters.record_edge_drops(DropReason::ShardFailure, failed.0, failed.1);
+    counters.record_flush(resident.0, resident.1);
+    if let Some(cell) = cell {
+        cell.record_edge_drops(DropReason::ShardFailure, failed.0, failed.1);
+        cell.record_flush(resident.0);
+    }
 }
 
 /// Appends one flight-recorder dump to the shared post-mortem sink,
@@ -979,7 +963,9 @@ pub struct RuntimeReport {
     pub producers: Vec<ProducerReport>,
     /// Shard incarnations that panicked, whether restarted or not.
     pub shard_panics: usize,
-    /// Wall-clock time from first spawn to last join.
+    /// Wall-clock time from the start of [`RuntimeBuilder::run`] — before
+    /// any thread is spawned or any producer sends — to the last join. A
+    /// producer that waits for network clients adds that wait.
     pub elapsed: Duration,
     /// The telemetry sampler's report, when [`RuntimeConfig::telemetry`]
     /// was set. Its final sample is exact: the sampler is stopped only
@@ -1056,7 +1042,11 @@ impl RuntimeReport {
         self.shards.iter().map(|s| u64::from(s.flight_dumps)).sum()
     }
 
-    /// Packets through admission control per second of datapath wall time.
+    /// Packets through admission control per second of
+    /// [`RuntimeReport::elapsed`]. That clock starts at
+    /// [`RuntimeBuilder::run`], before any producer sends, so when the
+    /// producers wait on network clients the rate understates what the
+    /// shards sustained while traffic flowed.
     pub fn processed_per_sec(&self) -> f64 {
         let arrived: u64 = self.shards.iter().map(|s| s.counters.arrived()).sum();
         let secs = self.elapsed.as_secs_f64();
@@ -1334,27 +1324,6 @@ mod tests {
         assert_eq!(report.obs_errors.len(), 1);
         assert!(report.obs_errors[0].contains("set_read_timeout"));
         assert_eq!(report.counters().transmitted(), 1, "the run still served");
-    }
-
-    #[test]
-    fn metrics_recording_attaches_histograms() {
-        let mut b = RuntimeBuilder::new(RuntimeConfig {
-            ring_capacity: 4,
-            shard: ShardConfig::lockstep(),
-            record_metrics: true,
-            ..RuntimeConfig::default()
-        });
-        let id = b.add_shard(|| {
-            let cfg = WorkSwitchConfig::contiguous(2, 8).unwrap();
-            WorkRunner::new(cfg, Lwd::new(), 1)
-        });
-        b.add_producer(id, |h| {
-            h.send(vec![wp(0, 1)]);
-        });
-        let report = b.run(|_| VirtualClock::new());
-        let metrics = report.shards[0].metrics.as_ref().expect("metrics recorded");
-        assert_eq!(metrics.arrivals(), 1);
-        assert_eq!(metrics.transmitted_packets(), 1);
     }
 
     #[test]

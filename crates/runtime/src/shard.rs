@@ -176,10 +176,6 @@ pub struct ShardReport {
     /// An admission error that aborted the loop (an inconsistent policy
     /// decision). Counters reflect everything up to the failure.
     pub error: Option<String>,
-    /// Per-shard histogram metrics, when the runtime was asked to record
-    /// them, with the edge drops of the shard's producers folded in as
-    /// arrivals plus drops.
-    pub metrics: Option<smbm_obs::HistogramRecorder>,
     /// Supervised restarts after panics (0 = the shard never died).
     pub restarts: u32,
     /// Packets found queued in the shard's ingress rings at panic instants:
@@ -284,7 +280,6 @@ impl ShardProgress {
             elapsed,
             drain_stalled: self.drain_stalled,
             error: self.error,
-            metrics: None,
             restarts: 0,
             orphaned_packets: 0,
             gave_up: false,

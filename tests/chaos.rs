@@ -40,7 +40,6 @@ fn chaos_lockstep(faults: FaultPlan, budget: u32, slots: Vec<Vec<WorkPacket>>) -
             flush: None,
             drain_at_end: true,
         },
-        record_metrics: false,
         faults,
         supervision: SupervisionConfig::immediate(budget),
         ..RuntimeConfig::default()
@@ -186,7 +185,6 @@ fn multi_shard_report_names_the_dead_shard() {
             flush: None,
             drain_at_end: true,
         },
-        record_metrics: false,
         faults: FaultPlan::scripted(vec![Fault {
             shard: 1,
             at_slot: 25,

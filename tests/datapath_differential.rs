@@ -33,7 +33,6 @@ fn lockstep<S: DatapathSystem + 'static>(
             flush,
             drain_at_end: true,
         },
-        record_metrics: false,
         ..RuntimeConfig::default()
     });
     let id = b.add_shard(factory);

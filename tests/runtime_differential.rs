@@ -33,7 +33,6 @@ fn lockstep<S: DatapathSystem + 'static>(
             flush,
             drain_at_end: true,
         },
-        record_metrics: false,
         ..RuntimeConfig::default()
     });
     let id = b.add_shard(factory);
@@ -185,7 +184,6 @@ fn closed_ring_rejections_are_lost_not_backpressure() {
             flush: None,
             drain_at_end: true,
         },
-        record_metrics: false,
         faults: FaultPlan::scripted(vec![Fault {
             shard: 0,
             at_slot: 0,

@@ -18,7 +18,6 @@ fn producer_panic_mid_run_drains_and_joins() {
     let mut b = RuntimeBuilder::new(RuntimeConfig {
         ring_capacity: 4,
         shard: ShardConfig::freerun(),
-        record_metrics: false,
         ..RuntimeConfig::default()
     });
     let id = b.add_shard(|| {

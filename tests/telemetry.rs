@@ -1,22 +1,24 @@
-//! Telemetry-plane acceptance: live snapshots and the shards' histogram
-//! metrics must reconcile exactly with the datapath's final report, and
-//! shard deaths must leave a post-mortem.
-//!
-//! The reconciliation runs are fault-free on purpose: supervision recovers a
-//! dead incarnation's books by gap accounting on the supervisor thread,
-//! which bypasses the observer hooks, so only a clean run promises that the
-//! stat cells and the switch counters tell the same story packet-for-packet.
+//! Telemetry-plane acceptance: live snapshots must reconcile exactly with
+//! the datapath's final report — on clean runs, with edge drops, and on
+//! faulted runs whose losses the supervisor books — and shard deaths must
+//! leave a post-mortem.
 
 use std::path::PathBuf;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use smbm_core::{Lwd, WorkRunner};
-use smbm_obs::{HistogramRecorder, NetCounts, TelemetryConfig};
+use smbm_datapath::DatapathSystem;
+use smbm_obs::{NetCounts, TelemetryConfig};
 use smbm_runtime::{
     run_loadgen, FaultPlan, FlightConfig, LoadgenConfig, Model, RuntimeBuilder, RuntimeConfig,
-    RuntimeReport, SendOutcome, ShardConfig, VirtualClock,
+    RuntimeReport, SendOutcome, ShardConfig, SupervisionConfig, VirtualClock,
 };
-use smbm_switch::{DropReason, PortId, Work, WorkPacket, WorkSwitchConfig};
+use smbm_switch::{
+    AdmitError, ArrivalOutcome, Counters, DropReason, PortId, Transmitted, Work, WorkPacket,
+    WorkSwitchConfig,
+};
 
 fn temp_path(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -46,35 +48,11 @@ fn assert_final_sample_matches_counters(report: &RuntimeReport) {
     }
 }
 
-/// Asserts that the shards' histogram metrics, summed, count the same
-/// arrivals, admissions and per-reason drops as the report's `Counters`.
-fn assert_metrics_match_counters(report: &RuntimeReport) {
-    let c = report.counters();
-    let metrics: Vec<_> = report
-        .shards
-        .iter()
-        .map(|s| s.metrics.as_ref().expect("metrics recorded"))
-        .collect();
-    let sum = |f: &dyn Fn(&HistogramRecorder) -> u64| metrics.iter().map(|m| f(m)).sum::<u64>();
-    assert_eq!(sum(&|m| m.arrivals()), c.arrived(), "arrivals");
-    assert_eq!(sum(&|m| m.admitted_packets()), c.admitted(), "admitted");
-    for r in DropReason::ALL {
-        assert_eq!(
-            sum(&|m| m.drop_count(r)),
-            c.dropped_for(r),
-            "dropped {}",
-            r.label()
-        );
-    }
-}
-
-/// A runtime with telemetry and histogram metrics on, for LWD shards
-/// (2 ports, B = 8).
+/// A runtime with telemetry on, for LWD shards (2 ports, B = 8).
 fn telemetry_builder(ring_capacity: usize, shard: ShardConfig) -> RuntimeBuilder<WorkRunner<Lwd>> {
     RuntimeBuilder::new(RuntimeConfig {
         ring_capacity,
         shard,
-        record_metrics: true,
         telemetry: Some(TelemetryConfig {
             interval: Duration::from_secs(3600),
             ..TelemetryConfig::default()
@@ -220,11 +198,11 @@ fn net_decode_drops_reconcile_with_telemetry() {
     assert_eq!(c.arrived(), 5, "4 delivered + 1 net-decode drop");
     assert_eq!(c.dropped_for(DropReason::NetDecode), 1);
     assert_final_sample_matches_counters(&report);
-    assert_metrics_match_counters(&report);
-    let metrics = |i: usize| report.shards[i].metrics.as_ref().expect("metrics recorded");
-    assert_eq!(metrics(0).arrivals(), 3, "the drop lands on its own shard");
-    assert_eq!(metrics(0).drop_count(DropReason::NetDecode), 1);
-    assert_eq!(metrics(1).drop_count(DropReason::NetDecode), 0);
+    let last = report.telemetry.as_ref().and_then(|t| t.last()).unwrap();
+    let net_decode = |i: usize| last.shards[i].dropped[DropReason::NetDecode.index()];
+    assert_eq!(last.shards[0].arrived, 3, "the drop lands on its own shard");
+    assert_eq!(net_decode(0), 1);
+    assert_eq!(net_decode(1), 0);
 }
 
 #[test]
@@ -246,7 +224,186 @@ fn backpressure_drops_reconcile_with_telemetry() {
         "a 1-deep ring must bounce at least once"
     );
     assert_final_sample_matches_counters(&report);
-    assert_metrics_match_counters(&report);
+}
+
+/// The LWD shard of [`lwd_shard`], which panics when asked to offer its
+/// `panic_on`-th packet (0-based) when armed: a death in the middle of a
+/// slot's arrival phase, after the slot's earlier packets were decided.
+struct PanicOnOffer {
+    inner: WorkRunner<Lwd>,
+    panic_on: Option<u64>,
+    offered: u64,
+}
+
+impl DatapathSystem for PanicOnOffer {
+    type Packet = WorkPacket;
+
+    fn label(&self) -> String {
+        self.inner.label()
+    }
+
+    fn meta(pkt: WorkPacket) -> (PortId, u32, u64) {
+        WorkRunner::<Lwd>::meta(pkt)
+    }
+
+    fn offer(&mut self, pkt: WorkPacket) -> Result<ArrivalOutcome, AdmitError> {
+        if self.panic_on == Some(self.offered) {
+            panic!("injected fault: offer of packet {}", self.offered);
+        }
+        self.offered += 1;
+        self.inner.offer(pkt)
+    }
+
+    fn transmission_phase_into(&mut self, out: &mut Vec<Transmitted>) -> u64 {
+        self.inner.transmission_phase_into(out)
+    }
+
+    fn end_slot(&mut self) {
+        self.inner.end_slot();
+    }
+
+    fn flush(&mut self) -> u64 {
+        self.inner.flush()
+    }
+
+    fn occupancy(&self) -> usize {
+        self.inner.occupancy()
+    }
+
+    fn score(&self) -> u64 {
+        self.inner.score()
+    }
+
+    fn buffer_limit(&self) -> usize {
+        self.inner.buffer_limit()
+    }
+
+    fn ports(&self) -> usize {
+        self.inner.ports()
+    }
+
+    fn max_queue_depth(&self) -> usize {
+        self.inner.max_queue_depth()
+    }
+
+    fn counters(&self) -> Counters {
+        self.inner.counters()
+    }
+}
+
+/// Bursts the faulted runs send, one per slot.
+const BURSTS: usize = 200;
+
+/// Four packets a slot, two per port: more than the 1.5 packets a slot the
+/// two ports transmit, so the buffer fills, pushes out and drops.
+fn bursts() -> Vec<Vec<WorkPacket>> {
+    (0..BURSTS)
+        .map(|i| (0..4).map(|j| wp((i + j) % 2)).collect())
+        .collect()
+}
+
+/// Runs [`bursts`] through one lockstep shard with telemetry on, the given
+/// fault plan and restart budget and, in the first incarnation only, a
+/// panic on offered packet `panic_on`. The shard starts once every burst
+/// is queued in a ring deep enough to hold them all, so each plan dies at
+/// the same point, with the same backlog, on every run.
+fn faulted_run(faults: &str, budget: u32, panic_on: Option<u64>) -> RuntimeReport {
+    let mut b = RuntimeBuilder::new(RuntimeConfig {
+        ring_capacity: BURSTS,
+        shard: ShardConfig::lockstep(),
+        faults: FaultPlan::parse(faults).unwrap(),
+        supervision: SupervisionConfig::immediate(budget),
+        telemetry: Some(TelemetryConfig {
+            interval: Duration::from_secs(3600),
+            ..TelemetryConfig::default()
+        }),
+        ..RuntimeConfig::default()
+    });
+    // The producer's release store after its last send pairs with the
+    // factory's acquire load: the shard is built only after every burst is
+    // in the ring.
+    let queued = Arc::new(AtomicBool::new(false));
+    let gate = Arc::clone(&queued);
+    let incarnations = AtomicU32::new(0);
+    let id = b.add_shard(move || {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !gate.load(Ordering::Acquire) {
+            assert!(Instant::now() < deadline, "the producer never queued");
+            std::thread::yield_now();
+        }
+        let first = incarnations.fetch_add(1, Ordering::Relaxed) == 0;
+        PanicOnOffer {
+            inner: lwd_shard(),
+            panic_on: panic_on.filter(|_| first),
+            offered: 0,
+        }
+    });
+    b.add_producer(id, move |h| {
+        for burst in bursts() {
+            assert!(h.send(burst));
+        }
+        queued.store(true, Ordering::Release);
+    });
+    b.run(|_| VirtualClock::new())
+}
+
+/// Asserts the final sample equals the report's counters on every packet
+/// tally. The counters count flushed packets as push-outs, so the
+/// sample's push-outs and flushes together match the counters' push-outs.
+fn assert_faulted_run_reconciles(report: &RuntimeReport) {
+    let c = report.counters();
+    assert!(c.check_conservation(0).is_ok());
+    assert!(c.check_value_conservation(0).is_ok());
+    assert_final_sample_matches_counters(report);
+    let last = report.telemetry.as_ref().and_then(|t| t.last()).unwrap();
+    assert_eq!(last.total.transmitted, c.transmitted(), "transmitted");
+    assert_eq!(
+        last.total.transmitted_value,
+        c.transmitted_value(),
+        "transmitted_value"
+    );
+    assert_eq!(
+        last.total.pushed_out + last.total.flushed,
+        c.pushed_out(),
+        "pushed_out + flushed"
+    );
+    assert_eq!(last.total.panics, report.shard_panics as u64);
+    assert!(last.total.flushed > 0, "the dead buffer held packets");
+}
+
+#[test]
+fn restarted_shard_reconciles_with_telemetry() {
+    let report = faulted_run("panic@50", 1, None);
+    assert_eq!(report.restarts(), 1);
+    assert_eq!(report.counters().arrived(), 4 * BURSTS as u64);
+    assert_faulted_run_reconciles(&report);
+}
+
+#[test]
+fn abandoned_shard_reconciles_with_telemetry() {
+    let report = faulted_run("panic@50", 0, None);
+    assert_eq!(report.shards_gave_up(), 1);
+    assert_eq!(report.lost_packets(), 0, "every burst was queued in time");
+    assert_eq!(
+        report.counters().dropped_for(DropReason::ShardFailure),
+        4 * (BURSTS as u64 - 50),
+        "the supervisor drains the backlog of bursts 50.."
+    );
+    assert_faulted_run_reconciles(&report);
+}
+
+#[test]
+fn mid_slot_panic_reconciles_with_telemetry() {
+    // Packet 202 is the third of burst 50: the dying slot had already
+    // decided two packets when the incarnation died.
+    let report = faulted_run("", 1, Some(4 * 50 + 2));
+    assert_eq!(report.restarts(), 1);
+    assert_eq!(
+        report.counters().dropped_for(DropReason::ShardFailure),
+        4,
+        "the dying slot's burst"
+    );
+    assert_faulted_run_reconciles(&report);
 }
 
 #[test]
